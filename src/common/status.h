@@ -33,7 +33,7 @@ const char* StatusCodeToString(StatusCode code);
 /// case stores no message).
 class Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
+  constexpr Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string msg) : code_(code), msg_(std::move(msg)) {}
 
   static Status OK() { return Status(); }
@@ -80,6 +80,11 @@ class Status {
   std::string msg_;
 };
 
+/// The status an OK Result reports. Constant-initialized, so it is valid even
+/// during static initialization. (A function-local static here made GCC 12
+/// warn maybe-uninitialized on destroying a Result that called status().)
+inline constinit const Status kOkStatus;
+
 /// \brief Either a value of type T or an error Status.
 ///
 /// Mirrors arrow::Result. Accessing the value of an errored Result aborts,
@@ -93,8 +98,7 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(payload_); }
 
   const Status& status() const {
-    static const Status kOk = Status::OK();
-    if (ok()) return kOk;
+    if (ok()) return kOkStatus;
     return std::get<Status>(payload_);
   }
 

@@ -1,5 +1,6 @@
 #include "embed/prone.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "embed/chebyshev.h"
@@ -20,37 +21,57 @@ linalg::DenseMatrix EmbeddingResult::ToOriginalOrder() const {
 }
 
 graph::CsdbMatrix BuildTargetMatrix(const graph::CsdbMatrix& adjacency,
-                                    double neg_lambda) {
+                                    double neg_lambda, ThreadPool* pool) {
   graph::CsdbMatrix target = adjacency;
-  // Structural degrees (entry counts per row) and the ProNE negative-sampling
-  // distribution P_D(j) ~ d_j^0.75.
-  std::vector<double> degrees(target.num_rows(), 0.0);
+  // Per-row factors of the entry expression below, once per degree block:
+  // the clamped structural degree d = max(1, entry count) and its ProNE
+  // negative-sampling weight d^0.75. pd_norm = sum_j deg_j^0.75 normalizes
+  // P_D(j) ~ deg_j^0.75; it stays a serial ascending-row sum.
+  const uint32_t n = target.num_rows();
+  std::vector<double> clamped_degree(n);
+  std::vector<double> sampling_weight(n);
   double pd_norm = 0.0;
-  for (auto cur = target.Rows(0); !cur.AtEnd(); cur.Next()) {
-    degrees[cur.row()] = cur.degree();
-    pd_norm += std::pow(static_cast<double>(cur.degree()), 0.75);
+  for (uint32_t b = 0; b < target.num_blocks(); ++b) {
+    const double degree = target.deg_list()[b];
+    const double clamped = std::max(1.0, degree);
+    const double weight = std::pow(clamped, 0.75);
+    const double pd_term = std::pow(degree, 0.75);
+    for (uint32_t r = target.deg_ind()[b]; r < target.deg_ind()[b + 1]; ++r) {
+      clamped_degree[r] = clamped;
+      sampling_weight[r] = weight;
+      pd_norm += pd_term;
+    }
   }
   if (pd_norm <= 0.0) pd_norm = 1.0;
 
-  sparse::ApplyElementwise(&target, [&](uint32_t row, graph::NodeId col, float v) {
-    const double di = std::max(1.0, degrees[row]);
-    const double dj = std::max(1.0, degrees[col]);
-    const double p = static_cast<double>(v) / std::sqrt(di * dj);
-    // Symmetrized negative-sampling shift sqrt(P_D(i) P_D(j)) so that the
-    // target stays symmetric (apply == apply^T in the tSVD; see header).
-    const double pd =
-        std::sqrt(std::pow(di, 0.75) * std::pow(dj, 0.75)) / pd_norm;
-    const double val = std::log(std::max(p, 1e-12)) -
-                       std::log(std::max(neg_lambda * pd, 1e-12));
-    // Shifted-PPMI truncation keeps the factorized matrix non-negative.
-    return static_cast<float>(std::max(val, 0.0));
+  // Entries transform independently; each row is written by one worker.
+  std::vector<float>& vals = target.mutable_nnz_list();
+  const std::vector<graph::NodeId>& cols = target.col_list();
+  graph::ForEachRowRange(target, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+    for (auto cur = target.Rows(row_begin); cur.row() < row_end; cur.Next()) {
+      const double di = clamped_degree[cur.row()];
+      const double wi = sampling_weight[cur.row()];
+      for (uint64_t idx = cur.ptr(); idx < cur.ptr() + cur.degree(); ++idx) {
+        const graph::NodeId col = cols[idx];
+        const double p =
+            static_cast<double>(vals[idx]) / std::sqrt(di * clamped_degree[col]);
+        // Symmetrized negative-sampling shift sqrt(P_D(i) P_D(j)) so that the
+        // target stays symmetric (apply == apply^T in the tSVD; see header).
+        const double pd = std::sqrt(wi * sampling_weight[col]) / pd_norm;
+        const double val = std::log(std::max(p, 1e-12)) -
+                           std::log(std::max(neg_lambda * pd, 1e-12));
+        // Shifted-PPMI truncation keeps the factorized matrix non-negative.
+        vals[idx] = static_cast<float>(std::max(val, 0.0));
+      }
+    }
   });
   return target;
 }
 
-graph::CsdbMatrix BuildPropagationMatrix(const graph::CsdbMatrix& adjacency) {
+graph::CsdbMatrix BuildPropagationMatrix(const graph::CsdbMatrix& adjacency,
+                                         ThreadPool* pool) {
   graph::CsdbMatrix s = adjacency;
-  sparse::SymmetricNormalize(&s);
+  sparse::SymmetricNormalize(&s, pool);
   return s;
 }
 
@@ -81,7 +102,7 @@ Result<EmbeddingResult> ProneEmbed(const graph::CsdbMatrix& adjacency,
   } else {
     if (options.stage_notifier) options.stage_notifier("factorize");
     const graph::CsdbMatrix target =
-        BuildTargetMatrix(adjacency, options.neg_lambda);
+        BuildTargetMatrix(adjacency, options.neg_lambda, options.pool);
     double factorize_seconds = 0.0;
     linalg::MatMulFn apply = [&](const linalg::DenseMatrix& in,
                                  linalg::DenseMatrix* out) -> Status {
@@ -117,7 +138,7 @@ Result<EmbeddingResult> ProneEmbed(const graph::CsdbMatrix& adjacency,
 
   // ----- Stage 2: Chebyshev spectral propagation. ---------------------------
   if (options.stage_notifier) options.stage_notifier("propagate");
-  const graph::CsdbMatrix propagation = BuildPropagationMatrix(adjacency);
+  const graph::CsdbMatrix propagation = BuildPropagationMatrix(adjacency, options.pool);
   const std::vector<double> coeffs = ChebyshevCoefficients(
       ProneBandPass(options.mu, options.theta), options.chebyshev_order);
   OMEGA_ASSIGN_OR_RETURN(

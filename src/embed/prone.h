@@ -133,11 +133,15 @@ struct EmbeddingResult {
 };
 
 /// Builds the (symmetrized) target matrix of stage 1 from the adjacency.
+/// With a pool, rows are transformed in parallel; the result is
+/// byte-identical at any thread count.
 graph::CsdbMatrix BuildTargetMatrix(const graph::CsdbMatrix& adjacency,
-                                    double neg_lambda);
+                                    double neg_lambda, ThreadPool* pool = nullptr);
 
-/// Builds the symmetric-normalized propagation matrix D^-1/2 A D^-1/2.
-graph::CsdbMatrix BuildPropagationMatrix(const graph::CsdbMatrix& adjacency);
+/// Builds the symmetric-normalized propagation matrix D^-1/2 A D^-1/2
+/// (byte-identical at any thread count, like BuildTargetMatrix).
+graph::CsdbMatrix BuildPropagationMatrix(const graph::CsdbMatrix& adjacency,
+                                         ThreadPool* pool = nullptr);
 
 /// Runs both ProNE stages using `spmm` for all sparse products.
 Result<EmbeddingResult> ProneEmbed(const graph::CsdbMatrix& adjacency,

@@ -29,41 +29,92 @@ void BuildBlocks(const std::vector<uint32_t>& row_degrees, CsdbMatrix* out,
   block_ptr->push_back(ptr);
 }
 
+// Row ranges carry at least this much work (nnz + rows) before a pool
+// dispatch pays off.
+constexpr uint64_t kMinRangeWork = 1 << 14;
+// Ranges per pool thread: slack for the dynamic hand-out to even out skew.
+constexpr uint64_t kRangesPerThread = 8;
+
 }  // namespace
 
-CsdbMatrix CsdbMatrix::FromGraph(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  const std::vector<NodeId> order = g.DegreeDescendingOrder();
-  std::vector<NodeId> inverse(n);
-  for (NodeId i = 0; i < n; ++i) inverse[order[i]] = i;
+void ForEachRowRange(const CsdbMatrix& m, ThreadPool* pool,
+                     const std::function<void(size_t, uint32_t, uint32_t)>& fn) {
+  const size_t threads = pool != nullptr ? pool->size() : 1;
+  const uint64_t total = m.nnz() + m.num_rows();
+  const uint64_t target =
+      std::max<uint64_t>(kMinRangeWork, total / (threads * kRangesPerThread));
+  if (threads <= 1 || total <= target) {
+    fn(0, 0, m.num_rows());
+    return;
+  }
+  // Cut a range whenever its work reaches `target`. Every row of a degree
+  // block costs the same, so each cut inside a block is one division.
+  std::vector<uint32_t> bounds = {0};
+  uint64_t acc = 0;  // work of the open range, always < target
+  for (uint32_t b = 0; b < m.num_blocks(); ++b) {
+    const uint64_t cost = static_cast<uint64_t>(m.deg_list()[b]) + 1;
+    const uint32_t block_end = m.deg_ind()[b + 1];
+    for (uint32_t row = m.deg_ind()[b]; row < block_end;) {
+      const uint64_t rows_to_fill = (target - acc + cost - 1) / cost;
+      if (rows_to_fill > block_end - row) {
+        acc += (block_end - row) * cost;
+        break;
+      }
+      row += static_cast<uint32_t>(rows_to_fill);
+      bounds.push_back(row);
+      acc = 0;
+    }
+  }
+  if (bounds.back() != m.num_rows()) bounds.push_back(m.num_rows());
+  pool->ParallelForDynamic(bounds.size() - 1, /*chunk_size=*/1,
+                           [&](size_t worker, size_t begin, size_t end) {
+                             for (size_t i = begin; i < end; ++i) {
+                               fn(worker, bounds[i], bounds[i + 1]);
+                             }
+                           });
+}
 
+CsdbMatrix CsdbMatrix::FromGraph(const Graph& g, ThreadPool* pool) {
+  // Degree order, inverse permutation and block metadata are O(n) and stay
+  // serial; the block metadata fixes every row's nnz offset up front.
+  const NodeId n = g.num_nodes();
   CsdbMatrix m;
   m.num_rows_ = n;
   m.num_cols_ = n;
-  m.perm_ = order;
-  m.col_list_.reserve(g.num_arcs());
-  m.nnz_list_.reserve(g.num_arcs());
-
+  m.perm_ = g.DegreeDescendingOrder();
+  const std::vector<NodeId>& order = m.perm_;
+  std::vector<NodeId> inverse(n);
   std::vector<uint32_t> row_degrees(n);
-  std::vector<std::pair<NodeId, float>> row;
   for (NodeId i = 0; i < n; ++i) {
-    const NodeId old_v = order[i];
-    const uint32_t deg = g.degree(old_v);
-    row_degrees[i] = deg;
-    row.clear();
-    const NodeId* nbrs = g.neighbors(old_v);
-    const float* wts = g.weights(old_v);
-    for (uint32_t k = 0; k < deg; ++k) {
-      row.emplace_back(inverse[nbrs[k]], wts[k]);
-    }
-    std::sort(row.begin(), row.end());
-    for (const auto& [c, w] : row) {
-      m.col_list_.push_back(c);
-      m.nnz_list_.push_back(w);
-    }
+    inverse[order[i]] = i;
+    row_degrees[i] = g.degree(order[i]);
   }
-
   BuildBlocks(row_degrees, &m, &m.deg_list_, &m.deg_ind_, &m.block_ptr_);
+  m.col_list_.resize(m.block_ptr_.back());
+  m.nnz_list_.resize(m.block_ptr_.back());
+
+  // Each row's gather, sort and write touch only that row's slots, so rows
+  // fan out; one scratch row per worker is reused across its ranges.
+  std::vector<std::vector<std::pair<NodeId, float>>> scratch(
+      pool != nullptr ? pool->size() : 1);
+  ForEachRowRange(m, pool, [&](size_t worker, uint32_t row_begin, uint32_t row_end) {
+    std::vector<std::pair<NodeId, float>>& row = scratch[worker];
+    for (auto blk = m.BlocksInRange(row_begin, row_end); !blk.AtEnd(); blk.Next()) {
+      const BlockSpan& s = blk.span();
+      uint64_t ptr = s.ptr;
+      for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += s.degree) {
+        const NodeId* nbrs = g.neighbors(order[r]);
+        const float* wts = g.weights(order[r]);
+        row.resize(s.degree);
+        for (uint32_t k = 0; k < s.degree; ++k) row[k] = {inverse[nbrs[k]], wts[k]};
+        std::sort(row.begin(), row.end());
+        for (uint32_t k = 0; k < s.degree; ++k) {
+          m.col_list_[ptr + k] = row[k].first;
+          m.nnz_list_[ptr + k] = row[k].second;
+        }
+      }
+    }
+  });
   return m;
 }
 

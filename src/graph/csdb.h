@@ -14,9 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "graph/graph.h"
 
 namespace omega::graph {
@@ -28,8 +30,9 @@ class CsdbMatrix {
   CsdbMatrix() = default;
 
   /// Builds the weighted adjacency matrix of `g` in CSDB form, relabeling
-  /// nodes into degree-descending order.
-  static CsdbMatrix FromGraph(const Graph& g);
+  /// nodes into degree-descending order. With a pool, rows are gathered and
+  /// sorted in parallel; the result is byte-identical at any thread count.
+  static CsdbMatrix FromGraph(const Graph& g, ThreadPool* pool = nullptr);
 
   /// Builds from explicit parts. `row_degrees` must be non-increasing.
   /// Column indices are taken as already being in the CSDB id space.
@@ -140,5 +143,15 @@ class CsdbMatrix {
   std::vector<float> nnz_list_;
   std::vector<NodeId> perm_;
 };
+
+/// Runs `fn(worker, row_begin, row_end)` over contiguous row ranges that
+/// cover [0, m.num_rows()) exactly once. On a pool of more than one thread
+/// the ranges are balanced by work (a row costs its degree plus one, so hub
+/// rows get short ranges) and handed out dynamically; `worker` is the pool
+/// thread index, for per-worker scratch. Without such a pool, or when the
+/// matrix is too small to split, `fn(0, 0, m.num_rows())` runs inline. Must
+/// not be called from inside a pool job (RunOnAll is not reentrant).
+void ForEachRowRange(const CsdbMatrix& m, ThreadPool* pool,
+                     const std::function<void(size_t, uint32_t, uint32_t)>& fn);
 
 }  // namespace omega::graph

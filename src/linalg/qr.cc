@@ -1,5 +1,6 @@
 #include "linalg/qr.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -9,6 +10,38 @@ namespace {
 
 // Per-column work below this many scalar ops is not worth a pool dispatch.
 constexpr size_t kParallelWorkThreshold = 1 << 15;
+
+// Q columns formed together, so each reflector streams once per panel.
+constexpr size_t kQPanelWidth = 4;
+
+// Forms Q columns [c0, c0 + W) by applying reflectors j_top, ..., 0 (stored
+// in `work`, scaled by `betas`) to unit vectors. `e` is W * n scratch with
+// column c0 + w's row i at e[i * W + w]. Every column keeps the arithmetic of
+// a one-column loop: its dot product is its own chain, summed over ascending
+// i; only the loads of v_j are shared across the panel.
+template <size_t W>
+void FormQPanel(const std::vector<double>& work, const std::vector<double>& betas,
+                size_t n, size_t c0, size_t j_top, double* e, DenseMatrix* q) {
+  std::fill(e, e + W * n, 0.0);
+  for (size_t w = 0; w < W; ++w) e[(c0 + w) * W + w] = 1.0;
+  for (size_t j = j_top + 1; j-- > 0;) {
+    if (betas[j] == 0.0) continue;
+    const double* vj = work.data() + j * n;
+    double dot[W] = {};
+    for (size_t i = j; i < n; ++i) {
+      for (size_t w = 0; w < W; ++w) dot[w] += vj[i] * e[i * W + w];
+    }
+    double scale[W];
+    for (size_t w = 0; w < W; ++w) scale[w] = betas[j] * dot[w];
+    for (size_t i = j; i < n; ++i) {
+      for (size_t w = 0; w < W; ++w) e[i * W + w] -= scale[w] * vj[i];
+    }
+  }
+  for (size_t w = 0; w < W; ++w) {
+    float* qc = q->ColData(c0 + w);
+    for (size_t i = 0; i < n; ++i) qc[i] = static_cast<float>(e[i * W + w]);
+  }
+}
 
 }  // namespace
 
@@ -32,6 +65,9 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
   // Householder vectors stored below the diagonal of `work`; betas separate.
   std::vector<double> betas(k, 0.0);
   std::vector<double> rmat(k * k, 0.0);
+  // betas[j] != 0 implies a finite vnorm2, hence a finite v_j; only a beta
+  // overflowing on a subnormal vnorm2 can be non-finite.
+  bool finite_reflectors = true;
 
   for (size_t j = 0; j < k; ++j) {
     double* colj = work.data() + j * n;
@@ -49,6 +85,7 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
     double vnorm2 = 0.0;
     for (size_t i = j; i < n; ++i) vnorm2 += colj[i] * colj[i];
     betas[j] = vnorm2 > 0.0 ? 2.0 / vnorm2 : 0.0;
+    finite_reflectors = finite_reflectors && std::isfinite(betas[j]);
     rmat[j * k + j] = alpha;
 
     // Apply the reflector to the remaining columns; each trailing column is
@@ -76,32 +113,35 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
     for (size_t i = 0; i < c; ++i) rmat[c * k + i] = work[c * n + i];
   }
 
-  // Form Q by applying reflectors to the first k columns of the identity.
-  // Columns are independent; each parallel worker gets its own unit-vector
-  // scratch buffer.
+  // Form Q by applying reflectors to the first k columns of the identity,
+  // in panels of columns; each panel is formed by one worker. Reflector
+  // j > c leaves unit column c untouched: with v_j and beta_j finite its dot
+  // product is +0.0 and so is the update, so panels skip those reflectors.
+  // A non-finite reflector would turn that 0 into NaN, so then every panel
+  // applies all of them, as an unskipped loop would.
   *q = DenseMatrix(n, k);
-  auto form_column = [&](size_t c, std::vector<double>& e) {
-    std::fill(e.begin(), e.end(), 0.0);
-    e[c] = 1.0;
-    for (size_t j = k; j-- > 0;) {
-      if (betas[j] == 0.0) continue;
-      const double* vj = work.data() + j * n;
-      double dot = 0.0;
-      for (size_t i = j; i < n; ++i) dot += vj[i] * e[i];
-      const double scale = betas[j] * dot;
-      for (size_t i = j; i < n; ++i) e[i] -= scale * vj[i];
+  const size_t num_panels = (k + kQPanelWidth - 1) / kQPanelWidth;
+  auto form_panel = [&](size_t panel, std::vector<double>& e) {
+    const size_t c0 = panel * kQPanelWidth;
+    const size_t width = std::min(kQPanelWidth, k - c0);
+    const size_t j_top = finite_reflectors ? c0 + width - 1 : k - 1;
+    e.resize(width * n);
+    switch (width) {
+      case 4: FormQPanel<4>(work, betas, n, c0, j_top, e.data(), q); break;
+      case 3: FormQPanel<3>(work, betas, n, c0, j_top, e.data(), q); break;
+      case 2: FormQPanel<2>(work, betas, n, c0, j_top, e.data(), q); break;
+      default: FormQPanel<1>(work, betas, n, c0, j_top, e.data(), q); break;
     }
-    float* qc = q->ColData(c);
-    for (size_t i = 0; i < n; ++i) qc[i] = static_cast<float>(e[i]);
   };
   if (parallel) {
-    pool->ParallelFor(k, [&](size_t, size_t begin, size_t end) {
-      std::vector<double> e(n);
-      for (size_t c = begin; c < end; ++c) form_column(c, e);
+    // Later panels apply more reflectors; hand them out first.
+    std::vector<std::vector<double>> scratch(pool->size());
+    pool->ParallelForDynamic(num_panels, 1, [&](size_t w, size_t begin, size_t end) {
+      for (size_t t = begin; t < end; ++t) form_panel(num_panels - 1 - t, scratch[w]);
     });
   } else {
-    std::vector<double> e(n);
-    for (size_t c = 0; c < k; ++c) form_column(c, e);
+    std::vector<double> e;
+    for (size_t panel = 0; panel < num_panels; ++panel) form_panel(panel, e);
   }
 
   if (r != nullptr) {

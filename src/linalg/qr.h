@@ -3,9 +3,10 @@
 //
 // The Householder elimination is inherently sequential in the column being
 // reduced, but applying each reflector to the trailing columns — and forming
-// the k columns of Q — is embarrassingly parallel per column. With a pool
-// those loops fan out; every column's arithmetic stays a fixed sequential
-// chain, so the factorization is bit-identical at any thread count.
+// the k columns of Q, in panels of a few columns — is embarrassingly parallel
+// per column. With a pool those loops fan out; every column's arithmetic
+// stays a fixed sequential chain, so the factorization is bit-identical at
+// any thread count.
 
 #pragma once
 

@@ -173,7 +173,7 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
     pl.result = {Tier::kDram, Placement::kInterleaved};
   }
 
-  const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g);
+  const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
   CsrCache csr_cache;
   sparse::CsrSpmmPlan csr_plan;  // reused across the stage's SpMM calls
   embed::ProneOptions prone = options.prone;
@@ -384,7 +384,7 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
     }
   }
 
-  const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g);
+  const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
   CsrCache csr_cache;
   sparse::CsrSpmmPlan csr_plan;  // reused across the stage's SpMM calls
   const Placement ssd{Tier::kSsd, 0};

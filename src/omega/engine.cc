@@ -261,7 +261,7 @@ Result<RunReport> RunOmegaFamily(const graph::Graph& g, const std::string& datas
     return Status::OK();
   };
 
-  const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g);
+  const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
   if (resume_stage >= kStageReadDone) {
     // Resumed past the read: the pre-crash run already paid it.
     report.read_seconds = restored_read;

@@ -123,8 +123,8 @@ Status DynamicEmbedder::Train(const exec::Context& ctx) {
                          RunEmbedding(mutable_.graph(), dataset_, opts, ctx));
   train_report_ = std::move(report);
   embedding_ = train_report_.embedding;
-  adjacency_ = graph::CsdbMatrix::FromGraph(mutable_.graph());
-  propagation_ = embed::BuildPropagationMatrix(adjacency_);
+  adjacency_ = graph::CsdbMatrix::FromGraph(mutable_.graph(), ctx.pool());
+  propagation_ = embed::BuildPropagationMatrix(adjacency_, ctx.pool());
   // Warm the stage-2 plan so the first Refresh exercises the delta
   // invalidation path instead of a cold build.
   plan_cache_.Get(propagation_, NadpOptionsFor(ctx), ctx);
@@ -177,7 +177,8 @@ Result<RefreshReport> DynamicEmbedder::Refresh(const exec::Context& ctx,
   report.csdb_touched_rows = dres.touched_rows;
   report.csdb_reused_rows = dres.reused_rows;
   graph::CsdbMatrix new_adjacency = std::move(dres.matrix);
-  graph::CsdbMatrix new_propagation = embed::BuildPropagationMatrix(new_adjacency);
+  graph::CsdbMatrix new_propagation =
+      embed::BuildPropagationMatrix(new_adjacency, ctx.pool());
   // Renormalization: s_uv = a_uv * d_u^-1/2 * d_v^-1/2 changes only where an
   // endpoint's degree changed, i.e. in touched rows and touched columns — the
   // symmetric structure makes those the same arc set, traversed twice (once

@@ -215,26 +215,16 @@ void ScaleValues(graph::CsdbMatrix* a, float alpha) {
   for (float& v : a->mutable_nnz_list()) v *= alpha;
 }
 
-void ApplyElementwise(graph::CsdbMatrix* a,
-                      const std::function<float(uint32_t, graph::NodeId, float)>& fn) {
-  auto& vals = a->mutable_nnz_list();
-  const auto& cols = a->col_list();
-  for (auto cur = a->Rows(0); !cur.AtEnd(); cur.Next()) {
-    for (uint32_t k = 0; k < cur.degree(); ++k) {
-      const uint64_t idx = cur.ptr() + k;
-      vals[idx] = fn(cur.row(), cols[idx], vals[idx]);
-    }
-  }
-}
-
-std::vector<double> RowSums(const graph::CsdbMatrix& a) {
+std::vector<double> RowSums(const graph::CsdbMatrix& a, ThreadPool* pool) {
   std::vector<double> sums(a.num_rows(), 0.0);
   const auto& vals = a.nnz_list();
-  for (auto cur = a.Rows(0); !cur.AtEnd(); cur.Next()) {
-    double s = 0.0;
-    for (uint32_t k = 0; k < cur.degree(); ++k) s += vals[cur.ptr() + k];
-    sums[cur.row()] = s;
-  }
+  graph::ForEachRowRange(a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+    for (auto cur = a.Rows(row_begin); cur.row() < row_end; cur.Next()) {
+      double s = 0.0;
+      for (uint32_t k = 0; k < cur.degree(); ++k) s += vals[cur.ptr() + k];
+      sums[cur.row()] = s;
+    }
+  });
   return sums;
 }
 
@@ -250,20 +240,22 @@ void RowNormalize(graph::CsdbMatrix* a) {
   }
 }
 
-void SymmetricNormalize(graph::CsdbMatrix* a) {
-  const std::vector<double> sums = RowSums(*a);
+void SymmetricNormalize(graph::CsdbMatrix* a, ThreadPool* pool) {
+  const std::vector<double> sums = RowSums(*a, pool);
   auto& vals = a->mutable_nnz_list();
   const auto& cols = a->col_list();
-  for (auto cur = a->Rows(0); !cur.AtEnd(); cur.Next()) {
-    const double sr = sums[cur.row()];
-    for (uint32_t k = 0; k < cur.degree(); ++k) {
-      const double sc = sums[cols[cur.ptr() + k]];
-      const double denom = std::sqrt(sr * sc);
-      if (denom > 0.0) {
-        vals[cur.ptr() + k] = static_cast<float>(vals[cur.ptr() + k] / denom);
+  graph::ForEachRowRange(*a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+    for (auto cur = a->Rows(row_begin); cur.row() < row_end; cur.Next()) {
+      const double sr = sums[cur.row()];
+      for (uint32_t k = 0; k < cur.degree(); ++k) {
+        const double sc = sums[cols[cur.ptr() + k]];
+        const double denom = std::sqrt(sr * sc);
+        if (denom > 0.0) {
+          vals[cur.ptr() + k] = static_cast<float>(vals[cur.ptr() + k] / denom);
+        }
       }
     }
-  }
+  });
 }
 
 Status SpMV(const graph::CsdbMatrix& a, const std::vector<float>& x,

@@ -9,7 +9,7 @@
 
 #pragma once
 
-#include <functional>
+#include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -59,12 +59,10 @@ Result<graph::CsdbMatrix> Transpose(const graph::CsdbMatrix& a);
 /// In-place value scaling: a *= alpha.
 void ScaleValues(graph::CsdbMatrix* a, float alpha);
 
-/// In-place elementwise transform v' = fn(row, col, v) over stored entries.
-void ApplyElementwise(graph::CsdbMatrix* a,
-                      const std::function<float(uint32_t, graph::NodeId, float)>& fn);
-
-/// Row degree-sum vector d_r = sum_c a(r, c) of the stored values.
-std::vector<double> RowSums(const graph::CsdbMatrix& a);
+/// Row degree-sum vector d_r = sum_c a(r, c) of the stored values. Each row
+/// sums in ascending column order on one worker, so a pool changes nothing
+/// but which thread computes which row.
+std::vector<double> RowSums(const graph::CsdbMatrix& a, ThreadPool* pool = nullptr);
 
 /// In-place row normalization a(r, c) /= row_sum(r)  (the D^-1 A operator).
 /// Zero rows are left untouched.
@@ -72,7 +70,8 @@ void RowNormalize(graph::CsdbMatrix* a);
 
 /// In-place symmetric normalization a(r, c) /= sqrt(rs(r) * rs(c)), where rs
 /// is the row-sum vector (the D^-1/2 A D^-1/2 operator of spectral methods).
-void SymmetricNormalize(graph::CsdbMatrix* a);
+/// Byte-identical with or without a pool, like RowSums.
+void SymmetricNormalize(graph::CsdbMatrix* a, ThreadPool* pool = nullptr);
 
 /// y = a * x (SpMV; no memsim charging — used by tests and small utilities).
 Status SpMV(const graph::CsdbMatrix& a, const std::vector<float>& x,

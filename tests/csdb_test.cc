@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+
+#include "csdb_test_inputs.h"
 #include "graph/csdb.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
@@ -186,6 +189,55 @@ TEST(CsdbTest, LargeGraphRoundTripAgainstGraph) {
       EXPECT_EQ(m.col_list()[cur.ptr() + k], expected[k]);
     }
   }
+}
+
+TEST(CsdbTest, PooledFromGraphIsByteIdentical) {
+  for (const auto& [name, g] : PooledBuildGraphs()) {
+    SCOPED_TRACE(name);
+    const CsdbMatrix serial = CsdbMatrix::FromGraph(g);
+    for (const size_t threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      ExpectCsdbIdentical(CsdbMatrix::FromGraph(g, &pool), serial);
+    }
+  }
+}
+
+TEST(CsdbTest, RowRangesCoverEveryRowOnceAndSplitByWork) {
+  for (const auto& [name, g] : PooledBuildGraphs()) {
+    SCOPED_TRACE(name);
+    const CsdbMatrix m = CsdbMatrix::FromGraph(g);
+    ThreadPool pool(8);
+    std::mutex mu;
+    std::vector<std::pair<uint32_t, uint32_t>> ranges;
+    std::vector<int> seen(m.num_rows(), 0);
+    ForEachRowRange(m, &pool, [&](size_t worker, uint32_t begin, uint32_t end) {
+      std::lock_guard<std::mutex> lock(mu);
+      EXPECT_LT(worker, pool.size());
+      ranges.emplace_back(begin, end);
+      for (uint32_t r = begin; r < end; ++r) ++seen[r];
+    });
+    for (uint32_t r = 0; r < m.num_rows(); ++r) ASSERT_EQ(seen[r], 1) << "row " << r;
+    if (name == "edgeless") {
+      EXPECT_EQ(ranges.size(), 1u);
+    } else {
+      EXPECT_GT(ranges.size(), 1u);
+    }
+    if (name == "hub") {
+      // The hub outweighs a whole range, so it is a range of its own.
+      std::sort(ranges.begin(), ranges.end());
+      EXPECT_EQ(ranges.front(), std::make_pair(0u, 1u));
+    }
+  }
+  // A matrix with no rows runs its single empty range inline.
+  ThreadPool pool(2);
+  int calls = 0;
+  ForEachRowRange(CsdbMatrix(), &pool, [&](size_t, uint32_t begin, uint32_t end) {
+    ++calls;
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 0u);
+  });
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

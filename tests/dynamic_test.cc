@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "csdb_test_inputs.h"
 #include "graph/graph_io.h"
 #include "graph/mutable_graph.h"
 #include "graph/rmat.h"
@@ -28,6 +29,7 @@ namespace omega {
 namespace {
 
 using graph::CsdbMatrix;
+using graph::ExpectCsdbIdentical;
 using graph::Graph;
 using graph::Mutation;
 using graph::MutationKind;
@@ -54,19 +56,6 @@ bool HasEdge(const Graph& g, NodeId u, NodeId v) {
     if (nbrs[k] == v) return true;
   }
   return false;
-}
-
-void ExpectCsdbIdentical(const CsdbMatrix& a, const CsdbMatrix& b) {
-  EXPECT_EQ(a.num_rows(), b.num_rows());
-  EXPECT_EQ(a.num_cols(), b.num_cols());
-  EXPECT_EQ(a.perm(), b.perm());
-  EXPECT_EQ(a.deg_list(), b.deg_list());
-  EXPECT_EQ(a.deg_ind(), b.deg_ind());
-  EXPECT_EQ(a.block_ptr(), b.block_ptr());
-  EXPECT_EQ(a.col_list(), b.col_list());
-  ASSERT_EQ(a.nnz_list().size(), b.nnz_list().size());
-  EXPECT_EQ(0, std::memcmp(a.nnz_list().data(), b.nnz_list().data(),
-                           a.nnz_list().size() * sizeof(float)));
 }
 
 TEST(MutableGraphTest, AppliesAndRejectsDeterministically) {
@@ -391,7 +380,7 @@ TEST(ServeRefreshTest, RefreshRowsSwapsEmbeddingAndReconcilesCache) {
 
   std::vector<prefetch::ScoredKey> popularity;
   for (uint32_t k = 0; k < 8; ++k) {
-    popularity.push_back({k, 100.0 - k});  // keys 0..3 become the hot set
+    popularity.push_back({k, 100u - k});  // keys 0..3 become the hot set
   }
   server.WarmHotSet(std::move(popularity));
   ASSERT_TRUE(server.Start().ok());

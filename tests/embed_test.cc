@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "csdb_test_inputs.h"
 #include "embed/chebyshev.h"
 #include "embed/prone.h"
 #include "embed/quality.h"
@@ -175,6 +179,50 @@ TEST(ProneMatrixTest, PropagationMatrixSpectralRadiusAtMostOne) {
     for (size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(y[i] / norm);
   }
   EXPECT_LE(norm, 1.0 + 1e-3);
+}
+
+TEST(ProneMatrixTest, TargetMatrixMatchesPerEntryFormula) {
+  // The builder hoists the per-row factors out of the entry loop; each entry
+  // must still carry exactly the bits of the formula evaluated in place.
+  const CsdbMatrix adj = CsdbMatrix::FromGraph(graph::PooledBuildGraphs()[0].second);
+  const double neg_lambda = 1.0;
+  std::vector<double> degrees(adj.num_rows());
+  double pd_norm = 0.0;
+  for (auto cur = adj.Rows(0); !cur.AtEnd(); cur.Next()) {
+    degrees[cur.row()] = cur.degree();
+    pd_norm += std::pow(static_cast<double>(cur.degree()), 0.75);
+  }
+  std::vector<float> expected = adj.nnz_list();
+  for (auto cur = adj.Rows(0); !cur.AtEnd(); cur.Next()) {
+    for (uint64_t idx = cur.ptr(); idx < cur.ptr() + cur.degree(); ++idx) {
+      const double di = std::max(1.0, degrees[cur.row()]);
+      const double dj = std::max(1.0, degrees[adj.col_list()[idx]]);
+      const double p = static_cast<double>(expected[idx]) / std::sqrt(di * dj);
+      const double pd = std::sqrt(std::pow(di, 0.75) * std::pow(dj, 0.75)) / pd_norm;
+      const double val = std::log(std::max(p, 1e-12)) -
+                         std::log(std::max(neg_lambda * pd, 1e-12));
+      expected[idx] = static_cast<float>(std::max(val, 0.0));
+    }
+  }
+  const CsdbMatrix target = BuildTargetMatrix(adj, neg_lambda);
+  ASSERT_EQ(target.nnz_list().size(), expected.size());
+  EXPECT_EQ(0, std::memcmp(target.nnz_list().data(), expected.data(),
+                           expected.size() * sizeof(float)));
+}
+
+TEST(ProneMatrixTest, PooledMatrixBuildsAreByteIdentical) {
+  for (const auto& [name, g] : graph::PooledBuildGraphs()) {
+    SCOPED_TRACE(name);
+    const CsdbMatrix adj = CsdbMatrix::FromGraph(g);
+    const CsdbMatrix target = BuildTargetMatrix(adj, 1.0);
+    const CsdbMatrix propagation = BuildPropagationMatrix(adj);
+    for (const size_t threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      graph::ExpectCsdbIdentical(BuildTargetMatrix(adj, 1.0, &pool), target);
+      graph::ExpectCsdbIdentical(BuildPropagationMatrix(adj, &pool), propagation);
+    }
+  }
 }
 
 TEST(ProneTest, EndToEndProducesStructuredEmbedding) {

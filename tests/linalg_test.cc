@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "common/md5.h"
+#include "common/thread_pool.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/eigen.h"
 #include "linalg/gemm.h"
@@ -198,14 +204,65 @@ TEST(GemmTest, PooledResultsBitIdenticalToSerial) {
   EXPECT_EQ(DenseMatrix::MaxAbsDiff(serial_b, pooled_b), 0.0);
 }
 
+// Tall input for the pooled-QR checks, big enough (n * k >= 2^15 for k >= 3)
+// that the pool engages. For k >= 3 column k / 2 is zero, so its reflector
+// takes the betas[j] == 0 path.
+DenseMatrix QrInput(size_t k) {
+  DenseMatrix a = GaussianMatrix(12000, k, 60 + k);
+  if (k >= 3) std::fill(a.ColData(k / 2), a.ColData(k / 2) + a.rows(), 0.0f);
+  return a;
+}
+
+// MD5 of Q's bytes followed by R's.
+std::string QrDigest(const DenseMatrix& q, const DenseMatrix& r) {
+  std::string bytes(q.bytes() + r.bytes(), '\0');
+  std::memcpy(bytes.data(), q.data(), q.bytes());
+  std::memcpy(bytes.data() + q.bytes(), r.data(), r.bytes());
+  return Md5Hex(bytes);
+}
+
 TEST(QrTest, PooledResultsBitIdenticalToSerial) {
-  ThreadPool pool(8);
-  const DenseMatrix a = GaussianMatrix(500, 24, 41);
-  DenseMatrix q1, r1, q8, r8;
-  ASSERT_TRUE(ReducedQr(a, &q1, &r1).ok());
-  ASSERT_TRUE(ReducedQr(a, &q8, &r8, &pool).ok());
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(q1, q8), 0.0);
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(r1, r8), 0.0);
+  // k covers one column, partial panels (1, 3, 5) and whole ones (4, 8, 40).
+  for (const size_t k : {1, 3, 4, 5, 8, 40}) {
+    SCOPED_TRACE(k);
+    const DenseMatrix a = QrInput(k);
+    DenseMatrix q, r;
+    ASSERT_TRUE(ReducedQr(a, &q, &r).ok());
+    const std::string serial = QrDigest(q, r);
+    for (const size_t threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      DenseMatrix qp, rp;
+      ASSERT_TRUE(ReducedQr(a, &qp, &rp, &pool).ok());
+      EXPECT_EQ(QrDigest(qp, rp), serial);
+    }
+  }
+}
+
+TEST(QrTest, MatchesColumnAtATimeFormation) {
+  // Digests of Q and R from forming Q one column at a time with every
+  // reflector applied: panels and the skipped no-op reflectors must
+  // reproduce those bytes, for finite input and for input with inf and NaN
+  // entries (where no reflector may be skipped unless it is a no-op).
+  const std::pair<size_t, const char*> finite[] = {
+      {1, "0f15d3f065859145411fb9b166ba8623"},  {3, "016d67ece2f76ba92e426e34f9f1424b"},
+      {4, "a5f80657fc00e7afff426089ae85c603"},  {5, "aee1a3c7f95bb9116ebbb1d7b99d1da1"},
+      {8, "9fa8ce99e9c916b546b4690fa8bb979a"},  {40, "9baed39ec40636c37d957df346e356c1"}};
+  for (const auto& [k, digest] : finite) {
+    SCOPED_TRACE(k);
+    DenseMatrix q, r;
+    ASSERT_TRUE(ReducedQr(QrInput(k), &q, &r).ok());
+    EXPECT_EQ(QrDigest(q, r), digest);
+  }
+  DenseMatrix a = QrInput(8);
+  a.At(5, 2) = std::numeric_limits<float>::infinity();
+  a.At(7, 6) = std::numeric_limits<float>::quiet_NaN();
+  ThreadPool pool(4);
+  DenseMatrix q, r, qp, rp;
+  ASSERT_TRUE(ReducedQr(a, &q, &r).ok());
+  ASSERT_TRUE(ReducedQr(a, &qp, &rp, &pool).ok());
+  EXPECT_EQ(QrDigest(q, r), "2afc70536d13f99ed2c8659b9a58c14a");
+  EXPECT_EQ(QrDigest(qp, rp), QrDigest(q, r));
 }
 
 TEST(SvdTest, PooledResultsBitIdenticalToSerial) {

@@ -102,7 +102,9 @@ TEST_F(PlacementTest, AutoKeepsHubBlocksOnHost) {
   EXPECT_FALSE(p.blocks.front().on_pim);
   const uint64_t hub_degree = p.blocks.front().degree;
   for (const sched::HeteroBlock& b : p.blocks) {
-    if (b.on_pim) EXPECT_LT(b.degree, hub_degree);
+    if (b.on_pim) {
+      EXPECT_LT(b.degree, hub_degree);
+    }
   }
   EXPECT_GT(p.pim_rows, a_.num_rows() / 2);
 }

@@ -237,7 +237,9 @@ TEST_P(WofpParamSweep, CapacityAndHitRateInvariants) {
   // Hit counting is consistent with Contains.
   uint64_t hits = 0;
   for (graph::NodeId c : a.col_list()) hits += p->Contains(c);
-  if (p->store().size() > 0) ASSERT_GT(hits, 0u);
+  if (p->store().size() > 0) {
+    ASSERT_GT(hits, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

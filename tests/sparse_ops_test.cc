@@ -130,21 +130,6 @@ TEST(CsdbOpsTest, ScaleValues) {
   EXPECT_FLOAT_EQ(m.nnz_list()[0], 2.0f * before);
 }
 
-TEST(CsdbOpsTest, ApplyElementwiseSeesCorrectCoordinates) {
-  CsdbMatrix m = SmallMatrix();
-  // Encode row and column into the value, then verify placement.
-  ApplyElementwise(&m, [](uint32_t row, graph::NodeId col, float) {
-    return static_cast<float>(row * 100 + col);
-  });
-  const auto& cols = m.col_list();
-  for (auto cur = m.Rows(0); !cur.AtEnd(); cur.Next()) {
-    for (uint32_t k = 0; k < cur.degree(); ++k) {
-      EXPECT_FLOAT_EQ(m.nnz_list()[cur.ptr() + k],
-                      static_cast<float>(cur.row() * 100 + cols[cur.ptr() + k]));
-    }
-  }
-}
-
 TEST(CsdbOpsTest, RowSumsAndRowNormalize) {
   CsdbMatrix m = SmallMatrix();
   const auto sums = RowSums(m);
