@@ -23,6 +23,7 @@
 #include "sparse/csdb_ops.h"
 #include "sparse/spmm.h"
 #include "sparse/spmm_kernels.h"
+#include "sparse/spmm_plan.h"
 
 namespace {
 
@@ -162,7 +163,7 @@ BENCHMARK(BM_RmatGeneration);
 void BM_WofpBuild(benchmark::State& state) {
   const graph::CsdbMatrix& m = TestMatrix();
   auto ms = memsim::MemorySystem::CreateDefault();
-  const auto in_degrees = prefetch::ComputeInDegrees(m);
+  const auto in_degrees = sparse::ComputeInDegrees(m);
   sched::Workload w;
   w.ranges.push_back(sched::RowRange{0, m.num_rows()});
   sched::RefreshCounts(m, &w);

@@ -44,8 +44,9 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   plan.threads_ = threads;
   plan.sockets_ = ms->topology().num_sockets();
   plan.caches_.resize(threads);
+  std::vector<uint32_t> in_degrees;
   if (options.use_wofp) {
-    plan.in_degrees_ = sparse::ComputeInDegrees(a);
+    in_degrees = sparse::ComputeInDegrees(a);
     // One pool for all workers' stores; its mutex makes the concurrent
     // RunOnAll pins below safe.
     plan.frames_ = std::make_unique<buffer::BufferManager>(
@@ -56,30 +57,28 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   sched::AllocatorOptions alloc_opts;
   alloc_opts.beta = options.beta;
 
+  // Host-side store construction only (ctx = nullptr): the simulated warm-up
+  // is replayed on every NadpExecute so the clocks see the same charge
+  // sequence as per-call planning.
+  auto build_cache = [&](size_t worker, const sched::Workload& w, int socket) {
+    if (!options.use_wofp) return;
+    prefetch::WofpOptions wofp = options.wofp;
+    wofp.cache_placement.socket = socket;
+    plan.caches_[worker] = prefetch::WofpPrefetcher::Build(
+        a, w, in_degrees, wofp, ms, nullptr, plan.frames_.get());
+  };
+
   if (!options.enabled) {
     alloc_opts.num_threads = threads;
     plan.flat_workloads_ = sched::Allocate(a, options.allocator, alloc_opts);
-    if (!options.use_wofp) {
-      // Cache-less executes charge from hoisted metadata; scan it here in the
-      // same ascending-row order the per-call walk uses.
-      plan.flat_meta_.reserve(plan.flat_workloads_.size());
-      for (const sched::Workload& w : plan.flat_workloads_) {
-        plan.flat_meta_.push_back(sparse::ScanChargeMetaCsdb(a, w));
-      }
-    }
-    if (options.use_wofp) {
-      // Host-side store construction only (ctx = nullptr): the simulated
-      // warm-up is replayed on every NadpExecute so the clocks see the same
-      // charge sequence as per-call planning.
-      pool->RunOnAll([&](size_t worker) {
-        if (worker >= static_cast<size_t>(threads)) return;
-        prefetch::WofpOptions wofp = options.wofp;
-        wofp.cache_placement.socket = memsim::Placement::kInterleaved;
-        plan.caches_[worker] = prefetch::WofpPrefetcher::Build(
-            a, plan.flat_workloads_[worker], plan.in_degrees_, wofp, ms,
-            nullptr, plan.frames_.get());
-      });
-    }
+    plan.flat_meta_.resize(threads);
+    pool->RunOnAll([&](size_t worker) {
+      if (worker >= static_cast<size_t>(threads)) return;
+      const sched::Workload& w = plan.flat_workloads_[worker];
+      build_cache(worker, w, memsim::Placement::kInterleaved);
+      plan.flat_meta_[worker] =
+          sparse::ScanChargeMetaCsdb(a, w, plan.caches_[worker].get());
+    });
     return plan;
   }
 
@@ -120,43 +119,29 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
                 : sched::Allocate(a, options.allocator, alloc_opts);
   }
 
-  // Hoist the per-(worker, socket-block) workload intersections out of the
-  // execute loop; for cache-less plans also pre-scan each piece's charge
-  // metadata (same ascending-row order as the per-call walk).
+  // Per worker: its WoFP store, then the per-socket-block intersections of
+  // its workload and each piece's charge metadata against that store.
   plan.sub_workloads_.resize(threads);
-  if (!options.use_wofp) plan.sub_meta_.resize(threads);
-  for (int w = 0; w < threads; ++w) {
+  plan.sub_meta_.resize(threads);
+  pool->RunOnAll([&](size_t worker) {
+    if (worker >= static_cast<size_t>(threads)) return;
+    const int w = static_cast<int>(worker);
     const int s = layout.SocketOf(w, active_sockets);
     const int wi = layout.LocalIndex(w, s);
-    if (wi >= static_cast<int>(plan.per_socket_workloads_[s].size())) continue;
+    // Workers without a workload never build a cache (NadpSpmm's early
+    // exit); their slots stay empty and NadpExecute skips them identically.
+    if (wi >= static_cast<int>(plan.per_socket_workloads_[s].size())) return;
     const sched::Workload& workload = plan.per_socket_workloads_[s][wi];
+    build_cache(worker, workload, s);
     plan.sub_workloads_[w].reserve(plan.sockets_);
+    plan.sub_meta_[w].reserve(plan.sockets_);
     for (int block = 0; block < plan.sockets_; ++block) {
       plan.sub_workloads_[w].push_back(
           IntersectWorkload(workload, plan.row_blocks_[block]));
-      if (!options.use_wofp) {
-        plan.sub_meta_[w].push_back(
-            sparse::ScanChargeMetaCsdb(a, plan.sub_workloads_[w].back()));
-      }
+      plan.sub_meta_[w].push_back(sparse::ScanChargeMetaCsdb(
+          a, plan.sub_workloads_[w].back(), plan.caches_[worker].get()));
     }
-  }
-
-  if (options.use_wofp) {
-    pool->RunOnAll([&](size_t worker) {
-      if (worker >= static_cast<size_t>(threads)) return;
-      const int w = static_cast<int>(worker);
-      const int s = layout.SocketOf(w, active_sockets);
-      const int wi = layout.LocalIndex(w, s);
-      // Workers without a workload never build a cache (NadpSpmm's early
-      // exit); their slot stays null and NadpExecute skips them identically.
-      if (wi >= static_cast<int>(plan.per_socket_workloads_[s].size())) return;
-      prefetch::WofpOptions wofp = options.wofp;
-      wofp.cache_placement.socket = s;
-      plan.caches_[worker] = prefetch::WofpPrefetcher::Build(
-          a, plan.per_socket_workloads_[s][wi], plan.in_degrees_, wofp, ms,
-          nullptr, plan.frames_.get());
-    });
-  }
+  });
   return plan;
 }
 
@@ -200,6 +185,24 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   // every execute would replay the first one's tail-stall draws.
   const uint64_t fault_epoch = ms->NextFaultEpoch();
 
+  // Compute: every row of C[:, col_begin:col_end) in one pooled pass — the
+  // host workers' rows and the PIM-offloaded rows alike. Everything below
+  // only charges.
+  sparse::ComputeAllRowsCsdb(a, b, c, pool, col_begin, col_end);
+
+  // Replays a worker's WoFP build warm-up at the exact point per-call
+  // planning paid it, so a reused plan is simulation-identical to
+  // rebuilding. Returns the worker's store (null without WoFP).
+  auto replay_wofp_build = [&](size_t worker, memsim::WorkerCtx* ctx) {
+    const prefetch::WofpPrefetcher* cache = plan.caches_[worker].get();
+    if (cache != nullptr) {
+      const double before = ctx->clock->seconds();
+      if (options.wofp.charge_build) cache->ReplayBuildCharges(ctx);
+      wofp_build[worker] = ctx->clock->seconds() - before;
+    }
+    return cache;
+  };
+
   if (!options.enabled) {
     // OS Interleaved baseline: one global allocation; every stream pays the
     // interleaved local/remote mix.
@@ -217,29 +220,9 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
       ctx.active_threads = threads;
       ctx.clock = &clocks.clock(worker);
       ctx.fault_site = fault_epoch;
-      const sparse::DenseCacheView* cache = nullptr;
-      if (options.use_wofp) {
-        // Replay the build warm-up at the exact point per-call planning paid
-        // it, so a reused plan is simulation-identical to rebuilding.
-        const double before = ctx.clock->seconds();
-        if (options.wofp.charge_build) {
-          plan.caches_[worker]->ReplayBuildCharges(&ctx);
-        }
-        wofp_build[worker] = ctx.clock->seconds() - before;
-        cache = plan.caches_[worker].get();
-      }
-      if (cache == nullptr && !plan.flat_meta_.empty()) {
-        // Cache-less: compute, then charge from the plan's hoisted metadata
-        // (byte-identical to the walking path; no per-execute scan).
-        sparse::ComputeWorkloadCsdb(a, b, c, plan.flat_workloads_[worker],
-                                    col_begin, col_end);
-        breakdowns[worker] = sparse::ChargeWorkloadCsdb(
-            a, col_end - col_begin, plan.flat_meta_[worker], pl, ms, &ctx);
-      } else {
-        breakdowns[worker] = sparse::ExecuteWorkloadCsdb(
-            a, b, c, plan.flat_workloads_[worker], pl, ms, &ctx, cache,
-            col_begin, col_end);
-      }
+      const prefetch::WofpPrefetcher* cache = replay_wofp_build(worker, &ctx);
+      breakdowns[worker] = sparse::ChargeWorkloadCsdb(
+          a, col_end - col_begin, plan.flat_meta_[worker], pl, ms, &ctx, cache);
       // Under fault injection, the dense tier can hit a tail stall that
       // lengthens this worker's whole phase (no-op when faults are off).
       ms->ChargeTailStall(&ctx, options.dense_tier, ctx.clock->seconds());
@@ -291,15 +274,7 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
       ctx.clock = &clocks.clock(worker);
       ctx.fault_site = fault_epoch;
 
-      const sparse::DenseCacheView* cache = nullptr;
-      if (options.use_wofp) {
-        const double before = ctx.clock->seconds();
-        if (options.wofp.charge_build) {
-          plan.caches_[worker]->ReplayBuildCharges(&ctx);
-        }
-        wofp_build[worker] = ctx.clock->seconds() - before;
-        cache = plan.caches_[worker].get();
-      }
+      const prefetch::WofpPrefetcher* cache = replay_wofp_build(worker, &ctx);
 
       uint64_t rows_processed = 0;
       for (int block = 0; block < sockets; ++block) {
@@ -310,17 +285,9 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
         pl.sparse = {options.sparse_tier, block};     // sequential, local or remote
         pl.dense = {options.dense_tier, s};           // socket-local dense block
         pl.result = {options.result_tier, s};         // local intermediate writes
-        if (cache == nullptr && !plan.sub_meta_.empty()) {
-          // Cache-less: charge from the hoisted per-piece metadata instead of
-          // re-walking the intersection on every execute.
-          sparse::ComputeWorkloadCsdb(a, b, c, sub, col_begin, col_end);
-          breakdowns[worker] += sparse::ChargeWorkloadCsdb(
-              a, col_end - col_begin, plan.sub_meta_[worker][block], pl, ms,
-              &ctx);
-        } else {
-          breakdowns[worker] += sparse::ExecuteWorkloadCsdb(
-              a, b, c, sub, pl, ms, &ctx, cache, col_begin, col_end);
-        }
+        breakdowns[worker] += sparse::ChargeWorkloadCsdb(
+            a, col_end - col_begin, plan.sub_meta_[worker][block], pl, ms, &ctx,
+            cache);
         for (const sched::RowRange& range : sub.ranges) rows_processed += range.size();
       }
 
@@ -349,9 +316,9 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   }
   result.phase_seconds = clocks.MaxSeconds();
 
-  // PIM offload: the banks cover the plan's pim_ranges over the full column
-  // range while the host threads above covered only host_ranges. The
-  // pipeline front (broadcast + ship + bank compute) overlaps the host
+  // PIM offload: the banks are charged for the plan's pim_ranges over the
+  // full column range while the host threads above covered only host_ranges.
+  // The pipeline front (broadcast + ship + bank compute) overlaps the host
   // panels; the drain tail lands after the straggler of either side.
   if (options.enabled && plan.hetero_.any_pim()) {
     sparse::PimSpmmOptions popts;
@@ -362,12 +329,9 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
     // Merged panels land in the assembled (page-interleaved) result, same as
     // the host merge step's destination.
     popts.host.result = {options.result_tier, memsim::Placement::kInterleaved};
-    popts.col_begin = col_begin;
-    popts.col_end = col_end;
-    Result<sparse::PimSpmmResult> pim = sparse::PimSpmm(
-        a, b, c, plan.hetero_, popts, ms, pool, fault_epoch);
-    OMEGA_CHECK(pim.ok()) << pim.status().message();
-    const sparse::PimSpmmResult& pr = pim.value();
+    popts.dense_cols = col_end - col_begin;
+    const sparse::PimSpmmResult pr =
+        sparse::PimSpmm(a, plan.hetero_, popts, ms, fault_epoch);
     result.pim_transfer_seconds = pr.transfer_seconds;
     result.pim_compute_seconds = pr.compute_seconds;
     result.pim_reduce_seconds = pr.reduce_seconds;

@@ -87,12 +87,14 @@ NadpResult NadpSpmm(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                     size_t col_end = SIZE_MAX);
 
 /// Inspector state of one NaDP SpMM, reusable across executes on the same
-/// sparse structure: the per-socket (or flat) EaTA workloads, the column
-/// in-degree array, the NaDP row partition, the worker->socket layout, and
-/// each worker's host-side WoFP store. Building charges nothing; NadpExecute
-/// replays the WoFP build charges per call, so executing through a reused
-/// plan produces byte-identical simulated output to per-call planning while
-/// skipping the host-side inspector work.
+/// sparse structure: the per-socket (or flat) EaTA workloads, the NaDP row
+/// partition, the worker->socket layout, each worker's host-side WoFP store,
+/// and every workload piece's charge metadata (WoFP hits included — a
+/// worker's store and rows are fixed by the plan, so its hit counts are
+/// constants). Building charges nothing; NadpExecute replays the WoFP build
+/// charges per call, so executing through a reused plan produces
+/// byte-identical simulated output to per-call planning while skipping the
+/// host-side inspector work.
 ///
 /// The column partition is NOT part of the plan: it depends on the execute
 /// call's [col_begin, col_end) range (ASL passes one partition at a time) and
@@ -103,8 +105,8 @@ class NadpPlan {
   NadpPlan(NadpPlan&&) = default;
   NadpPlan& operator=(NadpPlan&&) = default;
 
-  /// Builds the plan on the context's pool (the WoFP stores build in
-  /// parallel, one per worker). No simulated charging happens here.
+  /// Builds the plan on the context's pool (each worker's WoFP store and
+  /// charge metadata build in parallel). No simulated charging happens here.
   static NadpPlan Build(const graph::CsdbMatrix& a, const NadpOptions& options,
                         const exec::Context& ctx);
 
@@ -114,7 +116,6 @@ class NadpPlan {
   bool Matches(const graph::CsdbMatrix& a, const NadpOptions& options) const;
 
   const NadpOptions& options() const { return options_; }
-  const std::vector<uint32_t>& in_degrees() const { return in_degrees_; }
   const sparse::SparseStructureKey& structure() const { return structure_; }
 
   /// The heterogeneous (host vs PIM) row split this plan was built with.
@@ -148,17 +149,15 @@ class NadpPlan {
   int sockets_ = 0;
   int active_sockets_ = 0;
   int per_socket_ = 0;  ///< worker->socket layout stride
-  std::vector<uint32_t> in_degrees_;
   std::vector<sched::Workload> flat_workloads_;  ///< !enabled (interleaved)
   std::vector<std::vector<sched::Workload>> per_socket_workloads_;  ///< enabled
   std::vector<sched::RowRange> row_blocks_;                         ///< enabled
   /// Each worker's workload intersected with every socket's row block,
   /// hoisted from the execute loop (enabled mode; [worker][block]).
   std::vector<std::vector<sched::Workload>> sub_workloads_;
-  /// Pre-scanned cache-less charge metadata (ScanChargeMetaCsdb), built only
-  /// when use_wofp is off: flat_meta_[worker] for the interleaved baseline,
-  /// sub_meta_[worker][block] for NaDP. Cache runs must keep the per-call
-  /// walk — hits depend on the cache's contents.
+  /// Pre-scanned charge metadata (ScanChargeMetaCsdb against the worker's
+  /// WoFP store, if any): flat_meta_[worker] for the interleaved baseline,
+  /// sub_meta_[worker][block] for NaDP.
   std::vector<sparse::CsdbChargeMeta> flat_meta_;
   std::vector<std::vector<sparse::CsdbChargeMeta>> sub_meta_;
   /// Frame pool behind the workers' WoFP stores (hot-pinned: the η-rule
@@ -172,10 +171,13 @@ class NadpPlan {
   std::vector<std::unique_ptr<prefetch::WofpPrefetcher>> caches_;
 };
 
-/// Executor half: runs one SpMM through a prebuilt plan. All simulated
-/// charges — including each worker's WoFP build warm-up — are issued per
-/// call in the same order as NadpSpmm, so simulated seconds and traffic are
-/// byte-identical to per-call planning.
+/// Executor half: runs one SpMM through a prebuilt plan in two steps. The
+/// compute step writes every row of C[:, col_begin:col_end) in one pooled
+/// pass (sparse::ComputeAllRowsCsdb); the charge step then issues every
+/// simulated charge — each worker's WoFP build warm-up, its pieces' charges
+/// from the plan's metadata, the merge and the PIM side — in the same order
+/// as NadpSpmm, so simulated seconds and traffic are byte-identical to
+/// per-call planning.
 NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
                        const linalg::DenseMatrix& b, linalg::DenseMatrix* c,
                        const exec::Context& ctx, size_t col_begin = 0,

@@ -75,17 +75,18 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
   ThreadPool* pool = exec_ctx.pool();
   const int threads = exec_ctx.threads();
   OMEGA_CHECK(pool != nullptr && pool->size() >= static_cast<size_t>(threads));
-  if (plan != nullptr) {
-    OMEGA_CHECK(
-        plan->Matches(a, threads, sparse::CsrSpmmPlan::Split::kEqualRows))
-        << "StaticCsrSpmm: stale plan";
+  sparse::CsrSpmmPlan local_plan;
+  if (plan == nullptr) {
+    local_plan = sparse::CsrSpmmPlan::Build(
+        a, threads, sparse::CsrSpmmPlan::Split::kEqualRows);
+    plan = &local_plan;
   }
+  OMEGA_CHECK(plan->Matches(a, threads, sparse::CsrSpmmPlan::Split::kEqualRows))
+      << "StaticCsrSpmm: stale plan";
   sparse::ParallelSpmmResult result;
   result.thread_seconds.assign(threads, 0.0);
   result.thread_breakdowns.assign(threads, sparse::SpmmCostBreakdown{});
   memsim::ClockGroup clocks(threads);
-  const uint32_t rows = a.num_rows();
-  const uint32_t chunk = (rows + threads - 1) / threads;
 
   pool->RunOnAll([&](size_t worker) {
     if (worker >= static_cast<size_t>(threads)) return;
@@ -94,19 +95,12 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
     ctx.cpu_socket = ms->topology().SocketOfWorker(static_cast<int>(worker), threads);
     ctx.active_threads = threads;
     ctx.clock = &clocks.clock(worker);
-    if (plan != nullptr) {
-      // Plan path: same equal-row chunk, but nnz/entropy come pre-scanned.
-      const sparse::CsrPlanPart& part = plan->parts()[worker];
-      sparse::ComputeWorkloadCsr(a, b, c, part.row_begin, part.row_end);
-      result.thread_breakdowns[worker] = sparse::ChargeWorkloadCsr(
-          a, b.cols(), part.row_begin, part.row_end, part.nnz, part.entropy,
-          placements, ms, &ctx);
-      return;
-    }
-    const uint32_t begin = std::min<uint32_t>(rows, worker * chunk);
-    const uint32_t end = std::min<uint32_t>(rows, begin + chunk);
-    result.thread_breakdowns[worker] =
-        sparse::ExecuteWorkloadCsr(a, b, c, begin, end, placements, ms, &ctx);
+    // Equal-row chunk with its pre-scanned nnz/entropy.
+    const sparse::CsrPlanPart& part = plan->parts()[worker];
+    sparse::ComputeWorkloadCsr(a, b, c, part.row_begin, part.row_end);
+    result.thread_breakdowns[worker] = sparse::ChargeWorkloadCsr(
+        a, b.cols(), part.row_begin, part.row_end, part.nnz, part.entropy,
+        placements, ms, &ctx);
   });
 
   for (int t = 0; t < threads; ++t) {

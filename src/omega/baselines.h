@@ -36,8 +36,7 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
 /// Charged parallel CSR SpMM with equal-row static chunking — the baseline
 /// execution style of the ProNE family. Uses ctx.threads() workers. Exposed
 /// for tests and benches. When `plan` is non-null it must match
-/// (a, ctx.threads(), kEqualRows); the per-part metadata then comes from the
-/// plan instead of a per-call rescan (identical simulated charges).
+/// (a, ctx.threads(), kEqualRows); otherwise one is built for this call.
 sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
                                          const linalg::DenseMatrix& b,
                                          linalg::DenseMatrix* c,

@@ -324,10 +324,12 @@ Result<RefreshReport> DynamicEmbedder::Refresh(const exec::Context& ctx,
     for (int t = 0; t < threads; ++t) before[t] = clocks.clock(t).seconds();
     auto run_part = [&](size_t t) {
       if (t >= parts.size() || parts[t].empty()) return;
+      const prefetch::WofpPrefetcher* cache = plan.cache(t);
       sparse::ComputeWorkloadCsdb(new_propagation, prev, &tmp, parts[t]);
-      sparse::ChargeWorkloadCsdb(new_propagation, d, parts[t],
-                                 worker_placements[t], ms, &wctx[t],
-                                 plan.cache(t));
+      sparse::ChargeWorkloadCsdb(
+          new_propagation, d,
+          sparse::ScanChargeMetaCsdb(new_propagation, parts[t], cache),
+          worker_placements[t], ms, &wctx[t], cache);
     };
     if (ctx.pool() != nullptr && threads > 1) {
       ctx.pool()->ParallelFor(static_cast<size_t>(threads),

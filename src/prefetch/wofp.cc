@@ -1,9 +1,6 @@
 #include "prefetch/wofp.h"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "common/logging.h"
 
 namespace omega::prefetch {
 
@@ -138,37 +135,6 @@ WofpPrefetcher::~WofpPrefetcher() {
     slot_.Release();
     if (frames_ != nullptr) frames_->Evict(key);
   }
-}
-
-WofpCacheSet::WofpCacheSet(const graph::CsdbMatrix& a,
-                           const sparse::SpmmPlan& plan, WofpOptions options,
-                           const exec::Context& ctx)
-    : a_(a), plan_(plan), options_(options), ms_(ctx.ms()),
-      frames_(std::make_unique<buffer::BufferManager>(
-          ctx.ms(), buffer::BufferManager::Options{
-                        0, buffer::EvictionPolicy::kHotPinned})),
-      caches_(plan.workloads().size()) {
-  OMEGA_CHECK(plan.has_in_degrees())
-      << "WofpCacheSet needs a plan built with in-degrees";
-}
-
-sparse::CacheFactory WofpCacheSet::Factory() {
-  return [this](memsim::WorkerCtx* ctx,
-                const sched::Workload& w) -> const sparse::DenseCacheView* {
-    const size_t worker = static_cast<size_t>(ctx->worker);
-    if (worker >= caches_.size()) return nullptr;
-    if (caches_[worker] == nullptr) {
-      WofpOptions opts = options_;
-      // Pin each worker's cache in its own socket's DRAM.
-      opts.cache_placement.socket = ctx->cpu_socket;
-      // Host-side build only; the charges are replayed below so that every
-      // call — first or repeated — pays the same simulated warm-up.
-      caches_[worker] = WofpPrefetcher::Build(a_, w, plan_.in_degrees(), opts,
-                                              ms_, nullptr, frames_.get());
-    }
-    if (options_.charge_build) caches_[worker]->ReplayBuildCharges(ctx);
-    return caches_[worker].get();
-  };
 }
 
 CacheProbeResult ProbeCacheTier(memsim::MemorySystem* ms,

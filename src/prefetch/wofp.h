@@ -17,11 +17,9 @@
 #include "buffer/buffer_manager.h"
 #include "graph/csdb.h"
 #include "memsim/memory_system.h"
-#include "omega/exec_context.h"
 #include "prefetch/topm_store.h"
 #include "sched/workload.h"
 #include "sparse/spmm.h"
-#include "sparse/spmm_plan.h"
 
 namespace omega::prefetch {
 
@@ -48,10 +46,10 @@ class WofpPrefetcher final : public sparse::DenseCacheView {
   /// Builds the prefetcher for workload `w` of matrix `a`.
   ///
   /// `in_degrees[c]` is the in-degree of column c (for symmetric adjacency
-  /// matrices this equals the row degree; see ComputeInDegrees). Build cost —
-  /// the workload scan and the store writes — is charged to `ctx` when
-  /// options.charge_build is set. If DRAM cannot hold M entries the capacity
-  /// is halved until the reservation fits (possibly 0 entries).
+  /// matrices this equals the row degree; see sparse::ComputeInDegrees).
+  /// Build cost — the workload scan and the store writes — is charged to
+  /// `ctx` when options.charge_build is set. If DRAM cannot hold M entries
+  /// the capacity is halved until the reservation fits (possibly 0 entries).
   ///
   /// The store's DRAM frame is pinned through `frames` (marked hot: the η
   /// rule's resident set survives pool churn); with a null `frames` the
@@ -104,12 +102,6 @@ class WofpPrefetcher final : public sparse::DenseCacheView {
   uint64_t workload_nnz_ = 0;  ///< W_i of the workload built for (for replay)
 };
 
-/// In-degree of every column of `a`. Forwards to the canonical
-/// sparse::ComputeInDegrees — plans own the array; pass it by reference.
-inline std::vector<uint32_t> ComputeInDegrees(const graph::CsdbMatrix& a) {
-  return sparse::ComputeInDegrees(a);
-}
-
 /// Decides the prefetcher type for a workload by the paper's eta rule.
 PrefetcherType SelectPrefetcherType(const sched::Workload& w, uint32_t num_nodes,
                                     double eta);
@@ -131,38 +123,5 @@ CacheProbeResult ProbeCacheTier(memsim::MemorySystem* ms,
                                 memsim::Placement cache_placement,
                                 int max_retries, uint64_t fault_stream,
                                 uint64_t* site);
-
-/// Owns one prefetcher per workload and exposes the CacheFactory the parallel
-/// SpMM driver consumes. The workloads and in-degree array are borrowed from
-/// the plan (which must outlive the set). Each worker's prefetcher is built
-/// on its first factory call and reused on later SpMMs; the build charges are
-/// replayed on every call, so a reused set is simulation-identical to
-/// rebuilding per call. Thread-safe: slot w is only touched by worker w, and
-/// the SpMM driver's barrier orders calls across phases.
-class WofpCacheSet {
- public:
-  /// `plan` must have been built with in-degrees (SpmmPlan::Build's
-  /// with_in_degrees) so degree-based prefetchers can rank columns.
-  WofpCacheSet(const graph::CsdbMatrix& a, const sparse::SpmmPlan& plan,
-               WofpOptions options, const exec::Context& ctx);
-
-  /// Factory for sparse::ParallelSpmm. Builds lazily on the worker thread
-  /// (host cost only), then replays the build charges per call so the
-  /// construction cost lands on the right simulated clock every time.
-  sparse::CacheFactory Factory();
-
-  /// Prefetcher built for worker `w` (nullptr before the phase ran).
-  const WofpPrefetcher* Get(size_t worker) const { return caches_[worker].get(); }
-
- private:
-  const graph::CsdbMatrix& a_;
-  const sparse::SpmmPlan& plan_;
-  WofpOptions options_;
-  memsim::MemorySystem* ms_;
-  /// Shared frame pool of the set's stores; declared before caches_ so every
-  /// prefetcher's pin is released before the pool dies.
-  std::unique_ptr<buffer::BufferManager> frames_;
-  std::vector<std::unique_ptr<WofpPrefetcher>> caches_;
-};
 
 }  // namespace omega::prefetch

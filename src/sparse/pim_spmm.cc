@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.h"
 #include "memsim/sim_clock.h"
 
 namespace omega::sparse {
@@ -31,45 +32,17 @@ void ChargeDegradedBlock(const graph::CsdbMatrix& a, uint64_t dense_cols,
 
 }  // namespace
 
-Result<PimSpmmResult> PimSpmm(const graph::CsdbMatrix& a,
-                              const linalg::DenseMatrix& b,
-                              linalg::DenseMatrix* c,
-                              const sched::HeteroPlacement& placement,
-                              const PimSpmmOptions& options,
-                              memsim::MemorySystem* ms, ThreadPool* pool,
-                              uint64_t fault_epoch) {
+PimSpmmResult PimSpmm(const graph::CsdbMatrix& a,
+                      const sched::HeteroPlacement& placement,
+                      const PimSpmmOptions& options, memsim::MemorySystem* ms,
+                      uint64_t fault_epoch) {
   PimSpmmResult result;
-  if (!placement.any_pim()) return result;
-  if (options.config.banks <= 0) {
-    return Status::InvalidArgument("PimSpmm: placement offloads but banks == 0");
-  }
-  const size_t col_end = std::min(options.col_end, b.cols());
-  const size_t col_begin = std::min(options.col_begin, col_end);
-  const uint64_t l = col_end - col_begin;
-  if (l == 0) return result;
+  const uint64_t l = options.dense_cols;
+  if (!placement.any_pim() || l == 0) return result;
+  // PlaceDegreeBlocks offloads only under an active config (banks > 0).
+  OMEGA_DCHECK(options.config.banks > 0);
 
-  // --- Real arithmetic: the same panel kernels as the host path, on host
-  // memory, split across the pool for wall clock only. Bit-identity across
-  // policies is structural: every kernel reduces each output element in
-  // ascending-k order with one accumulator regardless of the row split.
-  {
-    sched::Workload w;
-    w.ranges = placement.pim_ranges;
-    if (pool != nullptr && pool->size() > 1) {
-      const size_t n = placement.pim_ranges.size();
-      pool->ParallelFor(n, [&](size_t /*worker*/, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          sched::Workload part;
-          part.ranges.push_back(placement.pim_ranges[i]);
-          ComputeWorkloadCsdb(a, b, c, part, col_begin, col_end);
-        }
-      });
-    } else {
-      ComputeWorkloadCsdb(a, b, c, w, col_begin, col_end);
-    }
-  }
-
-  // --- Simulated charges: one controller stream.
+  // One controller stream.
   memsim::SimClock clock;
   memsim::WorkerCtx ctx;
   ctx.worker = memsim::kPimControllerWorker;
@@ -166,7 +139,7 @@ Result<PimSpmmResult> PimSpmm(const graph::CsdbMatrix& a,
                          static_cast<uint64_t>(rows) * l * 4, 1);
       });
     } else {
-      // The block re-runs on the host path (simulated); the arithmetic above
+      // The block re-runs on the host path (simulated); the host compute
       // already produced its rows, so only the charge changes.
       ++result.degraded_blocks;
       Bracket(&result.reduce_seconds,

@@ -1,9 +1,10 @@
 // PIM-offloaded SpMM over CSDB degree blocks.
 //
-// Two-clock contract, same as every other kernel: the arithmetic runs for
-// real on host memory — through the very same ComputeWorkloadCsdb panel
-// kernels the host path uses, so a row's bits never depend on where the
-// simulator placed it — while the charges model the PIM execution:
+// Charge-only, like every other charge step: the offloaded rows' arithmetic
+// runs for real on host memory in numa::NadpExecute's all-rows compute pass —
+// the very same panel kernels as every host row, so a row's bits never depend
+// on where the simulator placed it — while PimSpmm charges model the PIM
+// execution:
 //
 //   ship       one gang DMA of each offloaded block's col_list + nnz_list
 //              (8B per element) over the host<->PIM link;
@@ -25,17 +26,14 @@
 // kFaultStreamPim stream): a transfer that exhausts its retries degrades the
 // whole block to the host charge path — the block's simulated cost becomes
 // the ordinary host SpMM charge and the fault is bucketed as degraded —
-// while the real output is untouched, because it was computed on the host
+// while the real output is untouched, because it is computed on the host
 // all along.
 
 #pragma once
 
 #include <cstdint>
 
-#include "common/status.h"
-#include "common/thread_pool.h"
 #include "graph/csdb.h"
-#include "linalg/dense_matrix.h"
 #include "memsim/memory_system.h"
 #include "sched/hetero_placement.h"
 #include "sparse/spmm.h"
@@ -49,9 +47,8 @@ struct PimSpmmOptions {
   /// `host.result` receives the merged panels.
   SpmmPlacements host;
   memsim::FaultRetryPolicy retry;
-  /// NaDP column block this execute covers (clamped to b.cols()).
-  size_t col_begin = 0;
-  size_t col_end = SIZE_MAX;
+  /// Width of the dense column range this execute covers.
+  uint64_t dense_cols = 0;
 };
 
 /// Simulated-cost breakdown of one PIM execute. `pipeline_seconds` (broadcast
@@ -72,17 +69,14 @@ struct PimSpmmResult {
   }
 };
 
-/// Executes the offloaded side of `placement` (its pim_ranges) for real into
-/// `c` and charges the PIM execution. `pool` parallelizes the host-side
-/// arithmetic only (wall clock; the simulated charge is the single controller
-/// stream regardless). Errors only on simulator misuse, never on injected
-/// faults (those degrade per block).
-Result<PimSpmmResult> PimSpmm(const graph::CsdbMatrix& a,
-                              const linalg::DenseMatrix& b,
-                              linalg::DenseMatrix* c,
-                              const sched::HeteroPlacement& placement,
-                              const PimSpmmOptions& options,
-                              memsim::MemorySystem* ms,
-                              ThreadPool* pool, uint64_t fault_epoch);
+/// Charges the PIM execution of `placement`'s offloaded blocks over
+/// `options.dense_cols` columns on one controller clock; computes nothing.
+/// Injected faults degrade per block and never fail the call. `placement`
+/// must come from sched::PlaceDegreeBlocks, which offloads only when
+/// `options.config` is active (banks > 0).
+PimSpmmResult PimSpmm(const graph::CsdbMatrix& a,
+                      const sched::HeteroPlacement& placement,
+                      const PimSpmmOptions& options, memsim::MemorySystem* ms,
+                      uint64_t fault_epoch);
 
 }  // namespace omega::sparse

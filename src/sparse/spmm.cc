@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "sched/entropy.h"
 #include "sparse/spmm_kernels.h"
-#include "sparse/spmm_plan.h"
 
 namespace omega::sparse {
 
@@ -58,13 +57,6 @@ void ChargeCompute(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
   ctx->clock->Advance(seconds);
   breakdown->seconds[static_cast<int>(SpmmOp::kAccumulate)] += seconds;
 }
-
-// Traffic counted on the first column pass (identical on every pass).
-struct GatherCounts {
-  uint64_t misses = 0;      // gathers served by the dense operand's tier
-  uint64_t cache_hits = 0;  // gathers served by the DenseCacheView
-  sched::EntropyAccumulator entropy;
-};
 
 // Shared cost-charging for both formats once traffic has been counted.
 // `entropy_h` is the part's raw workload entropy H (Eq. 3, accumulated in
@@ -144,6 +136,18 @@ void ComputeWorkloadCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& 
   }
 }
 
+void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
+                        linalg::DenseMatrix* c, ThreadPool* pool,
+                        size_t col_begin, size_t col_end) {
+  OMEGA_DCHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
+  col_end = std::min(col_end, b.cols());
+  col_begin = std::min(col_begin, col_end);
+  if (col_begin == col_end) return;
+  graph::ForEachRowRange(a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+    kernels::CsdbPanelSpmm(a, b, c, row_begin, row_end, col_begin, col_end);
+  });
+}
+
 void ComputeWorkloadCsdbPerColumn(const graph::CsdbMatrix& a,
                                   const linalg::DenseMatrix& b,
                                   linalg::DenseMatrix* c, const sched::Workload& w,
@@ -175,10 +179,10 @@ void ComputeWorkloadCsdbPerColumn(const graph::CsdbMatrix& a,
 }
 
 CsdbChargeMeta ScanChargeMetaCsdb(const graph::CsdbMatrix& a,
-                                  const sched::Workload& w) {
-  // Same walk, same ascending-row AddRow order as ChargeWorkloadCsdb's
-  // cache-less path — the accumulated entropy double is bit-identical.
+                                  const sched::Workload& w,
+                                  const DenseCacheView* cache) {
   CsdbChargeMeta meta;
+  const graph::NodeId* cols = a.col_list().data();
   sched::EntropyAccumulator entropy;
   for (const sched::RowRange& range : w.ranges) {
     if (range.size() == 0) continue;
@@ -187,6 +191,10 @@ CsdbChargeMeta ScanChargeMetaCsdb(const graph::CsdbMatrix& a,
       entropy.AddRow(deg);
       ++meta.rows;
       meta.nnz += deg;
+      if (cache == nullptr) continue;
+      for (uint32_t k = 0; k < deg; ++k) {
+        meta.cache_hits += cache->Contains(cols[cur.ptr() + k]);
+      }
     }
   }
   meta.entropy_h = entropy.Entropy();
@@ -194,76 +202,18 @@ CsdbChargeMeta ScanChargeMetaCsdb(const graph::CsdbMatrix& a,
 }
 
 SpmmCostBreakdown ChargeWorkloadCsdb(const graph::CsdbMatrix& a,
-                                     uint64_t dense_cols, const sched::Workload& w,
+                                     uint64_t dense_cols,
+                                     const CsdbChargeMeta& meta,
                                      const SpmmPlacements& placements,
                                      memsim::MemorySystem* ms,
                                      memsim::WorkerCtx* ctx,
                                      const DenseCacheView* cache) {
   SpmmCostBreakdown breakdown;
-  const graph::NodeId* cols = a.col_list().data();
-
-  // Metadata-only walk in the same row/element order as the fused kernel, so
-  // the gather counts (and hence every charge) match it exactly.
-  GatherCounts counts;
-  uint64_t rows = 0;
-  uint64_t nnz = 0;
-  for (const sched::RowRange& range : w.ranges) {
-    if (range.size() == 0) continue;
-    for (auto cur = a.Rows(range.begin); cur.row() < range.end; cur.Next()) {
-      const uint64_t start = cur.ptr();
-      const uint32_t deg = cur.degree();
-      counts.entropy.AddRow(deg);
-      if (cache != nullptr) {
-        for (uint32_t k = 0; k < deg; ++k) {
-          if (cache->Contains(cols[start + k])) {
-            ++counts.cache_hits;
-          } else {
-            ++counts.misses;
-          }
-        }
-      } else {
-        counts.misses += deg;
-      }
-      ++rows;
-      nnz += deg;
-    }
-  }
-
-  ChargeWorkloadCosts(ms, ctx, placements, cache, rows, nnz, dense_cols,
-                      counts.misses, counts.cache_hits, counts.entropy.Entropy(),
+  ChargeWorkloadCosts(ms, ctx, placements, cache, meta.rows, meta.nnz,
+                      dense_cols, /*misses=*/meta.nnz - meta.cache_hits,
+                      meta.cache_hits, meta.entropy_h,
                       /*index_bytes_per_row=*/4, a.num_cols(), &breakdown);
   return breakdown;
-}
-
-SpmmCostBreakdown ChargeWorkloadCsdb(const graph::CsdbMatrix& a,
-                                     uint64_t dense_cols,
-                                     const CsdbChargeMeta& meta,
-                                     const SpmmPlacements& placements,
-                                     memsim::MemorySystem* ms,
-                                     memsim::WorkerCtx* ctx) {
-  // Cache-less walk summarized: every gather is a miss, hits are zero, and
-  // rows/nnz/entropy are the scan's values — ChargeWorkloadCosts receives
-  // exactly the arguments the walking overload would hand it.
-  SpmmCostBreakdown breakdown;
-  ChargeWorkloadCosts(ms, ctx, placements, /*cache=*/nullptr, meta.rows,
-                      meta.nnz, dense_cols, /*misses=*/meta.nnz,
-                      /*cache_hits=*/0, meta.entropy_h,
-                      /*index_bytes_per_row=*/4, a.num_cols(), &breakdown);
-  return breakdown;
-}
-
-SpmmCostBreakdown ExecuteWorkloadCsdb(const graph::CsdbMatrix& a,
-                                      const linalg::DenseMatrix& b,
-                                      linalg::DenseMatrix* c,
-                                      const sched::Workload& w,
-                                      const SpmmPlacements& placements,
-                                      memsim::MemorySystem* ms,
-                                      memsim::WorkerCtx* ctx,
-                                      const DenseCacheView* cache, size_t col_begin,
-                                      size_t col_end) {
-  col_end = std::min(col_end, b.cols());
-  ComputeWorkloadCsdb(a, b, c, w, col_begin, col_end);
-  return ChargeWorkloadCsdb(a, col_end - col_begin, w, placements, ms, ctx, cache);
 }
 
 void ComputeWorkloadCsr(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
@@ -316,42 +266,12 @@ SpmmCostBreakdown ChargeWorkloadCsr(const graph::CsrMatrix& a,
   return breakdown;
 }
 
-SpmmCostBreakdown ExecuteWorkloadCsr(const graph::CsrMatrix& a,
-                                     const linalg::DenseMatrix& b,
-                                     linalg::DenseMatrix* c, uint32_t row_begin,
-                                     uint32_t row_end,
-                                     const SpmmPlacements& placements,
-                                     memsim::MemorySystem* ms,
-                                     memsim::WorkerCtx* ctx, size_t col_begin,
-                                     size_t col_end) {
-  col_end = std::min(col_end, b.cols());
-  col_begin = std::min(col_begin, col_end);
-  ComputeWorkloadCsr(a, b, c, row_begin, row_end, col_begin, col_end);
-  uint64_t nnz = 0;
-  sched::EntropyAccumulator entropy;
-  for (uint32_t j = row_begin; j < row_end; ++j) {
-    const uint32_t deg = a.RowDegree(j);
-    nnz += deg;
-    entropy.AddRow(deg);
-  }
-  return ChargeWorkloadCsr(a, col_end - col_begin, row_begin, row_end, nnz,
-                           entropy.Entropy(), placements, ms, ctx);
-}
-
-namespace {
-
-// Shared body of both ParallelSpmm overloads. `meta` is the plan's hoisted
-// per-workload charge metadata, or nullptr for the per-call path; it is only
-// consulted for cache-less workers (cache hits depend on cache contents), and
-// either way the charges land on the same clocks in the same order.
-ParallelSpmmResult ParallelSpmmImpl(const graph::CsdbMatrix& a,
-                                    const linalg::DenseMatrix& b,
-                                    linalg::DenseMatrix* c,
-                                    const std::vector<sched::Workload>& workloads,
-                                    const std::vector<CsdbChargeMeta>* meta,
-                                    const SpmmPlacements& placements,
-                                    const exec::Context& ctx,
-                                    const CacheFactory& cache_factory) {
+ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
+                                const linalg::DenseMatrix& b,
+                                linalg::DenseMatrix* c,
+                                const std::vector<sched::Workload>& workloads,
+                                const SpmmPlacements& placements,
+                                const exec::Context& ctx) {
   memsim::MemorySystem* ms = ctx.ms();
   ThreadPool* pool = ctx.pool();
   const size_t n = workloads.size();
@@ -361,55 +281,24 @@ ParallelSpmmResult ParallelSpmmImpl(const graph::CsdbMatrix& a,
   ParallelSpmmResult result;
   result.thread_seconds.assign(n, 0.0);
   result.thread_breakdowns.assign(n, SpmmCostBreakdown{});
-
   memsim::ClockGroup clocks(n);
   const int total_workers = static_cast<int>(n);
 
-  // Phase 1 — host compute under dynamic scheduling. The workloads' row
-  // ranges are flattened into fixed-size row blocks that any worker may grab,
-  // so a skewed (high-entropy) workload no longer serializes the host run on
-  // its owner. No memsim state is touched here, and each output element's
-  // reduction order is fixed, so this phase is invisible to the simulation
-  // and bit-stable across thread counts.
-  constexpr uint32_t kComputeRowBlock = 1024;
-  std::vector<sched::RowRange> blocks;
-  for (const sched::Workload& w : workloads) {
-    for (const sched::RowRange& range : w.ranges) {
-      for (uint32_t r = range.begin; r < range.end; r += kComputeRowBlock) {
-        blocks.push_back(
-            {r, std::min<uint32_t>(range.end, r + kComputeRowBlock)});
-      }
-    }
-  }
-  pool->ParallelForDynamic(
-      blocks.size(), /*chunk_size=*/1,
-      [&](size_t, size_t blk_begin, size_t blk_end) {
-        for (size_t i = blk_begin; i < blk_end; ++i) {
-          kernels::CsdbPanelSpmm(a, b, c, blocks[i].begin, blocks[i].end, 0,
-                                 b.cols());
-        }
-      });
+  // Compute: the workloads partition A, so one all-rows pass covers them.
+  ComputeAllRowsCsdb(a, b, c, pool);
 
-  // Phase 2 — simulated charging, one worker per workload exactly as before:
-  // the cache build and every charge land on the same per-worker clock in the
-  // same order as the old fused kernel.
+  // Charge: one simulated worker per workload, on its own clock.
   pool->RunOnAll([&](size_t worker) {
     if (worker >= n) return;
-    const sched::Workload& w = workloads[worker];
     memsim::WorkerCtx ctx;
     ctx.worker = static_cast<int>(worker);
     ctx.cpu_socket =
         ms->topology().SocketOfWorker(static_cast<int>(worker), total_workers);
     ctx.active_threads = total_workers;
     ctx.clock = &clocks.clock(worker);
-    const DenseCacheView* cache = cache_factory ? cache_factory(&ctx, w) : nullptr;
-    if (cache == nullptr && meta != nullptr) {
-      result.thread_breakdowns[worker] =
-          ChargeWorkloadCsdb(a, b.cols(), (*meta)[worker], placements, ms, &ctx);
-    } else {
-      result.thread_breakdowns[worker] =
-          ChargeWorkloadCsdb(a, b.cols(), w, placements, ms, &ctx, cache);
-    }
+    result.thread_breakdowns[worker] = ChargeWorkloadCsdb(
+        a, b.cols(), ScanChargeMetaCsdb(a, workloads[worker]), placements, ms,
+        &ctx);
   });
 
   for (size_t i = 0; i < n; ++i) {
@@ -419,30 +308,6 @@ ParallelSpmmResult ParallelSpmmImpl(const graph::CsdbMatrix& a,
   }
   result.phase_seconds = clocks.MaxSeconds();
   return result;
-}
-
-}  // namespace
-
-ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
-                                const linalg::DenseMatrix& b,
-                                linalg::DenseMatrix* c,
-                                const std::vector<sched::Workload>& workloads,
-                                const SpmmPlacements& placements,
-                                const exec::Context& ctx,
-                                const CacheFactory& cache_factory) {
-  return ParallelSpmmImpl(a, b, c, workloads, /*meta=*/nullptr, placements, ctx,
-                          cache_factory);
-}
-
-ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
-                                const linalg::DenseMatrix& b,
-                                linalg::DenseMatrix* c, const SpmmPlan& plan,
-                                const SpmmPlacements& placements,
-                                const exec::Context& ctx,
-                                const CacheFactory& cache_factory) {
-  OMEGA_CHECK(plan.valid());
-  return ParallelSpmmImpl(a, b, c, plan.workloads(), &plan.charge_meta(),
-                          placements, ctx, cache_factory);
 }
 
 }  // namespace omega::sparse

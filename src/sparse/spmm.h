@@ -21,7 +21,6 @@
 
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -33,8 +32,6 @@
 #include "sched/workload.h"
 
 namespace omega::sparse {
-
-class SpmmPlan;  // sparse/spmm_plan.h
 
 /// nnz fetched per simulated second — the paper's SpMM throughput metric
 /// (Fig. 16). Shared by every phase-result type that reports it.
@@ -85,30 +82,24 @@ class DenseCacheView {
   virtual uint64_t BytesPerHit() const { return 64; }
 };
 
-/// Executes one thread's workload of A (CSDB) x B -> C and charges `ctx`.
-/// C must be pre-sized to a.num_rows() x b.cols(); only rows in `w` and
-/// columns in [col_begin, min(col_end, b.cols())) are written (NaDP assigns
-/// each socket a column block). Returns the per-component simulated cost.
-SpmmCostBreakdown ExecuteWorkloadCsdb(const graph::CsdbMatrix& a,
-                                      const linalg::DenseMatrix& b,
-                                      linalg::DenseMatrix* c,
-                                      const sched::Workload& w,
-                                      const SpmmPlacements& placements,
-                                      memsim::MemorySystem* ms,
-                                      memsim::WorkerCtx* ctx,
-                                      const DenseCacheView* cache = nullptr,
-                                      size_t col_begin = 0, size_t col_end = SIZE_MAX);
-
-/// Host-only half of ExecuteWorkloadCsdb: computes C rows for the workload's
-/// ranges and columns [col_begin, min(col_end, b.cols())) with no memsim
-/// charging (col_begin is clamped to the clamped col_end, so any range is
-/// safe). Dispatches to the column-panel kernels (sparse/spmm_kernels.h);
-/// every output element is reduced in ascending-k order with one accumulator,
-/// so the result is bit-identical no matter how the rows or columns are split
-/// across workers — safe for dynamic scheduling and NaDP column blocks.
+/// Host-only compute of one workload: C rows for the workload's ranges and
+/// columns [col_begin, min(col_end, b.cols())) with no memsim charging
+/// (col_begin is clamped to the clamped col_end, so any range is safe).
+/// Dispatches to the column-panel kernels (sparse/spmm_kernels.h); every
+/// output element is reduced in ascending-k order with one accumulator, so the
+/// result is bit-identical no matter how the rows or columns are split across
+/// workers.
 void ComputeWorkloadCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                          linalg::DenseMatrix* c, const sched::Workload& w,
                          size_t col_begin = 0, size_t col_end = SIZE_MAX);
+
+/// Computes every row of C = A * B for columns [col_begin, min(col_end,
+/// b.cols())) with the panel kernels, split across `pool` by
+/// graph::ForEachRowRange (serial when `pool` is null). The compute step of
+/// every parallel CSDB SpMM driver; bit-identical at any pool size.
+void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
+                        linalg::DenseMatrix* c, ThreadPool* pool,
+                        size_t col_begin = 0, size_t col_end = SIZE_MAX);
 
 /// The original per-column kernel (Algorithm 1's loop nesting verbatim), kept
 /// as the oracle the panel kernels are tested and benchmarked against. Same
@@ -118,43 +109,35 @@ void ComputeWorkloadCsdbPerColumn(const graph::CsdbMatrix& a,
                                   linalg::DenseMatrix* c, const sched::Workload& w,
                                   size_t col_begin = 0, size_t col_end = SIZE_MAX);
 
-/// Pre-scanned charge metadata for one CSDB workload — everything
-/// ChargeWorkloadCsdb derives from its per-call walk when no cache is
-/// attached. Plans hoist this scan out of the execute path; passing the
-/// values ScanChargeMetaCsdb produced yields byte-identical charges.
+/// Pre-scanned charge metadata for one CSDB workload: everything its charge
+/// depends on besides the dense width and placements. Plans scan it once; for
+/// a fixed workload and cache contents it is a constant.
 struct CsdbChargeMeta {
   uint64_t rows = 0;
   uint64_t nnz = 0;
-  double entropy_h = 0.0;  ///< raw workload entropy H (Eq. 3), ascending rows
+  double entropy_h = 0.0;   ///< raw workload entropy H (Eq. 3), ascending rows
+  uint64_t cache_hits = 0;  ///< gathers the scanned cache serves (per column)
 };
 
-/// Walks the workload's row metadata in the same ascending-row order as
-/// ChargeWorkloadCsdb and returns the scan results.
+/// Walks the workload's row metadata in ascending-row order. With a cache,
+/// also counts the elements whose column the cache Contains; the cache's
+/// contents must not change while the meta is in use.
 CsdbChargeMeta ScanChargeMetaCsdb(const graph::CsdbMatrix& a,
-                                  const sched::Workload& w);
+                                  const sched::Workload& w,
+                                  const DenseCacheView* cache = nullptr);
 
-/// Charging-only half of ExecuteWorkloadCsdb: walks the workload's metadata
-/// (degrees + cache membership) in the same row/element order as the fused
-/// kernel and charges `ctx` exactly as ExecuteWorkloadCsdb would. Does not
-/// read or write any dense value, so simulated seconds cannot depend on how
-/// the host computed C.
-SpmmCostBreakdown ChargeWorkloadCsdb(const graph::CsdbMatrix& a,
-                                     uint64_t dense_cols, const sched::Workload& w,
-                                     const SpmmPlacements& placements,
-                                     memsim::MemorySystem* ms,
-                                     memsim::WorkerCtx* ctx,
-                                     const DenseCacheView* cache = nullptr);
-
-/// Cache-less ChargeWorkloadCsdb from pre-scanned metadata: no per-call walk.
-/// Charges are byte-identical to the walking overload with cache == nullptr
-/// when `meta` came from ScanChargeMetaCsdb on the same workload. Cache runs
-/// must keep walking — hits depend on the cache's current contents.
+/// Charges one workload's SpMM over `dense_cols` columns to `ctx` from its
+/// pre-scanned metadata. `cache` must be the one `meta` was scanned with (or
+/// null); it supplies only the hit placement and BytesPerHit. Reads no
+/// matrix element, so simulated seconds cannot depend on how the host
+/// computed C.
 SpmmCostBreakdown ChargeWorkloadCsdb(const graph::CsdbMatrix& a,
                                      uint64_t dense_cols,
                                      const CsdbChargeMeta& meta,
                                      const SpmmPlacements& placements,
                                      memsim::MemorySystem* ms,
-                                     memsim::WorkerCtx* ctx);
+                                     memsim::WorkerCtx* ctx,
+                                     const DenseCacheView* cache = nullptr);
 
 /// Simulated seconds for `touches` dense-operand gathers (64 bytes each)
 /// whose stream has normalized workload entropy `z` in [0, 1]: the Z-weighted
@@ -164,23 +147,10 @@ double GatherSeconds(memsim::MemorySystem* ms, int cpu_socket,
                      memsim::Placement dense, double z, uint64_t touches,
                      int active_threads);
 
-/// CSR flavor of the same kernel (used by the ProNE/CSR baselines). CSR pays
-/// O(|V|) row-pointer reads from the sparse tier where CSDB's O(|degrees|)
-/// metadata is DRAM-resident.
-SpmmCostBreakdown ExecuteWorkloadCsr(const graph::CsrMatrix& a,
-                                     const linalg::DenseMatrix& b,
-                                     linalg::DenseMatrix* c, uint32_t row_begin,
-                                     uint32_t row_end,
-                                     const SpmmPlacements& placements,
-                                     memsim::MemorySystem* ms,
-                                     memsim::WorkerCtx* ctx,
-                                     size_t col_begin = 0,
-                                     size_t col_end = SIZE_MAX);
-
-/// Host-only half of ExecuteWorkloadCsr (no memsim charging; fixed
-/// ascending-k reduction order, so the result is bit-identical to the fused
-/// kernel). Column range and clamp semantics are unified with the CSDB
-/// kernel: col_end is clamped to b.cols(), then col_begin to col_end.
+/// CSR flavor of the compute step (used by the ProNE/CSR baselines); fixed
+/// ascending-k reduction order. Column range and clamp semantics are unified
+/// with the CSDB kernel: col_end is clamped to b.cols(), then col_begin to
+/// col_end.
 void ComputeWorkloadCsr(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
                         linalg::DenseMatrix* c, uint32_t row_begin,
                         uint32_t row_end, size_t col_begin = 0,
@@ -193,9 +163,9 @@ void ComputeWorkloadCsrPerColumn(const graph::CsrMatrix& a,
                                  uint32_t row_end, size_t col_begin = 0,
                                  size_t col_end = SIZE_MAX);
 
-/// Charging-only half of ExecuteWorkloadCsr. `nnz` and `entropy_h` are the
-/// part's pre-scanned metadata (a CsrPlanPart carries them); passing the same
-/// values the per-call scan would produce yields byte-identical charges.
+/// CSR flavor of the charge step. `nnz` and `entropy_h` are the part's
+/// pre-scanned metadata (a CsrPlanPart carries them). CSR pays O(|V|)
+/// row-pointer reads where CSDB's O(|degrees|) metadata is DRAM-resident.
 SpmmCostBreakdown ChargeWorkloadCsr(const graph::CsrMatrix& a,
                                     uint64_t dense_cols, uint32_t row_begin,
                                     uint32_t row_end, uint64_t nnz,
@@ -217,39 +187,18 @@ struct ParallelSpmmResult {
   }
 };
 
-/// Builds (or reuses) a per-workload dense-row cache; return nullptr for no
-/// prefetching. The returned view must stay alive for the duration of the
-/// workload's execution (the factory owns it). The factory runs on the worker
-/// and may charge its build cost against `ctx`.
-using CacheFactory = std::function<const DenseCacheView*(memsim::WorkerCtx* ctx,
-                                                         const sched::Workload& w)>;
-
-/// Runs one SpMM A (CSDB) x B -> C with one worker per workload. Worker w is
-/// bound to the socket given by the machine topology's block assignment. The
-/// context must carry a pool with at least workloads.size() workers.
-///
-/// Internally two-phase: the host compute runs first under dynamic-chunk
-/// scheduling (ThreadPool::ParallelForDynamic over fixed-size row blocks, so
-/// a skewed workload no longer idles the other host threads), then the
-/// simulated charging replays each workload on its own worker in the original
-/// static order. Simulated seconds are therefore byte-identical to the old
-/// fused kernel at any host thread count.
+/// Runs one SpMM A (CSDB) x B -> C with one simulated worker per workload.
+/// The workloads must partition A's rows (every caller passes
+/// sched::Allocate output): the host compute covers all rows of A at once
+/// under ComputeAllRowsCsdb, then each workload's scanned metadata is charged
+/// on its own worker, bound to the socket given by the topology's block
+/// assignment. The context must carry a pool with at least workloads.size()
+/// workers. Simulated seconds do not depend on the host thread count.
 ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
                                 const linalg::DenseMatrix& b,
                                 linalg::DenseMatrix* c,
                                 const std::vector<sched::Workload>& workloads,
                                 const SpmmPlacements& placements,
-                                const exec::Context& ctx,
-                                const CacheFactory& cache_factory = nullptr);
-
-/// Same, consuming a prebuilt SpmmPlan's workloads (defined with the plan in
-/// sparse/spmm_plan.cc). Simulated charges are identical to the per-call
-/// overload built from the same allocator inputs.
-ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
-                                const linalg::DenseMatrix& b,
-                                linalg::DenseMatrix* c, const SpmmPlan& plan,
-                                const SpmmPlacements& placements,
-                                const exec::Context& ctx,
-                                const CacheFactory& cache_factory = nullptr);
+                                const exec::Context& ctx);
 
 }  // namespace omega::sparse

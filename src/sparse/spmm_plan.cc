@@ -98,33 +98,6 @@ SparseStructureKey StructureOf(const graph::CsrMatrix& a) {
                  a.col_idx().data());
 }
 
-SpmmPlan SpmmPlan::Build(const graph::CsdbMatrix& a, sched::AllocatorKind kind,
-                         const sched::AllocatorOptions& options,
-                         bool with_in_degrees) {
-  OMEGA_CHECK(options.num_threads > 0);
-  SpmmPlan plan;
-  plan.structure_ = StructureOf(a);
-  plan.kind_ = kind;
-  plan.threads_ = options.num_threads;
-  plan.beta_ = options.beta;
-  plan.has_in_degrees_ = with_in_degrees;
-  plan.workloads_ = sched::Allocate(a, kind, options);
-  plan.charge_meta_.reserve(plan.workloads_.size());
-  for (const sched::Workload& w : plan.workloads_) {
-    plan.charge_meta_.push_back(ScanChargeMetaCsdb(a, w));
-  }
-  if (with_in_degrees) plan.in_degrees_ = ComputeInDegrees(a);
-  return plan;
-}
-
-bool SpmmPlan::Matches(const graph::CsdbMatrix& a, sched::AllocatorKind kind,
-                       const sched::AllocatorOptions& options,
-                       bool with_in_degrees) const {
-  return valid() && kind_ == kind && threads_ == options.num_threads &&
-         beta_ == options.beta &&
-         (has_in_degrees_ || !with_in_degrees) && structure_ == StructureOf(a);
-}
-
 CsrSpmmPlan CsrSpmmPlan::Build(const graph::CsrMatrix& a, int threads,
                                Split split) {
   OMEGA_CHECK(threads > 0);

@@ -6,6 +6,8 @@
 // scan, the per-part nnz/entropy metadata of the CSR baselines — depends only
 // on the matrix *structure*, never on the dense values, so it can be built
 // once per (structure, thread count, allocator) and reused by every execute.
+// This header holds the plan keys and the CSR baselines' plan; the CSDB
+// plan is numa::NadpPlan.
 //
 // Two-clock contract (DESIGN.md): a plan caches host-side structures only.
 // Every simulated charge is still issued per execute, in the same order and
@@ -19,14 +21,12 @@
 
 #include "graph/csdb.h"
 #include "graph/csr.h"
-#include "sched/allocators.h"
-#include "sched/workload.h"
 #include "sparse/spmm.h"
 
 namespace omega::sparse {
 
-/// In-degree of every column of `a` (number of stored entries per column).
-/// Canonical implementation — the prefetch layer forwards here.
+/// In-degree of every column of `a` (number of stored entries per column);
+/// WoFP's degree-based prefetchers rank columns by it.
 std::vector<uint32_t> ComputeInDegrees(const graph::CsdbMatrix& a);
 
 /// Structural identity of a sparse matrix — the invalidation key of every
@@ -76,48 +76,6 @@ RowBlockFingerprint FingerprintOf(const graph::CsdbMatrix& a,
 /// structure is unchanged — a weight-only delta at most.
 std::vector<uint32_t> TouchedStripes(const RowBlockFingerprint& a,
                                      const RowBlockFingerprint& b);
-
-/// Reusable inspector state for the CSDB kernels: the allocator's workload
-/// vectors (with entropy/scatter annotations) and, optionally, the column
-/// in-degree array WoFP's degree-based prefetchers rank by.
-class SpmmPlan {
- public:
-  SpmmPlan() = default;
-
-  static SpmmPlan Build(const graph::CsdbMatrix& a, sched::AllocatorKind kind,
-                        const sched::AllocatorOptions& options,
-                        bool with_in_degrees = false);
-
-  bool valid() const { return threads_ > 0; }
-
-  /// True when this plan was built for the same structure and planning
-  /// inputs; false plans (default-constructed included) never match.
-  bool Matches(const graph::CsdbMatrix& a, sched::AllocatorKind kind,
-               const sched::AllocatorOptions& options,
-               bool with_in_degrees = false) const;
-
-  const std::vector<sched::Workload>& workloads() const { return workloads_; }
-  const std::vector<uint32_t>& in_degrees() const { return in_degrees_; }
-  bool has_in_degrees() const { return has_in_degrees_; }
-  int num_threads() const { return threads_; }
-  sched::AllocatorKind allocator() const { return kind_; }
-
-  /// Per-workload cache-less charge metadata (the ChargeWorkloadCsdb walk,
-  /// hoisted; same ascending-row scan order, so charges built from it are
-  /// byte-identical). Cache-attached executes ignore it — hits depend on the
-  /// cache's contents, so they must still walk per call.
-  const std::vector<CsdbChargeMeta>& charge_meta() const { return charge_meta_; }
-
- private:
-  SparseStructureKey structure_;
-  sched::AllocatorKind kind_ = sched::AllocatorKind::kEntropyAware;
-  int threads_ = 0;
-  double beta_ = 0.0;
-  bool has_in_degrees_ = false;
-  std::vector<sched::Workload> workloads_;
-  std::vector<CsdbChargeMeta> charge_meta_;
-  std::vector<uint32_t> in_degrees_;
-};
 
 /// One thread's contiguous CSR row part with the pre-scanned metadata its
 /// charges need: total nnz and the raw workload entropy H (Eq. 3, accumulated

@@ -14,6 +14,7 @@
 #include "prefetch/wofp.h"
 #include "sched/allocators.h"
 #include "sparse/csdb_ops.h"
+#include "sparse/spmm_plan.h"
 #include "stream/asl.h"
 
 namespace omega {
@@ -166,9 +167,10 @@ TEST(EmptyWorkloadTest, SpmmOnEmptyWorkloadIsFree) {
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
   sched::Workload empty;
-  const auto bd = sparse::ExecuteWorkloadCsdb(m, b, &c, empty,
-                                              sparse::SpmmPlacements{}, ms.get(),
-                                              &ctx);
+  sparse::ComputeWorkloadCsdb(m, b, &c, empty);
+  const auto bd = sparse::ChargeWorkloadCsdb(
+      m, b.cols(), sparse::ScanChargeMetaCsdb(m, empty),
+      sparse::SpmmPlacements{}, ms.get(), &ctx);
   EXPECT_DOUBLE_EQ(bd.Total(), 0.0);
   EXPECT_DOUBLE_EQ(clock.seconds(), 0.0);
 }
@@ -179,7 +181,7 @@ TEST(EmptyWorkloadTest, WofpOnEmptyWorkload) {
   sched::Workload empty;
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
-  const auto in_degrees = prefetch::ComputeInDegrees(m);
+  const auto in_degrees = sparse::ComputeInDegrees(m);
   auto p = prefetch::WofpPrefetcher::Build(m, empty, in_degrees,
                                            prefetch::WofpOptions{}, ms.get(), &ctx);
   ASSERT_NE(p, nullptr);

@@ -90,7 +90,11 @@ TEST_P(SocketSweep, EndToEndEngineRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Sockets, SocketSweep, ::testing::Values(1, 2, 4),
                          [](const auto& info) {
-                           return "s" + std::to_string(info.param);
+                           // Appends only: GCC 12 at -O3 flags "lit" + string
+                           // with a false -Wrestrict.
+                           std::string name = "s";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(MultiSocketTest, InterleavedPenaltyGrowsWithSockets) {

@@ -81,6 +81,18 @@ TEST_F(PlacementTest, HostOnlyPlacesNothingOnPim) {
   EXPECT_EQ(p.host_ranges[0].end, a_.num_rows());
 }
 
+// PimSpmm relies on this: without banks no policy offloads anything.
+TEST_F(PlacementTest, ZeroBanksPlacesNothingOnPim) {
+  for (PimPolicy policy : {PimPolicy::kAuto, PimPolicy::kAllPim}) {
+    PimConfig cfg = TestPim(policy, *ms_);
+    cfg.banks = 0;
+    const auto p = sched::PlaceDegreeBlocks(a_, cfg, *ms_, 36, memsim::Tier::kPm,
+                                            memsim::Tier::kPm, memsim::Tier::kDram);
+    EXPECT_FALSE(p.any_pim()) << sched::PimPolicyName(policy);
+    EXPECT_TRUE(p.pim_ranges.empty()) << sched::PimPolicyName(policy);
+  }
+}
+
 TEST_F(PlacementTest, AllPimPlacesEveryFittingBlock) {
   const auto p = Place(PimPolicy::kAllPim);
   ASSERT_TRUE(p.any_pim());

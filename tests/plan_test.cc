@@ -277,26 +277,91 @@ TEST_F(PlanTest, StaticCsrSpmmPlanPathIdentical) {
   EXPECT_TRUE(BitIdentical(c_percall, c_plan));
 }
 
-TEST_F(PlanTest, SpmmPlanReuseThroughParallelSpmm) {
-  sched::AllocatorOptions aopts;
-  aopts.num_threads = 8;
-  const sparse::SpmmPlan plan = sparse::SpmmPlan::Build(
-      a_, sched::AllocatorKind::kEntropyAware, aopts, /*with_in_degrees=*/true);
-  ASSERT_TRUE(plan.valid());
-  ASSERT_TRUE(plan.has_in_degrees());
-
-  sparse::SpmmPlacements pl;
-  DenseMatrix c_percall(a_.num_rows(), b_.cols());
-  const auto workloads =
-      sched::Allocate(a_, sched::AllocatorKind::kEntropyAware, aopts);
-  const auto r_percall =
-      sparse::ParallelSpmm(a_, b_, &c_percall, workloads, pl, Ctx());
-
-  DenseMatrix c_plan(a_.num_rows(), b_.cols());
-  const auto r_plan = sparse::ParallelSpmm(a_, b_, &c_plan, plan, pl, Ctx());
-  EXPECT_EQ(r_percall.phase_seconds, r_plan.phase_seconds);
-  EXPECT_EQ(r_percall.nnz_processed, r_plan.nnz_processed);
-  EXPECT_TRUE(BitIdentical(c_percall, c_plan));
+// Every NadpExecute charge pinned bit for bit: the values were recorded
+// before the cache-attached path moved from a per-call walk to plan
+// metadata, so any drift in a charge's arguments, clock or order shows here.
+TEST_F(PlanTest, NadpExecuteChargesPinned) {
+  struct Pinned {
+    bool enabled;
+    bool use_wofp;
+    int threads;
+    size_t col_begin;
+    size_t col_end;
+    double phase_seconds;
+    double wofp_build_seconds;
+    double breakdown[sparse::kNumSpmmOps];
+    std::vector<double> thread_seconds;
+  };
+  const Pinned pinned[] = {
+      {0, 0, 1, 0, SIZE_MAX, 0x1.c05e5c07f23e7p-7, 0x0p+0,
+       {0x1.ab967dae714e7p-19, 0x1.e787f94caec49p-13, 0x1.b5ef98978fdedp-7, 0x1.48a1d1c3ceeebp-14, 0x1.2533fe68fd3d2p-18},
+       {0x1.c05e5c07f23e7p-7}},
+      {0, 1, 1, 0, SIZE_MAX, 0x1.68b6039ee7b08p-8, 0x1.86f4581b7318bp-11,
+       {0x1.ab967dae714e7p-19, 0x1.e787f94caec49p-13, 0x1.22f9f1bab48e1p-8, 0x1.48a1d1c3ceeebp-14, 0x1.2533fe68fd3d2p-18},
+       {0x1.68b6039ee7b08p-8}},
+      {1, 0, 1, 0, SIZE_MAX, 0x1.76d1638729b2ap-8, 0x0p+0,
+       {0x1.6e80fe033c8c6p-19, 0x1.e76fe7338f7a8p-13, 0x1.61977607af3d2p-8, 0x1.48a1d1c3ceeebp-14, 0x1.b7cdfd9d7bdbap-19},
+       {0x1.76d1638729b2ap-8}},
+      {1, 1, 1, 0, SIZE_MAX, 0x1.2ad1755c781c5p-9, 0x1.97c3ba190ee0ep-12,
+       {0x1.6e80fe033c8c6p-19, 0x1.e76fe7338f7a8p-13, 0x1.9aca4634c2aa6p-10, 0x1.48a1d1c3ceeebp-14, 0x1.b7cdfd9d7bdbap-19},
+       {0x1.2ad1755c781c5p-9}},
+      {0, 0, 2, 0, SIZE_MAX, 0x1.9f10c83ab0edbp-8, 0x0p+0,
+       {0x1.ac10a8adc7b8p-19, 0x1.e787f94caec49p-13, 0x1.8a0f119aa4fe9p-7, 0x1.48a1d1c3ceeebp-14, 0x1.2533fe68fd3d1p-18},
+       {0x1.89eaf120bdb9ap-8, 0x1.9f10c83ab0edbp-8}},
+      {0, 1, 2, 0, SIZE_MAX, 0x1.942ccc18bd3e4p-9, 0x1.df5f5d4160f54p-12,
+       {0x1.ac10a8adc7b8p-19, 0x1.e787f94caec49p-13, 0x1.22f9f1bab48e1p-8, 0x1.48a1d1c3ceeebp-14, 0x1.2533fe68fd3d1p-18},
+       {0x1.942ccc18bd3e4p-9, 0x1.4870f18de0169p-9}},
+      {1, 0, 2, 0, SIZE_MAX, 0x1.76d17ca618ff9p-9, 0x0p+0,
+       {0x1.6e80fe033c8c6p-19, 0x1.e787f94caec4ap-13, 0x1.61960e050c958p-8, 0x1.48a1d1c3ceeebp-14, 0x1.b7cdfd9d7bdbap-19},
+       {0x1.76cffb84870afp-9, 0x1.76d17ca618ff9p-9}},
+      {1, 1, 2, 0, SIZE_MAX, 0x1.5dcceee2bde1ap-10, 0x1.97c3ba190ee0ep-12,
+       {0x1.6e80fe033c8c6p-19, 0x1.e787f94caec4ap-13, 0x1.9aca4634c2aa6p-10, 0x1.48a1d1c3ceeebp-14, 0x1.b7cdfd9d7bdbap-19},
+       {0x1.5dc9ec9f99f87p-10, 0x1.5dcceee2bde1ap-10}},
+      {0, 0, 8, 0, SIZE_MAX, 0x1.6c13a3d0a5a35p-10, 0x0p+0,
+       {0x1.167386a9daa6ap-18, 0x1.4642d277c66bbp-12, 0x1.3ae475d169266p-7, 0x1.48a1d1c3ceeebp-14, 0x1.69e30469a54f9p-18},
+       {0x1.22aa779b9669dp-10, 0x1.277c93cca4a8p-10, 0x1.3a8be0efa2f8cp-10, 0x1.4277baf2c5aa7p-10, 0x1.4bebb584f7321p-10, 0x1.5aca5b3c8f3f2p-10, 0x1.65ca7af3bb732p-10, 0x1.6c13a3d0a5a35p-10}},
+      {0, 1, 8, 0, SIZE_MAX, 0x1.fc6a3ccc0ca65p-11, 0x1.1af0565b61d64p-13,
+       {0x1.167386a9daa6ap-18, 0x1.4642d277c66bbp-12, 0x1.584b52bdb4096p-8, 0x1.48a1d1c3ceeebp-14, 0x1.69e30469a54f9p-18},
+       {0x1.fc6a3ccc0ca65p-11, 0x1.b9fe69f8c7a2bp-11, 0x1.c961fcd7d9ff1p-11, 0x1.aad5804b45b42p-11, 0x1.a2e90f0326047p-11, 0x1.9d516ea9cef74p-11, 0x1.8ccc54b4e7acbp-11, 0x1.6d5a62e670f9ap-11}},
+      {1, 0, 8, 0, SIZE_MAX, 0x1.5c7f5c63735b3p-11, 0x0p+0,
+       {0x1.72cc80fd4642p-19, 0x1.e787f94caec49p-13, 0x1.3cd3fc80d3455p-8, 0x1.48a1d1c3ceeebp-14, 0x1.bacfa6194f746p-19},
+       {0x1.49e3fde62e90bp-11, 0x1.4577413ea5fdp-11, 0x1.5c7f5c63735b3p-11, 0x1.5c60b30ea9f0fp-11, 0x1.4b2c5e355fb22p-11, 0x1.463cc6b2720a4p-11, 0x1.5b67f3b84e6d6p-11, 0x1.5b703a7d19829p-11}},
+      {1, 1, 8, 0, SIZE_MAX, 0x1.b0baad413d322p-12, 0x1.09906e8cbaf61p-13,
+       {0x1.72cc80fd4642p-19, 0x1.e787f94caec49p-13, 0x1.bacb2dac956p-10, 0x1.48a1d1c3ceeebp-14, 0x1.bacfa6194f746p-19},
+       {0x1.ae29eca2daef4p-12, 0x1.8e7532e978d0bp-12, 0x1.6f84b708447bcp-12, 0x1.4697cec943897p-12, 0x1.b0baad413d322p-12, 0x1.90003dd110eb5p-12, 0x1.6d55e5b1faa02p-12, 0x1.44b6dda622acap-12}},
+      {0, 0, 8, 3, 5, 0x1.6bec369474ae1p-12, 0x0p+0,
+       {0x1.167386a9daa6ap-20, 0x1.4642d277c66bbp-14, 0x1.3ad407f2b312bp-9, 0x1.48a1d1c3ceeebp-16, 0x1.69e30469a54f9p-20},
+       {0x1.22aa779b9669dp-12, 0x1.276f6c8b86ea4p-12, 0x1.3a8be0efa2f8cp-12, 0x1.425d6c708a2efp-12, 0x1.4bd16702bbb6ap-12, 0x1.5aca5b3c8f3f2p-12, 0x1.65b03d7fd07f8p-12, 0x1.6bec369474ae1p-12}},
+      {0, 1, 8, 3, 5, 0x1.68420678dcbddp-12, 0x1.1af0565b61d64p-13,
+       {0x1.167386a9daa6ap-20, 0x1.4642d277c66bbp-14, 0x1.581d3407e7476p-10, 0x1.48a1d1c3ceeebp-16, 0x1.69e30469a54f9p-20},
+       {0x1.68420678dcbddp-12, 0x1.3920265bb618fp-12, 0x1.43fdb81d0d603p-12, 0x1.2c0c64526bc45p-12, 0x1.27f9e763e6719p-12, 0x1.21a9bec8d45a4p-12, 0x1.15046ebcc6b41p-12, 0x1.f7b8ff4f1857cp-13}},
+      {1, 0, 8, 3, 5, 0x1.5c7f62862e774p-13, 0x0p+0,
+       {0x1.72cc80fd4642p-21, 0x1.e787f94caec49p-15, 0x1.3cd12e043cbcfp-10, 0x1.48a1d1c3ceeebp-16, 0x1.bacfa6194f746p-21},
+       {0x1.49e3fde62e90bp-13, 0x1.457747616119p-13, 0x1.5c7f62862e774p-13, 0x1.5c556cd6d9977p-13, 0x1.4b2c5e355fb22p-13, 0x1.463cccd52d264p-13, 0x1.5b67f9db09897p-13, 0x1.5b64f44549291p-13}},
+      {1, 1, 8, 3, 5, 0x1.9f89bbf25c25bp-13, 0x1.09906e8cbaf61p-13,
+       {0x1.72cc80fd4642p-21, 0x1.e787f94caec49p-15, 0x1.ba92f988a164ep-12, 0x1.48a1d1c3ceeebp-16, 0x1.bacfa6194f746p-21},
+       {0x1.9e415ba32b045p-13, 0x1.819f0152b32b3p-13, 0x1.61288f2c4ac9ep-13, 0x1.35128bb4ec282p-13, 0x1.9f89bbf25c25bp-13, 0x1.826486c67f387p-13, 0x1.6011268125dc1p-13, 0x1.342213235bb9bp-13}},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE("threads=" + std::to_string(p.threads) +
+                 " enabled=" + std::to_string(p.enabled) +
+                 " wofp=" + std::to_string(p.use_wofp) +
+                 " cols=[" + std::to_string(p.col_begin) + "," +
+                 std::to_string(p.col_end) + ")");
+    NadpOptions opts;
+    opts.num_threads = p.threads;
+    opts.enabled = p.enabled;
+    opts.use_wofp = p.use_wofp;
+    DenseMatrix c(a_.num_rows(), b_.cols());
+    const NadpResult r =
+        NadpSpmm(a_, b_, &c, opts, Ctx(), p.col_begin, p.col_end);
+    EXPECT_EQ(r.phase_seconds, p.phase_seconds);
+    EXPECT_EQ(r.wofp_build_seconds, p.wofp_build_seconds);
+    for (int op = 0; op < sparse::kNumSpmmOps; ++op) {
+      EXPECT_EQ(r.breakdown.seconds[op], p.breakdown[op]) << "op " << op;
+    }
+    EXPECT_EQ(r.thread_seconds, p.thread_seconds);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for WoFP (§III-C): the top-M store, the eta type-selection rule,
-// frequency vs degree scoring, DRAM reservation fallback, and the end-to-end
-// effect on SpMM cost.
+// frequency vs degree scoring, and DRAM reservation fallback (the end-to-end
+// effect on SpMM cost is in numa_test's NadpTest.WofpComposesWithNadp).
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,10 @@
 
 #include "common/rng.h"
 #include "graph/rmat.h"
-#include "linalg/random_matrix.h"
 #include "prefetch/topm_store.h"
 #include "prefetch/wofp.h"
-#include "sched/allocators.h"
-#include "sparse/csdb_ops.h"
+#include "sched/workload.h"
+#include "sparse/spmm_plan.h"
 
 namespace omega::prefetch {
 namespace {
@@ -123,7 +122,7 @@ class WofpTest : public ::testing::Test {
     params.d = 0.05;
     a_ = CsdbMatrix::FromGraph(graph::GenerateRmat(params).value());
     ms_ = memsim::MemorySystem::CreateDefault();
-    in_degrees_ = ComputeInDegrees(a_);
+    in_degrees_ = sparse::ComputeInDegrees(a_);
     full_.ranges.push_back(sched::RowRange{0, a_.num_rows()});
     sched::RefreshCounts(a_, &full_);
   }
@@ -216,47 +215,6 @@ TEST_F(WofpTest, FrequencyAndDegreeProducersDiffer) {
   // stores overlap heavily but need not be identical.
   EXPECT_GT(pf->store().size(), 0u);
   EXPECT_GT(pd->store().size(), 0u);
-}
-
-TEST_F(WofpTest, CacheSetBuildsPerWorkerAndSpeedsUpSpmm) {
-  sched::AllocatorOptions aopts;
-  aopts.num_threads = 4;
-  const sparse::SpmmPlan plan = sparse::SpmmPlan::Build(
-      a_, sched::AllocatorKind::kEntropyAware, aopts, /*with_in_degrees=*/true);
-  const linalg::DenseMatrix b = linalg::GaussianMatrix(a_.num_cols(), 4, 3);
-  linalg::DenseMatrix expected;
-  ASSERT_TRUE(sparse::ReferenceSpmm(a_, b, &expected).ok());
-
-  ThreadPool pool(4);
-  linalg::DenseMatrix c(a_.num_rows(), 4);
-  WofpOptions wopts;
-  wopts.sigma = 0.15;
-  WofpCacheSet cache_set(a_, plan, wopts, exec::Context(ms_.get()));
-  const auto with = sparse::ParallelSpmm(a_, b, &c, plan,
-                                         sparse::SpmmPlacements{}, exec::Context(ms_.get(), &pool),
-                                         cache_set.Factory());
-  EXPECT_LT(linalg::DenseMatrix::MaxAbsDiff(c, expected), 1e-4);
-  for (size_t w = 0; w < 4; ++w) EXPECT_NE(cache_set.Get(w), nullptr);
-
-  linalg::DenseMatrix c2(a_.num_rows(), 4);
-  const auto without = sparse::ParallelSpmm(a_, b, &c2, plan.workloads(),
-                                            sparse::SpmmPlacements{}, exec::Context(ms_.get(), &pool));
-  // Fig. 14: WoFP reduces SpMM time (build overhead included).
-  EXPECT_LT(with.phase_seconds, without.phase_seconds);
-
-  // Plan reuse: a second SpMM through the same cache set reuses the built
-  // stores (same pointers) yet pays the same simulated seconds — the build
-  // charges are replayed per call.
-  const WofpPrefetcher* first_worker0 = cache_set.Get(0);
-  linalg::DenseMatrix c3(a_.num_rows(), 4);
-  const auto again = sparse::ParallelSpmm(a_, b, &c3, plan,
-                                          sparse::SpmmPlacements{}, exec::Context(ms_.get(), &pool),
-                                          cache_set.Factory());
-  EXPECT_EQ(cache_set.Get(0), first_worker0);
-  EXPECT_EQ(again.phase_seconds, with.phase_seconds);
-  for (int i = 0; i < sparse::kNumSpmmOps; ++i) {
-    EXPECT_EQ(again.total_breakdown.seconds[i], with.total_breakdown.seconds[i]);
-  }
 }
 
 }  // namespace

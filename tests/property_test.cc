@@ -14,6 +14,7 @@
 #include "sched/allocators.h"
 #include "sched/entropy.h"
 #include "sparse/csdb_ops.h"
+#include "sparse/spmm_plan.h"
 #include "sparse/spmm.h"
 
 namespace omega {
@@ -192,8 +193,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, NadpSweep,
                          ::testing::Combine(::testing::Values(1, 2, 5, 8),
                                             ::testing::Values(1, 3, 8, 16)),
                          [](const auto& info) {
-                           return "t" + std::to_string(std::get<0>(info.param)) +
-                                  "_d" + std::to_string(std::get<1>(info.param));
+                           // Appends only: GCC 12 at -O3 flags "lit" + string
+                           // with a false -Wrestrict.
+                           std::string name = "t";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_d";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 // ---------------------------------------------------------------------------
@@ -223,7 +229,7 @@ TEST_P(WofpParamSweep, CapacityAndHitRateInvariants) {
   opts.sigma = sigma;
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
-  const auto in_degrees = prefetch::ComputeInDegrees(a);
+  const auto in_degrees = sparse::ComputeInDegrees(a);
   auto p = prefetch::WofpPrefetcher::Build(a, w, in_degrees, opts, ms.get(), &ctx);
   ASSERT_NE(p, nullptr);
   // Capacity bound: M <= W_i * sigma.

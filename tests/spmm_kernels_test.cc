@@ -1,7 +1,7 @@
 // Unit tests for the column-panel SpMM kernels (sparse/spmm_kernels.h):
 // panel-tail widths, zero-degree rows, single-row ranges, SIMD vs scalar
 // panel vs per-column oracle agreement, the fixed-reduction-order bit
-// guarantees, the hoisted charge metadata, and engine-level embedding
+// guarantees, the scanned charge metadata, and engine-level embedding
 // determinism across host thread counts.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "graph/rmat.h"
 #include "linalg/random_matrix.h"
 #include "omega/engine.h"
+#include "prefetch/wofp.h"
 #include "sched/allocators.h"
 #include "sparse/csdb_ops.h"
 #include "sparse/spmm.h"
@@ -173,30 +174,37 @@ TEST_F(SpmmKernelsTest, EmptyAndClampedRangesAreSafe) {
   EXPECT_EQ(DenseMatrix::MaxAbsDiff(c2, DenseMatrix(a_.num_rows(), d)), 0.0);
 }
 
-// The hoisted charge metadata must reproduce the walking overload's charges
-// to the last bit (same clock advances, same breakdown).
-TEST_F(SpmmKernelsTest, ChargeMetaIsByteIdenticalToTheWalk) {
+// The plan-scanned WoFP hit count must equal a per-element Contains count
+// over the same built prefetcher, for every workload of the allocation.
+TEST_F(SpmmKernelsTest, ChargeMetaCountsCacheHits) {
   auto ms = memsim::MemorySystem::CreateDefault();
   sched::AllocatorOptions opts;
   opts.num_threads = 4;
   const auto workloads =
       sched::Allocate(a_, sched::AllocatorKind::kEntropyAware, opts);
+  const std::vector<uint32_t> in_degrees = ComputeInDegrees(a_);
+  uint64_t total_hits = 0;
   for (const sched::Workload& w : workloads) {
-    const CsdbChargeMeta meta = ScanChargeMetaCsdb(a_, w);
-    memsim::SimClock walk_clock;
-    memsim::SimClock meta_clock;
-    memsim::WorkerCtx walk_ctx{0, 0, 4, &walk_clock};
-    memsim::WorkerCtx meta_ctx{0, 0, 4, &meta_clock};
-    const SpmmCostBreakdown walked = ChargeWorkloadCsdb(
-        a_, 8, w, SpmmPlacements{}, ms.get(), &walk_ctx, nullptr);
-    const SpmmCostBreakdown from_meta =
-        ChargeWorkloadCsdb(a_, 8, meta, SpmmPlacements{}, ms.get(), &meta_ctx);
-    EXPECT_EQ(walk_clock.seconds(), meta_clock.seconds());
-    for (int i = 0; i < kNumSpmmOps; ++i) {
-      EXPECT_EQ(walked.seconds[i], from_meta.seconds[i])
-          << SpmmOpName(static_cast<SpmmOp>(i));
+    const auto cache = prefetch::WofpPrefetcher::Build(
+        a_, w, in_degrees, prefetch::WofpOptions{}, ms.get(), nullptr);
+    uint64_t hits = 0;
+    uint64_t nnz = 0;
+    for (const sched::RowRange& range : w.ranges) {
+      for (uint32_t r = range.begin; r < range.end; ++r) {
+        for (uint64_t k = a_.RowPtr(r); k < a_.RowPtr(r) + a_.RowDegree(r);
+             ++k) {
+          hits += cache->Contains(a_.col_list()[k]) ? 1 : 0;
+          ++nnz;
+        }
+      }
     }
+    const CsdbChargeMeta meta = ScanChargeMetaCsdb(a_, w, cache.get());
+    EXPECT_EQ(meta.cache_hits, hits);
+    EXPECT_EQ(meta.nnz, nnz);
+    EXPECT_EQ(ScanChargeMetaCsdb(a_, w).cache_hits, 0u);
+    total_hits += hits;
   }
+  EXPECT_GT(total_hits, 0u);
 }
 
 // End-to-end: the engine's embedding (panel kernels under NaDP/WoFP column

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/rmat.h"
 #include "linalg/random_matrix.h"
 #include "sched/allocators.h"
@@ -11,6 +13,7 @@
 #include "sparse/fused.h"
 #include "sparse/semi_external.h"
 #include "sparse/spmm.h"
+#include "sparse/spmm_plan.h"
 
 namespace omega::sparse {
 namespace {
@@ -39,6 +42,19 @@ class SpmmTest : public ::testing::Test {
     return w;
   }
 
+  // Compute + scan + charge of the full workload, the way the drivers run it.
+  SpmmCostBreakdown Run(DenseMatrix* c, const SpmmPlacements& placements,
+                        memsim::WorkerCtx* ctx,
+                        const DenseCacheView* cache = nullptr,
+                        size_t col_begin = 0, size_t col_end = SIZE_MAX) const {
+    const sched::Workload w = FullWorkload();
+    col_end = std::min(col_end, b_.cols());
+    ComputeWorkloadCsdb(a_, b_, c, w, col_begin, col_end);
+    return ChargeWorkloadCsdb(a_, col_end - col_begin,
+                              ScanChargeMetaCsdb(a_, w, cache), placements,
+                              ms_.get(), ctx, cache);
+  }
+
   std::unique_ptr<Graph> graph_;
   CsdbMatrix a_;
   DenseMatrix b_;
@@ -50,9 +66,7 @@ TEST_F(SpmmTest, SingleWorkloadMatchesReference) {
   DenseMatrix c(a_.num_rows(), b_.cols());
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
-  const SpmmCostBreakdown bd =
-      ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), SpmmPlacements{}, ms_.get(),
-                          &ctx);
+  const SpmmCostBreakdown bd = Run(&c, SpmmPlacements{}, &ctx);
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected_), 1e-4);
   EXPECT_GT(bd.Total(), 0.0);
   EXPECT_NEAR(clock.seconds(), bd.Total(), 1e-12);
@@ -62,9 +76,7 @@ TEST_F(SpmmTest, BreakdownHasAllComponentsAndGatherDominates) {
   DenseMatrix c(a_.num_rows(), b_.cols());
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
-  const SpmmCostBreakdown bd =
-      ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), SpmmPlacements{}, ms_.get(),
-                          &ctx);
+  const SpmmCostBreakdown bd = Run(&c, SpmmPlacements{}, &ctx);
   for (int i = 0; i < kNumSpmmOps; ++i) {
     EXPECT_GT(bd.seconds[i], 0.0) << SpmmOpName(static_cast<SpmmOp>(i));
   }
@@ -86,8 +98,8 @@ TEST_F(SpmmTest, DramPlacementIsFasterThanPm) {
   memsim::SimClock clock_dram;
   memsim::WorkerCtx ctx_pm{0, 0, 1, &clock_pm};
   memsim::WorkerCtx ctx_dram{0, 0, 1, &clock_dram};
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), pm, ms_.get(), &ctx_pm);
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), dram, ms_.get(), &ctx_dram);
+  Run(&c, pm, &ctx_pm);
+  Run(&c, dram, &ctx_dram);
   EXPECT_GT(clock_pm.seconds(), 1.5 * clock_dram.seconds());
 }
 
@@ -100,8 +112,8 @@ TEST_F(SpmmTest, RemoteDensePlacementCostsMore) {
   memsim::SimClock cr;
   memsim::WorkerCtx ctx_l{0, 0, 1, &cl};
   memsim::WorkerCtx ctx_r{0, 0, 1, &cr};
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), local, ms_.get(), &ctx_l);
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), remote, ms_.get(), &ctx_r);
+  Run(&c, local, &ctx_l);
+  Run(&c, remote, &ctx_r);
   EXPECT_GT(cr.seconds(), cl.seconds());
 }
 
@@ -121,10 +133,8 @@ TEST_F(SpmmTest, CacheInterceptsGathersAndSpeedsUp) {
   memsim::SimClock without;
   memsim::WorkerCtx ctx_w{0, 0, 1, &with};
   memsim::WorkerCtx ctx_wo{0, 0, 1, &without};
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), SpmmPlacements{}, ms_.get(),
-                      &ctx_w, &cache);
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), SpmmPlacements{}, ms_.get(),
-                      &ctx_wo, nullptr);
+  Run(&c, SpmmPlacements{}, &ctx_w, &cache);
+  Run(&c, SpmmPlacements{}, &ctx_wo, nullptr);
   EXPECT_LT(with.seconds(), without.seconds());
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected_), 1e-4);
 }
@@ -133,8 +143,7 @@ TEST_F(SpmmTest, ColumnRangeComputesOnlyThatRange) {
   DenseMatrix c(a_.num_rows(), b_.cols());
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), SpmmPlacements{}, ms_.get(), &ctx,
-                      nullptr, 2, 5);
+  Run(&c, SpmmPlacements{}, &ctx, nullptr, 2, 5);
   for (size_t t = 2; t < 5; ++t) {
     for (size_t r = 0; r < c.rows(); ++r) {
       EXPECT_NEAR(c.At(r, t), expected_.At(r, t), 1e-4);
@@ -153,10 +162,8 @@ TEST_F(SpmmTest, CostScalesWithColumnCount) {
   memsim::SimClock wide;
   memsim::WorkerCtx ctx_n{0, 0, 1, &narrow};
   memsim::WorkerCtx ctx_w{0, 0, 1, &wide};
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), SpmmPlacements{}, ms_.get(),
-                      &ctx_n, nullptr, 0, 2);
-  ExecuteWorkloadCsdb(a_, b_, &c, FullWorkload(), SpmmPlacements{}, ms_.get(),
-                      &ctx_w, nullptr, 0, 8);
+  Run(&c, SpmmPlacements{}, &ctx_n, nullptr, 0, 2);
+  Run(&c, SpmmPlacements{}, &ctx_w, nullptr, 0, 8);
   EXPECT_NEAR(wide.seconds() / narrow.seconds(), 4.0, 0.5);
 }
 
@@ -204,8 +211,11 @@ TEST_F(SpmmTest, CsrKernelMatchesReference) {
   DenseMatrix c(a_.num_rows(), b_.cols());
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
-  ExecuteWorkloadCsr(csr, b_, &c, 0, csr.num_rows(), SpmmPlacements{}, ms_.get(),
-                     &ctx);
+  const CsrPlanPart part =
+      CsrSpmmPlan::Build(csr, 1, CsrSpmmPlan::Split::kEqualRows).parts()[0];
+  ComputeWorkloadCsr(csr, b_, &c, part.row_begin, part.row_end);
+  ChargeWorkloadCsr(csr, b_.cols(), part.row_begin, part.row_end, part.nnz,
+                    part.entropy, SpmmPlacements{}, ms_.get(), &ctx);
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected_), 1e-4);
   EXPECT_GT(clock.seconds(), 0.0);
 }
