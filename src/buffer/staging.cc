@@ -94,7 +94,7 @@ Result<StageFetchResult> StageFetch(memsim::MemorySystem* ms, size_t bytes,
   }
 }
 
-double FetchSlowdown(memsim::MemorySystem* ms, memsim::Placement from,
+double FetchSlowdown(const memsim::MemorySystem* ms, memsim::Placement from,
                      memsim::Placement to, int compute_threads) {
   const auto& profiles = ms->cost_model().profiles();
   auto leg = [&](memsim::Placement p, memsim::MemOp op) {

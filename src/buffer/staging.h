@@ -74,7 +74,7 @@ Result<StageFetchResult> StageFetch(memsim::MemorySystem* ms, size_t bytes,
 /// (compute_threads + 1) streams, so each leg slows by
 /// PerThreadGbps(1) / PerThreadGbps(compute_threads + 1) on its device; the
 /// copy is bounded by its slower leg. Always >= 1.
-double FetchSlowdown(memsim::MemorySystem* ms, memsim::Placement from,
+double FetchSlowdown(const memsim::MemorySystem* ms, memsim::Placement from,
                      memsim::Placement to, int compute_threads);
 
 }  // namespace omega::buffer

@@ -134,6 +134,8 @@ void MemorySystem::Release(Placement p, size_t bytes) {
 }
 
 size_t MemorySystem::UsedBytes(Tier tier, int socket) const {
+  OMEGA_CHECK(socket >= 0 && socket < topology_.num_sockets())
+      << "socket out of range: " << socket;
   std::lock_guard<std::mutex> lock(capacity_mu_);
   return used_by_socket_[socket][static_cast<int>(tier)];
 }

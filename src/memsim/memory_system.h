@@ -95,6 +95,8 @@ class MemorySystem {
   Status Reserve(Placement p, size_t bytes);
   void Release(Placement p, size_t bytes);
 
+  /// Bytes reserved on (tier, socket); `socket` must name one of the
+  /// topology's sockets (kInterleaved is not a device).
   size_t UsedBytes(Tier tier, int socket) const;
   size_t CapacityBytes(Tier tier) const {
     return topology_.config().TierCapacityPerSocket(tier);

@@ -5,7 +5,6 @@
 
 #include "buffer/buffer_manager.h"
 #include "common/logging.h"
-#include "embed/quality.h"
 #include "sparse/csdb_ops.h"
 #include "sched/entropy.h"
 
@@ -15,8 +14,6 @@ namespace {
 
 using memsim::Placement;
 using memsim::Tier;
-
-
 
 // Caches the CSR conversion of the embedder's current CSDB matrix (stage 1's
 // target, then stage 2's propagation matrix — used strictly sequentially).
@@ -115,24 +112,11 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
 Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& dataset,
                                  const EngineOptions& options,
                                  const exec::Context& outer_ctx) {
-  memsim::MemorySystem* ms = outer_ctx.ms();
-  ms->ResetTraffic();
-  ms->ResetFaults();
-
-  exec::TraceRecorder recorder;
-  const exec::Context ctx =
-      outer_ctx.WithThreads(options.num_threads).WithTrace(&recorder);
+  internal::ProneRun run(dataset, options, outer_ctx);
+  const exec::Context& ctx = run.ctx();
+  memsim::MemorySystem* ms = ctx.ms();
   const int threads = ctx.threads();
-
-  RunReport report;
-  report.system = SystemName(options.system);
-  report.dataset = dataset;
-  {
-    exec::PhaseSpan read_span(ctx, "read");
-    report.read_seconds = SimulatedGraphReadSeconds(ctx, GraphFormat::kCsr,
-                                                    g.num_arcs(), g.num_nodes());
-    read_span.AddSimSeconds(report.read_seconds);
-  }
+  run.Read(g, GraphFormat::kCsr);
 
   // Adjacency plus one derived matrix live at peak (as in the OMeGa family),
   // in CSR form with its O(|V|) row pointers.
@@ -141,45 +125,25 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
   const size_t dense_bytes = DenseWorkingSetBytes(g.num_nodes(), options.prone);
   const Placement interleave_dram{Tier::kDram, Placement::kInterleaved};
   const Placement interleave_pm{Tier::kPm, Placement::kInterleaved};
-
-  std::vector<internal::Reservation> reservations;
-  sparse::SpmmPlacements pl;
+  // ProNE-HM keeps its data on PM and stages compute through DRAM with
+  // synchronous (unoverlapped) transfers — the naive heterogeneous-memory
+  // port; its CSR row_ptr is O(|V|), so it lives on PM too.
   const bool hm = options.system == SystemKind::kProneHm;
-  if (hm) {
-    // Data on PM, compute staged through DRAM with synchronous (unoverlapped)
-    // transfers — the naive heterogeneous-memory port.
-    OMEGA_ASSIGN_OR_RETURN(
-        auto r1, internal::Reservation::Make(ms, interleave_pm,
-                                             sparse_bytes + dense_bytes));
-    reservations.push_back(std::move(r1));
-    pl.index = {Tier::kPm, Placement::kInterleaved};  // CSR row_ptr is O(|V|)
-    pl.sparse = {Tier::kPm, Placement::kInterleaved};
-    pl.dense = {Tier::kPm, Placement::kInterleaved};
-    pl.result = {Tier::kDram, Placement::kInterleaved};
-  } else {
-    OMEGA_ASSIGN_OR_RETURN(
-        auto r1, internal::Reservation::Make(ms, interleave_dram,
-                                             sparse_bytes + dense_bytes));
-    reservations.push_back(std::move(r1));
-    pl.index = {Tier::kDram, Placement::kInterleaved};
-    pl.sparse = {Tier::kDram, Placement::kInterleaved};
-    pl.dense = {Tier::kDram, Placement::kInterleaved};
-    pl.result = {Tier::kDram, Placement::kInterleaved};
-  }
+  const Placement home = hm ? interleave_pm : interleave_dram;
+  OMEGA_RETURN_NOT_OK(run.Reserve(home, sparse_bytes + dense_bytes));
+  sparse::SpmmPlacements pl;
+  pl.index = pl.sparse = pl.dense = home;
+  pl.result = interleave_dram;
 
   const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
   CsrCache csr_cache;
   sparse::CsrSpmmPlan csr_plan;  // reused across the stage's SpMM calls
-  embed::ProneOptions prone = options.prone;
-  prone.pool = ctx.pool();  // host-side dense parallelism; sim-invariant
-  internal::StageTracker stages;
-  stages.Attach(&prone);
   uint64_t staging_site = 0;  // fault-site cursor across the staging reads
 
   embed::SpmmExecutor executor =
       [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
           linalg::DenseMatrix* out) -> Result<double> {
-    exec::PhaseSpan span(ctx, stages.NextSpmmName());
+    exec::PhaseSpan span(ctx, run.NextSpmmName());
     *out = linalg::DenseMatrix(m.num_rows(), in.cols());
     const graph::CsrMatrix& csr = csr_cache.Get(m);
     if (!csr_plan.Matches(csr, threads, sparse::CsrSpmmPlan::Split::kEqualRows)) {
@@ -231,43 +195,11 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
   };
 
   OMEGA_ASSIGN_OR_RETURN(embed::EmbeddingResult emb,
-                         embed::ProneEmbed(adjacency, prone, executor));
+                         embed::ProneEmbed(adjacency, run.prone(), executor));
   // ProNE runs its dense algebra in DRAM (ProNE-HM stages operands there; the
   // per-SpMM staging charge above covers the PM transfers).
-  const DenseStageModel dense_model =
-      EstimateDenseStage(g.num_nodes(), options.prone);
-  const Placement dense_home = interleave_dram;
-  double dense_tsvd = 0.0;
-  double dense_cheb = 0.0;
-  {
-    exec::PhaseSpan tsvd_span(ctx, "factorize.dense");
-    dense_tsvd = DenseStageSeconds(ctx, dense_home, dense_model.tsvd_bytes,
-                                   dense_model.tsvd_flops);
-    tsvd_span.AddSimSeconds(dense_tsvd);
-  }
-  {
-    exec::PhaseSpan cheb_span(ctx, "propagate.dense");
-    dense_cheb = DenseStageSeconds(ctx, dense_home, dense_model.cheb_bytes,
-                                   dense_model.cheb_flops);
-    cheb_span.AddSimSeconds(dense_cheb);
-  }
-  report.factorize_seconds = emb.factorize_seconds + dense_tsvd;
-  report.propagate_seconds = emb.propagate_seconds + dense_cheb;
-  report.embed_seconds = report.factorize_seconds + report.propagate_seconds;
-  report.total_seconds = report.read_seconds + report.embed_seconds;
-  report.remote_fraction = ms->Traffic().RemoteFraction();
-  report.faults_enabled = ms->faults_enabled();
-  report.faults = ms->Faults();
-  report.embedding = emb.ToOriginalOrder();
-  report.phases = recorder.TakeRecords();
-  if (options.evaluate_quality) {
-    OMEGA_ASSIGN_OR_RETURN(double auc,
-                           embed::LinkPredictionAuc(g, report.embedding,
-                                                    options.quality_samples,
-                                                    options.prone.seed));
-    report.link_auc = auc;
-  }
-  return report;
+  return run.Finish(g, emb, emb.factorize_seconds, emb.propagate_seconds,
+                    DenseHome{});
 }
 
 namespace {
@@ -311,29 +243,14 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
                                      const std::string& dataset,
                                      const EngineOptions& options,
                                      const exec::Context& outer_ctx) {
-  memsim::MemorySystem* ms = outer_ctx.ms();
-  ms->ResetTraffic();
-  ms->ResetFaults();
-
-  exec::TraceRecorder recorder;
-  const exec::Context ctx =
-      outer_ctx.WithThreads(options.num_threads).WithTrace(&recorder);
-  ThreadPool* pool = ctx.pool();
+  internal::ProneRun run(dataset, options, outer_ctx);
+  const exec::Context& ctx = run.ctx();
+  memsim::MemorySystem* ms = ctx.ms();
   const int threads = ctx.threads();
-  const OutOfCoreProfile profile = options.system == SystemKind::kGinex
-                                       ? GinexProfile()
-                                       : MariusProfile();
-
-  RunReport report;
-  report.system = SystemName(options.system);
-  report.dataset = dataset;
+  const bool ginex = options.system == SystemKind::kGinex;
+  const OutOfCoreProfile profile = ginex ? GinexProfile() : MariusProfile();
   // Graph preprocessed into the system's on-SSD format.
-  {
-    exec::PhaseSpan read_span(ctx, "read");
-    report.read_seconds = SimulatedGraphReadSeconds(ctx, GraphFormat::kCsr,
-                                                    g.num_arcs(), g.num_nodes());
-    read_span.AddSimSeconds(report.read_seconds);
-  }
+  run.Read(g, GraphFormat::kCsr);
 
   const size_t dense_bytes = DenseWorkingSetBytes(g.num_nodes(), options.prone);
   const size_t dram_total =
@@ -342,8 +259,7 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
   // budgets the frame pool below and the analytic hit model.
   constexpr double kFeatureCacheFraction = 0.75;
   const double naive_hit = std::min(
-      1.0,
-      static_cast<double>(dram_total) * kFeatureCacheFraction / dense_bytes);
+      1.0, static_cast<double>(dram_total) * kFeatureCacheFraction / dense_bytes);
   const double hit_rate = std::min(0.98, naive_hit * profile.cache_boost);
 
   // The in-DRAM feature cache is carved from the shared frame pool. Ginex's
@@ -356,25 +272,18 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
       static_cast<double>(dram_total) * kFeatureCacheFraction);
   buffer::BufferManager feature_cache(
       ms, buffer::BufferManager::Options{
-              cache_budget, options.system == SystemKind::kGinex
-                                ? buffer::EvictionPolicy::kHotPinned
-                                : buffer::EvictionPolicy::kLru});
+              cache_budget, ginex ? buffer::EvictionPolicy::kHotPinned
+                                  : buffer::EvictionPolicy::kLru});
   const size_t cached_bytes = std::min(dense_bytes, cache_budget);
   buffer::PinHandle ginex_hot;  // held for the whole run
-  if (options.system == SystemKind::kGinex) {
+  for (int i = 0; i < (ginex ? 1 : 8); ++i) {
+    // Marius drops each handle immediately: resident but evictable.
     auto pin = feature_cache.Pin(
         feature_cache.UniqueKey(Tier::kDram, Placement::kInterleaved),
-        cached_bytes);
-    if (pin.ok()) {
+        ginex ? cached_bytes : cached_bytes / 8);
+    if (ginex && pin.ok()) {
       ginex_hot = std::move(pin).value();
       (void)feature_cache.MarkHot(ginex_hot.key());
-    }
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      auto pin = feature_cache.Pin(
-          feature_cache.UniqueKey(Tier::kDram, Placement::kInterleaved),
-          cached_bytes / 8);
-      (void)pin;  // handle dropped immediately: resident but evictable
     }
   }
 
@@ -383,15 +292,11 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
   sparse::CsrSpmmPlan csr_plan;  // reused across the stage's SpMM calls
   const Placement ssd{Tier::kSsd, 0};
   const Placement dram{Tier::kDram, Placement::kInterleaved};
-  embed::ProneOptions prone = options.prone;
-  prone.pool = ctx.pool();  // host-side dense parallelism; sim-invariant
-  internal::StageTracker stages;
-  stages.Attach(&prone);
 
   embed::SpmmExecutor executor =
       [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
           linalg::DenseMatrix* out) -> Result<double> {
-    exec::PhaseSpan span(ctx, stages.NextSpmmName());
+    exec::PhaseSpan span(ctx, run.NextSpmmName());
     *out = linalg::DenseMatrix(m.num_rows(), in.cols());
     const graph::CsrMatrix& csr = csr_cache.Get(m);
     const size_t d = in.cols();
@@ -408,7 +313,7 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
     // Fresh WorkerCtxs per execute: seed their fault-site cursors from the
     // execute epoch so the miss-read retry loop doesn't replay one draw key.
     const uint64_t fault_epoch = ms->NextFaultEpoch();
-    pool->RunOnAll([&](size_t worker) {
+    ctx.pool()->RunOnAll([&](size_t worker) {
       if (worker >= static_cast<size_t>(threads)) return;
       const sparse::CsrPlanPart& part = csr_plan.parts()[worker];
       const uint32_t begin = part.row_begin;
@@ -468,43 +373,10 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
   };
 
   OMEGA_ASSIGN_OR_RETURN(embed::EmbeddingResult emb,
-                         embed::ProneEmbed(adjacency, prone, executor));
+                         embed::ProneEmbed(adjacency, run.prone(), executor));
   // Dense algebra runs on the accelerator over host memory.
-  const DenseStageModel dense_model =
-      EstimateDenseStage(g.num_nodes(), options.prone);
-  double dense_tsvd = 0.0;
-  double dense_cheb = 0.0;
-  {
-    exec::PhaseSpan tsvd_span(ctx, "factorize.dense");
-    dense_tsvd = DenseStageSeconds(ctx, dram, dense_model.tsvd_bytes,
-                                   dense_model.tsvd_flops,
-                                   profile.compute_rate_multiplier);
-    tsvd_span.AddSimSeconds(dense_tsvd);
-  }
-  {
-    exec::PhaseSpan cheb_span(ctx, "propagate.dense");
-    dense_cheb = DenseStageSeconds(ctx, dram, dense_model.cheb_bytes,
-                                   dense_model.cheb_flops,
-                                   profile.compute_rate_multiplier);
-    cheb_span.AddSimSeconds(dense_cheb);
-  }
-  report.factorize_seconds = emb.factorize_seconds + dense_tsvd;
-  report.propagate_seconds = emb.propagate_seconds + dense_cheb;
-  report.embed_seconds = report.factorize_seconds + report.propagate_seconds;
-  report.total_seconds = report.read_seconds + report.embed_seconds;
-  report.remote_fraction = ms->Traffic().RemoteFraction();
-  report.faults_enabled = ms->faults_enabled();
-  report.faults = ms->Faults();
-  report.embedding = emb.ToOriginalOrder();
-  report.phases = recorder.TakeRecords();
-  if (options.evaluate_quality) {
-    OMEGA_ASSIGN_OR_RETURN(double auc,
-                           embed::LinkPredictionAuc(g, report.embedding,
-                                                    options.quality_samples,
-                                                    options.prone.seed));
-    report.link_auc = auc;
-  }
-  return report;
+  return run.Finish(g, emb, emb.factorize_seconds, emb.propagate_seconds,
+                    DenseHome{dram, false, 0.0, profile.compute_rate_multiplier});
 }
 
 }  // namespace omega::engine

@@ -1,42 +1,20 @@
 #include "omega/engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 
 #include "buffer/buffer_manager.h"
-#include "buffer/staging.h"
 #include "common/logging.h"
-#include "durable/checkpoint.h"
 #include "embed/quality.h"
 #include "memsim/sim_clock.h"
 #include "numa/nadp.h"
 #include "omega/baselines.h"
+#include "omega/checkpointer.h"
 #include "omega/distributed_sim.h"
 #include "stream/asl.h"
 
 namespace omega::engine {
-
-namespace internal {
-
-void Reservation::Release() {
-  if (ms_ != nullptr && bytes_ > 0) ms_->Release(placement_, bytes_);
-  ms_ = nullptr;
-  bytes_ = 0;
-}
-
-Result<Reservation> Reservation::Make(memsim::MemorySystem* ms,
-                                      memsim::Placement placement, size_t bytes) {
-  OMEGA_RETURN_NOT_OK(ms->Reserve(placement, bytes));
-  Reservation r;
-  r.ms_ = ms;
-  r.placement_ = placement;
-  r.bytes_ = bytes;
-  return r;
-}
-
-}  // namespace internal
 
 RunReport FailedReport(SystemKind system, const std::string& dataset,
                        const Status& status) {
@@ -80,6 +58,10 @@ DenseStageModel EstimateDenseStage(uint64_t num_nodes,
   const uint64_t order = static_cast<uint64_t>(prone.chebyshev_order);
   model.cheb_bytes = order * 6 * n * d * sizeof(float);
   model.cheb_flops = order * 6 * n * d;
+  // Staged through a DRAM window, each QR pass and each Chebyshev term moves
+  // its block PM -> DRAM and back once.
+  model.tsvd_stage_bytes = 2 * n * l * sizeof(float) * qr_passes;
+  model.cheb_stage_bytes = 2 * n * d * sizeof(float) * order;
   return model;
 }
 
@@ -140,664 +122,359 @@ double SimulatedGraphReadSeconds(const exec::Context& ctx, GraphFormat format,
   return seconds;
 }
 
+namespace internal {
+
+ProneRun::ProneRun(const std::string& dataset, const EngineOptions& options,
+                   const exec::Context& outer)
+    : options_(options),
+      ctx_(outer.WithThreads(options.num_threads).WithTrace(&recorder_)),
+      prone_(options.prone) {
+  ctx_.ms()->ResetTraffic();
+  ctx_.ms()->ResetFaults();
+  report_.system = SystemName(options.system);
+  report_.dataset = dataset;
+  prone_.pool = ctx_.pool();  // host-side dense parallelism; sim-invariant
+  prone_.stage_notifier = [this](const char* stage) {
+    stage_ = stage;
+    spmm_index_ = 0;
+  };
+}
+
+ProneRun::~ProneRun() {
+  for (const auto& [where, bytes] : reserved_) ctx_.ms()->Release(where, bytes);
+}
+
+Status ProneRun::Reserve(memsim::Placement p, size_t bytes) {
+  OMEGA_RETURN_NOT_OK(ctx_.ms()->Reserve(p, bytes));
+  reserved_.emplace_back(p, bytes);
+  return Status::OK();
+}
+
+void ProneRun::Read(const graph::Graph& g, GraphFormat format) {
+  exec::PhaseSpan span(ctx_, "read");
+  report_.read_seconds =
+      SimulatedGraphReadSeconds(ctx_, format, g.num_arcs(), g.num_nodes());
+  span.AddSimSeconds(report_.read_seconds);
+}
+
+double ProneRun::DensePhase(const char* name, const DenseHome& home,
+                            uint64_t bytes, uint64_t flops, uint64_t stage_bytes) {
+  exec::PhaseSpan span(ctx_, name);
+  double seconds = DenseStageSeconds(ctx_, home.placement, bytes, flops,
+                                     home.flops_rate_multiplier);
+  if (home.staged) {
+    const double window = seconds;
+    const double stage = DenseStageSeconds(
+        ctx_, {memsim::Tier::kPm, memsim::Placement::kInterleaved}, stage_bytes, 0);
+    if (home.overlap_slowdown > 0.0) {
+      // Stage the next block PM -> DRAM behind the current block's algebra.
+      seconds = memsim::SimClock::OverlappedSeconds(window, stage,
+                                                    home.overlap_slowdown);
+      span.AddFetchSeconds(stage, window + stage - seconds);
+    } else {
+      seconds = window + stage;
+    }
+  }
+  span.AddSimSeconds(seconds);
+  return seconds;
+}
+
+Result<RunReport> ProneRun::Finish(const graph::Graph& g,
+                                   const embed::EmbeddingResult& emb,
+                                   double factorize_spmm, double propagate_spmm,
+                                   const DenseHome& home) {
+  const DenseStageModel model = EstimateDenseStage(g.num_nodes(), options_.prone);
+  const double tsvd = DensePhase("factorize.dense", home, model.tsvd_bytes,
+                                 model.tsvd_flops, model.tsvd_stage_bytes);
+  const double cheb = DensePhase("propagate.dense", home, model.cheb_bytes,
+                                 model.cheb_flops, model.cheb_stage_bytes);
+  RunReport& r = report_;
+  r.factorize_seconds = factorize_spmm + tsvd;
+  r.propagate_seconds = propagate_spmm + cheb;
+  r.embed_seconds = r.factorize_seconds + r.propagate_seconds;
+  r.total_seconds = r.read_seconds + r.embed_seconds + r.ckpt_seconds + r.recovery_seconds;
+  r.remote_fraction = ctx_.ms()->Traffic().RemoteFraction();
+  r.faults_enabled = ctx_.ms()->faults_enabled();
+  r.faults = ctx_.ms()->Faults();
+  r.embedding = emb.ToOriginalOrder();
+  r.phases = recorder_.TakeRecords();
+  if (options_.evaluate_quality) {
+    OMEGA_ASSIGN_OR_RETURN(r.link_auc,
+                           embed::LinkPredictionAuc(g, r.embedding, options_.quality_samples,
+                                                    options_.prone.seed));
+  }
+  return std::move(r);
+}
+
+}  // namespace internal
+
 namespace {
 
-// Snapshot stages of the OMeGa-family engines. Stored in each checkpoint's
-// meta entry; restore skips (and does not recharge) everything at or before
-// the stage, which is what makes a resumed run's embedding bitwise identical
-// to an uninterrupted one.
-enum CkptStage : uint32_t {
-  kStageNone = 0,
-  kStageReadDone = 1,       ///< graph read + format build done
-  kStageFactorizeDone = 2,  ///< stage-1 basis R available ("r0")
-  kStagePropagate = 3,      ///< mid-Chebyshev ("t_prev"/"t_cur"/"partial")
-  kStageEmbedDone = 4,      ///< final embedding available ("vectors" + perm)
-};
+// The charged SpMM executor of the OMeGa family: NaDP/EaTA/WoFP kernels
+// behind a plan cache, the WoFP fault probe, and the ASL partition stream.
+//
+// Plan/execute split: ProNE issues dozens of SpMMs against only two sparse
+// structures (the stage-1 target and the stage-2 propagation matrix), so the
+// inspector work — EaTA allocation, in-degree scan, WoFP stores, and the ASL
+// Eq. 9 solve — is cached across calls. Plan reuse is host-side only; every
+// simulated charge is replayed per call (two-clock contract).
+class OmegaSpmm {
+ public:
+  OmegaSpmm(const OmegaPlacement& placement, const EngineOptions& options,
+            const exec::Context& ctx)
+      : placement_(placement),
+        features_(options.features),
+        recovery_(options.fault_recovery),
+        ctx_(ctx),
+        nadp_(placement.nadp),
+        // With async staging, staged partitions live in a shared
+        // BufferManager pool (LRU over the DRAM window) and each fetch
+        // contends with compute for bandwidth.
+        stage_frames_(placement.async_staging
+                          ? std::make_unique<buffer::BufferManager>(
+                                ctx.ms(), buffer::BufferManager::Options{
+                                              placement.asl_budget,
+                                              buffer::EvictionPolicy::kLru})
+                          : nullptr) {}
 
-// Simulated seconds travel through checkpoint words bit-exactly.
-uint64_t SecondsToBits(double s) {
-  uint64_t b;
-  std::memcpy(&b, &s, sizeof(b));
-  return b;
-}
-double BitsToSeconds(uint64_t b) {
-  double s;
-  std::memcpy(&s, &b, sizeof(s));
-  return s;
-}
-
-// OMeGa / OMeGa-DRAM / OMeGa-PM share one implementation parameterized by
-// where data lives.
-Result<RunReport> RunOmegaFamily(const graph::Graph& g, const std::string& dataset,
-                                 const EngineOptions& options,
-                                 const exec::Context& outer_ctx) {
-  using memsim::Placement;
-  using memsim::Tier;
-  memsim::MemorySystem* ms = outer_ctx.ms();
-  ms->ResetTraffic();
-  ms->ResetFaults();
-
-  // The run records its phases into a local recorder that becomes
-  // report.phases; RunEmbedding forwards them to any outer recorder.
-  exec::TraceRecorder recorder;
-  const exec::Context ctx =
-      outer_ctx.WithThreads(options.num_threads).WithTrace(&recorder);
-  const int threads = ctx.threads();
-
-  RunReport report;
-  report.system = SystemName(options.system);
-  report.dataset = dataset;
-
-  // --- Durability: restore, checkpoint cadence, simulated kill sites --------
-  // All of it inert (and byte-identical to the seed) unless a CheckpointStore
-  // is attached. Restore reads the last committed snapshot back from PM
-  // (charged into "ckpt.restore" / recovery_seconds) and truncates any torn
-  // tail a mid-checkpoint crash left behind, so the log stays appendable.
-  const DurabilityOptions& durability = options.durability;
-  durable::CheckpointStore* ckpt_store = durability.store;
-  double ckpt_seconds = 0.0;
-  double restored_read = 0.0;
-  double restored_factorize = 0.0;
-  double restored_propagate = 0.0;
-  uint32_t resume_stage = kStageNone;
-  durable::CheckpointSnapshot resume_snap;
-  if (ckpt_store != nullptr && durability.restore) {
-    exec::PhaseSpan restore_span(ctx, "ckpt.restore");
-    durable::CkptCosts costs;
-    auto snap = durable::ReadLastSnapshot(ckpt_store, &costs);
-    restore_span.AddSimSeconds(costs.seconds);
-    restore_span.AddCkptCounters(costs.entries, costs.bytes, costs.barriers);
-    report.recovery_seconds += costs.seconds;
-    ckpt_store->TruncateToValidPrefix();
-    if (snap.ok()) {
-      resume_snap = std::move(snap).value();
-      resume_stage = resume_snap.stage;
-      if (resume_snap.words.size() < 3) {
-        return Status::IOError("checkpoint snapshot missing timing words");
-      }
-      restored_read = BitsToSeconds(resume_snap.words[0]);
-      restored_factorize = BitsToSeconds(resume_snap.words[1]);
-      restored_propagate = BitsToSeconds(resume_snap.words[2]);
-    } else if (!snap.status().IsNotFound()) {
-      return snap.status();
-    }
-    // NotFound: nothing committed survived — run from scratch.
-  }
-  // Simulated-kill test hook: true when the configured crash site is `site`.
-  auto kill_here = [&](const std::string& site) {
-    return ckpt_store != nullptr && durability.crash_after_phase == site;
-  };
-  // Stage-seconds accumulators feeding checkpoint metadata; they start from
-  // the restored values so a later checkpoint carries whole-run stage times.
-  double factorize_spmm_seconds = restored_factorize;
-  double propagate_spmm_seconds = restored_propagate;
-  // Writes one snapshot group after `site` completes (torn when the
-  // simulated kill lands mid-checkpoint), then dies if `site` is the kill
-  // site.
-  auto checkpoint =
-      [&](const std::string& site, uint32_t stage, uint64_t next_term,
-          std::vector<std::pair<std::string, linalg::DenseMatrix>> matrices,
-          std::vector<uint64_t> extra_words) -> Status {
-    durable::CheckpointSnapshot snap;
-    snap.stage = stage;
-    snap.next_term = next_term;
-    snap.matrices = std::move(matrices);
-    snap.words = {SecondsToBits(report.read_seconds),
-                  SecondsToBits(factorize_spmm_seconds),
-                  SecondsToBits(propagate_spmm_seconds)};
-    snap.words.insert(snap.words.end(), extra_words.begin(), extra_words.end());
-    {
-      exec::PhaseSpan span(ctx, "ckpt.write");
-      const bool torn = kill_here(site) && durability.crash_tear_checkpoint;
-      auto costs = torn ? durable::WriteSnapshotTorn(ckpt_store, snap)
-                        : durable::WriteSnapshot(ckpt_store, snap);
-      OMEGA_RETURN_NOT_OK(costs.status());
-      span.AddSimSeconds(costs.value().seconds);
-      span.AddCkptCounters(costs.value().entries, costs.value().bytes,
-                           costs.value().barriers);
-      ckpt_seconds += costs.value().seconds;
-    }
-    if (kill_here(site)) return durable::KilledError(site);
-    return Status::OK();
-  };
-
-  const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
-  if (resume_stage >= kStageReadDone) {
-    // Resumed past the read: the pre-crash run already paid it.
-    report.read_seconds = restored_read;
-  } else {
-    {
-      exec::PhaseSpan read_span(ctx, "read");
-      report.read_seconds =
-          SimulatedGraphReadSeconds(ctx, GraphFormat::kCsdb, g.num_arcs(),
-                                    g.num_nodes());
-      read_span.AddSimSeconds(report.read_seconds);
-    }
-    if (ckpt_store != nullptr) {
-      OMEGA_RETURN_NOT_OK(checkpoint("read", kStageReadDone, 0, {}, {}));
-    }
-  }
-
-  // --- Placement decisions + capacity reservations ---------------------------
-  // Two sparse structures are live at peak: the adjacency plus either the
-  // stage-1 target matrix or the stage-2 propagation matrix (same pattern).
-  const size_t sparse_bytes = 2 * SparseBytes(g.num_arcs());
-  const size_t dense_bytes = DenseWorkingSetBytes(g.num_nodes(), options.prone);
-  const Placement interleave_dram{Tier::kDram, Placement::kInterleaved};
-  const Placement interleave_pm{Tier::kPm, Placement::kInterleaved};
-
-  std::vector<internal::Reservation> reservations;
-  numa::NadpOptions nadp;
-  nadp.num_threads = threads;
-  nadp.allocator = options.features.allocator;
-  nadp.beta = options.beta;
-  nadp.enabled = options.features.use_nadp;
-  nadp.use_wofp = options.features.use_wofp;
-  nadp.wofp = options.features.wofp;
-
-  bool stream_dense = false;  // ASL engaged?
-  size_t asl_dram_budget = 0;
-  // Async double-buffered staging rides the ASL pipeline, so it applies only
-  // to heterogeneous OMeGa and only when ASL itself is on.
-  const bool async_staging = options.features.async_staging &&
-                             options.system == SystemKind::kOmega &&
-                             options.features.use_asl;
-
-  switch (options.system) {
-    case SystemKind::kOmegaDram: {
-      // Everything in DRAM; fails outright when it does not fit (Fig. 12's
-      // missing TW-2010/FR bars).
-      OMEGA_ASSIGN_OR_RETURN(
-          auto r1, internal::Reservation::Make(ms, interleave_dram, sparse_bytes));
-      OMEGA_ASSIGN_OR_RETURN(
-          auto r2, internal::Reservation::Make(ms, interleave_dram, dense_bytes));
-      reservations.push_back(std::move(r1));
-      reservations.push_back(std::move(r2));
-      nadp.sparse_tier = Tier::kDram;
-      nadp.dense_tier = Tier::kDram;
-      nadp.result_tier = Tier::kDram;
-      break;
-    }
-    case SystemKind::kOmegaPm: {
-      // Worst baseline: every data path on PM, including the WoFP store (so
-      // prefetch hits buy nothing).
-      OMEGA_ASSIGN_OR_RETURN(
-          auto r1, internal::Reservation::Make(ms, interleave_pm,
-                                               sparse_bytes + dense_bytes));
-      reservations.push_back(std::move(r1));
-      nadp.sparse_tier = Tier::kPm;
-      nadp.dense_tier = Tier::kPm;
-      nadp.result_tier = Tier::kPm;
-      nadp.wofp.cache_placement = {Tier::kPm, 0};
-      break;
-    }
-    case SystemKind::kOmega:
-    default: {
-      // Heterogeneous: sparse matrix and dense working set live on PM (the
-      // App-directed data home); DRAM is a managed window holding the WoFP
-      // stores, socket-local intermediates, and — when the working set
-      // exceeds it — the ASL staging buffers whose PM<->DRAM transfers
-      // overlap with compute. Gathers therefore hit PM unless WoFP
-      // intercepted the row, which is exactly §III-C's design.
-      OMEGA_ASSIGN_OR_RETURN(
-          auto r1, internal::Reservation::Make(ms, interleave_pm,
-                                               sparse_bytes + dense_bytes));
-      reservations.push_back(std::move(r1));
-      const size_t dram_free =
-          ms->AvailableBytes(Tier::kDram, 0) + ms->AvailableBytes(Tier::kDram, 1);
-      if (dense_bytes > dram_free / 2) {
-        // The dense working set exceeds the DRAM window: blocks must be
-        // staged PM <-> DRAM regardless; use_asl decides whether the
-        // staging overlaps with compute (§III-E) or runs synchronously.
-        stream_dense = true;
-        asl_dram_budget = dram_free / 2;
-      }
-      if (async_staging && !stream_dense) {
-        // Async staging routes the SpMM dense operand through the ASL
-        // pipeline even when the working set fits DRAM: partitions are
-        // staged PM -> DRAM ahead of compute and gathered at DRAM cost,
-        // with the fetch stream overlapped against compute (Fig. 9).
-        asl_dram_budget = dram_free / 2;
-      }
-      nadp.sparse_tier = Tier::kPm;
-      nadp.dense_tier = Tier::kPm;
-      nadp.result_tier = Tier::kDram;
-      break;
-    }
-  }
-
-  // Simulated PIM gang: only heterogeneous OMeGa offloads (the DRAM/PM
-  // baselines pin every byte to one tier by construction, and the
-  // Interleaved baseline ignores the config inside NaDP). Bank geometry and
-  // per-bank MAC rate come from the simulated machine, so profile overrides
-  // flow into the placement's cost model automatically.
-  if (options.system == SystemKind::kOmega && options.features.pim_banks > 0) {
-    nadp.pim.banks = options.features.pim_banks;
-    nadp.pim.mram_bytes_per_bank =
-        ms->topology().config().pim_mram_bytes_per_bank;
-    nadp.pim.bank_ops_per_second =
-        ms->cost_model().profiles().pim_bank_ops_per_second;
-    nadp.pim.policy = options.features.pim_placement;
-  }
-
-  // ASL staging engages either because the dense working set exceeds the
-  // DRAM window (stream_dense) or because async staging opted in. With async
-  // on, staged partitions live in a shared BufferManager pool (LRU over the
-  // DRAM window) and each fetch contends with compute for bandwidth.
-  const bool staged_spmm = stream_dense || async_staging;
-  const double stage_slowdown =
-      async_staging
-          ? buffer::FetchSlowdown(ms, interleave_pm, interleave_dram, threads)
-          : 1.0;
-  std::unique_ptr<buffer::BufferManager> stage_frames;
-  if (async_staging) {
-    stage_frames = std::make_unique<buffer::BufferManager>(
-        ms, buffer::BufferManager::Options{asl_dram_budget,
-                                           buffer::EvictionPolicy::kLru});
-  }
-
-  // --- The charged SpMM executor handed to the embedder ----------------------
-  embed::ProneOptions prone = options.prone;
-  prone.pool = ctx.pool();  // host-side dense parallelism; sim-invariant
-  internal::StageTracker stages;
-  stages.Attach(&prone);
-
-  // Durability hooks into the ProNE pipeline: a stage-boundary checkpoint
-  // after the tSVD, a cadence checkpoint (and the term.<k> kill sites) inside
-  // the Chebyshev recurrence, and the resume wiring that skips completed
-  // stages with the restored state.
-  embed::ProneDurability prone_durability;
-  linalg::DenseMatrix resume_r0;
-  embed::ChebyshevResume cheb_resume;
-  if (ckpt_store != nullptr) {
-    prone_durability.after_factorize =
-        [&](const linalg::DenseMatrix& r0) -> Status {
-      return checkpoint("factorize", kStageFactorizeDone, 0, {{"r0", r0}}, {});
-    };
-    prone_durability.cheb.after_term =
-        [&](size_t next_term, const linalg::DenseMatrix& t_prev,
-            const linalg::DenseMatrix& t_cur,
-            const linalg::DenseMatrix& partial) -> Status {
-      const uint64_t term = next_term - 1;  // the term that just landed
-      const std::string site = "term." + std::to_string(term);
-      if (durability.checkpoint_every > 0 &&
-          term % durability.checkpoint_every == 0) {
-        return checkpoint(site, kStagePropagate, next_term,
-                          {{"t_prev", t_prev},
-                           {"t_cur", t_cur},
-                           {"partial", partial}},
-                          {});
-      }
-      if (kill_here(site)) return durable::KilledError(site);
-      return Status::OK();
-    };
-    if (resume_stage == kStageFactorizeDone) {
-      for (auto& [tag, m] : resume_snap.matrices) {
-        if (tag == "r0") resume_r0 = std::move(m);
-      }
-      if (resume_r0.rows() == 0) {
-        return Status::IOError("checkpoint snapshot missing the r0 matrix");
-      }
-      prone_durability.resume_r0 = &resume_r0;
-    } else if (resume_stage == kStagePropagate) {
-      for (auto& [tag, m] : resume_snap.matrices) {
-        if (tag == "t_prev") {
-          cheb_resume.t_prev = std::move(m);
-        } else if (tag == "t_cur") {
-          cheb_resume.t_cur = std::move(m);
-        } else if (tag == "partial") {
-          cheb_resume.partial = std::move(m);
-        }
-      }
-      cheb_resume.next_term = resume_snap.next_term;
-      if (!cheb_resume.valid() || cheb_resume.partial.rows() == 0 ||
-          cheb_resume.t_prev.rows() == 0) {
-        return Status::IOError("checkpoint snapshot missing recurrence state");
-      }
-      // Stage 1 is skipped; the resumed recurrence reads only the basis'
-      // shape, so the accumulator doubles as a stand-in for R.
-      resume_r0 = cheb_resume.partial;
-      prone_durability.resume_r0 = &resume_r0;
-      prone_durability.cheb.resume = &cheb_resume;
-    }
-    prone.durability = &prone_durability;
-  }
-  double wofp_build_seconds = 0.0;
-  // PIM sub-phase seconds accumulate across every SpMM and surface as three
-  // end-of-run aux records (contained in the SpMM phases, like wofp_build).
-  double pim_transfer_seconds = 0.0;
-  double pim_compute_seconds = 0.0;
-  double pim_reduce_seconds = 0.0;
-  uint64_t pim_degraded_blocks = 0;
-
-  // Plan/execute split: ProNE issues dozens of SpMMs against only two sparse
-  // structures (the stage-1 target and the stage-2 propagation matrix), so
-  // the inspector work — EaTA allocation, in-degree scan, WoFP stores, and
-  // the ASL Eq. 9 solve — is cached across calls. Plan reuse is host-side
-  // only; every simulated charge is replayed per call (two-clock contract).
-  numa::NadpPlanCache plan_cache;
-  struct AslPartitionCacheEntry {
-    size_t dense_rows = 0;
-    size_t dense_cols = 0;
-    size_t partitions = 0;
-  } asl_parts;
-
-  // Fault recovery state: a dropped WoFP cache stays dropped for the rest of
-  // the run (flipping nadp.use_wofp changes the plan-cache key, so the next
-  // SpMM rebuilds a cache-less plan = PM-resident gathers). The site cursors
-  // persist across SpMM calls so repeated passes draw fresh faults.
-  bool wofp_dropped = false;
-  uint64_t wofp_probe_site = 0;
-  uint64_t asl_fault_site = 0;
-
-  // Mirrors ProneEmbed's per-stage accumulation so checkpoint metadata can
-  // carry whole-run stage seconds (same values, same addition order).
-  auto account_stage_seconds = [&](double seconds) {
-    (stages.stage() == "propagate" ? propagate_spmm_seconds
-                                   : factorize_spmm_seconds) += seconds;
-  };
-
-  embed::SpmmExecutor executor =
-      [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-          linalg::DenseMatrix* out) -> Result<double> {
-    exec::PhaseSpan span(ctx, stages.NextSpmmName());
+  /// out = m * in, traced as the phase `name`; returns its simulated seconds.
+  Result<double> Run(const std::string& name, const graph::CsdbMatrix& m,
+                     const linalg::DenseMatrix& in, linalg::DenseMatrix* out) {
+    exec::PhaseSpan span(ctx_, name);
     *out = linalg::DenseMatrix(m.num_rows(), in.cols());
-    double fault_overhead = 0.0;
-    if (ms->faults_enabled() && nadp.use_wofp && !wofp_dropped) {
-      // Probe the cache tier before relying on it; a tier that keeps
-      // faulting costs more through the gather-intercept path than the PM
-      // reads it saves, so the engine degrades by dropping the cache.
-      const prefetch::CacheProbeResult probe = prefetch::ProbeCacheTier(
-          ms, nadp.wofp.cache_placement, options.fault_recovery.wofp_probe_retries,
-          memsim::kFaultStreamWofpProbe, &wofp_probe_site);
-      fault_overhead += probe.seconds;
-      if (!probe.healthy) {
-        wofp_dropped = true;
-        nadp.use_wofp = false;
-        exec::PhaseRecord drop;
-        drop.name = "fault.wofp.drop";
-        drop.aux = true;
-        recorder.Record(std::move(drop));
-      }
+    double seconds = ProbeWofp();
+    const numa::NadpPlan& plan = Plan(m, in.cols());
+    span.AddPlanCounters(1, 0, 0);
+    if (placement_.staged()) {
+      OMEGA_ASSIGN_OR_RETURN(const double staged, Staged(plan, m, in, out, &span));
+      seconds += staged;
+    } else {
+      seconds += Accumulate(numa::NadpExecute(plan, m, in, out, ctx_));
     }
-    // Async staging gathers the staged operand at DRAM cost: the plan (and
-    // its WoFP stores / charge metadata) is keyed on the DRAM dense tier, so
-    // the one-slot cache never thrashes against the synchronous variant.
-    numa::NadpOptions plan_opts = nadp;
-    if (async_staging) plan_opts.dense_tier = Tier::kDram;
+    span.AddSimSeconds(seconds);
+    return seconds;
+  }
+
+  /// The run's aux records, all contained in the SpMM phases: the WoFP
+  /// warm-up, the PIM sub-phases, and the plan-cache counters.
+  void RecordAux() const {
+    if (totals_.wofp_build_seconds > 0.0) Record("wofp_build", totals_.wofp_build_seconds);
+    if (totals_.pim_transfer_seconds + totals_.pim_compute_seconds +
+            totals_.pim_reduce_seconds > 0.0) {
+      Record("pim.transfer", totals_.pim_transfer_seconds);
+      Record("pim.compute", totals_.pim_compute_seconds);
+      // A degraded-block count piggybacks on pim.reduce's name so fault runs
+      // stay inspectable.
+      const uint64_t degraded = totals_.pim_degraded_blocks;
+      Record(degraded > 0 ? "pim.reduce (degraded=" + std::to_string(degraded) + ")"
+                          : "pim.reduce",
+             totals_.pim_reduce_seconds);
+    }
+    exec::PhaseRecord rec;
+    rec.name = "plan.cache";
+    rec.aux = true;
+    rec.plan_hits = plan_cache_.hits();
+    rec.plan_misses = plan_cache_.misses();
+    rec.plan_invalidations = plan_cache_.invalidations();
+    ctx_.trace()->Record(std::move(rec));
+  }
+
+ private:
+  void Record(std::string name, double sim_seconds = 0.0) const {
+    exec::PhaseRecord rec;
+    rec.name = std::move(name);
+    rec.sim_seconds = sim_seconds;
+    rec.aux = true;
+    ctx_.trace()->Record(std::move(rec));
+  }
+
+  // Under fault injection, probes the WoFP cache tier before relying on it.
+  // A tier that keeps faulting costs more through the gather-intercept path
+  // than the PM reads it saves, so the cache is dropped for the rest of the
+  // run: flipping use_wofp changes the plan key, so the next SpMM builds a
+  // cache-less plan (PM-resident gathers). Returns the probe's seconds.
+  double ProbeWofp() {
+    if (!ctx_.ms()->faults_enabled() || !nadp_.use_wofp) return 0.0;
+    const prefetch::CacheProbeResult probe = prefetch::ProbeCacheTier(
+        ctx_.ms(), nadp_.wofp.cache_placement, recovery_.wofp_probe_retries,
+        memsim::kFaultStreamWofpProbe, &wofp_probe_site_);
+    if (!probe.healthy) {
+      nadp_.use_wofp = false;
+      Record("fault.wofp.drop");
+    }
+    return probe.seconds;
+  }
+
+  const numa::NadpPlan& Plan(const graph::CsdbMatrix& m, size_t dense_cols) {
+    numa::NadpOptions key = nadp_;
+    // Async staging gathers the staged operand at DRAM cost: its plan (WoFP
+    // stores, charge metadata) is keyed on the DRAM dense tier.
+    if (placement_.async_staging) key.dense_tier = memsim::Tier::kDram;
     // The PIM ship cost is width-invariant while every other cost scales
-    // with the operand width, so the placement — and hence the plan key —
-    // is priced per dense width.
-    if (plan_opts.pim.banks > 0) plan_opts.pim.dense_cols = in.cols();
-    if (!plan_cache.Contains(m, plan_opts)) {
-      // Aux: plan building charges nothing, so its sim time is zero; the
-      // span still captures the host wall time the rebuild costs.
-      exec::PhaseSpan plan_span(ctx, "plan.build", /*aux=*/true);
-      plan_cache.Get(m, plan_opts, ctx);
+    // with the operand width, so the plan is priced per dense width.
+    if (key.pim.banks > 0) key.pim.dense_cols = dense_cols;
+    if (!plan_cache_.Contains(m, key)) {
+      // Aux: plan building charges nothing; the span captures its wall time.
+      exec::PhaseSpan plan_span(ctx_, "plan.build", /*aux=*/true);
+      plan_cache_.Get(m, key, ctx_);
       plan_span.AddPlanCounters(0, 1, 0);
     }
-    const numa::NadpPlan& plan = plan_cache.Get(m, plan_opts, ctx);
-    span.AddPlanCounters(1, 0, 0);
-    if (!staged_spmm) {
-      const numa::NadpResult r = numa::NadpExecute(plan, m, in, out, ctx);
-      wofp_build_seconds += r.wofp_build_seconds;
-      pim_transfer_seconds += r.pim_transfer_seconds;
-      pim_compute_seconds += r.pim_compute_seconds;
-      pim_reduce_seconds += r.pim_reduce_seconds;
-      pim_degraded_blocks += r.pim_degraded_blocks;
-      span.AddSimSeconds(fault_overhead + r.phase_seconds);
-      account_stage_seconds(fault_overhead + r.phase_seconds);
-      return fault_overhead + r.phase_seconds;
-    }
-    // ASL: stream the dense operand's column partitions PM -> DRAM and
-    // overlap each load with the previous partition's SpMM (§III-E).
+    return plan_cache_.Get(m, key, ctx_);
+  }
+
+  // Folds one execute's sub-phase seconds into the run totals; returns its
+  // phase seconds.
+  double Accumulate(const numa::NadpResult& r) {
+    totals_.wofp_build_seconds += r.wofp_build_seconds;
+    totals_.pim_transfer_seconds += r.pim_transfer_seconds;
+    totals_.pim_compute_seconds += r.pim_compute_seconds;
+    totals_.pim_reduce_seconds += r.pim_reduce_seconds;
+    totals_.pim_degraded_blocks += r.pim_degraded_blocks;
+    return r.phase_seconds;
+  }
+
+  // ASL: streams the dense operand's column partitions PM -> DRAM and
+  // overlaps each load with the previous partition's SpMM (§III-E).
+  Result<double> Staged(const numa::NadpPlan& plan, const graph::CsdbMatrix& m,
+                        const linalg::DenseMatrix& in, linalg::DenseMatrix* out,
+                        exec::PhaseSpan* span) {
     stream::AslConfig cfg;
     cfg.dense_rows = m.num_rows();
     cfg.dense_cols = in.cols();
     cfg.element_bytes = sizeof(float);
-    cfg.sparse_bytes = sparse_bytes;
-    cfg.dram_budget = asl_dram_budget + sparse_bytes +
+    cfg.sparse_bytes = placement_.sparse_bytes;
+    cfg.dram_budget = placement_.asl_budget + placement_.sparse_bytes +
                       2 * cfg.dense_rows * cfg.dense_cols * sizeof(float);
-    // Eq. 9 depends only on the dense shape (the budget terms are run
-    // constants), so the solve is cached alongside the NaDP plan. A pinned
-    // partition count (--asl-partitions) bypasses both solve and cache.
-    const size_t user_fixed = options.features.asl_fixed_partitions;
-    if (user_fixed > 0) {
-      cfg.fixed_partitions =
-          std::min(user_fixed, std::max<size_t>(1, cfg.dense_cols));
-    } else {
-      if (asl_parts.partitions == 0 || asl_parts.dense_rows != cfg.dense_rows ||
-          asl_parts.dense_cols != cfg.dense_cols) {
-        // Eq. 9 balances per-partition sparse re-walks against staged-load
-        // hiding, so async mode trusts it unchanged: a single partition
-        // (operand fits the window) degenerates to one staged prefetch whose
-        // gathers still run at DRAM cost.
-        OMEGA_ASSIGN_OR_RETURN(const size_t n, stream::OptimalPartitions(cfg));
-        asl_parts = {cfg.dense_rows, cfg.dense_cols, n};
-      }
-      cfg.fixed_partitions = asl_parts.partitions;
-    }
-    cfg.max_load_retries = options.fault_recovery.asl_max_retries;
-    cfg.retry_backoff_seconds = options.fault_recovery.asl_backoff_seconds;
-    cfg.allow_degraded = options.fault_recovery.allow_degraded;
-    cfg.fault_site = &asl_fault_site;
-    cfg.async_staging = async_staging;
-    cfg.fetch_slowdown = stage_slowdown;
-    stream::AslStreamer streamer(ctx, cfg, interleave_pm, interleave_dram,
-                                 stage_frames.get());
-    auto run = streamer.Run([&](size_t, size_t col_begin, size_t col_end) {
-      const numa::NadpResult r =
-          numa::NadpExecute(plan, m, in, out, ctx, col_begin, col_end);
-      wofp_build_seconds += r.wofp_build_seconds;
-      pim_transfer_seconds += r.pim_transfer_seconds;
-      pim_compute_seconds += r.pim_compute_seconds;
-      pim_reduce_seconds += r.pim_reduce_seconds;
-      pim_degraded_blocks += r.pim_degraded_blocks;
-      return r.phase_seconds;
-    });
-    if (!run.ok()) return run.status();
-    if (run.value().rebuild_recommended) {
-      if (user_fixed > 0) {
-        // The partition count is pinned: honor it across the degraded pass
-        // and log the override instead of silently re-solving Eq. 9.
-        OMEGA_LOG(Warning)
-            << "ASL: a partition degraded but the partition count is pinned "
-               "at "
-            << user_fixed << " (--asl-partitions); keeping the fixed count "
-            << "instead of re-solving Eq. 9";
-        exec::PhaseRecord degrade;
-        degrade.name = "fault.asl.degrade (fixed-partitions pinned)";
-        degrade.aux = true;
-        recorder.Record(std::move(degrade));
-      } else {
-        // A partition degraded to semi-external streaming: the PM home is
-        // unreliable, so drop the cached Eq. 9 solve and re-partition on
-        // the next SpMM.
-        asl_parts = {};
-        exec::PhaseRecord degrade;
-        degrade.name = "fault.asl.degrade";
-        degrade.aux = true;
-        recorder.Record(std::move(degrade));
-      }
-    }
-    double seconds = fault_overhead;
-    if (async_staging) {
+    OMEGA_ASSIGN_OR_RETURN(cfg.fixed_partitions, Partitions(cfg));
+    cfg.max_load_retries = recovery_.asl_max_retries;
+    cfg.retry_backoff_seconds = recovery_.asl_backoff_seconds;
+    cfg.allow_degraded = recovery_.allow_degraded;
+    cfg.fault_site = &asl_fault_site_;
+    cfg.async_staging = placement_.async_staging;
+    cfg.fetch_slowdown = placement_.fetch_slowdown;
+    stream::AslStreamer streamer(
+        ctx_, cfg, {memsim::Tier::kPm, memsim::Placement::kInterleaved},
+        {memsim::Tier::kDram, memsim::Placement::kInterleaved}, stage_frames_.get());
+    OMEGA_ASSIGN_OR_RETURN(
+        const stream::AslRunResult run,
+        streamer.Run([&](size_t, size_t col_begin, size_t col_end) {
+          return Accumulate(numa::NadpExecute(plan, m, in, out, ctx_, col_begin, col_end));
+        }));
+    if (run.rebuild_recommended) Degraded();
+    if (placement_.async_staging) {
       // Partition k+1's fetch ran behind partition k's compute; the phase
       // pays only the exposed remainder and reports what was hidden.
-      seconds += run.value().overlapped_seconds;
-      span.AddFetchSeconds(run.value().fetch_seconds,
-                           run.value().hidden_seconds);
-    } else {
-      // Without ASL the same partition loads happen synchronously: nothing
-      // is hidden behind compute.
-      seconds += options.features.use_asl ? run.value().total_seconds
-                                          : run.value().serial_seconds;
+      span->AddFetchSeconds(run.fetch_seconds, run.hidden_seconds);
+      return run.overlapped_seconds;
     }
-    span.AddSimSeconds(seconds);
-    account_stage_seconds(seconds);
-    return seconds;
-  };
+    // Without ASL the same partition loads happen synchronously: nothing is
+    // hidden behind compute.
+    return features_.use_asl ? run.total_seconds : run.serial_seconds;
+  }
 
-  embed::EmbeddingResult emb;
-  if (resume_stage == kStageEmbedDone) {
-    // The pre-crash run finished embedding: restore the final vectors and
-    // their permutation; only the dense stages below are recharged.
-    for (auto& [tag, m] : resume_snap.matrices) {
-      if (tag == "vectors") emb.vectors = std::move(m);
+  // Eq. 9 depends only on the dense shape (the budget terms are run
+  // constants), so the solve is cached alongside the NaDP plan. A pinned
+  // partition count (--asl-partitions) bypasses both solve and cache. Eq. 9
+  // balances per-partition sparse re-walks against staged-load hiding, so
+  // async mode trusts it unchanged: a single partition degenerates to one
+  // staged prefetch whose gathers still run at DRAM cost.
+  Result<size_t> Partitions(const stream::AslConfig& cfg) {
+    const size_t pinned = features_.asl_fixed_partitions;
+    if (pinned > 0) return std::min(pinned, std::max<size_t>(1, cfg.dense_cols));
+    if (asl_parts_.partitions == 0 || asl_parts_.dense_rows != cfg.dense_rows ||
+        asl_parts_.dense_cols != cfg.dense_cols) {
+      OMEGA_ASSIGN_OR_RETURN(const size_t n, stream::OptimalPartitions(cfg));
+      asl_parts_ = {cfg.dense_rows, cfg.dense_cols, n};
     }
-    if (emb.vectors.rows() == 0) {
-      return Status::IOError("checkpoint snapshot missing the embedding");
+    return asl_parts_.partitions;
+  }
+
+  // A partition degraded to semi-external streaming: the PM home is
+  // unreliable, so the cached Eq. 9 solve is dropped and the next SpMM
+  // re-partitions — unless the count is pinned, which is honored across the
+  // degraded pass with the override logged.
+  void Degraded() {
+    if (features_.asl_fixed_partitions > 0) {
+      OMEGA_LOG(Warning)
+          << "ASL: a partition degraded but the partition count is pinned at "
+          << features_.asl_fixed_partitions << " (--asl-partitions); keeping "
+          << "the fixed count instead of re-solving Eq. 9";
+      Record("fault.asl.degrade (fixed-partitions pinned)");
+    } else {
+      asl_parts_ = {};
+      Record("fault.asl.degrade");
     }
-    if (resume_snap.words.size() < 4 ||
-        resume_snap.words.size() < 4 + resume_snap.words[3]) {
-      return Status::IOError("checkpoint snapshot missing the permutation");
-    }
-    const uint64_t perm_size = resume_snap.words[3];
-    emb.perm.reserve(perm_size);
-    for (uint64_t i = 0; i < perm_size; ++i) {
-      emb.perm.push_back(
-          static_cast<graph::NodeId>(resume_snap.words[4 + i]));
-    }
+  }
+
+  const OmegaPlacement& placement_;
+  const OmegaFeatures& features_;
+  const FaultRecoveryOptions& recovery_;
+  const exec::Context ctx_;
+  numa::NadpOptions nadp_;  ///< use_wofp flips off when the cache is dropped
+  numa::NadpPlanCache plan_cache_;
+  std::unique_ptr<buffer::BufferManager> stage_frames_;
+  numa::NadpResult totals_;  ///< wofp_build / pim.* accumulators
+  struct {
+    size_t dense_rows = 0;
+    size_t dense_cols = 0;
+    size_t partitions = 0;
+  } asl_parts_;
+  // Fault-site cursors persist across SpMM calls so repeated passes draw
+  // fresh faults.
+  uint64_t wofp_probe_site_ = 0;
+  uint64_t asl_fault_site_ = 0;
+};
+
+// OMeGa / OMeGa-DRAM / OMeGa-PM: one pipeline over DecidePlacement's
+// placement, with durability from a Checkpointer and every SpMM through
+// OmegaSpmm.
+Result<RunReport> RunOmegaFamily(const graph::Graph& g, const std::string& dataset,
+                                 const EngineOptions& options,
+                                 const exec::Context& outer_ctx) {
+  internal::ProneRun run(dataset, options, outer_ctx);
+  const exec::Context& ctx = run.ctx();
+  RunReport& report = run.report();
+  Checkpointer ckpt(options.durability, ctx, g.num_nodes(), options.prone);
+  OMEGA_RETURN_NOT_OK(ckpt.Restore(&report.recovery_seconds));
+
+  const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
+  if (ckpt.resume_stage() >= Checkpointer::kReadDone) {
+    // Resumed past the read: the pre-crash run already paid it.
+    report.read_seconds = ckpt.read_seconds();
   } else {
-    OMEGA_ASSIGN_OR_RETURN(emb, embed::ProneEmbed(adjacency, prone, executor));
-    if (ckpt_store != nullptr) {
-      std::vector<uint64_t> perm_words;
-      perm_words.reserve(emb.perm.size() + 1);
-      perm_words.push_back(emb.perm.size());
-      for (graph::NodeId v : emb.perm) perm_words.push_back(v);
-      OMEGA_RETURN_NOT_OK(checkpoint("embed", kStageEmbedDone, 0,
-                                     {{"vectors", emb.vectors}},
-                                     std::move(perm_words)));
-    }
+    run.Read(g, GraphFormat::kCsdb);
+    OMEGA_RETURN_NOT_OK(ckpt.AfterRead(report.read_seconds));
   }
 
-  // WoFP warm-up runs concurrently inside each SpMM's workers; its straggler
-  // seconds are already contained in the SpMM phases, so it is an aux record.
-  if (wofp_build_seconds > 0.0) {
-    exec::PhaseRecord warmup;
-    warmup.name = "wofp_build";
-    warmup.sim_seconds = wofp_build_seconds;
-    warmup.aux = true;
-    recorder.Record(std::move(warmup));
+  const OmegaPlacement placement = DecidePlacement(
+      options, *ctx.ms(), g.num_nodes(), g.num_arcs(), ctx.threads());
+  for (const auto& [where, bytes] : placement.reservations) {
+    OMEGA_RETURN_NOT_OK(run.Reserve(where, bytes));
   }
-
-  // PIM sub-phases, likewise contained in the SpMM phases. A degraded-block
-  // count piggybacks on pim.reduce's name so fault runs stay inspectable.
-  if (pim_transfer_seconds + pim_compute_seconds + pim_reduce_seconds > 0.0) {
-    const std::pair<const char*, double> pim_phases[] = {
-        {"pim.transfer", pim_transfer_seconds},
-        {"pim.compute", pim_compute_seconds},
-        {"pim.reduce", pim_reduce_seconds},
+  OmegaSpmm spmm(placement, options, ctx);
+  ckpt.Wire(&run.prone());
+  embed::EmbeddingResult emb;
+  if (ckpt.resume_stage() == Checkpointer::kEmbedDone) {
+    // The pre-crash run finished embedding: only the dense stages below are
+    // recharged.
+    emb = ckpt.TakeEmbedding();
+  } else {
+    const embed::SpmmExecutor executor =
+        [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
+            linalg::DenseMatrix* out) -> Result<double> {
+      const bool propagate = run.propagating();
+      OMEGA_ASSIGN_OR_RETURN(const double seconds,
+                             spmm.Run(run.NextSpmmName(), m, in, out));
+      ckpt.AddSpmmSeconds(propagate, seconds);
+      return seconds;
     };
-    for (const auto& [name, seconds] : pim_phases) {
-      exec::PhaseRecord rec;
-      rec.name = name;
-      rec.sim_seconds = seconds;
-      rec.aux = true;
-      if (rec.name == "pim.reduce" && pim_degraded_blocks > 0) {
-        rec.name += " (degraded=" + std::to_string(pim_degraded_blocks) + ")";
-      }
-      recorder.Record(std::move(rec));
-    }
+    OMEGA_ASSIGN_OR_RETURN(emb, embed::ProneEmbed(adjacency, run.prone(), executor));
+    OMEGA_RETURN_NOT_OK(ckpt.AfterEmbed(emb));
   }
-
-  // Plan-cache accounting: the counters were previously kept by the cache
-  // but never reported; one aux record makes hit/miss/invalidation behavior
-  // visible in the trace JSON and the bench phase tables.
-  {
-    exec::PhaseRecord rec;
-    rec.name = "plan.cache";
-    rec.aux = true;
-    rec.plan_hits = plan_cache.hits();
-    rec.plan_misses = plan_cache.misses();
-    rec.plan_invalidations = plan_cache.invalidations();
-    recorder.Record(std::move(rec));
-  }
-
-  // Dense-algebra stages run where the dense working set lives: DRAM for the
-  // ideal, PM for the worst baseline, and the staged DRAM window (plus the
-  // PM streams feeding it) for heterogeneous OMeGa.
-  const DenseStageModel dense_model =
-      EstimateDenseStage(g.num_nodes(), options.prone);
-  double dense_tsvd = 0.0;
-  double dense_cheb = 0.0;
-  {
-    exec::PhaseSpan tsvd_span(ctx, "factorize.dense");
-    if (options.system == SystemKind::kOmegaPm) {
-      dense_tsvd = DenseStageSeconds(ctx, interleave_pm, dense_model.tsvd_bytes,
-                                     dense_model.tsvd_flops);
-    } else if (options.system == SystemKind::kOmegaDram) {
-      dense_tsvd = DenseStageSeconds(ctx, interleave_dram, dense_model.tsvd_bytes,
-                                     dense_model.tsvd_flops);
-    } else {
-      // kOmega: ops on the DRAM window + one PM stream in/out of each block.
-      const uint64_t l = options.prone.dim + options.prone.oversample;
-      const uint64_t stage_tsvd =
-          2 * g.num_nodes() * l * sizeof(float) *
-          (2 + 2 * static_cast<uint64_t>(options.prone.power_iterations));
-      const double window = DenseStageSeconds(
-          ctx, interleave_dram, dense_model.tsvd_bytes, dense_model.tsvd_flops);
-      const double stage = DenseStageSeconds(ctx, interleave_pm, stage_tsvd, 0);
-      if (async_staging) {
-        // Stage the next block PM -> DRAM behind the current block's algebra.
-        dense_tsvd = memsim::SimClock::OverlappedSeconds(window, stage,
-                                                         stage_slowdown);
-        tsvd_span.AddFetchSeconds(stage, window + stage - dense_tsvd);
-      } else {
-        dense_tsvd = window + stage;
-      }
-    }
-    tsvd_span.AddSimSeconds(dense_tsvd);
-  }
-  {
-    exec::PhaseSpan cheb_span(ctx, "propagate.dense");
-    if (options.system == SystemKind::kOmegaPm) {
-      dense_cheb = DenseStageSeconds(ctx, interleave_pm, dense_model.cheb_bytes,
-                                     dense_model.cheb_flops);
-    } else if (options.system == SystemKind::kOmegaDram) {
-      dense_cheb = DenseStageSeconds(ctx, interleave_dram, dense_model.cheb_bytes,
-                                     dense_model.cheb_flops);
-    } else {
-      const uint64_t stage_cheb =
-          2 * g.num_nodes() * options.prone.dim * sizeof(float) *
-          static_cast<uint64_t>(options.prone.chebyshev_order);
-      const double window = DenseStageSeconds(
-          ctx, interleave_dram, dense_model.cheb_bytes, dense_model.cheb_flops);
-      const double stage = DenseStageSeconds(ctx, interleave_pm, stage_cheb, 0);
-      if (async_staging) {
-        dense_cheb = memsim::SimClock::OverlappedSeconds(window, stage,
-                                                         stage_slowdown);
-        cheb_span.AddFetchSeconds(stage, window + stage - dense_cheb);
-      } else {
-        dense_cheb = window + stage;
-      }
-    }
-    cheb_span.AddSimSeconds(dense_cheb);
-  }
-
-  // factorize_spmm_seconds == restored + emb.factorize_seconds (same addition
-  // order as ProneEmbed's accumulator), so with durability off this is the
-  // seed's emb.factorize_seconds + dense_tsvd bit-for-bit.
-  report.factorize_seconds = factorize_spmm_seconds + dense_tsvd;
-  report.propagate_seconds = propagate_spmm_seconds + dense_cheb;
-  report.embed_seconds = report.factorize_seconds + report.propagate_seconds;
-  report.ckpt_seconds = ckpt_seconds;
-  report.total_seconds = report.read_seconds + report.embed_seconds +
-                         report.ckpt_seconds + report.recovery_seconds;
-  report.remote_fraction = ms->Traffic().RemoteFraction();
-  report.faults_enabled = ms->faults_enabled();
-  report.faults = ms->Faults();
-  report.embedding = emb.ToOriginalOrder();
-  report.phases = recorder.TakeRecords();
-
-  if (options.evaluate_quality) {
-    OMEGA_ASSIGN_OR_RETURN(double auc,
-                           embed::LinkPredictionAuc(g, report.embedding,
-                                                    options.quality_samples,
-                                                    options.prone.seed));
-    report.link_auc = auc;
-  }
-  return report;
+  spmm.RecordAux();
+  report.ckpt_seconds = ckpt.ckpt_seconds();
+  return run.Finish(g, emb, ckpt.factorize_seconds(), ckpt.propagate_seconds(),
+                    placement.dense);
 }
 
 }  // namespace

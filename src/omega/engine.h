@@ -18,69 +18,9 @@
 #include "memsim/memory_system.h"
 #include "omega/exec_context.h"
 #include "omega/options.h"
+#include "omega/placement.h"
 
 namespace omega::engine {
-
-namespace internal {
-
-/// RAII capacity reservation on the simulated machine; releases on scope
-/// exit. Used by the engines to model their resident working sets.
-class Reservation {
- public:
-  static Result<Reservation> Make(memsim::MemorySystem* ms,
-                                  memsim::Placement placement, size_t bytes);
-
-  Reservation() = default;
-  ~Reservation() { Release(); }
-
-  Reservation(const Reservation&) = delete;
-  Reservation& operator=(const Reservation&) = delete;
-  Reservation(Reservation&& other) noexcept { *this = std::move(other); }
-  Reservation& operator=(Reservation&& other) noexcept {
-    if (this != &other) {
-      Release();
-      ms_ = other.ms_;
-      placement_ = other.placement_;
-      bytes_ = other.bytes_;
-      other.ms_ = nullptr;
-      other.bytes_ = 0;
-    }
-    return *this;
-  }
-
- private:
-  /// Returns the reserved capacity and resets to the empty state.
-  void Release();
-
-  memsim::MemorySystem* ms_ = nullptr;
-  memsim::Placement placement_;
-  size_t bytes_ = 0;
-};
-
-/// Labels the engines' per-SpMM trace spans "<stage>.spmm.<k>" by listening
-/// to ProneEmbed's stage notifications. Must outlive the ProneEmbed call.
-class StageTracker {
- public:
-  /// Installs this tracker as `prone->stage_notifier`.
-  void Attach(embed::ProneOptions* prone) {
-    prone->stage_notifier = [this](const char* stage) {
-      stage_ = stage;
-      index_ = 0;
-    };
-  }
-
-  std::string NextSpmmName() {
-    return stage_ + ".spmm." + std::to_string(index_++);
-  }
-
-  const std::string& stage() const { return stage_; }
-
- private:
-  std::string stage_ = "factorize";
-  int index_ = 0;
-};
-
-}  // namespace internal
 
 /// Outcome of one end-to-end run.
 struct RunReport {
@@ -156,11 +96,15 @@ size_t SparseBytes(uint64_t num_arcs);
 /// tSVD's Householder QRs and small GEMMs (stage 1) and the Chebyshev
 /// recurrence's AXPY passes (stage 2). These run on whichever tier holds the
 /// dense working set, which is what separates the PM-only configuration.
+/// The `*_stage_bytes` are the PM streams in/out of each block when the
+/// working set is staged through a DRAM window (kOmega).
 struct DenseStageModel {
   uint64_t tsvd_bytes = 0;
   uint64_t tsvd_flops = 0;
+  uint64_t tsvd_stage_bytes = 0;
   uint64_t cheb_bytes = 0;
   uint64_t cheb_flops = 0;
+  uint64_t cheb_stage_bytes = 0;
 };
 DenseStageModel EstimateDenseStage(uint64_t num_nodes,
                                    const embed::ProneOptions& prone);
@@ -171,5 +115,58 @@ DenseStageModel EstimateDenseStage(uint64_t num_nodes,
 double DenseStageSeconds(const exec::Context& ctx, memsim::Placement p,
                          uint64_t bytes, uint64_t flops,
                          double flops_rate_multiplier = 1.0);
+
+namespace internal {
+
+/// Frame shared by the ProNE-based engines (the OMeGa family, ProNE and the
+/// out-of-core analogues): it resets the machine's counters, owns the run's
+/// trace recorder, capacity reservations and stage-labelled ProNE options,
+/// and finishes every report the same way. The ProNE stage notifier points
+/// back at the frame, so it stays where it was built.
+class ProneRun {
+ public:
+  ProneRun(const std::string& dataset, const EngineOptions& options,
+           const exec::Context& outer);
+  ~ProneRun();
+
+  ProneRun(const ProneRun&) = delete;
+  ProneRun& operator=(const ProneRun&) = delete;
+
+  const exec::Context& ctx() const { return ctx_; }
+  RunReport& report() { return report_; }
+  /// options.prone plus the host pool and the stage notifier.
+  embed::ProneOptions& prone() { return prone_; }
+
+  /// Names the next SpMM span "<stage>.spmm.<k>".
+  std::string NextSpmmName() {
+    return stage_ + ".spmm." + std::to_string(spmm_index_++);
+  }
+  bool propagating() const { return stage_ == "propagate"; }
+
+  /// Reserves `bytes` at `p` until the frame goes out of scope.
+  Status Reserve(memsim::Placement p, size_t bytes);
+  /// The "read" phase: simulated parse of `g` plus the `format` build.
+  void Read(const graph::Graph& g, GraphFormat format);
+  /// Charges the factorize.dense and propagate.dense phases on `home`, then
+  /// completes the report from the stages' SpMM seconds and `emb`.
+  Result<RunReport> Finish(const graph::Graph& g, const embed::EmbeddingResult& emb,
+                           double factorize_spmm, double propagate_spmm,
+                           const DenseHome& home);
+
+ private:
+  double DensePhase(const char* name, const DenseHome& home, uint64_t bytes,
+                    uint64_t flops, uint64_t stage_bytes);
+
+  const EngineOptions& options_;
+  exec::TraceRecorder recorder_;
+  exec::Context ctx_;
+  RunReport report_;
+  embed::ProneOptions prone_;
+  std::string stage_ = "factorize";
+  int spmm_index_ = 0;
+  std::vector<std::pair<memsim::Placement, size_t>> reserved_;
+};
+
+}  // namespace internal
 
 }  // namespace omega::engine

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "graph/traversal.h"
+#include "omega/placement.h"
 #include "sched/entropy.h"
 #include "sparse/csdb_ops.h"
 #include "sparse/spmm.h"
@@ -15,11 +17,6 @@ namespace {
 using memsim::MemOp;
 using memsim::Pattern;
 using memsim::Tier;
-
-bool OmegaFamily(SystemKind s) {
-  return s == SystemKind::kOmega || s == SystemKind::kOmegaDram ||
-         s == SystemKind::kOmegaPm;
-}
 
 /// Splits `ranges` into at most `parts` contiguous groups balanced by nnz.
 /// Deterministic: depends only on the ranges, their nnz, and `parts`.
@@ -69,6 +66,236 @@ std::vector<sched::Workload> SplitRanges(const graph::CsdbMatrix& a,
   return out;
 }
 
+// Runs fn(begin, end) over [0, count) on the pool when there are at least
+// `min_count` items to split, serially otherwise.
+void ForRange(const exec::Context& ctx, size_t count, size_t min_count,
+              const std::function<void(size_t, size_t)>& fn) {
+  if (ctx.pool() != nullptr && ctx.threads() > 1 && count >= min_count) {
+    ctx.pool()->ParallelFor(count, [&](size_t, size_t begin, size_t end) {
+      fn(begin, end);
+    });
+  } else {
+    fn(0, count);
+  }
+}
+
+// Step 4: moves the captured recurrence state into the new epoch's CSDB row
+// order when the degree sort moved.
+void RepermuteCapture(const std::vector<graph::NodeId>& new_perm,
+                      memsim::Placement dense, memsim::MemorySystem* ms,
+                      memsim::WorkerCtx* serial, embed::ChebyshevCapture* capture) {
+  if (capture->perm == new_perm) return;
+  const size_t n = new_perm.size();
+  std::vector<uint32_t> new_row_of_node(n);
+  for (size_t r = 0; r < n; ++r) new_row_of_node[new_perm[r]] = static_cast<uint32_t>(r);
+  auto repermute = [&](linalg::DenseMatrix* m) {
+    linalg::DenseMatrix out(m->rows(), m->cols());
+    for (size_t c = 0; c < m->cols(); ++c) {
+      const float* src = m->ColData(c);
+      float* dst = out.ColData(c);
+      for (size_t r = 0; r < m->rows(); ++r) dst[new_row_of_node[capture->perm[r]]] = src[r];
+    }
+    *m = std::move(out);
+  };
+  repermute(&capture->r0);
+  for (linalg::DenseMatrix& t : capture->terms) repermute(&t);
+  capture->perm = new_perm;
+  const uint64_t mats = 1 + capture->terms.size();
+  const uint64_t mat_bytes = mats * n * capture->r0.cols() * 4;
+  ms->ChargeAccess(serial, dense, MemOp::kRead, Pattern::kSequential, mat_bytes);
+  ms->ChargeAccess(serial, dense, MemOp::kWrite, Pattern::kRandom, mat_bytes, mats * n);
+}
+
+// Step 5: the BFS depth of the node each CSDB row embeds (UINT32_MAX = out of
+// every ball), from a multi-source BFS over the new graph.
+std::vector<uint32_t> AffectedRowLevels(const graph::Graph& g,
+                                        const std::vector<graph::NodeId>& touched,
+                                        bool all_rows, size_t order,
+                                        const std::vector<graph::NodeId>& perm,
+                                        memsim::Placement index,
+                                        memsim::MemorySystem* ms,
+                                        memsim::WorkerCtx* serial) {
+  const size_t n = perm.size();
+  std::vector<uint32_t> dist;
+  if (all_rows) {
+    dist.assign(n, 0);
+  } else {
+    dist = graph::BfsDistances(g, touched);
+    uint64_t scanned = 0;
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (dist[v] != UINT32_MAX && dist[v] + 1 < order) scanned += g.degree(v);
+    }
+    ms->ChargeAccess(serial, index, MemOp::kRead, Pattern::kRandom, scanned * 8,
+                     std::max<uint64_t>(1, scanned));
+    ms->ChargeCompute(serial, scanned * 2);
+  }
+  std::vector<uint32_t> row_level(n);
+  for (size_t r = 0; r < n; ++r) row_level[r] = dist[perm[r]];
+  return row_level;
+}
+
+// Step 6: the per-level recurrence update restricted to ball_k, priced like
+// NaDP (Fig. 10): each worker charges its own socket's devices at
+// socket-group contention, not the whole pool against one socket. Returns
+// the straggler SpMM seconds.
+double RefreshTerms(const exec::Context& ctx, const graph::CsdbMatrix& propagation,
+                    const numa::NadpPlan& plan, bool replay_wofp_build,
+                    const std::vector<uint32_t>& row_level, double beta,
+                    const sparse::SpmmPlacements& placements,
+                    memsim::WorkerCtx* serial, embed::ChebyshevCapture* capture) {
+  memsim::MemorySystem* ms = ctx.ms();
+  const int threads = std::max(1, ctx.threads());
+  const size_t n = row_level.size();
+  const size_t d = capture->r0.cols();
+  const size_t order = capture->coefficients.size();  // T_0..T_{K-1}
+  memsim::ClockGroup clocks(static_cast<size_t>(threads));
+  std::vector<memsim::WorkerCtx> wctx(threads);
+  std::vector<int> socket_threads(std::max(1, ms->topology().num_sockets()), 0);
+  for (int t = 0; t < threads; ++t) {
+    ++socket_threads[ms->topology().SocketOfWorker(t, threads)];
+  }
+  std::vector<sparse::SpmmPlacements> worker_placements(threads, placements);
+  for (int t = 0; t < threads; ++t) {
+    const int s = ms->topology().SocketOfWorker(t, threads);
+    wctx[t].worker = t;
+    wctx[t].cpu_socket = s;
+    wctx[t].active_threads = socket_threads[s];
+    wctx[t].clock = &clocks.clock(t);
+    sparse::SpmmPlacements& wp = worker_placements[t];
+    for (memsim::Placement* p : {&wp.index, &wp.sparse, &wp.dense, &wp.result}) {
+      p->socket = s;
+    }
+  }
+  double spmm_seconds = 0.0;
+  // A structural delta rebuilt the plan, so its WoFP stores were re-staged:
+  // charge that warm-up once per refresh (the frames then stay resident for
+  // every level below — unlike NadpExecute, there is no per-call-planning
+  // parity to preserve here, so the build is not replayed per SpMM).
+  if (replay_wofp_build) {
+    double replay_max = 0.0;
+    for (int t = 0; t < threads; ++t) {
+      if (const prefetch::WofpPrefetcher* cache = plan.cache(t)) {
+        const double before = clocks.clock(t).seconds();
+        cache->ReplayBuildCharges(&wctx[t]);
+        replay_max = std::max(replay_max, clocks.clock(t).seconds() - before);
+      }
+    }
+    spmm_seconds += replay_max;
+  }
+  linalg::DenseMatrix tmp(n, d);
+  std::vector<uint32_t> rows;
+  for (size_t k = 1; k < order; ++k) {
+    rows.clear();
+    std::vector<sched::RowRange> ranges;
+    for (uint32_t r = 0; r < n; ++r) {
+      if (row_level[r] > k) continue;
+      rows.push_back(r);
+      if (!ranges.empty() && ranges.back().end == r) {
+        ++ranges.back().end;
+      } else {
+        ranges.push_back({r, r + 1});
+      }
+    }
+    if (rows.empty()) continue;
+
+    const std::vector<sched::Workload> parts =
+        SplitRanges(propagation, ranges, beta, threads);
+    const linalg::DenseMatrix& prev = k == 1 ? capture->r0 : capture->terms[k - 2];
+    std::vector<double> before(threads);
+    for (int t = 0; t < threads; ++t) before[t] = clocks.clock(t).seconds();
+    ForRange(ctx, threads, 0, [&](size_t begin, size_t end) {
+      for (size_t t = begin; t < end; ++t) {
+        if (t >= parts.size() || parts[t].empty()) continue;
+        const prefetch::WofpPrefetcher* cache = plan.cache(t);
+        sparse::ComputeWorkloadCsdb(propagation, prev, &tmp, parts[t]);
+        sparse::ChargeWorkloadCsdb(
+            propagation, d, sparse::ScanChargeMetaCsdb(propagation, parts[t], cache),
+            worker_placements[t], ms, &wctx[t], cache);
+      }
+    });
+    double level_max = 0.0;
+    for (int t = 0; t < threads; ++t) {
+      level_max = std::max(level_max, clocks.clock(t).seconds() - before[t]);
+    }
+    spmm_seconds += level_max;
+
+    // In-place term update — exact scalar replication of the recurrence in
+    // embed/chebyshev.cc (zero-init accumulator, ascending AddScaled order),
+    // so refreshed rows match a from-scratch recompute bit for bit.
+    linalg::DenseMatrix& t_k = capture->terms[k - 1];
+    const linalg::DenseMatrix* prev2 =
+        k >= 2 ? (k == 2 ? &capture->r0 : &capture->terms[k - 3]) : nullptr;
+    ForRange(ctx, rows.size(), 256, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const uint32_t r = rows[i];
+        for (size_t c = 0; c < d; ++c) {
+          if (k == 1) {
+            t_k.At(r, c) = tmp.At(r, c) * -1.0f;
+          } else {
+            float acc = 0.0f;
+            acc += -2.0f * tmp.At(r, c);
+            acc += -1.0f * prev2->At(r, c);
+            t_k.At(r, c) = acc;
+          }
+        }
+      }
+    });
+    const uint64_t pass_bytes = rows.size() * d * 4;
+    ms->ChargeAccess(serial, placements.dense, MemOp::kRead, Pattern::kSequential,
+                     (k == 1 ? 1 : 2) * pass_bytes);
+    ms->ChargeAccess(serial, placements.dense, MemOp::kWrite, Pattern::kSequential,
+                     pass_bytes);
+    ms->ChargeCompute(serial, rows.size() * d * 2);
+  }
+  return spmm_seconds;
+}
+
+// Step 7: re-accumulates and re-normalizes the output rows `rows` into the
+// node-order `embedding`.
+void RefreshOutputRows(const exec::Context& ctx, const std::vector<uint32_t>& rows,
+                       const std::vector<graph::NodeId>& perm, bool l2_normalize,
+                       const sparse::SpmmPlacements& placements,
+                       memsim::WorkerCtx* serial,
+                       const embed::ChebyshevCapture& capture,
+                       linalg::DenseMatrix* embedding) {
+  const size_t d = capture.r0.cols();
+  const size_t order = capture.coefficients.size();
+  ForRange(ctx, rows.size(), 256, [&](size_t begin, size_t end) {
+    std::vector<float> row_buf(d);
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t r = rows[i];
+      for (size_t c = 0; c < d; ++c) {
+        float acc = 0.0f;
+        acc += static_cast<float>(capture.coefficients[0]) * capture.r0.At(r, c);
+        for (size_t k = 1; k < order; ++k) {
+          acc += static_cast<float>(capture.coefficients[k]) *
+                 capture.terms[k - 1].At(r, c);
+        }
+        row_buf[c] = acc;
+      }
+      if (l2_normalize) {
+        // Same arithmetic as ProneEmbed's normalize_rows.
+        double norm2 = 0.0;
+        for (size_t c = 0; c < d; ++c) {
+          const double v = row_buf[c];
+          norm2 += v * v;
+        }
+        const float inv =
+            norm2 > 0.0 ? static_cast<float>(1.0 / std::sqrt(norm2)) : 0.0f;
+        for (size_t c = 0; c < d; ++c) row_buf[c] *= inv;
+      }
+      for (size_t c = 0; c < d; ++c) embedding->At(perm[r], c) = row_buf[c];
+    }
+  });
+  const uint64_t out_bytes = rows.size() * d * 4;
+  memsim::MemorySystem* ms = ctx.ms();
+  ms->ChargeAccess(serial, placements.dense, MemOp::kRead, Pattern::kSequential,
+                   (order + 1) * out_bytes);
+  ms->ChargeAccess(serial, placements.result, MemOp::kWrite, Pattern::kSequential,
+                   out_bytes);
+  ms->ChargeCompute(serial, rows.size() * d * (2 * order + 3));
+}
+
 }  // namespace
 
 DynamicEmbedder::DynamicEmbedder(graph::Graph base, const EngineOptions& options,
@@ -77,39 +304,20 @@ DynamicEmbedder::DynamicEmbedder(graph::Graph base, const EngineOptions& options
       options_(options),
       dataset_(std::move(dataset)) {}
 
-numa::NadpOptions DynamicEmbedder::NadpOptionsFor(const exec::Context& ctx) const {
-  // Mirrors RunOmegaFamily's placement switch so the refresh path charges
-  // against the same tiers the training SpMMs did.
-  numa::NadpOptions nadp;
-  nadp.num_threads = ctx.threads();
-  nadp.allocator = options_.features.allocator;
-  nadp.beta = options_.beta;
-  nadp.enabled = options_.features.use_nadp;
-  nadp.use_wofp = options_.features.use_wofp;
-  nadp.wofp = options_.features.wofp;
-  switch (options_.system) {
-    case SystemKind::kOmegaDram:
-      nadp.sparse_tier = Tier::kDram;
-      nadp.dense_tier = Tier::kDram;
-      nadp.result_tier = Tier::kDram;
-      break;
-    case SystemKind::kOmegaPm:
-      nadp.sparse_tier = Tier::kPm;
-      nadp.dense_tier = Tier::kPm;
-      nadp.result_tier = Tier::kPm;
-      nadp.wofp.cache_placement = {Tier::kPm, 0};
-      break;
-    default:
-      nadp.sparse_tier = Tier::kPm;
-      nadp.dense_tier = Tier::kPm;
-      nadp.result_tier = Tier::kDram;
-      break;
-  }
+numa::NadpOptions DynamicEmbedder::nadp_options(const exec::Context& ctx) const {
+  numa::NadpOptions nadp =
+      DecidePlacement(options_, *ctx.ms(), mutable_.graph().num_nodes(),
+                      mutable_.graph().num_arcs(), ctx.threads())
+          .nadp;
+  // Refresh recomputes a row subset on host kernels (SplitRanges workloads
+  // through ChargeWorkloadCsdb), so it never offloads to PIM.
+  nadp.pim = sched::PimConfig{};
   return nadp;
 }
 
 Status DynamicEmbedder::Train(const exec::Context& ctx) {
-  if (!OmegaFamily(options_.system)) {
+  const SystemKind s = options_.system;
+  if (s != SystemKind::kOmega && s != SystemKind::kOmegaDram && s != SystemKind::kOmegaPm) {
     return Status::InvalidArgument(
         "DynamicEmbedder supports the OMeGa-family systems only");
   }
@@ -127,7 +335,7 @@ Status DynamicEmbedder::Train(const exec::Context& ctx) {
   propagation_ = embed::BuildPropagationMatrix(adjacency_, ctx.pool());
   // Warm the stage-2 plan so the first Refresh exercises the delta
   // invalidation path instead of a cold build.
-  plan_cache_.Get(propagation_, NadpOptionsFor(ctx), ctx);
+  plan_cache_.Get(propagation_, nadp_options(ctx), ctx);
   return Status::OK();
 }
 
@@ -138,13 +346,9 @@ Result<RefreshReport> DynamicEmbedder::Refresh(const exec::Context& ctx,
   }
   memsim::MemorySystem* ms = ctx.ms();
   if (ms == nullptr) return Status::InvalidArgument("context has no MemorySystem");
-  const int threads = std::max(1, ctx.threads());
-  const numa::NadpOptions nadp = NadpOptionsFor(ctx);
-  sparse::SpmmPlacements placements;
-  placements.index = {Tier::kDram, 0};
-  placements.sparse = {nadp.sparse_tier, 0};
-  placements.dense = {nadp.dense_tier, 0};
-  placements.result = {nadp.result_tier, 0};
+  const numa::NadpOptions nadp = nadp_options(ctx);
+  const sparse::SpmmPlacements placements{
+      {Tier::kDram, 0}, {nadp.sparse_tier, 0}, {nadp.dense_tier, 0}, {nadp.result_tier, 0}};
 
   RefreshReport report;
   exec::PhaseSpan span(ctx, "dynamic.refresh");
@@ -207,231 +411,27 @@ Result<RefreshReport> DynamicEmbedder::Refresh(const exec::Context& ctx,
   span.AddPlanCounters(plan_cache_.hits() - hits0, plan_cache_.misses() - misses0,
                        plan_cache_.invalidations() - inval0);
 
-  // ---- 4. Re-permute the captured recurrence state if the order moved. -----
-  const size_t n = new_adjacency.num_rows();
-  const size_t d = capture_.r0.cols();
-  const std::vector<graph::NodeId>& new_perm = new_adjacency.perm();
+  // ---- 4.-7. Recurrence refresh over the k-hop affected rows. --------------
   memsim::SimClock refresh_clock;
   serial_ctx.clock = &refresh_clock;
-  if (capture_.perm != new_perm) {
-    std::vector<uint32_t> new_row_of_node(n);
-    for (size_t r = 0; r < n; ++r) {
-      new_row_of_node[new_perm[r]] = static_cast<uint32_t>(r);
-    }
-    auto repermute = [&](linalg::DenseMatrix* m) {
-      linalg::DenseMatrix out(m->rows(), m->cols());
-      for (size_t c = 0; c < m->cols(); ++c) {
-        const float* src = m->ColData(c);
-        float* dst = out.ColData(c);
-        for (size_t r = 0; r < m->rows(); ++r) {
-          dst[new_row_of_node[capture_.perm[r]]] = src[r];
-        }
-      }
-      *m = std::move(out);
-    };
-    repermute(&capture_.r0);
-    for (linalg::DenseMatrix& t : capture_.terms) repermute(&t);
-    capture_.perm = new_perm;
-    const uint64_t mat_bytes = (1 + capture_.terms.size()) * n * d * 4;
-    ms->ChargeAccess(&serial_ctx, placements.dense, MemOp::kRead,
-                     Pattern::kSequential, mat_bytes);
-    ms->ChargeAccess(&serial_ctx, placements.dense, MemOp::kWrite,
-                     Pattern::kRandom, mat_bytes,
-                     (1 + capture_.terms.size()) * n);
-  }
-
-  // ---- 5. k-hop affected set (multi-source BFS over the new graph). --------
-  const size_t order = capture_.coefficients.size();  // K terms: T_0..T_{K-1}
-  const graph::Graph& g = mutable_.graph();
-  std::vector<uint32_t> dist;
-  if (refresh_all_rows) {
-    dist.assign(n, 0);
-  } else {
-    dist = graph::BfsDistances(g, delta.touched_nodes);
-    uint64_t scanned = 0;
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (dist[v] != UINT32_MAX && dist[v] + 1 < order) scanned += g.degree(v);
-    }
-    ms->ChargeAccess(&serial_ctx, placements.index, MemOp::kRead,
-                     Pattern::kRandom, scanned * 8,
-                     std::max<uint64_t>(1, scanned));
-    ms->ChargeCompute(&serial_ctx, scanned * 2);
-  }
-  // row_level[r]: BFS depth of the node CSDB row r embeds (UINT32_MAX = out
-  // of every ball).
-  std::vector<uint32_t> row_level(n);
-  for (size_t r = 0; r < n; ++r) row_level[r] = dist[new_perm[r]];
-
-  // ---- 6. Per-level recurrence update restricted to ball_k. ----------------
-  // Priced like NaDP (Fig. 10): each worker charges its own socket's devices
-  // at socket-group contention, not the whole pool against one socket.
-  memsim::ClockGroup clocks(static_cast<size_t>(threads));
-  std::vector<memsim::WorkerCtx> wctx(threads);
-  std::vector<int> socket_threads(
-      std::max(1, ms->topology().num_sockets()), 0);
-  for (int t = 0; t < threads; ++t) {
-    ++socket_threads[ms->topology().SocketOfWorker(t, threads)];
-  }
-  std::vector<sparse::SpmmPlacements> worker_placements(threads, placements);
-  for (int t = 0; t < threads; ++t) {
-    const int s = ms->topology().SocketOfWorker(t, threads);
-    wctx[t].worker = t;
-    wctx[t].cpu_socket = s;
-    wctx[t].active_threads = socket_threads[s];
-    wctx[t].clock = &clocks.clock(t);
-    worker_placements[t].index.socket = s;
-    worker_placements[t].sparse.socket = s;
-    worker_placements[t].dense.socket = s;
-    worker_placements[t].result.socket = s;
-  }
-  double spmm_seconds = 0.0;
-  // A structural delta rebuilt the plan, so its WoFP stores were re-staged:
-  // charge that warm-up once per refresh (the frames then stay resident for
-  // every level below — unlike NadpExecute, there is no per-call-planning
-  // parity to preserve here, so the build is not replayed per SpMM).
-  if (plan_rebuilt && nadp.use_wofp && nadp.wofp.charge_build) {
-    double replay_max = 0.0;
-    for (int t = 0; t < threads; ++t) {
-      if (const prefetch::WofpPrefetcher* cache = plan.cache(t)) {
-        const double before = clocks.clock(t).seconds();
-        cache->ReplayBuildCharges(&wctx[t]);
-        replay_max = std::max(replay_max, clocks.clock(t).seconds() - before);
-      }
-    }
-    spmm_seconds += replay_max;
-  }
-  linalg::DenseMatrix tmp(n, d);
+  const std::vector<graph::NodeId>& new_perm = new_adjacency.perm();
+  RepermuteCapture(new_perm, placements.dense, ms, &serial_ctx, &capture_);
+  const size_t order = capture_.coefficients.size();
+  const std::vector<uint32_t> row_level =
+      AffectedRowLevels(mutable_.graph(), delta.touched_nodes, refresh_all_rows,
+                        order, new_perm, placements.index, ms, &serial_ctx);
+  const double spmm_seconds = RefreshTerms(
+      ctx, new_propagation, plan, plan_rebuilt && nadp.use_wofp && nadp.wofp.charge_build,
+      row_level, options_.beta, placements, &serial_ctx, &capture_);
   std::vector<uint32_t> rows;
-  for (size_t k = 1; k < order; ++k) {
-    rows.clear();
-    std::vector<sched::RowRange> ranges;
-    for (uint32_t r = 0; r < n; ++r) {
-      if (row_level[r] <= k) {
-        rows.push_back(r);
-        if (!ranges.empty() && ranges.back().end == r) {
-          ++ranges.back().end;
-        } else {
-          ranges.push_back({r, r + 1});
-        }
-      }
-    }
-    if (rows.empty()) continue;
-
-    const std::vector<sched::Workload> parts =
-        SplitRanges(new_propagation, ranges, options_.beta, threads);
-    const linalg::DenseMatrix& prev = k == 1 ? capture_.r0 : capture_.terms[k - 2];
-    std::vector<double> before(threads);
-    for (int t = 0; t < threads; ++t) before[t] = clocks.clock(t).seconds();
-    auto run_part = [&](size_t t) {
-      if (t >= parts.size() || parts[t].empty()) return;
-      const prefetch::WofpPrefetcher* cache = plan.cache(t);
-      sparse::ComputeWorkloadCsdb(new_propagation, prev, &tmp, parts[t]);
-      sparse::ChargeWorkloadCsdb(
-          new_propagation, d,
-          sparse::ScanChargeMetaCsdb(new_propagation, parts[t], cache),
-          worker_placements[t], ms, &wctx[t], cache);
-    };
-    if (ctx.pool() != nullptr && threads > 1) {
-      ctx.pool()->ParallelFor(static_cast<size_t>(threads),
-                              [&](size_t, size_t begin, size_t end) {
-                                for (size_t t = begin; t < end; ++t) run_part(t);
-                              });
-    } else {
-      for (int t = 0; t < threads; ++t) run_part(static_cast<size_t>(t));
-    }
-    double level_max = 0.0;
-    for (int t = 0; t < threads; ++t) {
-      level_max = std::max(level_max, clocks.clock(t).seconds() - before[t]);
-    }
-    spmm_seconds += level_max;
-
-    // In-place term update — exact scalar replication of the recurrence in
-    // embed/chebyshev.cc (zero-init accumulator, ascending AddScaled order),
-    // so refreshed rows match a from-scratch recompute bit for bit.
-    linalg::DenseMatrix& t_k = capture_.terms[k - 1];
-    const linalg::DenseMatrix* prev2 =
-        k >= 2 ? (k == 2 ? &capture_.r0 : &capture_.terms[k - 3]) : nullptr;
-    auto update_rows = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const uint32_t r = rows[i];
-        for (size_t c = 0; c < d; ++c) {
-          if (k == 1) {
-            t_k.At(r, c) = tmp.At(r, c) * -1.0f;
-          } else {
-            float acc = 0.0f;
-            acc += -2.0f * tmp.At(r, c);
-            acc += -1.0f * prev2->At(r, c);
-            t_k.At(r, c) = acc;
-          }
-        }
-      }
-    };
-    if (ctx.pool() != nullptr && threads > 1 && rows.size() >= 256) {
-      ctx.pool()->ParallelFor(rows.size(), [&](size_t, size_t begin, size_t end) {
-        update_rows(begin, end);
-      });
-    } else {
-      update_rows(0, rows.size());
-    }
-    const uint64_t pass_bytes = rows.size() * d * 4;
-    ms->ChargeAccess(&serial_ctx, placements.dense, MemOp::kRead,
-                     Pattern::kSequential, (k == 1 ? 1 : 2) * pass_bytes);
-    ms->ChargeAccess(&serial_ctx, placements.dense, MemOp::kWrite,
-                     Pattern::kSequential, pass_bytes);
-    ms->ChargeCompute(&serial_ctx, rows.size() * d * 2);
-  }
-
-  // ---- 7. Re-accumulate + re-normalize the affected output rows. -----------
-  rows.clear();
-  for (uint32_t r = 0; r < n; ++r) {
+  for (uint32_t r = 0; r < row_level.size(); ++r) {
     if (row_level[r] <= order - 1) rows.push_back(r);
   }
   report.affected_rows = rows.size();
-  report.refreshed_nodes.reserve(rows.size());
   for (const uint32_t r : rows) report.refreshed_nodes.push_back(new_perm[r]);
   std::sort(report.refreshed_nodes.begin(), report.refreshed_nodes.end());
-
-  auto output_rows = [&](size_t begin, size_t end) {
-    std::vector<float> row_buf(d);
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t r = rows[i];
-      for (size_t c = 0; c < d; ++c) {
-        float acc = 0.0f;
-        acc += static_cast<float>(capture_.coefficients[0]) * capture_.r0.At(r, c);
-        for (size_t k = 1; k < order; ++k) {
-          acc += static_cast<float>(capture_.coefficients[k]) *
-                 capture_.terms[k - 1].At(r, c);
-        }
-        row_buf[c] = acc;
-      }
-      if (options_.prone.l2_normalize_rows) {
-        // Same arithmetic as ProneEmbed's normalize_rows.
-        double norm2 = 0.0;
-        for (size_t c = 0; c < d; ++c) {
-          const double v = row_buf[c];
-          norm2 += v * v;
-        }
-        const float inv =
-            norm2 > 0.0 ? static_cast<float>(1.0 / std::sqrt(norm2)) : 0.0f;
-        for (size_t c = 0; c < d; ++c) row_buf[c] *= inv;
-      }
-      const graph::NodeId node = new_perm[r];
-      for (size_t c = 0; c < d; ++c) embedding_.At(node, c) = row_buf[c];
-    }
-  };
-  if (ctx.pool() != nullptr && threads > 1 && rows.size() >= 256) {
-    ctx.pool()->ParallelFor(rows.size(), [&](size_t, size_t begin, size_t end) {
-      output_rows(begin, end);
-    });
-  } else {
-    output_rows(0, rows.size());
-  }
-  const uint64_t out_bytes = rows.size() * d * 4;
-  ms->ChargeAccess(&serial_ctx, placements.dense, MemOp::kRead,
-                   Pattern::kSequential, (order + 1) * out_bytes);
-  ms->ChargeAccess(&serial_ctx, placements.result, MemOp::kWrite,
-                   Pattern::kSequential, out_bytes);
-  ms->ChargeCompute(&serial_ctx, rows.size() * d * (2 * order + 3));
+  RefreshOutputRows(ctx, rows, new_perm, options_.prone.l2_normalize_rows,
+                    placements, &serial_ctx, capture_, &embedding_);
 
   report.refresh_seconds = spmm_seconds + refresh_clock.seconds();
   report.total_seconds =

@@ -109,9 +109,11 @@ class DynamicEmbedder {
   Result<RefreshReport> Refresh(const exec::Context& ctx,
                                 bool refresh_all_rows = false);
 
- private:
-  numa::NadpOptions NadpOptionsFor(const exec::Context& ctx) const;
+  /// The NaDP options refresh prices its SpMMs with: the training run's
+  /// placement (DecidePlacement) for ctx.threads() workers, with PIM cleared.
+  numa::NadpOptions nadp_options(const exec::Context& ctx) const;
 
+ private:
   graph::MutableGraph mutable_;
   EngineOptions options_;
   std::string dataset_;

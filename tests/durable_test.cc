@@ -20,6 +20,7 @@
 #include "graph/rmat.h"
 #include "memsim/fault.h"
 #include "memsim/memory_system.h"
+#include "omega/checkpointer.h"
 #include "omega/engine.h"
 #include "omega/report.h"
 
@@ -561,6 +562,166 @@ TEST_F(CrashMatrixTest, CheckpointPhasesLandInTraceAndJson) {
   const std::string plain_json = engine::ReportToJson(plain);
   EXPECT_EQ(plain_json.find("\"ckpt_seconds\": "), std::string::npos);
   EXPECT_EQ(plain_json.find("\"ckpt\": {"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpointer: restored snapshots are input from outside the program
+// (--restore-from files), so every malformed one is an IOError, never an
+// out-of-bounds read or write.
+// ---------------------------------------------------------------------------
+
+class CheckpointerRestoreTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 32;
+  static constexpr size_t kDim = 4;
+  static constexpr int kOrder = 4;
+  using Stage = engine::Checkpointer::Stage;
+
+  static CheckpointSnapshot Valid(Stage stage) {
+    CheckpointSnapshot snap;
+    snap.stage = stage;
+    snap.words = {0, 0, 0};
+    const linalg::DenseMatrix block(kRows, kDim);
+    switch (stage) {
+      case Stage::kFactorizeDone:
+        snap.matrices = {{"r0", block}};
+        break;
+      case Stage::kPropagate:
+        snap.next_term = 3;
+        snap.matrices = {{"t_prev", block}, {"t_cur", block}, {"partial", block}};
+        break;
+      case Stage::kEmbedDone:
+        snap.matrices = {{"vectors", block}};
+        snap.words.push_back(kRows);
+        for (uint64_t r = 0; r < kRows; ++r) snap.words.push_back(kRows - 1 - r);
+        break;
+      default:
+        break;
+    }
+    return snap;
+  }
+
+  // Commits `snap` to a fresh store and restores it through a Checkpointer
+  // sized for a kRows-node graph.
+  static Status Restore(const CheckpointSnapshot& snap) {
+    auto ms = memsim::MemorySystem::CreateDefault();
+    CheckpointStore store(ms.get(), CheckpointOptions{});
+    EXPECT_TRUE(durable::WriteSnapshot(&store, snap).ok());
+    engine::DurabilityOptions durability;
+    durability.store = &store;
+    durability.restore = true;
+    embed::ProneOptions prone;
+    prone.dim = kDim;
+    prone.chebyshev_order = kOrder;
+    engine::Checkpointer ckpt(durability, exec::Context(ms.get()), kRows, prone);
+    double recovery_seconds = 0.0;
+    return ckpt.Restore(&recovery_seconds);
+  }
+
+  static void ExpectIoError(const CheckpointSnapshot& snap, const std::string& why) {
+    const Status st = Restore(snap);
+    EXPECT_TRUE(st.IsIOError()) << why << ": " << st.ToString();
+  }
+};
+
+TEST_F(CheckpointerRestoreTest, WellFormedSnapshotsRestore) {
+  for (Stage stage : {Stage::kReadDone, Stage::kFactorizeDone, Stage::kPropagate,
+                      Stage::kEmbedDone}) {
+    EXPECT_TRUE(Restore(Valid(stage)).ok()) << "stage " << stage;
+  }
+}
+
+TEST_F(CheckpointerRestoreTest, MissingStateIsIoError) {
+  CheckpointSnapshot snap = Valid(Stage::kReadDone);
+  snap.words = {0, 0};
+  ExpectIoError(snap, "missing timing words");
+
+  snap = Valid(Stage::kFactorizeDone);
+  snap.matrices.clear();
+  ExpectIoError(snap, "missing r0");
+
+  snap = Valid(Stage::kPropagate);
+  snap.matrices.pop_back();
+  ExpectIoError(snap, "missing recurrence state");
+
+  snap = Valid(Stage::kEmbedDone);
+  snap.matrices.clear();
+  ExpectIoError(snap, "missing embedding");
+
+  snap = Valid(Stage::kEmbedDone);
+  snap.words.resize(3);
+  ExpectIoError(snap, "missing permutation");
+}
+
+TEST_F(CheckpointerRestoreTest, UnknownStageIsIoError) {
+  for (uint32_t stage : {0u, 5u, 0xffffffffu}) {
+    CheckpointSnapshot snap = Valid(Stage::kReadDone);
+    snap.stage = stage;
+    ExpectIoError(snap, "stage " + std::to_string(stage));
+  }
+}
+
+TEST_F(CheckpointerRestoreTest, WrongMatrixShapeIsIoError) {
+  const linalg::DenseMatrix wide(kRows, kDim + 1);
+  const linalg::DenseMatrix tall(kRows + 1, kDim);
+  for (Stage stage : {Stage::kFactorizeDone, Stage::kPropagate, Stage::kEmbedDone}) {
+    for (size_t i = 0; i < Valid(stage).matrices.size(); ++i) {
+      for (const linalg::DenseMatrix* bad : {&wide, &tall}) {
+        CheckpointSnapshot snap = Valid(stage);
+        snap.matrices[i].second = *bad;
+        ExpectIoError(snap, snap.matrices[i].first + " reshaped");
+      }
+    }
+  }
+}
+
+TEST_F(CheckpointerRestoreTest, ChebyshevTermOutOfRangeIsIoError) {
+  for (uint64_t next_term : {uint64_t{0}, uint64_t{1}, uint64_t{kOrder + 1}, ~uint64_t{0}}) {
+    CheckpointSnapshot snap = Valid(Stage::kPropagate);
+    snap.next_term = next_term;
+    ExpectIoError(snap, "next_term " + std::to_string(next_term));
+  }
+}
+
+TEST_F(CheckpointerRestoreTest, MalformedPermutationIsIoError) {
+  // A perm length whose 4 + length wraps past 2^64.
+  CheckpointSnapshot snap = Valid(Stage::kEmbedDone);
+  snap.words[3] = ~uint64_t{0} - 2;
+  ExpectIoError(snap, "wrapping perm length");
+
+  // Lengths that disagree with the embedding rows or the stored words.
+  snap = Valid(Stage::kEmbedDone);
+  snap.words[3] = kRows - 1;
+  snap.words.pop_back();
+  ExpectIoError(snap, "short perm");
+  snap = Valid(Stage::kEmbedDone);
+  snap.words.push_back(0);
+  ExpectIoError(snap, "trailing words");
+
+  // Entries that are not a permutation of the rows.
+  snap = Valid(Stage::kEmbedDone);
+  snap.words[4] = kRows;
+  ExpectIoError(snap, "row out of range");
+  snap = Valid(Stage::kEmbedDone);
+  snap.words[5] = snap.words[4];
+  ExpectIoError(snap, "repeated row");
+}
+
+TEST_F(CrashMatrixTest, MalformedSnapshotFailsTheRunWithIoError) {
+  auto ms = memsim::MemorySystem::CreateDefault();
+  CheckpointStore store(ms.get(), CheckpointOptions{});
+  CheckpointSnapshot snap;
+  snap.stage = engine::Checkpointer::kEmbedDone;
+  snap.words = {0, 0, 0, ~uint64_t{0}};
+  snap.matrices = {{"vectors", linalg::DenseMatrix(g_.num_nodes(), 16)}};
+  ASSERT_TRUE(durable::WriteSnapshot(&store, snap).ok());
+  engine::EngineOptions resume = BaseOptions(2);
+  resume.durability.store = &store;
+  resume.durability.restore = true;
+  ThreadPool pool(2);
+  auto run = engine::RunEmbedding(g_, "rmat", resume, exec::Context(ms.get(), &pool, 2));
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsIOError()) << run.status().ToString();
 }
 
 }  // namespace

@@ -165,6 +165,12 @@ TEST_F(MemsimTest, InterleavedReservationSpreadsAcrossSockets) {
   EXPECT_EQ(ms_->UsedBytes(Tier::kDram, 1), 0u);
 }
 
+TEST_F(MemsimTest, UsedBytesRejectsSocketsOutsideTheTopology) {
+  EXPECT_DEATH(ms_->UsedBytes(Tier::kDram, 2), "socket out of range");
+  EXPECT_DEATH(ms_->UsedBytes(Tier::kDram, Placement::kInterleaved),
+               "socket out of range");
+}
+
 TEST_F(MemsimTest, InterleavedCostBetweenLocalAndRemote) {
   const size_t bytes = 16 << 20;
   const double local = ms_->AccessSeconds({Tier::kPm, 0}, 0, MemOp::kWrite,
