@@ -1,6 +1,7 @@
 // Micro benchmarks (google-benchmark) of the hot kernels and data
 // structures: CSDB traversal and indexing, SpMM host kernels, the thread
-// allocators, the top-M store, the entropy accumulator, and R-MAT generation.
+// allocators, the top-M store, the entropy accumulator, R-MAT generation and
+// graph construction.
 // These measure real host time (not simulated time) — they are about the
 // library's own efficiency.
 
@@ -159,6 +160,29 @@ void BM_RmatGeneration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * params.num_edges);
 }
 BENCHMARK(BM_RmatGeneration);
+
+// Graph::FromEdges over a fixed skewed edge list (2^20 edges on 2^16 nodes,
+// endpoints drawn as n*u^2 so low ids are hubs and duplicates and self-loops
+// occur), built undirected: the validation, bucketing and merge cost of
+// graph construction without the R-MAT draws.
+void BM_GraphFromEdges(benchmark::State& state) {
+  constexpr graph::NodeId kNodes = 1 << 16;
+  static const std::vector<graph::Edge> kEdges = [] {
+    Rng rng(7);
+    auto draw = [&rng] {
+      const double u = rng.NextDouble();
+      return static_cast<graph::NodeId>(kNodes * u * u);
+    };
+    std::vector<graph::Edge> edges(1 << 20);
+    for (graph::Edge& e : edges) e = graph::Edge{draw(), draw(), 1.0f};
+    return edges;
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::Graph::FromEdges(kNodes, kEdges));
+  }
+  state.SetItemsProcessed(state.iterations() * kEdges.size());
+}
+BENCHMARK(BM_GraphFromEdges);
 
 void BM_WofpBuild(benchmark::State& state) {
   const graph::CsdbMatrix& m = TestMatrix();

@@ -11,42 +11,85 @@ Result<Graph> Graph::FromEdges(NodeId num_nodes, const std::vector<Edge>& edges,
   if (num_nodes == 0) {
     return Status::InvalidArgument("graph must have at least one node");
   }
-  std::vector<Edge> arcs;
-  arcs.reserve(edges.size() * (undirected ? 2 : 1));
+  // Pass 1: validate in input order and count every arc by dst and by src
+  // (counts land one slot up, so the prefix sums below yield start offsets).
+  std::vector<uint64_t> dst_starts(size_t{num_nodes} + 1, 0);
+  std::vector<uint64_t> offsets(size_t{num_nodes} + 1, 0);
   for (const Edge& e : edges) {
     if (e.src >= num_nodes || e.dst >= num_nodes) {
       return Status::OutOfRange("edge endpoint out of range: " +
                                 std::to_string(e.src) + "->" + std::to_string(e.dst));
     }
     if (e.src == e.dst) continue;  // drop self-loops
-    arcs.push_back(e);
-    if (undirected) arcs.push_back(Edge{e.dst, e.src, e.weight});
+    ++dst_starts[e.dst + 1];
+    ++offsets[e.src + 1];
+    if (undirected) {
+      ++dst_starts[e.src + 1];
+      ++offsets[e.dst + 1];
+    }
   }
-
-  std::sort(arcs.begin(), arcs.end(), [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
+  std::partial_sum(dst_starts.begin(), dst_starts.end(), dst_starts.begin());
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  const uint64_t num_arcs = offsets[num_nodes];
 
   Graph g;
   g.num_nodes_ = num_nodes;
-  g.offsets_.assign(num_nodes + 1, 0);
-  g.neighbors_.reserve(arcs.size());
-  g.weights_.reserve(arcs.size());
-
-  for (size_t i = 0; i < arcs.size(); ++i) {
-    if (i > 0 && arcs[i].src == arcs[i - 1].src && arcs[i].dst == arcs[i - 1].dst) {
-      g.weights_.back() += arcs[i].weight;  // merge duplicates
-      continue;
+  g.neighbors_.resize(num_arcs);
+  g.weights_.resize(num_arcs);
+  {
+    // Pass 2: scatter every arc into its dst bucket, in input order. Each arc
+    // costs 8 bytes of scratch here, freed before the merge; its dst is
+    // implied by the bucket.
+    struct SrcWeight {
+      NodeId src;
+      float weight;
+    };
+    std::vector<SrcWeight> by_dst(num_arcs);
+    std::vector<uint64_t> cursor(dst_starts.begin(), dst_starts.end() - 1);
+    for (const Edge& e : edges) {
+      if (e.src == e.dst) continue;
+      by_dst[cursor[e.dst]++] = SrcWeight{e.src, e.weight};
+      if (undirected) by_dst[cursor[e.src]++] = SrcWeight{e.dst, e.weight};
     }
-    g.neighbors_.push_back(arcs[i].dst);
-    g.weights_.push_back(arcs[i].weight);
-    g.offsets_[arcs[i].src + 1]++;
-  }
-  for (NodeId v = 0; v < num_nodes; ++v) g.offsets_[v + 1] += g.offsets_[v];
 
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    g.max_degree_ = std::max(g.max_degree_, g.degree(v));
+    // Pass 3: walk the dst buckets in ascending order and scatter into the
+    // src rows, so every row comes out sorted by dst with duplicates adjacent
+    // and still in input order.
+    cursor.assign(offsets.begin(), offsets.end() - 1);
+    for (NodeId dst = 0; dst < num_nodes; ++dst) {
+      for (uint64_t i = dst_starts[dst]; i < dst_starts[dst + 1]; ++i) {
+        const uint64_t at = cursor[by_dst[i].src]++;
+        g.neighbors_[at] = dst;
+        g.weights_[at] = by_dst[i].weight;
+      }
+    }
   }
+
+  // Pass 4: merge duplicates in place, summing their weights in input order,
+  // and close up the rows. Row v is read from its old extent before
+  // offsets[v] is overwritten with its compacted start.
+  uint64_t write = 0;
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const uint64_t begin = offsets[v];
+    const uint64_t end = offsets[v + 1];
+    offsets[v] = write;
+    for (uint64_t i = begin; i < end; ++i) {
+      if (write > offsets[v] && g.neighbors_[write - 1] == g.neighbors_[i]) {
+        g.weights_[write - 1] += g.weights_[i];
+        continue;
+      }
+      g.neighbors_[write] = g.neighbors_[i];
+      g.weights_[write] = g.weights_[i];
+      ++write;
+    }
+    g.max_degree_ = std::max(g.max_degree_, static_cast<uint32_t>(write - offsets[v]));
+  }
+  offsets[num_nodes] = write;
+  g.neighbors_.resize(write);
+  g.neighbors_.shrink_to_fit();
+  g.weights_.resize(write);
+  g.weights_.shrink_to_fit();
+  g.offsets_ = std::move(offsets);
   return g;
 }
 

@@ -1,7 +1,9 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -11,7 +13,16 @@ namespace omega::graph {
 
 namespace {
 constexpr uint64_t kBinaryMagic = 0x4F4D4547412D4731ULL;  // "OMEGA-G1"
+constexpr uint64_t kMaxNodeId = std::numeric_limits<NodeId>::max();
+
+// Size of the file behind `in`, leaving the read position at the start.
+uint64_t StreamBytes(std::istream& in) {
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(0, std::ios::beg);
+  return end < 0 ? 0 : static_cast<uint64_t>(end);
 }
+}  // namespace
 
 Result<Graph> LoadEdgeListText(const std::string& path, bool undirected) {
   std::ifstream in(path);
@@ -71,6 +82,7 @@ Status SaveEdgeListText(const Graph& g, const std::string& path) {
 Result<Graph> LoadMatrixMarket(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path);
+  const uint64_t file_bytes = StreamBytes(in);
   std::string line;
   if (!std::getline(in, line) || !StartsWith(line, "%%MatrixMarket")) {
     return Status::IOError(path + ": missing MatrixMarket banner");
@@ -103,6 +115,16 @@ Result<Graph> LoadMatrixMarket(const std::string& path) {
   }
   if (rows == 0 || rows != cols) {
     return Status::IOError(path + ": adjacency matrices must be square");
+  }
+  // Both counts size allocations, so bound them before trusting them: ids
+  // must fit a NodeId, and every entry line takes at least 3 bytes ("r c").
+  if (rows > kMaxNodeId) {
+    return Status::IOError(path + ": " + std::to_string(rows) +
+                           " rows exceed the 32-bit node id range");
+  }
+  if (entries > file_bytes / 3) {
+    return Status::IOError(path + ": header claims " + std::to_string(entries) +
+                           " entries, more than the file can hold");
   }
 
   std::vector<Edge> edges;
@@ -178,6 +200,7 @@ Status SaveBinary(const Graph& g, const std::string& path) {
 Result<Graph> LoadBinary(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
+  const uint64_t file_bytes = StreamBytes(in);
   uint64_t magic = 0;
   uint64_t nodes = 0;
   uint64_t arcs = 0;
@@ -186,6 +209,17 @@ Result<Graph> LoadBinary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&arcs), sizeof(arcs));
   if (!in || magic != kBinaryMagic) {
     return Status::IOError(path + ": not an omega binary graph");
+  }
+  // The header's counts size every allocation below: check them against the
+  // NodeId range and the bytes actually present before allocating, so a
+  // corrupt header cannot exhaust memory.
+  const uint64_t body_bytes = file_bytes - 3 * sizeof(uint64_t);
+  const uint64_t offset_bytes = (nodes + 1) * sizeof(uint64_t);
+  if (nodes > kMaxNodeId || offset_bytes > body_bytes ||
+      arcs > (body_bytes - offset_bytes) / (sizeof(NodeId) + sizeof(float))) {
+    return Status::IOError(path + ": header sizes (" + std::to_string(nodes) +
+                           " nodes, " + std::to_string(arcs) +
+                           " arcs) exceed the file");
   }
   std::vector<uint64_t> offsets(nodes + 1);
   std::vector<NodeId> neighbors(arcs);
@@ -197,6 +231,11 @@ Result<Graph> LoadBinary(const std::string& path) {
   in.read(reinterpret_cast<char*>(weights.data()),
           static_cast<std::streamsize>(arcs * sizeof(float)));
   if (!in) return Status::IOError(path + ": truncated binary graph");
+  // The offsets index the arc arrays, so they must partition [0, arcs).
+  if (offsets[0] != 0 || offsets[nodes] != arcs ||
+      !std::is_sorted(offsets.begin(), offsets.end())) {
+    return Status::IOError(path + ": offsets do not partition the arcs");
+  }
 
   // Rebuild through FromEdges to revalidate invariants.
   std::vector<Edge> edges;

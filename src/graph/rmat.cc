@@ -31,16 +31,18 @@ Result<Graph> GenerateRmat(const RmatParams& params) {
       const double total = na + nb + nc + nd;
       const double r = rng.NextDouble() * total;
       const NodeId half = NodeId{1} << (params.scale - level - 1);
-      if (r < na) {
-        // top-left: nothing to add
-      } else if (r < na + nb) {
-        col += half;
-      } else if (r < na + nb + nc) {
-        row += half;
-      } else {
-        row += half;
-        col += half;
-      }
+      // Quadrant a, b, c or d is the first running sum that r falls below,
+      // chosen without branches: c and d are the bottom half, b and d the
+      // right half. Testing !(r < x) and requiring past_a in both halves
+      // keeps that first-match rule exact for any sums, including unordered
+      // ones (a negative probability) and a NaN r, which matches none.
+      const double ab = na + nb;
+      const double abc = ab + nc;
+      const bool past_a = !(r < na);
+      const bool past_b = !(r < ab);
+      const bool past_c = !(r < abc);
+      row += half * (past_a & past_b);
+      col += half * (past_a & (!past_b | past_c));
     }
     if (row != col) edges.push_back(Edge{row, col, 1.0f});
   }

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
+#include "common/md5.h"
+#include "common/rng.h"
 #include "graph/datasets.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
@@ -64,6 +67,115 @@ TEST(GraphTest, DuplicateEdgesMergeWeights) {
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g.value().num_arcs(), 2u);
   EXPECT_FLOAT_EQ(g.value().weights(0)[0], 3.5f);
+}
+
+// Float addition is not associative, so the merge order is observable: 1.0f
+// vanishes when added to 1e8f, so summed in input order both lists cancel to
+// exactly 0, while adding 1e8f and -1e8f first leaves 1.0f. The second list
+// also tells input order from reverse order.
+TEST(GraphTest, DuplicateWeightsSumInInputOrder) {
+  const std::vector<std::vector<float>> weight_lists = {{1e8f, 1.0f, -1e8f},
+                                                         {1.0f, 1e8f, -1e8f}};
+  for (const auto& weights : weight_lists) {
+    std::vector<Edge> edges;
+    for (const float w : weights) edges.push_back(Edge{0, 1, w});
+    for (const bool undirected : {false, true}) {
+      auto g = Graph::FromEdges(2, edges, undirected);
+      ASSERT_TRUE(g.ok());
+      ASSERT_EQ(g.value().degree(0), 1u);
+      EXPECT_EQ(g.value().weights(0)[0], 0.0f)
+          << weights[0] << " first, undirected=" << undirected;
+    }
+  }
+  // An undirected edge given as (1, 0) still lands at its input position in
+  // row 0's sum.
+  auto g = Graph::FromEdges(2, {{0, 1, 1e8f}, {1, 0, 1.0f}, {0, 1, -1e8f}});
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g.value().weights(0)[0], 0.0f);
+  EXPECT_EQ(g.value().weights(1)[0], 0.0f);
+}
+
+// The comparator-sort construction FromEdges used before its counting sort:
+// copy every arc, sort by (src, dst), merge equal runs. Its merge order is
+// unspecified, so it is compared only on weights whose sums are exact.
+struct SortOracleGraph {
+  std::vector<uint64_t> offsets;
+  std::vector<NodeId> neighbors;
+  std::vector<float> weights;
+};
+
+Result<SortOracleGraph> SortOracle(NodeId num_nodes, const std::vector<Edge>& edges,
+                                   bool undirected) {
+  if (num_nodes == 0) {
+    return Status::InvalidArgument("graph must have at least one node");
+  }
+  std::vector<Edge> arcs;
+  for (const Edge& e : edges) {
+    if (e.src >= num_nodes || e.dst >= num_nodes) {
+      return Status::OutOfRange("edge endpoint out of range: " +
+                                std::to_string(e.src) + "->" + std::to_string(e.dst));
+    }
+    if (e.src == e.dst) continue;
+    arcs.push_back(e);
+    if (undirected) arcs.push_back(Edge{e.dst, e.src, e.weight});
+  }
+  std::sort(arcs.begin(), arcs.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  SortOracleGraph g;
+  g.offsets.assign(num_nodes + 1, 0);
+  for (size_t i = 0; i < arcs.size(); ++i) {
+    if (i > 0 && arcs[i].src == arcs[i - 1].src && arcs[i].dst == arcs[i - 1].dst) {
+      g.weights.back() += arcs[i].weight;
+      continue;
+    }
+    g.neighbors.push_back(arcs[i].dst);
+    g.weights.push_back(arcs[i].weight);
+    g.offsets[arcs[i].src + 1]++;
+  }
+  for (NodeId v = 0; v < num_nodes; ++v) g.offsets[v + 1] += g.offsets[v];
+  return g;
+}
+
+TEST(GraphTest, FromEdgesMatchesSortOracle) {
+  Rng rng(20241016);
+  int empty = 0;
+  int out_of_range = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Few nodes and many edges give duplicates and self-loops; many nodes
+    // and few edges give isolated nodes.
+    const NodeId num_nodes = static_cast<NodeId>(rng.Next() % 40);
+    const size_t num_edges = rng.Next() % 120;
+    const bool undirected = rng.Next() % 2 == 0;
+    std::vector<Edge> edges(num_edges);
+    for (Edge& e : edges) {
+      // One edge in fifty may point up to three past the last node.
+      const NodeId span = std::max<NodeId>(num_nodes + 3 * (rng.Next() % 50 == 0), 1);
+      e.src = static_cast<NodeId>(rng.Next() % span);
+      e.dst = static_cast<NodeId>(rng.Next() % span);
+      e.weight = static_cast<float>(1 + rng.Next() % 4);  // small integers: exact sums
+    }
+    auto oracle = SortOracle(num_nodes, edges, undirected);
+    auto g = Graph::FromEdges(num_nodes, edges, undirected);
+    ASSERT_EQ(g.ok(), oracle.ok()) << "trial " << trial;
+    if (!oracle.ok()) {
+      // Same code and message: the first bad edge in input order is reported.
+      EXPECT_EQ(g.status().ToString(), oracle.status().ToString()) << "trial " << trial;
+      (oracle.status().IsOutOfRange() ? out_of_range : empty)++;
+      continue;
+    }
+    EXPECT_EQ(g.value().offsets(), oracle.value().offsets) << "trial " << trial;
+    EXPECT_EQ(g.value().neighbor_array(), oracle.value().neighbors) << "trial " << trial;
+    EXPECT_EQ(g.value().weight_array(), oracle.value().weights) << "trial " << trial;
+    uint32_t max_degree = 0;
+    for (NodeId v = 0; v < num_nodes; ++v) {
+      max_degree = std::max(max_degree, g.value().degree(v));
+    }
+    EXPECT_EQ(g.value().max_degree(), max_degree) << "trial " << trial;
+  }
+  // Both rejections were exercised.
+  EXPECT_GT(empty, 10);
+  EXPECT_GT(out_of_range, 10);
 }
 
 TEST(GraphTest, RejectsOutOfRangeEndpoints) {
@@ -186,6 +298,52 @@ TEST(DatasetsTest, AnaloguesScaleRoughlyOneThousandth) {
     EXPECT_LT(node_ratio, 5000.0) << spec.name;
     // Undirected arc count within 2x of the scaled edge budget.
     EXPECT_GT(g.value().num_arcs(), spec.rmat.num_edges / 2) << spec.name;
+  }
+}
+
+// Byte-level pins of every registry graph. The digests were recorded with the
+// comparator-sort FromEdges and the if/else R-MAT quadrant chain, so they
+// hold the linear-time construction to those bytes; any change to the
+// generator's draws or to the construction's order or merge shows up here.
+TEST(DatasetsTest, RegistryGraphsArePinned) {
+  struct Pin {
+    const char* name;
+    const char* offsets_md5;
+    const char* neighbors_md5;
+    const char* weights_md5;
+  };
+  const Pin pins[] = {
+      {"PK", "04d0aaa813e2ea52b58b23105a6ad0be",
+       "7900e8f9597961b007ad40c88f7cf1f1",
+       "a19e0cd91f9a93c445b21b4e6d365362"},
+      {"LJ", "b57f97bfc0042d127a9bd355784a385d",
+       "9477357e4de81e5039e242e7220bd05f",
+       "e1302f5b2e33caf01963ff847cfb8b03"},
+      {"OR", "067a4535a7b4e5ae7d4ff733aeb75777",
+       "5c76ea2f0284bab22eb6fd79e713fdf1",
+       "7999db3c342728eb9edeaa66741154c2"},
+      {"TW", "770b5120d57b9268ab8cddd9d922b883",
+       "ed6f82bdf2621b5bb8addb2bc5bed11a",
+       "72485d36c2e150270d00071d39bb81ca"},
+      {"TW-2010", "5f16038a37d1038c773cdd10de12d5f9",
+       "69eece3770490e1bf33c1a6454ff76ad",
+       "c6a36a891f8d6ae85e53ff353cf7a996"},
+      {"FR", "a081754f91be2068c888efd6bd0d8009",
+       "c3d51bc14a14d0ab17223fc20353c593",
+       "121591ec14140348a8336aa4c921b99b"},
+  };
+  for (const Pin& pin : pins) {
+    auto g = LoadDatasetByName(pin.name);
+    ASSERT_TRUE(g.ok()) << pin.name;
+    const auto& off = g.value().offsets();
+    const auto& nbr = g.value().neighbor_array();
+    const auto& wts = g.value().weight_array();
+    EXPECT_EQ(Md5Hex(off.data(), off.size() * sizeof(off[0])), pin.offsets_md5)
+        << pin.name;
+    EXPECT_EQ(Md5Hex(nbr.data(), nbr.size() * sizeof(nbr[0])), pin.neighbors_md5)
+        << pin.name;
+    EXPECT_EQ(Md5Hex(wts.data(), wts.size() * sizeof(wts[0])), pin.weights_md5)
+        << pin.name;
   }
 }
 
