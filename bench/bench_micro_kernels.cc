@@ -149,17 +149,21 @@ void BM_TopMLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_TopMLookup);
 
+// R-MAT generation over four 2^16-edge chunks on a pool of state.range(0)
+// threads: the chunks' jumped streams run in parallel, so wall time (not the
+// calling thread's CPU time) shows the scaling.
 void BM_RmatGeneration(benchmark::State& state) {
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
   graph::RmatParams params;
   params.scale = 12;
-  params.num_edges = 50000;
+  params.num_edges = 4 << 16;
   for (auto _ : state) {
     params.seed++;
-    benchmark::DoNotOptimize(graph::GenerateRmat(params));
+    benchmark::DoNotOptimize(graph::GenerateRmat(params, &pool));
   }
   state.SetItemsProcessed(state.iterations() * params.num_edges);
 }
-BENCHMARK(BM_RmatGeneration);
+BENCHMARK(BM_RmatGeneration)->Arg(1)->Arg(4)->UseRealTime();
 
 // Graph::FromEdges over a fixed skewed edge list (2^20 edges on 2^16 nodes,
 // endpoints drawn as n*u^2 so low ids are hubs and duplicates and self-loops

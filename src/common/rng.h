@@ -43,15 +43,26 @@ class Rng {
 
   uint64_t Next() {
     const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
+    Advance(state_);
     return result;
   }
+
+  /// Leaves the state exactly as `steps` calls to Next() would, in
+  /// O(256 log2 steps) word operations instead of O(steps). The state
+  /// transition is linear over GF(2), so it computes x^steps modulo the
+  /// transition's characteristic polynomial and applies that polynomial to
+  /// the state by Horner's rule (Haramoto et al., "Efficient Jump Ahead for
+  /// F2-Linear Random Number Generators", INFORMS J. Computing 2008). A cached
+  /// Gaussian is kept: only Next()'s stream moves.
+  void Jump(uint64_t steps);
+
+  /// The characteristic polynomial of the state transition, minus its
+  /// leading x^256 term: bit i % 64 of word i / 64 is the coefficient of x^i.
+  /// It is primitive, so a Berlekamp-Massey run over any one state bit's
+  /// sequence recovers it.
+  static constexpr uint64_t kCharPoly[4] = {
+      0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL, 0x04b4edcf26259f85ULL,
+      0x0003c03c3f3ecb19ULL};
 
   uint64_t operator()() { return Next(); }
 
@@ -83,6 +94,17 @@ class Rng {
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+  /// One step of the linear state transition.
+  static void Advance(uint64_t* s) {
+    const uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = Rotl(s[3], 45);
+  }
 
   uint64_t state_[4];
   bool has_gaussian_ = false;

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <unordered_set>
 
@@ -19,6 +20,10 @@ Result<Graph> Graph::FromEdges(NodeId num_nodes, const std::vector<Edge>& edges,
     if (e.src >= num_nodes || e.dst >= num_nodes) {
       return Status::OutOfRange("edge endpoint out of range: " +
                                 std::to_string(e.src) + "->" + std::to_string(e.dst));
+    }
+    if (!std::isfinite(e.weight)) {
+      return Status::InvalidArgument("edge weight is not finite: " +
+                                     std::to_string(e.src) + "->" + std::to_string(e.dst));
     }
     if (e.src == e.dst) continue;  // drop self-loops
     ++dst_starts[e.dst + 1];

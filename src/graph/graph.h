@@ -29,7 +29,8 @@ class Graph {
   /// Builds a graph from an edge list.
   ///
   /// \param num_nodes number of nodes; all edge endpoints must be < num_nodes.
-  /// \param edges     the edge list. Self-loops are dropped.
+  /// \param edges     the edge list; every weight must be finite. Self-loops
+  ///                  are dropped.
   /// \param undirected when true every edge is inserted in both directions.
   /// Duplicate (src, dst) pairs are merged; their weights are summed in input
   /// order (an undirected edge contributes to both of its arcs at its own

@@ -4,8 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/logging.h"
-
 namespace omega::graph {
 
 namespace {
@@ -53,8 +51,8 @@ uint64_t MutableGraph::pending() const {
   return total;
 }
 
-GraphDelta MutableGraph::Synchronize(memsim::MemorySystem* ms,
-                                     memsim::WorkerCtx* ctx) {
+Result<GraphDelta> MutableGraph::Synchronize(memsim::MemorySystem* ms,
+                                             memsim::WorkerCtx* ctx) {
   // 1. Merge: drain the per-worker logs in worker-id order (append order
   // within each), so the applied delta is deterministic regardless of how
   // the appends interleaved in host time.
@@ -156,10 +154,7 @@ GraphDelta MutableGraph::Synchronize(memsim::MemorySystem* ms,
     edges.push_back({static_cast<NodeId>(key >> 32),
                      static_cast<NodeId>(key & 0xffffffffull), weight});
   }
-  auto rebuilt = Graph::FromEdges(n, edges, /*undirected=*/true);
-  OMEGA_CHECK(rebuilt.ok()) << "Synchronize rebuild failed: "
-                            << rebuilt.status().ToString();
-  base_ = std::move(rebuilt.value());
+  OMEGA_ASSIGN_OR_RETURN(base_, Graph::FromEdges(n, edges, /*undirected=*/true));
   ++epoch_;
 
   if (ms != nullptr && ctx != nullptr) {

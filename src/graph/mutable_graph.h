@@ -93,9 +93,11 @@ class MutableGraph {
   /// validates every mutation against the evolving edge set, rebuilds the
   /// base Graph, and returns the applied delta. Logs are cleared. When `ms`
   /// and `ctx` are non-null the ingestion work is charged to the simulated
-  /// machine (advancing ctx->clock).
-  GraphDelta Synchronize(memsim::MemorySystem* ms = nullptr,
-                         memsim::WorkerCtx* ctx = nullptr);
+  /// machine (advancing ctx->clock). When the rebuild fails (an applied
+  /// mutation carries a non-finite weight) the error is returned, the drained
+  /// mutations are dropped, and the snapshot and epoch stay as they were.
+  Result<GraphDelta> Synchronize(memsim::MemorySystem* ms = nullptr,
+                                 memsim::WorkerCtx* ctx = nullptr);
 
  private:
   struct Slot {

@@ -1,25 +1,25 @@
 #include "graph/rmat.h"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <thread>
 
 #include "common/rng.h"
 
 namespace omega::graph {
 
-Result<Graph> GenerateRmat(const RmatParams& params) {
-  const double sum = params.a + params.b + params.c + params.d;
-  if (std::abs(sum - 1.0) > 1e-6) {
-    return Status::InvalidArgument("R-MAT probabilities must sum to 1");
-  }
-  if (params.scale == 0 || params.scale > 30) {
-    return Status::InvalidArgument("R-MAT scale must be in [1, 30]");
-  }
-  const NodeId n = NodeId{1} << params.scale;
-  Rng rng(params.seed);
+namespace {
 
-  std::vector<Edge> edges;
-  edges.reserve(params.num_edges);
-  for (uint64_t e = 0; e < params.num_edges; ++e) {
+// Edges per generation chunk. Every edge consumes exactly 5 draws per level,
+// so chunk c starts 5 * scale * kChunkEdges * c draws into the seed's stream.
+constexpr uint64_t kChunkEdges = uint64_t{1} << 16;
+
+// Writes edges [begin, end) of the R-MAT stream to out[begin, end); `rng`
+// must stand at edge `begin`'s first draw.
+void GenerateEdges(const RmatParams& params, Rng& rng, uint64_t begin,
+                   uint64_t end, Edge* out) {
+  for (uint64_t e = begin; e < end; ++e) {
     NodeId row = 0;
     NodeId col = 0;
     for (uint32_t level = 0; level < params.scale; ++level) {
@@ -44,7 +44,49 @@ Result<Graph> GenerateRmat(const RmatParams& params) {
       row += half * (past_a & past_b);
       col += half * (past_a & (!past_b | past_c));
     }
-    if (row != col) edges.push_back(Edge{row, col, 1.0f});
+    // Self-loops are kept here; FromEdges drops them at their input position.
+    out[e] = Edge{row, col, 1.0f};
+  }
+}
+
+}  // namespace
+
+Result<Graph> GenerateRmat(const RmatParams& params, ThreadPool* pool) {
+  const double sum = params.a + params.b + params.c + params.d;
+  if (std::abs(sum - 1.0) > 1e-6) {
+    return Status::InvalidArgument("R-MAT probabilities must sum to 1");
+  }
+  if (params.scale == 0 || params.scale > 30) {
+    return Status::InvalidArgument("R-MAT scale must be in [1, 30]");
+  }
+  const NodeId n = NodeId{1} << params.scale;
+  const uint64_t chunks = (params.num_edges + kChunkEdges - 1) / kChunkEdges;
+  const uint64_t draws_per_chunk = uint64_t{5} * params.scale * kChunkEdges;
+
+  std::vector<Edge> edges(params.num_edges);
+  auto generate_chunks = [&](size_t, size_t chunk_begin, size_t chunk_end) {
+    for (size_t c = chunk_begin; c < chunk_end; ++c) {
+      Rng rng(params.seed);
+      rng.Jump(draws_per_chunk * c);
+      GenerateEdges(params, rng, c * kChunkEdges,
+                    std::min(params.num_edges, (c + 1) * kChunkEdges), edges.data());
+    }
+  };
+  // The output does not depend on the worker count, so a missing pool is
+  // replaced by one sized to the machine rather than falling back to serial.
+  std::unique_ptr<ThreadPool> own_pool;
+  if (pool == nullptr && chunks >= 2) {
+    const uint64_t workers =
+        std::min<uint64_t>(std::thread::hardware_concurrency(), chunks);
+    if (workers >= 2) {
+      own_pool = std::make_unique<ThreadPool>(workers);
+      pool = own_pool.get();
+    }
+  }
+  if (pool != nullptr && chunks >= 2) {
+    pool->ParallelForDynamic(chunks, /*chunk_size=*/1, generate_chunks);
+  } else {
+    generate_chunks(0, 0, chunks);
   }
   return Graph::FromEdges(n, edges, /*undirected=*/true);
 }

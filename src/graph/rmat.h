@@ -9,12 +9,14 @@
 #include <cstdint>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "graph/graph.h"
 
 namespace omega::graph {
 
 /// Parameters of one R-MAT recursion. a+b+c+d must be ~1; larger `a` gives
-/// heavier degree skew.
+/// heavier degree skew. The generated graph is a function of these fields
+/// alone: no thread count enters it.
 struct RmatParams {
   uint32_t scale = 14;        ///< nodes = 2^scale
   uint64_t num_edges = 1 << 18;
@@ -29,6 +31,11 @@ struct RmatParams {
 };
 
 /// Generates an undirected graph (duplicate edges merged, self-loops dropped).
-Result<Graph> GenerateRmat(const RmatParams& params);
+/// Edges are drawn in fixed chunks of 2^16, each starting from the seed's
+/// stream jumped ahead to that chunk (Rng::Jump), on `pool`. The result is
+/// byte-identical to drawing every edge from one stream in order, at any
+/// thread count. A null pool means a pool of min(hardware threads, chunks)
+/// workers made for this call when there are at least two chunks.
+Result<Graph> GenerateRmat(const RmatParams& params, ThreadPool* pool = nullptr);
 
 }  // namespace omega::graph

@@ -15,52 +15,33 @@ namespace {
 using memsim::Placement;
 using memsim::Tier;
 
-// Caches the CSR conversion of the embedder's current CSDB matrix (stage 1's
-// target, then stage 2's propagation matrix — used strictly sequentially).
-// Pointer identity alone is unsafe (the target is freed before the
-// propagation matrix is built and the allocation may be reused), so the entry
-// is validated against the matrix's shape and value fingerprint.
-class CsrCache {
- public:
-  const graph::CsrMatrix& Get(const graph::CsdbMatrix& m) {
-    const Fingerprint fp = FingerprintOf(m);
-    if (!valid_ || !(fp == key_)) {
-      auto csr = sparse::ToCsr(m);
-      OMEGA_CHECK(csr.ok()) << csr.status().ToString();
-      cached_ = std::move(csr).value();
-      key_ = fp;
-      valid_ = true;
-    }
-    return cached_;
-  }
-
- private:
-  struct Fingerprint {
-    const void* data = nullptr;
-    uint64_t nnz = 0;
-    float first = 0.0f;
-    float mid = 0.0f;
-
-    bool operator==(const Fingerprint& other) const = default;
-  };
-
-  static Fingerprint FingerprintOf(const graph::CsdbMatrix& m) {
-    Fingerprint fp;
-    fp.data = m.nnz_list().data();
-    fp.nnz = m.nnz();
-    if (fp.nnz > 0) {
-      fp.first = m.nnz_list().front();
-      fp.mid = m.nnz_list()[fp.nnz / 2];
-    }
-    return fp;
-  }
-
-  bool valid_ = false;
-  Fingerprint key_;
-  graph::CsrMatrix cached_;
-};
-
 }  // namespace
+
+namespace internal {
+
+Result<const graph::CsrMatrix*> CsrCache::Get(const graph::CsdbMatrix& m) {
+  const Fingerprint fp = FingerprintOf(m);
+  if (!valid_ || !(fp == key_)) {
+    valid_ = false;
+    OMEGA_ASSIGN_OR_RETURN(cached_, sparse::ToCsr(m));
+    key_ = fp;
+    valid_ = true;
+  }
+  return &cached_;
+}
+
+CsrCache::Fingerprint CsrCache::FingerprintOf(const graph::CsdbMatrix& m) {
+  Fingerprint fp;
+  fp.data = m.nnz_list().data();
+  fp.nnz = m.nnz();
+  if (fp.nnz > 0) {
+    fp.first = m.nnz_list().front();
+    fp.mid = m.nnz_list()[fp.nnz / 2];
+  }
+  return fp;
+}
+
+}  // namespace internal
 
 sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
                                          const linalg::DenseMatrix& b,
@@ -136,7 +117,7 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
   pl.result = interleave_dram;
 
   const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
-  CsrCache csr_cache;
+  internal::CsrCache csr_cache;
   sparse::CsrSpmmPlan csr_plan;  // reused across the stage's SpMM calls
   uint64_t staging_site = 0;  // fault-site cursor across the staging reads
 
@@ -145,7 +126,8 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
           linalg::DenseMatrix* out) -> Result<double> {
     exec::PhaseSpan span(ctx, run.NextSpmmName());
     *out = linalg::DenseMatrix(m.num_rows(), in.cols());
-    const graph::CsrMatrix& csr = csr_cache.Get(m);
+    OMEGA_ASSIGN_OR_RETURN(const graph::CsrMatrix* cached, csr_cache.Get(m));
+    const graph::CsrMatrix& csr = *cached;
     if (!csr_plan.Matches(csr, threads, sparse::CsrSpmmPlan::Split::kEqualRows)) {
       exec::PhaseSpan plan_span(ctx, "plan.build", /*aux=*/true);
       csr_plan = sparse::CsrSpmmPlan::Build(
@@ -288,7 +270,7 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
   }
 
   const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
-  CsrCache csr_cache;
+  internal::CsrCache csr_cache;
   sparse::CsrSpmmPlan csr_plan;  // reused across the stage's SpMM calls
   const Placement ssd{Tier::kSsd, 0};
   const Placement dram{Tier::kDram, Placement::kInterleaved};
@@ -298,7 +280,8 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
           linalg::DenseMatrix* out) -> Result<double> {
     exec::PhaseSpan span(ctx, run.NextSpmmName());
     *out = linalg::DenseMatrix(m.num_rows(), in.cols());
-    const graph::CsrMatrix& csr = csr_cache.Get(m);
+    OMEGA_ASSIGN_OR_RETURN(const graph::CsrMatrix* cached, csr_cache.Get(m));
+    const graph::CsrMatrix& csr = *cached;
     const size_t d = in.cols();
 
     memsim::ClockGroup clocks(threads);

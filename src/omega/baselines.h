@@ -44,4 +44,38 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
                                          const exec::Context& ctx,
                                          const sparse::CsrSpmmPlan* plan = nullptr);
 
+namespace internal {
+
+/// Caches the CSR conversion of an embedder's current CSDB matrix (stage 1's
+/// target, then stage 2's propagation matrix, used strictly sequentially).
+/// Pointer identity alone is unsafe (the target is freed before the
+/// propagation matrix is built and the allocation may be reused), so the entry
+/// is validated against the matrix's shape and value fingerprint. Exposed for
+/// tests.
+class CsrCache {
+ public:
+  /// The CSR form of `m`, converted on a miss. A matrix whose value list no
+  /// longer matches its columns (resized through mutable_nnz_list()) fails
+  /// the conversion; the error is returned and the cache is left empty.
+  Result<const graph::CsrMatrix*> Get(const graph::CsdbMatrix& m);
+
+ private:
+  struct Fingerprint {
+    const void* data = nullptr;
+    uint64_t nnz = 0;
+    float first = 0.0f;
+    float mid = 0.0f;
+
+    bool operator==(const Fingerprint& other) const = default;
+  };
+
+  static Fingerprint FingerprintOf(const graph::CsdbMatrix& m);
+
+  bool valid_ = false;
+  Fingerprint key_;
+  graph::CsrMatrix cached_;
+};
+
+}  // namespace internal
+
 }  // namespace omega::engine

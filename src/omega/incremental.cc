@@ -323,7 +323,7 @@ Status DynamicEmbedder::Train(const exec::Context& ctx) {
   }
   // Fold any pending mutations into the snapshot first (uncharged: the full
   // run's graph-read phase re-prices the whole structure anyway).
-  if (mutable_.pending() > 0) mutable_.Synchronize();
+  if (mutable_.pending() > 0) OMEGA_RETURN_NOT_OK(mutable_.Synchronize().status());
 
   EngineOptions opts = options_;
   opts.prone.capture = &capture_;
@@ -358,7 +358,7 @@ Result<RefreshReport> DynamicEmbedder::Refresh(const exec::Context& ctx,
   memsim::WorkerCtx serial_ctx;
   serial_ctx.active_threads = 1;
   serial_ctx.clock = &sync_clock;
-  graph::GraphDelta delta = mutable_.Synchronize(ms, &serial_ctx);
+  OMEGA_ASSIGN_OR_RETURN(graph::GraphDelta delta, mutable_.Synchronize(ms, &serial_ctx));
   report.sync_seconds = sync_clock.seconds();
   report.epoch = mutable_.epoch();
   report.mutations_applied = delta.applied.size();

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <set>
 #include <thread>
@@ -115,6 +117,154 @@ TEST(RngTest, GaussianHasReasonableMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.03);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
+}
+
+// Test-side model of the xoshiro256 state, independent of Rng::Jump.
+using State = std::array<uint64_t, 4>;
+
+// The state Rng::Seed(seed) sets.
+State SeededState(uint64_t seed) {
+  State s;
+  for (uint64_t& w : s) w = seed = SplitMix64(seed);
+  return s;
+}
+
+// One step of the xoshiro256 transition (Blackman and Vigna's reference).
+State Step(State s) {
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = std::rotl(s[3], 45);
+  return s;
+}
+
+// The next four outputs of a stream standing at `s`.
+std::array<uint64_t, 4> OutputsFrom(State s) {
+  std::array<uint64_t, 4> out;
+  for (uint64_t& o : out) {
+    o = std::rotl(s[1] * 5, 7) * 9;
+    s = Step(s);
+  }
+  return out;
+}
+
+std::array<uint64_t, 4> NextFour(Rng& rng) {
+  return {rng.Next(), rng.Next(), rng.Next(), rng.Next()};
+}
+
+// A linear map on states, as the images of the 256 unit states (row i is the
+// image of bit i % 64 of word i / 64).
+using BitMatrix = std::array<State, 256>;
+
+State Apply(const BitMatrix& m, const State& v) {
+  State out{};
+  for (int i = 0; i < 256; ++i) {
+    if ((v[i / 64] >> (i % 64)) & 1) {
+      for (int w = 0; w < 4; ++w) out[w] ^= m[i][w];
+    }
+  }
+  return out;
+}
+
+TEST(RngTest, JumpMatchesStepping) {
+  Rng draws(20261017);
+  // Small and word-boundary k, and one FR-sized generation chunk, stepped
+  // with Next().
+  for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{63}, uint64_t{64},
+                     uint64_t{65}, uint64_t{255}, uint64_t{256}, uint64_t{257},
+                     uint64_t{5} * 16 * 65536}) {
+    const uint64_t seed = draws.Next();
+    Rng stepped(seed);
+    Rng jumped(seed);
+    for (uint64_t i = 0; i < k; ++i) stepped.Next();
+    jumped.Jump(k);
+    EXPECT_EQ(NextFour(jumped), NextFour(stepped)) << "k=" << k;
+  }
+
+  // Random k < 2^32: stepping that far takes seconds per k, so k steps are
+  // taken as T^k, from the one-step matrix T squared 31 times.
+  std::vector<BitMatrix> powers(32);  // powers[j] = T^(2^j)
+  for (int i = 0; i < 256; ++i) {
+    State unit{};
+    unit[i / 64] = uint64_t{1} << (i % 64);
+    powers[0][i] = Step(unit);
+  }
+  for (int j = 1; j < 32; ++j) {
+    for (int i = 0; i < 256; ++i) powers[j][i] = Apply(powers[j - 1], powers[j - 1][i]);
+  }
+  for (int trial = 0; trial < 8; ++trial) {
+    const uint64_t seed = draws.Next();
+    const uint64_t k = draws.Next() >> 32;
+    State s = SeededState(seed);
+    for (int j = 0; j < 32; ++j) {
+      if ((k >> j) & 1) s = Apply(powers[j], s);
+    }
+    Rng jumped(seed);
+    jumped.Jump(k);
+    EXPECT_EQ(NextFour(jumped), OutputsFrom(s)) << "k=" << k;
+  }
+
+  // Jump moves only the Next() stream: a cached Gaussian survives it.
+  Rng with_cache(7);
+  Rng reference(7);
+  with_cache.NextGaussian();
+  reference.NextGaussian();
+  with_cache.Jump(1000);
+  EXPECT_EQ(with_cache.NextGaussian(), reference.NextGaussian());
+  for (int i = 0; i < 1000; ++i) reference.Next();
+  EXPECT_EQ(NextFour(with_cache), NextFour(reference));
+}
+
+// Rng::kCharPoly is re-derived by Berlekamp-Massey from the low bit of s1,
+// which every output exposes: Next() returns rotl(s1 * 5, 7) * 9, and 5 and
+// 9 are invertible modulo 2^64.
+TEST(RngTest, CharPolyMatchesBerlekampMassey) {
+  auto inverse = [](uint64_t a) {  // Newton's iteration for a^-1 mod 2^64
+    uint64_t x = a;
+    for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+    return x;
+  };
+  const uint64_t inv5 = inverse(5);
+  const uint64_t inv9 = inverse(9);
+  Rng rng(12345);
+  std::vector<int> bits(600);
+  for (int& bit : bits) bit = (inv5 * std::rotr(rng.Next() * inv9, 7)) & 1;
+
+  // Berlekamp-Massey over GF(2): the shortest recurrence
+  // bits[n] = sum_{i=1..len} conn[i] * bits[n - i].
+  std::vector<int> conn(bits.size() + 1, 0);
+  std::vector<int> prev = conn;
+  conn[0] = prev[0] = 1;
+  int len = 0;
+  int shift = 1;
+  for (size_t n = 0; n < bits.size(); ++n) {
+    int discrepancy = bits[n];
+    for (int i = 1; i <= len; ++i) discrepancy ^= conn[i] & bits[n - i];
+    if (discrepancy == 0) {
+      ++shift;
+      continue;
+    }
+    const std::vector<int> saved = conn;
+    for (size_t i = 0; i + shift < conn.size(); ++i) conn[i + shift] ^= prev[i];
+    if (2 * len <= static_cast<int>(n)) {
+      len = static_cast<int>(n) + 1 - len;
+      prev = saved;
+      shift = 1;
+    } else {
+      ++shift;
+    }
+  }
+  ASSERT_EQ(len, 256);
+  // The characteristic polynomial is the reversed connection polynomial:
+  // x^256 + sum conn[i] x^(256 - i).
+  uint64_t poly[4] = {0, 0, 0, 0};
+  for (int i = 1; i <= len; ++i) {
+    if (conn[i]) poly[(len - i) / 64] |= uint64_t{1} << ((len - i) % 64);
+  }
+  for (int w = 0; w < 4; ++w) EXPECT_EQ(poly[w], Rng::kCharPoly[w]) << "word " << w;
 }
 
 TEST(SplitMixTest, HashesDistinctInputsApart) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +74,7 @@ TEST(MutableGraphTest, AppliesAndRejectsDeterministically) {
   mg.Log(0, {MutationKind::kInsertEdge, 0, 99, 1.0f});   // out of range
   EXPECT_EQ(mg.pending(), 8u);
 
-  const graph::GraphDelta delta = mg.Synchronize();
+  const graph::GraphDelta delta = mg.Synchronize().value();
   EXPECT_EQ(mg.pending(), 0u);
   EXPECT_EQ(mg.epoch(), 1u);
   EXPECT_EQ(delta.applied.size(), 3u);
@@ -88,9 +90,31 @@ TEST(MutableGraphTest, AppliesAndRejectsDeterministically) {
   EXPECT_EQ(g.degree(4), 0u);
 
   // Nothing pending: no rebuild, no epoch bump.
-  const graph::GraphDelta empty = mg.Synchronize();
+  const graph::GraphDelta empty = mg.Synchronize().value();
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(mg.epoch(), 1u);
+}
+
+// A non-finite weight passes validation (the edge is absent) but fails the
+// rebuild: the error is returned, not aborted on, and the snapshot stays.
+TEST(MutableGraphTest, NonFiniteWeightFailsSynchronizeWithoutAborting) {
+  MutableGraph mg(SmallGraph());
+  const std::vector<uint32_t> degrees_before = {mg.graph().degree(3),
+                                                mg.graph().degree(5)};
+  mg.Log(0, {MutationKind::kInsertEdge, 5, 3, std::nanf("")});
+  auto delta = mg.Synchronize();
+  ASSERT_FALSE(delta.ok());
+  EXPECT_TRUE(delta.status().IsInvalidArgument()) << delta.status().ToString();
+  EXPECT_EQ(mg.pending(), 0u);
+  EXPECT_EQ(mg.epoch(), 0u);
+  EXPECT_EQ((std::vector<uint32_t>{mg.graph().degree(3), mg.graph().degree(5)}),
+            degrees_before);
+
+  // The next batch applies normally.
+  mg.Log(0, {MutationKind::kInsertEdge, 5, 3, 2.0f});
+  ASSERT_TRUE(mg.Synchronize().ok());
+  EXPECT_EQ(mg.epoch(), 1u);
+  EXPECT_TRUE(HasEdge(mg.graph(), 5, 3));
 }
 
 TEST(MutableGraphTest, ConcurrentLoggingMatchesSequential) {
@@ -122,8 +146,8 @@ TEST(MutableGraphTest, ConcurrentLoggingMatchesSequential) {
 
   // The merge order is (worker, append index), not arrival time, so the two
   // rebuilt graphs must be structurally identical.
-  const graph::GraphDelta a = concurrent.Synchronize();
-  const graph::GraphDelta b = sequential.Synchronize();
+  const graph::GraphDelta a = concurrent.Synchronize().value();
+  const graph::GraphDelta b = sequential.Synchronize().value();
   EXPECT_EQ(a.applied.size(), b.applied.size());
   EXPECT_EQ(a.rejected_total(), b.rejected_total());
   ExpectCsdbIdentical(CsdbMatrix::FromGraph(concurrent.graph()),
@@ -137,7 +161,7 @@ TEST(CsdbDeltaTest, RandomizedSequencesMatchFullRebuild) {
     const std::vector<Mutation> muts =
         graph::SyntheticMutations(mg.graph(), 32, 500 + round);
     for (const Mutation& m : muts) mg.Log(0, m);
-    const graph::GraphDelta delta = mg.Synchronize();
+    const graph::GraphDelta delta = mg.Synchronize().value();
     ASSERT_FALSE(delta.empty());
 
     auto res = sparse::ApplyDelta(csdb, mg.graph(), delta.touched_nodes);
@@ -157,7 +181,7 @@ TEST(CsdbDeltaTest, DegreeTransitionsAndIsolatedRows) {
   auto apply_and_check =
       [&](std::vector<Mutation> muts) -> graph::GraphDelta {
     for (const Mutation& m : muts) mg.Log(0, m);
-    graph::GraphDelta delta = mg.Synchronize();
+    graph::GraphDelta delta = mg.Synchronize().value();
     EXPECT_FALSE(delta.empty());
     auto res = sparse::ApplyDelta(csdb, mg.graph(), delta.touched_nodes);
     EXPECT_TRUE(res.ok()) << res.status().ToString();
@@ -239,7 +263,7 @@ TEST(FingerprintTest, TouchedStripesLocalizeStructuralChange) {
   for (const Mutation& m : graph::SyntheticMutations(mg.graph(), 4, 77)) {
     mg.Log(0, m);
   }
-  mg.Synchronize();
+  ASSERT_TRUE(mg.Synchronize().ok());
   const CsdbMatrix after = CsdbMatrix::FromGraph(mg.graph());
   const sparse::RowBlockFingerprint fp1 = sparse::FingerprintOf(after, 64);
   const std::vector<uint32_t> touched = sparse::TouchedStripes(fp0, fp1);
@@ -285,7 +309,7 @@ TEST(PlanCacheTest, DeltaInvalidationRebindsWeightOnlyDropsStructural) {
   for (const Mutation& m : graph::SyntheticMutations(mg.graph(), 8, 42)) {
     mg.Log(0, m);
   }
-  mg.Synchronize();
+  ASSERT_TRUE(mg.Synchronize().ok());
   CsdbMatrix m3 = CsdbMatrix::FromGraph(mg.graph());
   EXPECT_EQ(cache.InvalidateDelta(m2, m3), 1u);
   EXPECT_EQ(cache.invalidations(), 1u);
@@ -365,6 +389,32 @@ TEST_F(IncrementalRefreshTest, NoPendingMutationsIsANoOp) {
   EXPECT_EQ(res.value().affected_rows, 0u);
   EXPECT_EQ(0, std::memcmp(before.data(), dyn.embedding().data(),
                            before.bytes()));
+}
+
+// Both of DynamicEmbedder's synchronization points return a failed rebuild
+// as a Status: Train (mutations logged before training) and Refresh.
+TEST_F(IncrementalRefreshTest, FailedSynchronizeIsReturnedByTrainAndRefresh) {
+  const Graph base = RmatGraph(8, 1500);
+  auto ms = memsim::MemorySystem::CreateDefault();
+  ThreadPool pool(2);
+  const exec::Context ctx(ms.get(), &pool, 2);
+  ASSERT_GT(base.degree(0), 0u);
+  const Mutation poisoned{MutationKind::kUpdateWeight, 0, base.neighbors(0)[0],
+                          std::numeric_limits<float>::infinity()};
+
+  engine::DynamicEmbedder dyn(base, Options(2), "test", 2);
+  dyn.Log(0, poisoned);
+  const Status train = dyn.Train(ctx);
+  EXPECT_TRUE(train.IsInvalidArgument()) << train.ToString();
+  EXPECT_FALSE(dyn.trained());
+
+  ASSERT_TRUE(dyn.Train(ctx).ok());
+  const linalg::DenseMatrix before = dyn.embedding();
+  dyn.Log(0, poisoned);
+  auto refresh = dyn.Refresh(ctx);
+  ASSERT_FALSE(refresh.ok());
+  EXPECT_TRUE(refresh.status().IsInvalidArgument()) << refresh.status().ToString();
+  EXPECT_EQ(0, std::memcmp(before.data(), dyn.embedding().data(), before.bytes()));
 }
 
 TEST(ServeRefreshTest, RefreshRowsSwapsEmbeddingAndReconcilesCache) {

@@ -185,6 +185,28 @@ TEST(GraphReadCostTest, CsdbReadsFasterThanCsr) {
   EXPECT_LT(csr / csdb, 2.5);
 }
 
+// The baselines' CSR cache returns a failed conversion instead of aborting:
+// a CSDB matrix whose value list was resized through mutable_nnz_list() no
+// longer converts. The next valid matrix converts normally.
+TEST(CsrCacheTest, FailedConversionIsReturnedNotAborted) {
+  graph::RmatParams params;
+  params.scale = 8;
+  params.num_edges = 1500;
+  const graph::CsdbMatrix valid =
+      graph::CsdbMatrix::FromGraph(graph::GenerateRmat(params).value());
+  graph::CsdbMatrix corrupt = valid;
+  corrupt.mutable_nnz_list().push_back(1.0f);
+
+  internal::CsrCache cache;
+  auto failed = cache.Get(corrupt);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsInvalidArgument()) << failed.status().ToString();
+
+  auto converted = cache.Get(valid);
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+  EXPECT_EQ(converted.value()->nnz(), valid.nnz());
+}
+
 TEST(WorkingSetTest, GrowsWithDimAndNodes) {
   embed::ProneOptions prone;
   prone.dim = 32;

@@ -9,6 +9,7 @@
 
 #include "common/md5.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/datasets.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
@@ -224,6 +225,62 @@ TEST(GraphTest, RelabelRejectsNonPermutation) {
   const Graph g = MakePaperGraph();
   EXPECT_FALSE(g.Relabel({0, 0, 1, 2, 3, 4, 5}).ok());
   EXPECT_FALSE(g.Relabel({0, 1}).ok());
+}
+
+// The serial generator as it stood before chunking: one stream drawn edge by
+// edge in order, self-loops filtered before FromEdges.
+Result<Graph> SerialRmatOracle(const RmatParams& params) {
+  Rng rng(params.seed);
+  std::vector<Edge> edges;
+  for (uint64_t e = 0; e < params.num_edges; ++e) {
+    NodeId row = 0;
+    NodeId col = 0;
+    for (uint32_t level = 0; level < params.scale; ++level) {
+      const double na = params.a * (1.0 + params.noise * (rng.NextDouble() - 0.5));
+      const double nb = params.b * (1.0 + params.noise * (rng.NextDouble() - 0.5));
+      const double nc = params.c * (1.0 + params.noise * (rng.NextDouble() - 0.5));
+      const double nd = params.d * (1.0 + params.noise * (rng.NextDouble() - 0.5));
+      const double total = na + nb + nc + nd;
+      const double r = rng.NextDouble() * total;
+      const NodeId half = NodeId{1} << (params.scale - level - 1);
+      const double ab = na + nb;
+      const double abc = ab + nc;
+      const bool past_a = !(r < na);
+      const bool past_b = !(r < ab);
+      const bool past_c = !(r < abc);
+      row += half * (past_a & past_b);
+      col += half * (past_a & (!past_b | past_c));
+    }
+    if (row != col) edges.push_back(Edge{row, col, 1.0f});
+  }
+  return Graph::FromEdges(NodeId{1} << params.scale, edges, /*undirected=*/true);
+}
+
+TEST(GraphTest, RmatChunkedMatchesSerialOracle) {
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  RmatParams multi;  // three full 2^16-edge chunks and a partial fourth
+  multi.scale = 10;
+  multi.num_edges = 3 * 65536 + 12345;
+  multi.seed = 7;
+  RmatParams single = multi;  // one partial chunk
+  single.num_edges = 5000;
+  for (const RmatParams& params : {multi, single}) {
+    auto oracle = SerialRmatOracle(params);
+    ASSERT_TRUE(oracle.ok());
+    for (ThreadPool* pool : {&one, &two, &eight, static_cast<ThreadPool*>(nullptr)}) {
+      const size_t threads = pool == nullptr ? 0 : pool->size();
+      auto g = GenerateRmat(params, pool);
+      ASSERT_TRUE(g.ok());
+      EXPECT_EQ(g.value().offsets(), oracle.value().offsets())
+          << params.num_edges << " edges, threads " << threads;
+      EXPECT_EQ(g.value().neighbor_array(), oracle.value().neighbor_array())
+          << params.num_edges << " edges, threads " << threads;
+      EXPECT_EQ(g.value().weight_array(), oracle.value().weight_array())
+          << params.num_edges << " edges, threads " << threads;
+    }
+  }
 }
 
 TEST(RmatTest, GeneratesRequestedScale) {
