@@ -1,6 +1,7 @@
 // Pinned end-to-end reports. Every fig12 system, the kOmega feature, fault
 // and durability variants, and one DynamicEmbedder refresh per OMeGa-family
-// system run on a small RMAT graph at 2 threads. Each pin records
+// system run on a small RMAT graph at 2 threads; OMeGa, Ginex, MariusGNN and
+// one OMeGa refresh also run at 3 threads on 2 sockets and at 5 threads on 4. Each pin records
 // total_seconds and every phase's (name, sim_seconds) as hex floats plus the
 // embedding MD5, so an engine change that moves one simulated bit, drops an
 // aux record or reorders a phase fails here with a line-level diff.
@@ -77,10 +78,18 @@ std::unique_ptr<memsim::MemorySystem> SmallDramMachine() {
   return std::make_unique<memsim::MemorySystem>(topo, memsim::DefaultProfiles());
 }
 
+// A machine with `sockets` sockets and the default per-socket devices.
+std::unique_ptr<memsim::MemorySystem> SocketMachine(int sockets) {
+  memsim::TopologyConfig topo;
+  topo.num_sockets = sockets;
+  return std::make_unique<memsim::MemorySystem>(topo, memsim::DefaultProfiles());
+}
+
 Result<RunReport> RunOn(memsim::MemorySystem* ms, const graph::Graph& g,
                         const EngineOptions& opts) {
-  ThreadPool pool(kThreads);
-  return RunEmbedding(g, "pin", opts, exec::Context(ms, &pool, kThreads));
+  ThreadPool pool(opts.num_threads);
+  return RunEmbedding(g, "pin", opts,
+                      exec::Context(ms, &pool, opts.num_threads));
 }
 
 // Crashes a checkpointing run at `site`, then restores and finishes it.
@@ -119,6 +128,14 @@ std::vector<RunCase> RunCases() {
       auto ms = memsim::MemorySystem::CreateDefault();
       EngineOptions opts = PinOptions(SystemKind::kOmega);
       edit(&opts);
+      return RunOn(ms.get(), g, opts);
+    };
+  };
+  auto on_layout = [](SystemKind system, int threads, int sockets) {
+    return [system, threads, sockets](const graph::Graph& g) {
+      auto ms = SocketMachine(sockets);
+      EngineOptions opts = PinOptions(system);
+      opts.num_threads = threads;
       return RunOn(ms.get(), g, opts);
     };
   };
@@ -175,6 +192,14 @@ std::vector<RunCase> RunCases() {
        [](const graph::Graph& g) { return CrashAndRestore(g, "factorize"); }},
       {"omega.restore-term.3",
        [](const graph::Graph& g) { return CrashAndRestore(g, "term.3"); }},
+      // Uneven worker layouts: 3 threads on 2 sockets, and 5 threads on 4
+      // sockets, whose block layout leaves socket groups of 2/2/1/0.
+      {"omega@3t2s", on_layout(SystemKind::kOmega, 3, 2)},
+      {"omega@5t4s", on_layout(SystemKind::kOmega, 5, 4)},
+      {"ginex@3t2s", on_layout(SystemKind::kGinex, 3, 2)},
+      {"ginex@5t4s", on_layout(SystemKind::kGinex, 5, 4)},
+      {"marius@3t2s", on_layout(SystemKind::kMariusGnn, 3, 2)},
+      {"marius@5t4s", on_layout(SystemKind::kMariusGnn, 5, 4)},
   };
 }
 
@@ -473,6 +498,88 @@ const Pin kRunPins[] = {
      "factorize.dense 0x1.0779050b6fe9cp-12\n"
      "propagate.dense 0x1.fd8b47c2f4a37p-15\n"
      "embedding da5f4a27f40ebd9abfbb2801b80f9c64\n"},
+    {"omega@3t2s",
+     "total 0x1.312438862f05ep-8\n"
+     "read 0x1.adf078651a804p-15\n"
+     "factorize.spmm.0 0x1.72943a585ebdfp-11\n"
+     "factorize.spmm.1 0x1.72943a585ebdfp-11\n"
+     "factorize.spmm.2 0x1.72943a585ebdfp-11\n"
+     "factorize.spmm.3 0x1.72943a585ebdfp-11\n"
+     "propagate.spmm.0 0x1.124bf0e418187p-11\n"
+     "propagate.spmm.1 0x1.124bf0e418187p-11\n"
+     "propagate.spmm.2 0x1.124bf0e418187p-11\n"
+     "wofp_build 0x1.1e0fc8f065cf4p-10\n"
+     "plan.cache 0x0p+0\n"
+     "factorize.dense 0x1.5f4c06b9ea8dp-13\n"
+     "propagate.dense 0x1.53afeeee8a27cp-15\n"
+     "embedding da5f4a27f40ebd9abfbb2801b80f9c64\n"},
+    {"omega@5t4s",
+     "total 0x1.8016b34afa745p-9\n"
+     "read 0x1.51946607502dfp-15\n"
+     "factorize.spmm.0 0x1.c517f68235b07p-12\n"
+     "factorize.spmm.1 0x1.c517f68235b07p-12\n"
+     "factorize.spmm.2 0x1.c517f68235b07p-12\n"
+     "factorize.spmm.3 0x1.c517f68235b07p-12\n"
+     "propagate.spmm.0 0x1.648ce2fe8053ep-12\n"
+     "propagate.spmm.1 0x1.648ce2fe8053ep-12\n"
+     "propagate.spmm.2 0x1.648ce2fe8053ep-12\n"
+     "wofp_build 0x1.1e0fc8f065cf4p-10\n"
+     "plan.cache 0x0p+0\n"
+     "factorize.dense 0x1.d48688537222ep-14\n"
+     "propagate.dense 0x1.f5ae87db556fp-16\n"
+     "embedding da5f4a27f40ebd9abfbb2801b80f9c64\n"},
+    {"ginex@3t2s",
+     "total 0x1.0beb17b54b167p-3\n"
+     "read 0x1.12f51256a3df8p-13\n"
+     "factorize.spmm.0 0x1.64a23de64de09p-6\n"
+     "factorize.spmm.1 0x1.64a23de64de09p-6\n"
+     "factorize.spmm.2 0x1.64a23de64de09p-6\n"
+     "factorize.spmm.3 0x1.64a23de64de09p-6\n"
+     "propagate.spmm.0 0x1.db83239d97cb8p-7\n"
+     "propagate.spmm.1 0x1.db83239d97cb8p-7\n"
+     "propagate.spmm.2 0x1.db83239d97cb8p-7\n"
+     "factorize.dense 0x1.24eab16962fddp-14\n"
+     "propagate.dense 0x1.00ef3a9b55e9ep-16\n"
+     "embedding da5f4a27f40ebd9abfbb2801b80f9c64\n"},
+    {"ginex@5t4s",
+     "total 0x1.4829c4fbf1306p-4\n"
+     "read 0x1.a202d9bad9ffdp-14\n"
+     "factorize.spmm.0 0x1.b48e0a92f6db2p-7\n"
+     "factorize.spmm.1 0x1.b48e0a92f6db2p-7\n"
+     "factorize.spmm.2 0x1.b48e0a92f6db2p-7\n"
+     "factorize.spmm.3 0x1.b48e0a92f6db2p-7\n"
+     "propagate.spmm.0 0x1.2353855ef8b57p-7\n"
+     "propagate.spmm.1 0x1.2353855ef8b57p-7\n"
+     "propagate.spmm.2 0x1.2353855ef8b57p-7\n"
+     "factorize.dense 0x1.828a4c150049bp-15\n"
+     "propagate.dense 0x1.5375dce506e97p-17\n"
+     "embedding da5f4a27f40ebd9abfbb2801b80f9c64\n"},
+    {"marius@3t2s",
+     "total 0x1.196e96aa1573dp-4\n"
+     "read 0x1.12f51256a3df8p-13\n"
+     "factorize.spmm.0 0x1.7634f85a44442p-7\n"
+     "factorize.spmm.1 0x1.7634f85a44442p-7\n"
+     "factorize.spmm.2 0x1.7634f85a44442p-7\n"
+     "factorize.spmm.3 0x1.7634f85a44442p-7\n"
+     "propagate.spmm.0 0x1.f25c77141508fp-8\n"
+     "propagate.spmm.1 0x1.f25c77141508fp-8\n"
+     "propagate.spmm.2 0x1.f25c77141508fp-8\n"
+     "factorize.dense 0x1.24eab16962fddp-14\n"
+     "propagate.dense 0x1.00ef3a9b55e9ep-16\n"
+     "embedding da5f4a27f40ebd9abfbb2801b80f9c64\n"},
+    {"marius@5t4s",
+     "total 0x1.59893f6c28b47p-5\n"
+     "read 0x1.a202d9bad9ffdp-14\n"
+     "factorize.spmm.0 0x1.cb4d6024718d6p-8\n"
+     "factorize.spmm.1 0x1.cb4d6024718d6p-8\n"
+     "factorize.spmm.2 0x1.cb4d6024718d6p-8\n"
+     "factorize.spmm.3 0x1.cb4d6024718d6p-8\n"
+     "propagate.spmm.0 0x1.319f354b5280bp-8\n"
+     "propagate.spmm.1 0x1.319f354b5280bp-8\n"
+     "propagate.spmm.2 0x1.319f354b5280bp-8\n"
+     "factorize.dense 0x1.828a4c150049bp-15\n"
+     "propagate.dense 0x1.5375dce506e97p-17\n"
+     "embedding da5f4a27f40ebd9abfbb2801b80f9c64\n"},
 };
 
 const Pin kRefreshPins[] = {
@@ -494,6 +601,20 @@ const Pin kRefreshPins[] = {
      "sync 0x1.85659af718fep-17\n"
      "delta 0x1.1bb630082a2e8p-13\n"
      "refresh 0x1.29f49e3aabbb3p-8\n"
+     "affected_rows 438\n"
+     "refreshed_nodes 6a677177003361d2db0d8ee13e679843\n"
+     "embedding b95e77ad338a2a628bb602baf9d1c247\n"},
+    {"OMeGa@3t2s",
+     "sync 0x1.85659af718fep-17\n"
+     "delta 0x1.1bb630082a2e8p-13\n"
+     "refresh 0x1.2889c98d7946ep-10\n"
+     "affected_rows 438\n"
+     "refreshed_nodes 6a677177003361d2db0d8ee13e679843\n"
+     "embedding b95e77ad338a2a628bb602baf9d1c247\n"},
+    {"OMeGa@5t4s",
+     "sync 0x1.af902f7bb1fecp-17\n"
+     "delta 0x1.579b388b0595ap-13\n"
+     "refresh 0x1.b933c3b15df79p-11\n"
      "affected_rows 438\n"
      "refreshed_nodes 6a677177003361d2db0d8ee13e679843\n"
      "embedding b95e77ad338a2a628bb602baf9d1c247\n"},
@@ -524,14 +645,28 @@ TEST(PinnedReportTest, RunReportsMatchPins) {
 TEST(PinnedReportTest, RefreshReportsMatchPins) {
   const graph::Graph base = PinGraph();
   const std::vector<graph::Mutation> muts = graph::SyntheticMutations(base, 16, 7);
-  for (SystemKind system :
-       {SystemKind::kOmega, SystemKind::kOmegaDram, SystemKind::kOmegaPm}) {
-    const std::string name = SystemName(system);
+  struct RefreshCase {
+    SystemKind system;
+    int threads;
+    int sockets;
+    std::string name;
+  };
+  const RefreshCase cases[] = {
+      {SystemKind::kOmega, kThreads, 2, SystemName(SystemKind::kOmega)},
+      {SystemKind::kOmegaDram, kThreads, 2, SystemName(SystemKind::kOmegaDram)},
+      {SystemKind::kOmegaPm, kThreads, 2, SystemName(SystemKind::kOmegaPm)},
+      {SystemKind::kOmega, 3, 2, "OMeGa@3t2s"},
+      {SystemKind::kOmega, 5, 4, "OMeGa@5t4s"},
+  };
+  for (const RefreshCase& c : cases) {
+    const std::string& name = c.name;
     SCOPED_TRACE(name);
-    auto ms = memsim::MemorySystem::CreateDefault();
-    ThreadPool pool(kThreads);
-    const exec::Context ctx(ms.get(), &pool, kThreads);
-    DynamicEmbedder dyn(base, PinOptions(system), "pin", kThreads);
+    auto ms = SocketMachine(c.sockets);
+    ThreadPool pool(c.threads);
+    const exec::Context ctx(ms.get(), &pool, c.threads);
+    EngineOptions opts = PinOptions(c.system);
+    opts.num_threads = c.threads;
+    DynamicEmbedder dyn(base, opts, "pin", c.threads);
     ASSERT_TRUE(dyn.Train(ctx).ok());
     for (size_t i = 0; i < muts.size(); ++i) {
       dyn.Log(static_cast<int>(i), muts[i]);
