@@ -1,6 +1,7 @@
 #include "durable/checkpoint.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "common/logging.h"
@@ -234,9 +235,21 @@ Status CheckpointStore::SaveToFile(const std::string& path) const {
 }
 
 Status CheckpointStore::LoadFromFile(const std::string& path) {
+  // A directory opens as a stream whose tellg() is INT64_MAX: reject
+  // anything but a regular file, and any size the device could not hold,
+  // before allocating the image.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::IOError("checkpoint path is not a regular file: " + path);
+  }
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IOError("cannot open checkpoint file " + path);
   const std::streamsize size = in.tellg();
+  if (size < 0 ||
+      static_cast<uint64_t>(size) > ms_->CapacityBytes(options_.placement.tier)) {
+    return Status::IOError("checkpoint file " + path +
+                           " has no size that fits its device");
+  }
   in.seekg(0);
   std::vector<uint8_t> bytes(static_cast<size_t>(size));
   if (size > 0 &&
@@ -285,8 +298,9 @@ void PutMatrix(std::vector<uint8_t>* out, const std::string& tag,
 Status GetMatrix(const std::vector<uint8_t>& payload, std::string* tag,
                  linalg::DenseMatrix* m) {
   size_t off = 0;
-  auto need = [&](size_t n) {
-    return off + n <= payload.size()
+  // `off` never passes payload.size(), so the subtraction cannot wrap.
+  auto need = [&](uint64_t n) {
+    return n <= payload.size() - off
                ? Status::OK()
                : Status::IOError("corrupt checkpoint matrix entry");
   };
@@ -300,8 +314,13 @@ Status GetMatrix(const std::vector<uint8_t>& payload, std::string* tag,
   const uint64_t rows = GetU64(payload.data() + off);
   const uint64_t cols = GetU64(payload.data() + off + 8);
   off += 16;
+  // Check the declared shape against the payload before allocating: a
+  // rows * cols * 4 that overflows (or just exceeds what is left) is corrupt.
+  const uint64_t floats_left = (payload.size() - off) / sizeof(float);
+  if (rows != 0 && cols > floats_left / rows) {
+    return Status::IOError("corrupt checkpoint matrix entry");
+  }
   linalg::DenseMatrix out(rows, cols);
-  OMEGA_RETURN_NOT_OK(need(out.bytes()));
   std::memcpy(out.data(), payload.data() + off, out.bytes());
   *m = std::move(out);
   return Status::OK();
@@ -393,7 +412,7 @@ Result<CheckpointSnapshot> ReadLastSnapshot(CheckpointStore* store,
     off += 4;
     const uint64_t word_count = GetU64(meta.payload.data() + off);
     off += 8;
-    if (meta.payload.size() < off + word_count * 8) continue;
+    if (word_count > (meta.payload.size() - off) / 8) continue;
     for (uint64_t w = 0; w < word_count; ++w) {
       snapshot.words.push_back(GetU64(meta.payload.data() + off + w * 8));
     }

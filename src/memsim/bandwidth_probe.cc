@@ -1,5 +1,7 @@
 #include "memsim/bandwidth_probe.h"
 
+#include "memsim/worker_frame.h"
+
 namespace omega::memsim {
 
 BandwidthSample ProbeBandwidth(MemorySystem* ms, Tier tier, MemOp op, Pattern pat,
@@ -13,17 +15,13 @@ BandwidthSample ProbeBandwidth(MemorySystem* ms, Tier tier, MemOp op, Pattern pa
   const size_t access_granularity = (pat == Pattern::kRandom) ? 64 : bytes_per_thread;
   const size_t accesses = bytes_per_thread / access_granularity;
 
-  ClockGroup clocks(threads);
-  for (int w = 0; w < threads; ++w) {
-    WorkerCtx ctx;
-    ctx.worker = w;
-    ctx.cpu_socket = cpu_socket;
-    ctx.active_threads = threads;
-    ctx.clock = &clocks.clock(w);
-    ms->ChargeAccess(&ctx, data, op, pat, bytes_per_thread, accesses);
-  }
-
-  const double seconds = clocks.MaxSeconds();
+  // Every worker contends with the whole pool, but all of them run on
+  // `cpu_socket` rather than on their layout socket.
+  WorkerFrame frame(ms->topology(), threads);
+  const double seconds = frame.Run(nullptr, [&](size_t, WorkerCtx* ctx) {
+    ctx->cpu_socket = cpu_socket;
+    ms->ChargeAccess(ctx, data, op, pat, bytes_per_thread, accesses);
+  });
   BandwidthSample sample;
   sample.tier = tier;
   sample.op = op;

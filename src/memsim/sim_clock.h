@@ -3,13 +3,12 @@
 // Every worker thread accumulates simulated seconds as kernels charge memory
 // traffic and arithmetic against it. A parallel phase's simulated duration is
 // the maximum across its workers (the straggler), which is precisely how the
-// paper's tail-latency effects become visible.
+// paper's tail-latency effects become visible; memsim::WorkerFrame owns a
+// parallel phase's clocks and takes that maximum.
 
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
-#include <vector>
 
 namespace omega::memsim {
 
@@ -17,7 +16,6 @@ namespace omega::memsim {
 class SimClock {
  public:
   void Advance(double seconds) { seconds_ += seconds; }
-  void Reset() { seconds_ = 0.0; }
   double seconds() const { return seconds_; }
 
   /// Duration of a compute stream of `compute` seconds running concurrently
@@ -48,50 +46,6 @@ class SimClock {
 
  private:
   double seconds_ = 0.0;
-};
-
-/// A group of per-worker clocks for one parallel phase.
-class ClockGroup {
- public:
-  explicit ClockGroup(size_t workers) : clocks_(workers) {}
-
-  SimClock& clock(size_t worker) { return clocks_[worker]; }
-  const SimClock& clock(size_t worker) const { return clocks_[worker]; }
-  size_t size() const { return clocks_.size(); }
-
-  void Reset() {
-    for (auto& c : clocks_) c.Reset();
-  }
-
-  /// Simulated duration of the phase: the slowest worker.
-  double MaxSeconds() const {
-    double mx = 0.0;
-    for (const auto& c : clocks_) mx = std::max(mx, c.seconds());
-    return mx;
-  }
-
-  double MinSeconds() const {
-    if (clocks_.empty()) return 0.0;
-    double mn = clocks_[0].seconds();
-    for (const auto& c : clocks_) mn = std::min(mn, c.seconds());
-    return mn;
-  }
-
-  double TotalSeconds() const {
-    double s = 0.0;
-    for (const auto& c : clocks_) s += c.seconds();
-    return s;
-  }
-
-  std::vector<double> Snapshot() const {
-    std::vector<double> out;
-    out.reserve(clocks_.size());
-    for (const auto& c : clocks_) out.push_back(c.seconds());
-    return out;
-  }
-
- private:
-  std::vector<SimClock> clocks_;
 };
 
 }  // namespace omega::memsim

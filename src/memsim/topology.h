@@ -55,10 +55,20 @@ class Topology {
   const TopologyConfig& config() const { return config_; }
   int num_sockets() const { return config_.num_sockets; }
 
-  /// Socket a worker is bound to under block assignment: with W workers,
-  /// workers [0, W/S) go to socket 0, the next W/S to socket 1, and so on.
-  /// This mirrors NaDP's CPU-binding-based computing (§III-D).
+  // The one worker->socket layout. Workers are bound to sockets in
+  // contiguous blocks of ceil(W/S): with W workers, workers [0, ceil(W/S))
+  // go to socket 0, the next block to socket 1, and so on. This mirrors
+  // NaDP's CPU-binding-based computing (§III-D). Uneven counts leave the
+  // trailing sockets short or empty: 5 workers on 4 sockets are 2/2/1/0.
+
+  /// Socket `worker` is bound to.
   int SocketOfWorker(int worker, int total_workers) const;
+
+  /// Number of workers bound to `socket` (its socket group).
+  int ThreadsOnSocket(int socket, int total_workers) const;
+
+  /// `worker`'s index within its socket group.
+  int IndexOnSocket(int worker, int total_workers) const;
 
   /// Locality of an access from `cpu_socket` to data on `data_socket`.
   Locality LocalityOf(int cpu_socket, int data_socket) const {
@@ -66,6 +76,9 @@ class Topology {
   }
 
  private:
+  /// Block size of the layout: ceil(total_workers / sockets).
+  int WorkersPerSocket(int total_workers) const;
+
   TopologyConfig config_;
 };
 

@@ -5,30 +5,10 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "memsim/worker_frame.h"
 #include "numa/partition.h"
 
 namespace omega::numa {
-
-namespace {
-
-// Workers are assigned to sockets in contiguous blocks, mirroring
-// Topology::SocketOfWorker.
-struct WorkerLayout {
-  int per_socket = 0;
-
-  int SocketOf(int worker, int sockets) const {
-    return std::min(worker / per_socket, sockets - 1);
-  }
-  int LocalIndex(int worker, int socket) const { return worker - socket * per_socket; }
-  int ThreadsOnSocket(int socket, int total, int sockets) const {
-    const int begin = socket * per_socket;
-    const int end = socket == sockets - 1 ? total
-                                          : std::min(total, begin + per_socket);
-    return std::max(0, end - begin);
-  }
-};
-
-}  // namespace
 
 NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
                          const exec::Context& exec_ctx) {
@@ -90,10 +70,6 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   plan.row_blocks_ =
       std::move(MakeSocketPartition(a, /*dense_cols=*/0, plan.sockets_).row_blocks);
 
-  WorkerLayout layout;
-  layout.per_socket = (threads + active_sockets - 1) / active_sockets;
-  plan.per_socket_ = layout.per_socket;
-
   // Heterogeneous placement: price every degree block against the PIM gang
   // and carve the offloaded rows out of the host allocations below. When the
   // placement offloads nothing (host-only policy, or auto deciding against),
@@ -108,9 +84,10 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   const bool offload = plan.hetero_.any_pim();
 
   // Per-socket thread allocations (identical when threads % sockets == 0).
+  const memsim::Topology& topology = ms->topology();
   plan.per_socket_workloads_.resize(plan.sockets_);
   for (int s = 0; s < active_sockets; ++s) {
-    const int ws = layout.ThreadsOnSocket(s, threads, active_sockets);
+    const int ws = topology.ThreadsOnSocket(s, threads);
     if (ws <= 0) continue;
     alloc_opts.num_threads = ws;
     plan.per_socket_workloads_[s] =
@@ -126,8 +103,8 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   pool->RunOnAll([&](size_t worker) {
     if (worker >= static_cast<size_t>(threads)) return;
     const int w = static_cast<int>(worker);
-    const int s = layout.SocketOf(w, active_sockets);
-    const int wi = layout.LocalIndex(w, s);
+    const int s = topology.SocketOfWorker(w, threads);
+    const int wi = topology.IndexOnSocket(w, threads);
     // Workers without a workload never build a cache (NadpSpmm's early
     // exit); their slots stay empty and NadpExecute skips them identically.
     if (wi >= static_cast<int>(plan.per_socket_workloads_[s].size())) return;
@@ -176,32 +153,37 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   OMEGA_CHECK(col_begin <= col_end);
 
   NadpResult result;
-  result.thread_seconds.assign(threads, 0.0);
   result.nnz_processed = a.nnz();
-  memsim::ClockGroup clocks(threads);
   std::vector<sparse::SpmmCostBreakdown> breakdowns(threads);
-  std::vector<double> wofp_build(threads, 0.0);
-  // Per-execute WorkerCtxs must not reuse fault sites across executes, or
-  // every execute would replay the first one's tail-stall draws.
+  // NaDP's point: each socket's thread group contends only for its own
+  // socket's devices (local dense block, local intermediates), so the
+  // per-device concurrency is the socket group, not the whole pool. The
+  // Interleaved baseline spreads every thread across all devices and is
+  // charged at full-pool contention. Per-execute WorkerCtxs must not reuse
+  // fault sites across executes, or every execute would replay the first
+  // one's tail-stall draws.
   const uint64_t fault_epoch = ms->NextFaultEpoch();
+  memsim::WorkerFrame frame(
+      ms->topology(), threads,
+      options.enabled ? memsim::Contention::kSocket : memsim::Contention::kPool,
+      fault_epoch);
 
   // Compute: every row of C[:, col_begin:col_end) in one pooled pass — the
   // host workers' rows and the PIM-offloaded rows alike. Everything below
   // only charges.
   sparse::ComputeAllRowsCsdb(a, b, c, pool, col_begin, col_end);
 
-  // Replays a worker's WoFP build warm-up at the exact point per-call
-  // planning paid it, so a reused plan is simulation-identical to
-  // rebuilding. Returns the worker's store (null without WoFP).
-  auto replay_wofp_build = [&](size_t worker, memsim::WorkerCtx* ctx) {
-    const prefetch::WofpPrefetcher* cache = plan.caches_[worker].get();
-    if (cache != nullptr) {
-      const double before = ctx->clock->seconds();
-      if (options.wofp.charge_build) cache->ReplayBuildCharges(ctx);
-      wofp_build[worker] = ctx->clock->seconds() - before;
-    }
-    return cache;
-  };
+  // Each worker's WoFP build warm-up first, as per-call planning paid it, so
+  // a reused plan is simulation-identical to rebuilding; the straggler of
+  // that lap is the phase's WoFP build time.
+  if (options.wofp.charge_build) {
+    result.wofp_build_seconds =
+        frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
+          if (const prefetch::WofpPrefetcher* cache = plan.caches_[worker].get()) {
+            cache->ReplayBuildCharges(ctx);
+          }
+        });
+  }
 
   if (!options.enabled) {
     // OS Interleaved baseline: one global allocation; every stream pays the
@@ -212,20 +194,13 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
     pl.dense = {options.dense_tier, memsim::Placement::kInterleaved};
     pl.result = {options.result_tier, memsim::Placement::kInterleaved};
 
-    pool->RunOnAll([&](size_t worker) {
-      if (worker >= static_cast<size_t>(threads)) return;
-      memsim::WorkerCtx ctx;
-      ctx.worker = static_cast<int>(worker);
-      ctx.cpu_socket = ms->topology().SocketOfWorker(static_cast<int>(worker), threads);
-      ctx.active_threads = threads;
-      ctx.clock = &clocks.clock(worker);
-      ctx.fault_site = fault_epoch;
-      const prefetch::WofpPrefetcher* cache = replay_wofp_build(worker, &ctx);
+    frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
       breakdowns[worker] = sparse::ChargeWorkloadCsdb(
-          a, col_end - col_begin, plan.flat_meta_[worker], pl, ms, &ctx, cache);
+          a, col_end - col_begin, plan.flat_meta_[worker], pl, ms, ctx,
+          plan.caches_[worker].get());
       // Under fault injection, the dense tier can hit a tail stall that
       // lengthens this worker's whole phase (no-op when faults are off).
-      ms->ChargeTailStall(&ctx, options.dense_tier, ctx.clock->seconds());
+      ms->ChargeTailStall(ctx, options.dense_tier, ctx->clock->seconds());
     });
   } else {
     // NaDP (Fig. 10): socket s's threads compute C[:, cols_s] = A * B[:,
@@ -251,42 +226,28 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
         }
       }
     }
-    WorkerLayout layout;
-    layout.per_socket = plan.per_socket_;
+    // CSDB metadata (tiny), the dense block and the intermediate writes are
+    // socket-local; the sparse row blocks are read from their owning socket.
+    const sparse::SpmmPlacements home{{memsim::Tier::kDram, 0},
+                                      {options.sparse_tier, 0},
+                                      {options.dense_tier, 0},
+                                      {options.result_tier, 0}};
 
-    pool->RunOnAll([&](size_t worker) {
-      if (worker >= static_cast<size_t>(threads)) return;
-      const int w = static_cast<int>(worker);
-      const int s = layout.SocketOf(w, active_sockets);
-      const int wi = layout.LocalIndex(w, s);
+    frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
+      const int s = ctx->cpu_socket;
+      const int wi = ms->topology().IndexOnSocket(ctx->worker, threads);
       if (wi >= static_cast<int>(plan.per_socket_workloads_[s].size())) return;
       const auto [col_begin, col_end] = col_blocks[s];
-
-      memsim::WorkerCtx ctx;
-      ctx.worker = w;
-      ctx.cpu_socket = s;
-      // NaDP's point: each socket's thread group contends only for its own
-      // socket's devices (local dense block, local intermediates), so the
-      // per-device concurrency is the socket group, not the whole pool. The
-      // Interleaved baseline spreads every thread across all devices and is
-      // charged at full-pool contention.
-      ctx.active_threads = layout.ThreadsOnSocket(s, threads, active_sockets);
-      ctx.clock = &clocks.clock(worker);
-      ctx.fault_site = fault_epoch;
-
-      const prefetch::WofpPrefetcher* cache = replay_wofp_build(worker, &ctx);
+      const prefetch::WofpPrefetcher* cache = plan.caches_[worker].get();
+      sparse::SpmmPlacements pl = frame.PinToSocket(home, worker);
 
       uint64_t rows_processed = 0;
       for (int block = 0; block < sockets; ++block) {
         const sched::Workload& sub = plan.sub_workloads_[worker][block];
         if (sub.ranges.empty()) continue;
-        sparse::SpmmPlacements pl;
-        pl.index = {memsim::Tier::kDram, s};          // CSDB metadata: tiny, local
-        pl.sparse = {options.sparse_tier, block};     // sequential, local or remote
-        pl.dense = {options.dense_tier, s};           // socket-local dense block
-        pl.result = {options.result_tier, s};         // local intermediate writes
+        pl.sparse.socket = block;  // sequential, local or remote
         breakdowns[worker] += sparse::ChargeWorkloadCsdb(
-            a, col_end - col_begin, plan.sub_meta_[worker][block], pl, ms, &ctx,
+            a, col_end - col_begin, plan.sub_meta_[worker][block], pl, ms, ctx,
             cache);
         for (const sched::RowRange& range : sub.ranges) rows_processed += range.size();
       }
@@ -297,24 +258,24 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
       const uint64_t merge_bytes =
           rows_processed * (col_end - col_begin) * sizeof(float);
       if (merge_bytes > 0) {
-        ms->ChargeAccess(&ctx, {options.result_tier, s}, memsim::MemOp::kRead,
+        ms->ChargeAccess(ctx, pl.result, memsim::MemOp::kRead,
                          memsim::Pattern::kSequential, merge_bytes, 1);
-        ms->ChargeAccess(&ctx,
+        ms->ChargeAccess(ctx,
                          {options.result_tier, memsim::Placement::kInterleaved},
                          memsim::MemOp::kWrite, memsim::Pattern::kSequential,
                          merge_bytes, 1);
       }
       // See the interleaved branch: per-worker tail stall on the dense tier.
-      ms->ChargeTailStall(&ctx, options.dense_tier, ctx.clock->seconds());
+      ms->ChargeTailStall(ctx, options.dense_tier, ctx->clock->seconds());
     });
   }
 
+  result.thread_seconds.resize(threads);
   for (int t = 0; t < threads; ++t) {
-    result.thread_seconds[t] = clocks.clock(t).seconds();
+    result.thread_seconds[t] = frame.seconds(t);
     result.breakdown += breakdowns[t];
-    result.wofp_build_seconds = std::max(result.wofp_build_seconds, wofp_build[t]);
   }
-  result.phase_seconds = clocks.MaxSeconds();
+  result.phase_seconds = frame.MaxSeconds();
 
   // PIM offload: the banks are charged for the plan's pim_ranges over the
   // full column range while the host threads above covered only host_ranges.

@@ -88,10 +88,10 @@ NadpResult NadpSpmm(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
 
 /// Inspector state of one NaDP SpMM, reusable across executes on the same
 /// sparse structure: the per-socket (or flat) EaTA workloads, the NaDP row
-/// partition, the worker->socket layout, each worker's host-side WoFP store,
-/// and every workload piece's charge metadata (WoFP hits included — a
-/// worker's store and rows are fixed by the plan, so its hit counts are
-/// constants). Building charges nothing; NadpExecute replays the WoFP build
+/// partition, each worker's host-side WoFP store, and every workload piece's
+/// charge metadata (WoFP hits included — a worker's store and rows are fixed
+/// by the plan, so its hit counts are constants). Workers sit on Topology's
+/// worker->socket layout. Building charges nothing; NadpExecute replays the WoFP build
 /// charges per call, so executing through a reused plan produces
 /// byte-identical simulated output to per-call planning while skipping the
 /// host-side inspector work.
@@ -148,7 +148,6 @@ class NadpPlan {
   int threads_ = 0;
   int sockets_ = 0;
   int active_sockets_ = 0;
-  int per_socket_ = 0;  ///< worker->socket layout stride
   std::vector<sched::Workload> flat_workloads_;  ///< !enabled (interleaved)
   std::vector<std::vector<sched::Workload>> per_socket_workloads_;  ///< enabled
   std::vector<sched::RowRange> row_blocks_;                         ///< enabled

@@ -5,6 +5,7 @@
 
 #include "buffer/buffer_manager.h"
 #include "common/logging.h"
+#include "memsim/worker_frame.h"
 #include "sparse/csdb_ops.h"
 #include "sched/entropy.h"
 
@@ -52,7 +53,7 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
   memsim::MemorySystem* ms = exec_ctx.ms();
   ThreadPool* pool = exec_ctx.pool();
   const int threads = exec_ctx.threads();
-  OMEGA_CHECK(pool != nullptr && pool->size() >= static_cast<size_t>(threads));
+  OMEGA_CHECK(pool != nullptr);
   sparse::CsrSpmmPlan local_plan;
   if (plan == nullptr) {
     local_plan = sparse::CsrSpmmPlan::Build(
@@ -64,29 +65,23 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
   sparse::ParallelSpmmResult result;
   result.thread_seconds.assign(threads, 0.0);
   result.thread_breakdowns.assign(threads, sparse::SpmmCostBreakdown{});
-  memsim::ClockGroup clocks(threads);
+  memsim::WorkerFrame frame(ms->topology(), threads);
 
-  pool->RunOnAll([&](size_t worker) {
-    if (worker >= static_cast<size_t>(threads)) return;
-    memsim::WorkerCtx ctx;
-    ctx.worker = static_cast<int>(worker);
-    ctx.cpu_socket = ms->topology().SocketOfWorker(static_cast<int>(worker), threads);
-    ctx.active_threads = threads;
-    ctx.clock = &clocks.clock(worker);
+  frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
     // Equal-row chunk with its pre-scanned nnz/entropy.
     const sparse::CsrPlanPart& part = plan->parts()[worker];
     sparse::ComputeWorkloadCsr(a, b, c, part.row_begin, part.row_end);
     result.thread_breakdowns[worker] = sparse::ChargeWorkloadCsr(
         a, b.cols(), part.row_begin, part.row_end, part.nnz, part.entropy,
-        placements, ms, &ctx);
+        placements, ms, ctx);
   });
 
   for (int t = 0; t < threads; ++t) {
-    result.thread_seconds[t] = clocks.clock(t).seconds();
+    result.thread_seconds[t] = frame.seconds(t);
     result.total_breakdown += result.thread_breakdowns[t];
   }
   result.nnz_processed = a.nnz();
-  result.phase_seconds = clocks.MaxSeconds();
+  result.phase_seconds = frame.MaxSeconds();
   return result;
 }
 
@@ -284,7 +279,6 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
     const graph::CsrMatrix& csr = *cached;
     const size_t d = in.cols();
 
-    memsim::ClockGroup clocks(threads);
     // Both systems batch work by edges (sampled subgraphs / buffer
     // partitions), so partition by nnz rather than rows; the parts and their
     // nnz/entropy metadata live in the reusable plan.
@@ -293,29 +287,21 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
       csr_plan = sparse::CsrSpmmPlan::Build(
           csr, threads, sparse::CsrSpmmPlan::Split::kEqualNnz);
     }
-    // Fresh WorkerCtxs per execute: seed their fault-site cursors from the
+    // A fresh frame per execute: seed its fault-site cursors from the
     // execute epoch so the miss-read retry loop doesn't replay one draw key.
-    const uint64_t fault_epoch = ms->NextFaultEpoch();
-    ctx.pool()->RunOnAll([&](size_t worker) {
-      if (worker >= static_cast<size_t>(threads)) return;
+    memsim::WorkerFrame frame(ms->topology(), threads, memsim::Contention::kPool,
+                              ms->NextFaultEpoch());
+    frame.Run(ctx.pool(), [&](size_t worker, memsim::WorkerCtx* wctx) {
       const sparse::CsrPlanPart& part = csr_plan.parts()[worker];
       const uint32_t begin = part.row_begin;
       const uint32_t end = part.row_end;
-      memsim::WorkerCtx wctx;
-      wctx.worker = static_cast<int>(worker);
-      wctx.cpu_socket =
-          ms->topology().SocketOfWorker(static_cast<int>(worker), threads);
-      wctx.active_threads = threads;
-      wctx.clock = &clocks.clock(worker);
-      wctx.fault_site = fault_epoch;
 
       sparse::ComputeWorkloadCsr(csr, in, out, begin, end);
       const uint64_t nnz = part.nnz;
 
       // Sparse structure streams from SSD once per pass.
-      wctx.clock->Advance(ms->AccessSeconds(ssd, wctx.cpu_socket, memsim::MemOp::kRead,
-                                           memsim::Pattern::kSequential,
-                                           (end - begin) * 8 + nnz * 8, 1, threads));
+      ms->ChargeAccess(wctx, ssd, memsim::MemOp::kRead, memsim::Pattern::kSequential,
+                       (end - begin) * 8 + nnz * 8, 1);
       // Feature gathers: hits in the DRAM cache, misses on SSD pages. The
       // sampling pipeline adds extra gather traffic.
       const double gathers =
@@ -324,8 +310,8 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
       const uint64_t misses = static_cast<uint64_t>(
           (gathers - hits) * profile.miss_scale);
       const double z = sched::NormalizedEntropy(part.entropy, csr.num_cols());
-      wctx.clock->Advance(sparse::GatherSeconds(ms, wctx.cpu_socket, dram, z, hits,
-                                               threads));
+      wctx->clock->Advance(sparse::GatherSeconds(ms, wctx->cpu_socket, dram, z,
+                                                hits, wctx->active_threads));
       if (misses > 0) {
         // Miss pages retry a couple of times under fault injection; a range
         // that keeps failing degrades to unamortized full-page re-reads
@@ -333,24 +319,22 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
         memsim::FaultRetryPolicy policy;
         policy.max_retries = 2;
         const Status miss_read = ms->ChargeAccessWithRetry(
-            &wctx, ssd, memsim::MemOp::kRead, profile.miss_pattern,
+            wctx, ssd, memsim::MemOp::kRead, profile.miss_pattern,
             misses * profile.miss_bytes, misses, policy);
         if (!miss_read.ok()) {
           ms->faults().CountDegraded();
-          ms->ChargeAccess(&wctx, ssd, memsim::MemOp::kRead,
+          ms->ChargeAccess(wctx, ssd, memsim::MemOp::kRead,
                            memsim::Pattern::kSequential, misses * 4096, misses);
         }
       }
       // GPU-class arithmetic.
-      wctx.clock->Advance(ms->cost_model().ComputeSeconds(d * nnz * 2) /
-                         profile.compute_rate_multiplier);
+      wctx->clock->Advance(ms->cost_model().ComputeSeconds(d * nnz * 2) /
+                          profile.compute_rate_multiplier);
       // Result written back to host memory.
-      wctx.clock->Advance(ms->AccessSeconds(dram, wctx.cpu_socket, memsim::MemOp::kWrite,
-                                           memsim::Pattern::kSequential,
-                                           (end - begin) * d * sizeof(float), 1,
-                                           threads));
+      ms->ChargeAccess(wctx, dram, memsim::MemOp::kWrite, memsim::Pattern::kSequential,
+                       (end - begin) * d * sizeof(float), 1);
     });
-    const double seconds = clocks.MaxSeconds();
+    const double seconds = frame.MaxSeconds();
     span.AddSimSeconds(seconds);
     return seconds;
   };

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "graph/traversal.h"
+#include "memsim/worker_frame.h"
 #include "omega/placement.h"
 #include "sched/entropy.h"
 #include "sparse/csdb_ops.h"
@@ -148,39 +149,18 @@ double RefreshTerms(const exec::Context& ctx, const graph::CsdbMatrix& propagati
   const size_t n = row_level.size();
   const size_t d = capture->r0.cols();
   const size_t order = capture->coefficients.size();  // T_0..T_{K-1}
-  memsim::ClockGroup clocks(static_cast<size_t>(threads));
-  std::vector<memsim::WorkerCtx> wctx(threads);
-  std::vector<int> socket_threads(std::max(1, ms->topology().num_sockets()), 0);
-  for (int t = 0; t < threads; ++t) {
-    ++socket_threads[ms->topology().SocketOfWorker(t, threads)];
-  }
-  std::vector<sparse::SpmmPlacements> worker_placements(threads, placements);
-  for (int t = 0; t < threads; ++t) {
-    const int s = ms->topology().SocketOfWorker(t, threads);
-    wctx[t].worker = t;
-    wctx[t].cpu_socket = s;
-    wctx[t].active_threads = socket_threads[s];
-    wctx[t].clock = &clocks.clock(t);
-    sparse::SpmmPlacements& wp = worker_placements[t];
-    for (memsim::Placement* p : {&wp.index, &wp.sparse, &wp.dense, &wp.result}) {
-      p->socket = s;
-    }
-  }
+  memsim::WorkerFrame frame(ms->topology(), threads, memsim::Contention::kSocket);
   double spmm_seconds = 0.0;
   // A structural delta rebuilt the plan, so its WoFP stores were re-staged:
   // charge that warm-up once per refresh (the frames then stay resident for
   // every level below — unlike NadpExecute, there is no per-call-planning
   // parity to preserve here, so the build is not replayed per SpMM).
   if (replay_wofp_build) {
-    double replay_max = 0.0;
-    for (int t = 0; t < threads; ++t) {
+    spmm_seconds += frame.Run(ctx.pool(), [&](size_t t, memsim::WorkerCtx* wctx) {
       if (const prefetch::WofpPrefetcher* cache = plan.cache(t)) {
-        const double before = clocks.clock(t).seconds();
-        cache->ReplayBuildCharges(&wctx[t]);
-        replay_max = std::max(replay_max, clocks.clock(t).seconds() - before);
+        cache->ReplayBuildCharges(wctx);
       }
-    }
-    spmm_seconds += replay_max;
+    });
   }
   linalg::DenseMatrix tmp(n, d);
   std::vector<uint32_t> rows;
@@ -201,23 +181,14 @@ double RefreshTerms(const exec::Context& ctx, const graph::CsdbMatrix& propagati
     const std::vector<sched::Workload> parts =
         SplitRanges(propagation, ranges, beta, threads);
     const linalg::DenseMatrix& prev = k == 1 ? capture->r0 : capture->terms[k - 2];
-    std::vector<double> before(threads);
-    for (int t = 0; t < threads; ++t) before[t] = clocks.clock(t).seconds();
-    ForRange(ctx, threads, 0, [&](size_t begin, size_t end) {
-      for (size_t t = begin; t < end; ++t) {
-        if (t >= parts.size() || parts[t].empty()) continue;
-        const prefetch::WofpPrefetcher* cache = plan.cache(t);
-        sparse::ComputeWorkloadCsdb(propagation, prev, &tmp, parts[t]);
-        sparse::ChargeWorkloadCsdb(
-            propagation, d, sparse::ScanChargeMetaCsdb(propagation, parts[t], cache),
-            worker_placements[t], ms, &wctx[t], cache);
-      }
+    spmm_seconds += frame.Run(ctx.pool(), [&](size_t t, memsim::WorkerCtx* wctx) {
+      if (t >= parts.size() || parts[t].empty()) return;
+      const prefetch::WofpPrefetcher* cache = plan.cache(t);
+      sparse::ComputeWorkloadCsdb(propagation, prev, &tmp, parts[t]);
+      sparse::ChargeWorkloadCsdb(
+          propagation, d, sparse::ScanChargeMetaCsdb(propagation, parts[t], cache),
+          frame.PinToSocket(placements, t), ms, wctx, cache);
     });
-    double level_max = 0.0;
-    for (int t = 0; t < threads; ++t) {
-      level_max = std::max(level_max, clocks.clock(t).seconds() - before[t]);
-    }
-    spmm_seconds += level_max;
 
     // In-place term update — exact scalar replication of the recurrence in
     // embed/chebyshev.cc (zero-init accumulator, ascending AddScaled order),

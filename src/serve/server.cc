@@ -27,7 +27,7 @@ EmbeddingServer::EmbeddingServer(const linalg::DenseMatrix& embedding,
     : embedding_(embedding),
       options_(std::move(options)),
       ctx_(ctx),
-      clocks_(static_cast<size_t>(std::max(1, options_.worker_threads))) {
+      clocks_(ctx.ms()->topology(), std::max(1, options_.worker_threads)) {
   OMEGA_CHECK(embedding_.rows() > 0 && embedding_.cols() > 0)
       << "serving needs a non-empty embedding";
   options_.worker_threads = std::max(1, options_.worker_threads);

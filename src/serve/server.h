@@ -37,6 +37,7 @@
 #include "common/topk.h"
 #include "linalg/dense_matrix.h"
 #include "memsim/sim_clock.h"
+#include "memsim/worker_frame.h"
 #include "omega/exec_context.h"
 #include "prefetch/topm_store.h"
 #include "serve/hot_cache.h"
@@ -142,7 +143,7 @@ class EmbeddingServer {
   ServerOptions options_;
   exec::Context ctx_;
   std::unique_ptr<HotCache> cache_;
-  memsim::ClockGroup clocks_;
+  memsim::WorkerFrame clocks_;
   memsim::SimClock warm_clock_;
   memsim::SimClock refresh_clock_;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-
+#include "memsim/worker_frame.h"
 #include "sched/entropy.h"
 #include "sparse/spmm_kernels.h"
 
@@ -17,23 +17,18 @@ Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
                                        const linalg::DenseMatrix& b,
                                        linalg::DenseMatrix* c,
                                        const FusedMmOptions& options,
-                                       const exec::Context& ctx_in) {
-  const CsrSpmmPlan plan =
-      CsrSpmmPlan::Build(a, options.num_threads, CsrSpmmPlan::Split::kEqualRows);
-  return FusedMmSpmm(a, b, c, options, plan, ctx_in);
-}
-
-Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
-                                       const linalg::DenseMatrix& b,
-                                       linalg::DenseMatrix* c,
-                                       const FusedMmOptions& options,
-                                       const CsrSpmmPlan& plan,
-                                       const exec::Context& ctx_in) {
+                                       const exec::Context& ctx_in,
+                                       const CsrSpmmPlan* plan) {
   memsim::MemorySystem* ms = ctx_in.ms();
   ThreadPool* pool = ctx_in.pool();
   const int threads = options.num_threads;
-  OMEGA_CHECK(pool != nullptr && pool->size() >= static_cast<size_t>(threads));
-  OMEGA_CHECK(plan.Matches(a, threads, CsrSpmmPlan::Split::kEqualRows))
+  OMEGA_CHECK(pool != nullptr);
+  CsrSpmmPlan local_plan;
+  if (plan == nullptr) {
+    local_plan = CsrSpmmPlan::Build(a, threads, CsrSpmmPlan::Split::kEqualRows);
+    plan = &local_plan;
+  }
+  OMEGA_CHECK(plan->Matches(a, threads, CsrSpmmPlan::Split::kEqualRows))
       << "FusedMmSpmm: stale plan";
   if (c->rows() != a.num_rows() || c->cols() != b.cols()) {
     return Status::InvalidArgument("FusedMmSpmm: result shape mismatch");
@@ -59,7 +54,7 @@ Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
   ParallelSpmmResult result;
   result.thread_seconds.assign(threads, 0.0);
   result.thread_breakdowns.assign(threads, SpmmCostBreakdown{});
-  memsim::ClockGroup clocks(threads);
+  memsim::WorkerFrame frame(ms->topology(), threads);
   const size_t d = b.cols();
 
   // Host compute under dynamic row-block scheduling: any worker may grab any
@@ -80,25 +75,19 @@ Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
   // Simulated charging: one worker per static chunk as before; the plan's
   // metadata was scanned in the same ascending-row order the per-call walk
   // used, so every charge is byte-identical.
-  pool->RunOnAll([&](size_t worker) {
-    if (worker >= static_cast<size_t>(threads)) return;
-    const CsrPlanPart& part = plan.parts()[worker];
+  frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
+    const CsrPlanPart& part = plan->parts()[worker];
     const uint32_t row_begin = part.row_begin;
     const uint32_t row_end = part.row_end;
-    memsim::WorkerCtx ctx;
-    ctx.worker = static_cast<int>(worker);
-    ctx.cpu_socket = ms->topology().SocketOfWorker(static_cast<int>(worker), threads);
-    ctx.active_threads = threads;
-    ctx.clock = &clocks.clock(worker);
     SpmmCostBreakdown& bd = result.thread_breakdowns[worker];
 
     const uint64_t nnz = part.nnz;
 
     auto charge = [&](SpmmOp op, memsim::MemOp mop, memsim::Pattern pat,
                       uint64_t bytes, uint64_t accesses) {
-      const double s = ms->AccessSeconds(dram, ctx.cpu_socket, mop, pat, bytes,
-                                         accesses, ctx.active_threads);
-      ctx.clock->Advance(s);
+      const double s = ms->AccessSeconds(dram, ctx->cpu_socket, mop, pat, bytes,
+                                         accesses, ctx->active_threads);
+      ctx->clock->Advance(s);
       bd.seconds[static_cast<int>(op)] += s;
     };
 
@@ -118,23 +107,23 @@ Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
         2 * ((d * sizeof(float) + kLineBytes - 1) / kLineBytes);
     const double z = sched::NormalizedEntropy(part.entropy, a.num_cols());
     const double gather_seconds =
-        GatherSeconds(ms, ctx.cpu_socket, dram, z, nnz * lines_per_gather,
-                      ctx.active_threads);
-    ctx.clock->Advance(gather_seconds);
+        GatherSeconds(ms, ctx->cpu_socket, dram, z, nnz * lines_per_gather,
+                      ctx->active_threads);
+    ctx->clock->Advance(gather_seconds);
     bd.seconds[static_cast<int>(SpmmOp::kGetDenseNnz)] += gather_seconds;
     const double compute = ms->cost_model().ComputeSeconds(d * nnz * 6);
-    ctx.clock->Advance(compute);
+    ctx->clock->Advance(compute);
     bd.seconds[static_cast<int>(SpmmOp::kAccumulate)] += compute;
     charge(SpmmOp::kWriteResult, memsim::MemOp::kWrite, memsim::Pattern::kSequential,
            rows * d * sizeof(float), 1);
   });
 
   for (int t = 0; t < threads; ++t) {
-    result.thread_seconds[t] = clocks.clock(t).seconds();
+    result.thread_seconds[t] = frame.seconds(t);
     result.total_breakdown += result.thread_breakdowns[t];
   }
   result.nnz_processed = a.nnz();
-  result.phase_seconds = clocks.MaxSeconds();
+  result.phase_seconds = frame.MaxSeconds();
   return result;
 }
 

@@ -25,22 +25,15 @@ struct FusedMmOptions {
 
 /// Runs C = A * B with the FusedMM strategy. Fails with CapacityExceeded when
 /// sparse + dense + result do not fit in the simulated machine's total DRAM.
-/// Builds the kEqualRows plan per call; repeated SpMMs on the same structure
-/// should build a CsrSpmmPlan once and use the overload below.
+/// Builds the kEqualRows plan per call unless `plan` is given; a given plan
+/// must match (a, options.num_threads, kEqualRows), and repeated SpMMs on the
+/// same structure should build it once. The simulated charges are identical
+/// either way.
 Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
                                        const linalg::DenseMatrix& b,
                                        linalg::DenseMatrix* c,
                                        const FusedMmOptions& options,
-                                       const exec::Context& ctx);
-
-/// Plan-reusing variant: `plan` must match (a, options.num_threads,
-/// kEqualRows). The per-part nnz/entropy metadata comes from the plan instead
-/// of a per-call rescan; the simulated charges are identical either way.
-Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
-                                       const linalg::DenseMatrix& b,
-                                       linalg::DenseMatrix* c,
-                                       const FusedMmOptions& options,
-                                       const CsrSpmmPlan& plan,
-                                       const exec::Context& ctx);
+                                       const exec::Context& ctx,
+                                       const CsrSpmmPlan* plan = nullptr);
 
 }  // namespace omega::sparse

@@ -4,7 +4,7 @@
 
 #include "buffer/staging.h"
 #include "common/logging.h"
-
+#include "memsim/worker_frame.h"
 #include "sched/entropy.h"
 #include "sparse/spmm_kernels.h"
 
@@ -18,24 +18,19 @@ ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
                                     const linalg::DenseMatrix& b,
                                     linalg::DenseMatrix* c,
                                     const SemiExternalOptions& options,
-                                    const exec::Context& ctx_in) {
-  const CsrSpmmPlan plan =
-      CsrSpmmPlan::Build(a, options.num_threads, CsrSpmmPlan::Split::kEqualNnz);
-  return SemiExternalSpmm(a, b, c, options, plan, ctx_in);
-}
-
-ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
-                                    const linalg::DenseMatrix& b,
-                                    linalg::DenseMatrix* c,
-                                    const SemiExternalOptions& options,
-                                    const CsrSpmmPlan& plan,
-                                    const exec::Context& ctx_in) {
+                                    const exec::Context& ctx_in,
+                                    const CsrSpmmPlan* plan) {
   memsim::MemorySystem* ms = ctx_in.ms();
   ThreadPool* pool = ctx_in.pool();
   const int threads = options.num_threads;
-  OMEGA_CHECK(pool != nullptr && pool->size() >= static_cast<size_t>(threads));
+  OMEGA_CHECK(pool != nullptr);
   OMEGA_CHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
-  OMEGA_CHECK(plan.Matches(a, threads, CsrSpmmPlan::Split::kEqualNnz))
+  CsrSpmmPlan local_plan;
+  if (plan == nullptr) {
+    local_plan = CsrSpmmPlan::Build(a, threads, CsrSpmmPlan::Split::kEqualNnz);
+    plan = &local_plan;
+  }
+  OMEGA_CHECK(plan->Matches(a, threads, CsrSpmmPlan::Split::kEqualNnz))
       << "SemiExternalSpmm: stale plan";
 
   // Fraction of dense gathers that miss the DRAM-resident portion.
@@ -54,7 +49,7 @@ ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
   ParallelSpmmResult result;
   result.thread_seconds.assign(threads, 0.0);
   result.thread_breakdowns.assign(threads, SpmmCostBreakdown{});
-  memsim::ClockGroup clocks(threads);
+  memsim::WorkerFrame frame(ms->topology(), threads);
   const size_t d = b.cols();
 
   // Host compute under dynamic row-block scheduling (no memsim state; each
@@ -73,25 +68,19 @@ ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
   // Simulated charging: one worker per equal-nnz part as before; the plan's
   // metadata was scanned in the same ascending-row order the per-call walk
   // used, so every charge is byte-identical.
-  pool->RunOnAll([&](size_t worker) {
-    if (worker >= static_cast<size_t>(threads)) return;
-    const CsrPlanPart& part = plan.parts()[worker];
+  frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
+    const CsrPlanPart& part = plan->parts()[worker];
     const uint32_t row_begin = part.row_begin;
     const uint32_t row_end = part.row_end;
-    memsim::WorkerCtx ctx;
-    ctx.worker = static_cast<int>(worker);
-    ctx.cpu_socket = ms->topology().SocketOfWorker(static_cast<int>(worker), threads);
-    ctx.active_threads = threads;
-    ctx.clock = &clocks.clock(worker);
     SpmmCostBreakdown& bd = result.thread_breakdowns[worker];
 
     const uint64_t nnz = part.nnz;
     const uint64_t rows = row_end - row_begin;
     auto charge = [&](SpmmOp op, memsim::Placement p, memsim::MemOp mop,
                       memsim::Pattern pat, uint64_t bytes, uint64_t accesses) {
-      const double s = ms->AccessSeconds(p, ctx.cpu_socket, mop, pat, bytes, accesses,
-                                         ctx.active_threads);
-      ctx.clock->Advance(s);
+      const double s = ms->AccessSeconds(p, ctx->cpu_socket, mop, pat, bytes,
+                                         accesses, ctx->active_threads);
+      ctx->clock->Advance(s);
       bd.seconds[static_cast<int>(op)] += s;
     };
 
@@ -110,14 +99,14 @@ ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
     const uint64_t in_dram = total_gathers - spilled;
     const double z = sched::NormalizedEntropy(part.entropy, a.num_cols());
     const double gather_seconds =
-        GatherSeconds(ms, ctx.cpu_socket, dram, z, in_dram, ctx.active_threads);
-    ctx.clock->Advance(gather_seconds);
+        GatherSeconds(ms, ctx->cpu_socket, dram, z, in_dram, ctx->active_threads);
+    ctx->clock->Advance(gather_seconds);
     bd.seconds[static_cast<int>(SpmmOp::kGetDenseNnz)] += gather_seconds;
     if (spilled > 0) {
       charge(SpmmOp::kGetDenseNnz, ssd, memsim::MemOp::kRead, memsim::Pattern::kRandom,
              spilled * kSsdPageBytes, spilled);
     }
-    ctx.clock->Advance(ms->cost_model().ComputeSeconds(d * nnz * 2));
+    ctx->clock->Advance(ms->cost_model().ComputeSeconds(d * nnz * 2));
     bd.seconds[static_cast<int>(SpmmOp::kAccumulate)] +=
         ms->cost_model().ComputeSeconds(d * nnz * 2);
     charge(SpmmOp::kWriteResult, dram, memsim::MemOp::kWrite,
@@ -126,15 +115,15 @@ ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
 
   uint64_t total_nnz = 0;
   for (int t = 0; t < threads; ++t) {
-    result.thread_seconds[t] = clocks.clock(t).seconds();
+    result.thread_seconds[t] = frame.seconds(t);
     result.total_breakdown += result.thread_breakdowns[t];
-    const CsrPlanPart& part = plan.parts()[t];
+    const CsrPlanPart& part = plan->parts()[t];
     if (part.row_end > part.row_begin) {
       total_nnz += a.RowEnd(part.row_end - 1) - a.RowBegin(part.row_begin);
     }
   }
   result.nnz_processed = total_nnz;
-  result.phase_seconds = clocks.MaxSeconds();
+  result.phase_seconds = frame.MaxSeconds();
   return result;
 }
 

@@ -28,22 +28,15 @@ struct SemiExternalOptions {
 
 /// Runs C = A * B with the SEM-SpMM strategy; returns the simulated phase
 /// result (breakdowns attribute SSD traffic to the sparse/dense components).
-/// Builds the kEqualNnz plan per call; repeated SpMMs on the same structure
-/// should build a CsrSpmmPlan once and use the overload below.
+/// Builds the kEqualNnz plan per call unless `plan` is given; a given plan
+/// must match (a, options.num_threads, kEqualNnz), and repeated SpMMs on the
+/// same structure should build it once. The simulated charges are identical
+/// either way.
 ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
                                     const linalg::DenseMatrix& b,
                                     linalg::DenseMatrix* c,
                                     const SemiExternalOptions& options,
-                                    const exec::Context& ctx);
-
-/// Plan-reusing variant: `plan` must match (a, options.num_threads,
-/// kEqualNnz). The per-part nnz/entropy metadata comes from the plan instead
-/// of a per-call rescan; the simulated charges are identical either way.
-ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
-                                    const linalg::DenseMatrix& b,
-                                    linalg::DenseMatrix* c,
-                                    const SemiExternalOptions& options,
-                                    const CsrSpmmPlan& plan,
-                                    const exec::Context& ctx);
+                                    const exec::Context& ctx,
+                                    const CsrSpmmPlan* plan = nullptr);
 
 }  // namespace omega::sparse

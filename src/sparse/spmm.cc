@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "memsim/worker_frame.h"
 #include "sched/entropy.h"
 #include "sparse/spmm_kernels.h"
 
@@ -281,32 +282,24 @@ ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
   ParallelSpmmResult result;
   result.thread_seconds.assign(n, 0.0);
   result.thread_breakdowns.assign(n, SpmmCostBreakdown{});
-  memsim::ClockGroup clocks(n);
-  const int total_workers = static_cast<int>(n);
+  memsim::WorkerFrame frame(ms->topology(), static_cast<int>(n));
 
   // Compute: the workloads partition A, so one all-rows pass covers them.
   ComputeAllRowsCsdb(a, b, c, pool);
 
   // Charge: one simulated worker per workload, on its own clock.
-  pool->RunOnAll([&](size_t worker) {
-    if (worker >= n) return;
-    memsim::WorkerCtx ctx;
-    ctx.worker = static_cast<int>(worker);
-    ctx.cpu_socket =
-        ms->topology().SocketOfWorker(static_cast<int>(worker), total_workers);
-    ctx.active_threads = total_workers;
-    ctx.clock = &clocks.clock(worker);
+  frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
     result.thread_breakdowns[worker] = ChargeWorkloadCsdb(
         a, b.cols(), ScanChargeMetaCsdb(a, workloads[worker]), placements, ms,
-        &ctx);
+        ctx);
   });
 
   for (size_t i = 0; i < n; ++i) {
-    result.thread_seconds[i] = clocks.clock(i).seconds();
+    result.thread_seconds[i] = frame.seconds(i);
     result.total_breakdown += result.thread_breakdowns[i];
     result.nnz_processed += workloads[i].nnz;
   }
-  result.phase_seconds = clocks.MaxSeconds();
+  result.phase_seconds = frame.MaxSeconds();
   return result;
 }
 

@@ -7,13 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "durable/checkpoint.h"
 #include "durable/shared_log.h"
@@ -207,6 +211,188 @@ TEST(SnapshotTest, TornOnlySnapshotIsNotFound) {
   auto read = durable::ReadLastSnapshot(&store, nullptr);
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsNotFound());
+}
+
+// Little-endian field writers for hand-built entry payloads.
+void PutU32(std::vector<uint8_t>* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+void PutU64(std::vector<uint8_t>* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+// Appends one committed group through the public Append: a meta entry
+// declaring `word_count` words (none stored) and `matrices.size()` matrices,
+// the given matrix payloads, and the commit marker. Checksums are valid, so
+// only the decoder's own checks stand between a lying header and memory.
+void AppendCraftedGroup(CheckpointStore* store, uint64_t word_count,
+                        const std::vector<std::vector<uint8_t>>& matrices) {
+  const uint64_t meta_stamp = store->entry_count();
+  std::vector<uint8_t> meta;
+  PutU32(&meta, 1);  // stage
+  PutU64(&meta, 0);  // next_term
+  PutU32(&meta, static_cast<uint32_t>(matrices.size()));
+  PutU64(&meta, word_count);
+  ASSERT_TRUE(store->Append(static_cast<uint32_t>(durable::EntryType::kMeta),
+                            meta.data(), meta.size())
+                  .ok());
+  for (const std::vector<uint8_t>& m : matrices) {
+    ASSERT_TRUE(store->Append(static_cast<uint32_t>(durable::EntryType::kMatrix),
+                              m.data(), m.size())
+                    .ok());
+  }
+  std::vector<uint8_t> commit;
+  PutU64(&commit, meta_stamp);
+  ASSERT_TRUE(store->Append(static_cast<uint32_t>(durable::EntryType::kCommit),
+                            commit.data(), commit.size())
+                  .ok());
+}
+
+// A matrix entry's header declares its shape; the payload must hold
+// rows * cols floats. A shape whose byte count wraps to 0 (2^32 x 2^32)
+// used to pass the size check over empty storage, and a large one that does
+// not wrap used to throw bad_alloc before the check ran.
+TEST(SnapshotTest, MatrixShapeBeyondPayloadIsRejectedBeforeAllocating) {
+  const std::pair<uint64_t, uint64_t> shapes[] = {
+      {1ULL << 32, 1ULL << 32},  // rows * cols * 4 wraps to 0
+      {1ULL << 20, 1ULL << 20},  // 4 TiB: no wrap, cannot be allocated
+      {3, 2},                    // 24 bytes declared, 20 present
+  };
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(std::to_string(rows) + " x " + std::to_string(cols));
+    auto ms = memsim::MemorySystem::CreateDefault();
+    CheckpointStore store(ms.get(), CheckpointOptions{});
+    std::vector<uint8_t> body;
+    PutU32(&body, 1);
+    body.push_back('A');
+    PutU64(&body, rows);
+    PutU64(&body, cols);
+    body.resize(body.size() + 20, 0);
+    AppendCraftedGroup(&store, 0, {body});
+    const auto read = durable::ReadLastSnapshot(&store, nullptr);
+    ASSERT_FALSE(read.ok());
+    EXPECT_TRUE(read.status().IsNotFound()) << read.status().ToString();
+  }
+}
+
+// A meta entry's word count times 8 must not wrap past its payload check.
+TEST(SnapshotTest, WordCountBeyondPayloadIsRejected) {
+  auto ms = memsim::MemorySystem::CreateDefault();
+  CheckpointStore store(ms.get(), CheckpointOptions{});
+  AppendCraftedGroup(&store, 1ULL << 61, {});  // 2^61 * 8 wraps to 0
+  const auto read = durable::ReadLastSnapshot(&store, nullptr);
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsNotFound());
+}
+
+// A directory opens as a stream whose tellg() is INT64_MAX; loading one used
+// to die in the image allocation.
+TEST(CheckpointStoreTest, LoadFromDirectoryIsIoError) {
+  auto ms = memsim::MemorySystem::CreateDefault();
+  CheckpointStore store(ms.get(), CheckpointOptions{});
+  const std::string payload = "kept";
+  ASSERT_TRUE(store.Append(1, payload.data(), payload.size()).ok());
+  const Status st = store.LoadFromFile(::testing::TempDir());
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ(store.entry_count(), 1u);  // the failed load left the store alone
+}
+
+// Seeded mutation test for LoadFromFile and the snapshot decoder. A saved
+// image of two committed snapshots gets byte flips, truncations, garbage
+// tails and header-field edits; every mutant must load as a Status, and a
+// loaded one must scan to a prefix of the original entries and decode to a
+// Status or a snapshot. A second family re-appends the entries through
+// Append with one payload mutated, so the checksums hold and the decoder's
+// own bounds checks are what is tested. Run under ASan/UBSan, an
+// out-of-bounds read or a header trusted before allocating shows up here.
+TEST(CheckpointStoreTest, MutatedImagesLoadAsStatusOrValidPrefix) {
+  auto ms = memsim::MemorySystem::CreateDefault();
+  CheckpointStore original(ms.get(), CheckpointOptions{});
+  CheckpointSnapshot snap;
+  snap.stage = 1;
+  snap.next_term = 2;
+  snap.words = {5, 6, 7};
+  snap.matrices.emplace_back("emb", TestMatrix(6, 3, 0.5f));
+  ASSERT_TRUE(durable::WriteSnapshot(&original, snap).ok());
+  snap.stage = 2;
+  snap.matrices.emplace_back("term", TestMatrix(4, 2, 1.5f));
+  ASSERT_TRUE(durable::WriteSnapshot(&original, snap).ok());
+  const std::vector<durable::LogEntry> entries = original.Scan().entries;
+
+  const std::string path = ::testing::TempDir() + "/ckpt_mutant.bin";
+  ASSERT_TRUE(original.SaveToFile(path).ok());
+  std::string image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_FALSE(image.empty());
+
+  Rng rng(20261017);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("raw mutant " + std::to_string(trial));
+    std::string mutant = image;
+    switch (trial % 4) {
+      case 0:  // flip a few random bytes
+        for (int i = 0; i < 1 + static_cast<int>(rng.NextBounded(4)); ++i) {
+          mutant[rng.NextBounded(mutant.size())] ^=
+              static_cast<char>(1 + rng.NextBounded(255));
+        }
+        break;
+      case 1:  // truncate
+        mutant.resize(rng.NextBounded(mutant.size()));
+        break;
+      case 2:  // garbage tail
+        for (uint64_t i = 0, n = 1 + rng.NextBounded(64); i < n; ++i) {
+          mutant.push_back(static_cast<char>(rng.NextBounded(256)));
+        }
+        break;
+      default: {  // overwrite a header-sized window with 0xFF or 0x00
+        const size_t at = rng.NextBounded(mutant.size());
+        const char fill = rng.NextBounded(2) ? '\xFF' : '\0';
+        for (size_t i = at; i < std::min(mutant.size(), at + 8); ++i) mutant[i] = fill;
+      }
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+    }
+    auto ms2 = memsim::MemorySystem::CreateDefault();
+    CheckpointStore loaded(ms2.get(), CheckpointOptions{});
+    if (!loaded.LoadFromFile(path).ok()) continue;
+    const auto scan = loaded.Scan();
+    ASSERT_LE(scan.entries.size(), entries.size());
+    for (size_t i = 0; i < scan.entries.size(); ++i) {
+      EXPECT_EQ(scan.entries[i].stamp, entries[i].stamp);
+      EXPECT_EQ(scan.entries[i].type, entries[i].type);
+      EXPECT_EQ(scan.entries[i].payload, entries[i].payload);
+    }
+    (void)durable::ReadLastSnapshot(&loaded, nullptr);
+  }
+
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("payload mutant " + std::to_string(trial));
+    auto ms2 = memsim::MemorySystem::CreateDefault();
+    CheckpointStore rebuilt(ms2.get(), CheckpointOptions{});
+    const size_t victim = rng.NextBounded(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      std::vector<uint8_t> payload = entries[i].payload;
+      if (i == victim && !payload.empty()) {
+        for (int f = 0; f < 1 + static_cast<int>(rng.NextBounded(3)); ++f) {
+          payload[rng.NextBounded(payload.size())] ^=
+              static_cast<uint8_t>(1 + rng.NextBounded(255));
+        }
+      }
+      ASSERT_TRUE(rebuilt.Append(entries[i].type, payload.data(), payload.size()).ok());
+    }
+    auto read = durable::ReadLastSnapshot(&rebuilt, nullptr);
+    if (read.ok()) {
+      for (const auto& [tag, m] : read.value().matrices) {
+        EXPECT_LE(m.bytes(), rebuilt.image_bytes());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

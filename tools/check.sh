@@ -81,13 +81,14 @@ if [[ "$TSAN" == 1 ]]; then
   # The threaded kernels (pool, SpMM, plan reuse incl. the per-worker WoFP
   # store and meta scans, NadpExecute's pooled compute pass followed by its
   # per-worker charge pass, the BufferManager's concurrent pin/unpin, and the
-  # pooled CSDB/ProNE matrix builds and QR, the chunked R-MAT generator, and
-  # the engines' SpMM executor and checkpointer) are what TSan is after; the full
-  # suite under TSan is prohibitively slow.
+  # pooled CSDB/ProNE matrix builds and QR, the chunked R-MAT generator, the
+  # engines' SpMM executor and checkpointer, and memsim::WorkerFrame's pool run
+  # that every parallel charge phase and the baseline executors go through)
+  # are what TSan is after; the full suite under TSan is prohibitively slow.
   cmake -B build-tsan -S . -DOMEGA_TSAN=ON
-  cmake --build build-tsan -j "$JOBS" --target common_test graph_test spmm_test plan_test buffer_test serve_test dynamic_test pim_test durable_test csdb_test embed_test engine_test linalg_test sparse_ops_test numa_test multisocket_test prefetch_test
+  cmake --build build-tsan -j "$JOBS" --target common_test graph_test spmm_test plan_test buffer_test serve_test dynamic_test pim_test durable_test csdb_test embed_test engine_test linalg_test sparse_ops_test numa_test multisocket_test prefetch_test memsim_test systems_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(common_test|graph_test|spmm_test|plan_test|buffer_test|serve_test|dynamic_test|pim_test|durable_test|csdb_test|embed_test|engine_test|linalg_test|sparse_ops_test|numa_test|multisocket_test|prefetch_test)$'
+    -R '^(common_test|graph_test|spmm_test|plan_test|buffer_test|serve_test|dynamic_test|pim_test|durable_test|csdb_test|embed_test|engine_test|linalg_test|sparse_ops_test|numa_test|multisocket_test|prefetch_test|memsim_test|systems_test)$'
 fi
 
 if [[ "$ASYNC" == 1 ]]; then
