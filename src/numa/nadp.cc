@@ -62,7 +62,10 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
     return plan;
   }
 
-  const int active_sockets = std::min(plan.sockets_, threads);
+  // Only sockets that hold a worker take part: the block layout can leave the
+  // last sockets empty (5 threads on 4 sockets fill 2/2/1/0).
+  const memsim::Topology& topology = ms->topology();
+  const int active_sockets = topology.SocketOfWorker(threads - 1, threads) + 1;
   plan.active_sockets_ = active_sockets;
   // The sparse row partition depends only on the matrix and socket count; the
   // dense column partition depends on the execute call's column range and is
@@ -84,7 +87,6 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   const bool offload = plan.hetero_.any_pim();
 
   // Per-socket thread allocations (identical when threads % sockets == 0).
-  const memsim::Topology& topology = ms->topology();
   plan.per_socket_workloads_.resize(plan.sockets_);
   for (int s = 0; s < active_sockets; ++s) {
     const int ws = topology.ThreadsOnSocket(s, threads);
@@ -205,9 +207,9 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   } else {
     // NaDP (Fig. 10): socket s's threads compute C[:, cols_s] = A * B[:,
     // cols_s], reading each sparse row block from its owning socket. The
-    // column blocks partition [col_begin, col_end). With fewer threads than
-    // sockets, only the sockets that have a thread receive a column block
-    // (the data partition across sockets is unchanged).
+    // column blocks partition [col_begin, col_end). Only the sockets that
+    // have a worker receive a column block (the data partition across
+    // sockets is unchanged).
     const int active_sockets = plan.active_sockets_;
     const int sockets = plan.sockets_;
     std::vector<std::pair<size_t, size_t>> col_blocks(sockets);
