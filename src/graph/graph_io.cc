@@ -1,6 +1,7 @@
 #include "graph/graph_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -14,6 +15,12 @@ namespace omega::graph {
 namespace {
 constexpr uint64_t kBinaryMagic = 0x4F4D4547412D4731ULL;  // "OMEGA-G1"
 constexpr uint64_t kMaxNodeId = std::numeric_limits<NodeId>::max();
+
+// Whether a parsed weight converts to float: a finite double beyond float's
+// range has no defined conversion.
+bool FitsFloat(double w) {
+  return !std::isfinite(w) || std::fabs(w) <= std::numeric_limits<float>::max();
+}
 
 // Size of the file behind `in`, leaving the read position at the start.
 uint64_t StreamBytes(std::istream& in) {
@@ -56,6 +63,10 @@ Result<Graph> LoadEdgeListText(const std::string& path, bool undirected) {
     } catch (const std::exception&) {
       return Status::IOError(path + ":" + std::to_string(line_no) +
                              ": unparsable edge line");
+    }
+    if (!FitsFloat(weight)) {
+      return Status::IOError(path + ":" + std::to_string(line_no) +
+                             ": weight out of float range");
     }
     edges.push_back(Edge{densify(raw_src), densify(raw_dst),
                          static_cast<float>(weight)});
@@ -141,6 +152,7 @@ Result<Graph> LoadMatrixMarket(const std::string& path) {
       }
       const double w =
           (!pattern && tokens.size() >= 3) ? std::stod(std::string(tokens[2])) : 1.0;
+      if (!FitsFloat(w)) return Status::IOError(path + ": weight out of float range");
       edges.push_back(Edge{static_cast<NodeId>(r - 1), static_cast<NodeId>(c - 1),
                            static_cast<float>(w)});
     } catch (const std::exception&) {
@@ -298,7 +310,9 @@ Result<size_t> MutationStreamReader::ReadBatch(size_t max_count,
       m.src = static_cast<NodeId>(src);
       m.dst = static_cast<NodeId>(dst);
       if (tokens.size() >= first + 3) {
-        m.weight = static_cast<float>(std::stod(std::string(tokens[first + 2])));
+        const double weight = std::stod(std::string(tokens[first + 2]));
+        if (!FitsFloat(weight)) return error("weight out of float range");
+        m.weight = static_cast<float>(weight);
       }
     } catch (const std::exception&) {
       return error("unparsable mutation line");

@@ -1,5 +1,7 @@
 #include "memsim/fault.h"
 
+#include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -78,6 +80,17 @@ FaultPlan NamedProfile(const std::string& name) {
   return plan;
 }
 
+// Parses all of `token` as a base-10 integer in [0, max]; no sign, no
+// fraction, no exponent.
+bool ParseUnsigned(const std::string& token, uint64_t max, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 Result<FaultPlan> FaultPlanFromProfile(const std::string& spec) {
@@ -89,13 +102,10 @@ Result<FaultPlan> FaultPlanFromProfile(const std::string& spec) {
   const size_t colon = spec.find(':');
   if (colon != std::string::npos) {
     name = spec.substr(0, colon);
-    const std::string seed_str = spec.substr(colon + 1);
-    if (seed_str.empty() ||
-        seed_str.find_first_not_of("0123456789") != std::string::npos) {
-      return Status::InvalidArgument("fault profile seed must be a non-negative "
-                                     "integer: " + spec);
+    if (!ParseUnsigned(spec.substr(colon + 1), UINT64_MAX, &seed)) {
+      return Status::InvalidArgument(
+          "fault profile seed must be an integer in [0, 2^64): " + spec);
     }
-    seed = std::stoull(seed_str);
   }
   bool known = false;
   for (const std::string& p : FaultProfileNames()) known = known || p == name;
@@ -137,16 +147,19 @@ Result<FaultPlan> FaultPlanFromFile(const std::string& path) {
     std::istringstream tokens(line);
     std::string key;
     if (!(tokens >> key)) continue;  // blank / comment-only line
-    if (key == "seed" || key == "stall-multiplier" ||
-        key == "tail-stall-fraction" || key == "timeout-seconds") {
+    if (key == "seed") {
+      std::string value;
+      if (!(tokens >> value) || !ParseUnsigned(value, UINT64_MAX, &plan.seed)) {
+        return ParseError(path, lineno, "'seed' needs one integer in [0, 2^64)");
+      }
+    } else if (key == "stall-multiplier" || key == "tail-stall-fraction" ||
+               key == "timeout-seconds") {
       double value = 0.0;
       if (!(tokens >> value) || value < 0.0) {
         return ParseError(path, lineno,
                           "'" + key + "' needs one non-negative number");
       }
-      if (key == "seed") {
-        plan.seed = static_cast<uint64_t>(value);
-      } else if (key == "stall-multiplier") {
+      if (key == "stall-multiplier") {
         plan.stall_multiplier = value;
       } else if (key == "tail-stall-fraction") {
         plan.tail_stall_fraction = value;
@@ -161,14 +174,16 @@ Result<FaultPlan> FaultPlanFromFile(const std::string& path) {
       }
       plan.machine_loss = value;
     } else if (key == "kill") {
-      long long machine = -1, round = -1;
-      if (!(tokens >> machine >> round) || machine < 0 || round < 0) {
-        return ParseError(
-            path, lineno,
-            "'kill' needs <machine> <round> (non-negative integers)");
+      std::string machine_s, round_s;
+      uint64_t machine = 0, round = 0;
+      if (!(tokens >> machine_s >> round_s) ||
+          !ParseUnsigned(machine_s, INT_MAX, &machine) ||
+          !ParseUnsigned(round_s, UINT64_MAX, &round)) {
+        return ParseError(path, lineno,
+                          "'kill' needs <machine> <round> (integers, machine "
+                          "in [0, 2^31), round in [0, 2^64))");
       }
-      plan.kills.emplace_back(static_cast<int>(machine),
-                              static_cast<uint64_t>(round));
+      plan.kills.emplace_back(static_cast<int>(machine), round);
     } else if (key == "rate") {
       std::string tier_s, op_s, pat_s, kind_s;
       double rate = 0.0;

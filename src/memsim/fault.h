@@ -121,11 +121,14 @@ const std::vector<std::string>& FaultProfileNames();
 /// Parses a fault-plan profile file. Line grammar ('#' starts a comment):
 ///   seed <n>
 ///   stall-multiplier <x> | tail-stall-fraction <x> | timeout-seconds <x>
+///   machine-loss <rate>
+///   kill <machine> <round>
 ///   rate <tier> <op> <pattern> <kind> <rate>
 /// with tier in dram|pm|ssd|net|pim (or *), op in read|write|*, pattern in
-/// seq|rand|*, kind in stall|media|timeout. Unknown tier/op/pattern/kind
-/// names are rejected with a "<path>:<line>:" prefixed error instead of
-/// being silently ignored.
+/// seq|rand|*, kind in stall|media|timeout. <n>, <machine> and <round> are
+/// decimal integers (seed and round below 2^64, machine below 2^31). Unknown
+/// names and out-of-range values are rejected with a "<path>:<line>:"
+/// prefixed error instead of being silently ignored or truncated.
 Result<FaultPlan> FaultPlanFromFile(const std::string& path);
 
 /// Immutable snapshot of the injector's counters. All integers (the penalty

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <tuple>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/rmat.h"
 #include "memsim/fault.h"
@@ -52,6 +54,18 @@ TEST(FaultProfileTest, RejectsUnknownNameAndBadSeed) {
   EXPECT_FALSE(memsim::FaultPlanFromProfile("bogus").ok());
   EXPECT_FALSE(memsim::FaultPlanFromProfile("pm-stall:x7").ok());
   EXPECT_FALSE(memsim::FaultPlanFromProfile("pm-stall:").ok());
+  // Seeds past 2^64 - 1 are errors, not exceptions; signs are not digits.
+  for (const char* spec : {"pm-flaky:99999999999999999999999",
+                           "pm-stall:99999999999999999999999",
+                           "pm-stall:18446744073709551616", "pm-stall:-1",
+                           "pm-stall:+1", "pm-stall:1.5"}) {
+    const auto plan = memsim::FaultPlanFromProfile(spec);
+    ASSERT_FALSE(plan.ok()) << spec;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  const auto max_seed = memsim::FaultPlanFromProfile("pm-stall:18446744073709551615");
+  ASSERT_TRUE(max_seed.ok());
+  EXPECT_EQ(max_seed.value().seed, UINT64_MAX);
 }
 
 // ---------------------------------------------------------------------------
@@ -92,6 +106,17 @@ TEST(FaultProfileFileTest, ParsesDirectivesAndRates) {
   auto via_spec = memsim::FaultPlanFromProfile("@" + path);
   ASSERT_TRUE(via_spec.ok());
   EXPECT_EQ(via_spec.value().seed, 9u);
+
+  // Integer fields keep every bit up to their type's limit.
+  auto limits = memsim::FaultPlanFromFile(
+      WriteProfileFile("limits.prof",
+                       "seed 18446744073709551615\n"
+                       "kill 2147483647 18446744073709551615\n"));
+  ASSERT_TRUE(limits.ok()) << limits.status().ToString();
+  EXPECT_EQ(limits.value().seed, UINT64_MAX);
+  ASSERT_EQ(limits.value().kills.size(), 1u);
+  EXPECT_EQ(limits.value().kills[0].first, INT32_MAX);
+  EXPECT_EQ(limits.value().kills[0].second, UINT64_MAX);
 }
 
 TEST(FaultProfileFileTest, RejectsUnknownTierWithLineNumber) {
@@ -128,6 +153,66 @@ TEST(FaultProfileFileTest, RejectsBadKindDirectiveAndRange) {
       WriteProfileFile("bad_range.prof", "rate pm read seq stall 1.5\n");
   EXPECT_FALSE(memsim::FaultPlanFromFile(bad_range).ok());
   EXPECT_FALSE(memsim::FaultPlanFromProfile("@/does/not/exist.prof").ok());
+  // Integer fields out of range or not integers: a line-numbered error
+  // instead of a truncated, wrapped or undefined cast.
+  for (const char* body :
+       {"seed 1.5\n", "seed 18446744073709551616\n", "seed 1e30\n", "seed -1\n",
+        "seed 99999999999999999999999\n", "kill 2147483648 1\n", "kill -1 1\n",
+        "kill 1 18446744073709551616\n", "kill 1 -1\n", "kill 1.0 2\n"}) {
+    const auto plan = memsim::FaultPlanFromFile(WriteProfileFile("bad_int.prof", body));
+    ASSERT_FALSE(plan.ok()) << body;
+    EXPECT_NE(plan.status().ToString().find(":1:"), std::string::npos) << body;
+  }
+}
+
+// Seeded mutants of a valid profile file: byte flips, truncations and long
+// digit runs spliced in. Every one must parse to a plan or a Status; run
+// under ASan/UBSan, an exception escaping or an out-of-range cast aborts.
+TEST(FaultProfileFileTest, MutatedFilesParseAsStatusOrPlan) {
+  const std::string valid =
+      "# every directive once\n"
+      "seed 9\n"
+      "stall-multiplier 3.5\n"
+      "tail-stall-fraction 0.25\n"
+      "timeout-seconds 0.001\n"
+      "machine-loss 0.05\n"
+      "kill 2 7\n"
+      "rate pm read seq stall 0.25\n"
+      "rate * * * media 0.01\n";
+  const std::string path = ::testing::TempDir() + "/mutant.prof";
+  int parsed = 0;
+  auto parse = [&](const std::string& body) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << body;
+    }
+    const auto plan = memsim::FaultPlanFromFile(path);
+    if (!plan.ok()) return;
+    ++parsed;
+    EXPECT_GE(plan.value().machine_loss, 0.0);
+    EXPECT_LE(plan.value().machine_loss, 1.0);
+    for (const auto& [machine, round] : plan.value().kills) EXPECT_GE(machine, 0);
+  };
+  parse(valid);
+  EXPECT_EQ(parsed, 1);
+  Rng rng(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string body = valid;
+    const int flips = 1 + static_cast<int>(rng.Next() % 4);
+    for (int f = 0; f < flips; ++f) {
+      body[rng.Next() % body.size()] ^= static_cast<char>(1 + rng.Next() % 255);
+    }
+    parse(body);
+  }
+  for (size_t len = 0; len < valid.size(); ++len) parse(valid.substr(0, len));
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string body = valid;
+    std::string digits(1 + rng.Next() % 40, '0');
+    for (char& d : digits) d = static_cast<char>('0' + rng.Next() % 10);
+    body.insert(rng.Next() % body.size(), digits);
+    parse(body);
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/graph.h"
@@ -117,7 +118,7 @@ TEST_F(GraphIoMutationTest, EdgeListSurvivesMutation) {
   // Line edits: unparsable, overflowing, negative and non-finite fields.
   for (const char* line :
        {"1\n", "x y\n", "18446744073709551616 1\n", "-1 2\n", "1 2 nan\n",
-        "1 2 1e999\n", "1 2 inf\n", "\t\t\n", ",,,\n", "1 1\n"}) {
+        "1 2 1e999\n", "1 2 1e300\n", "1 2 inf\n", "\t\t\n", ",,,\n", "1 1\n"}) {
     LoadMutant(load, valid + line);
     LoadMutant(load, std::string(line) + valid);
   }
@@ -162,7 +163,8 @@ TEST_F(GraphIoMutationTest, MatrixMarketSurvivesMutation) {
   EXPECT_FALSE(LoadMutant(load, "%%MatrixMarket matrix array real general\n1 1 1\n"));
   EXPECT_FALSE(LoadMutant(load, "%%MatrixMarket matrix coordinate complex general\n"));
   EXPECT_FALSE(LoadMutant(load, "%%MatrixMarket matrix\n"));
-  for (const char* entry : {"0 1\n", "65 1\n", "1\n", "a b\n", "1 2 x\n"}) {
+  for (const char* entry :
+       {"0 1\n", "65 1\n", "1\n", "a b\n", "1 2 x\n", "1 2 1e300\n"}) {
     EXPECT_FALSE(
         with_size(n + " " + n + " " + std::to_string(std::stoull(entries) + 1), entry))
         << entry;
@@ -213,6 +215,60 @@ TEST_F(GraphIoMutationTest, BinarySurvivesMutation) {
     std::string bytes = valid;
     std::memcpy(bytes.data() + neighbors_at, &bad_id, sizeof(bad_id));
     EXPECT_FALSE(LoadMutant(load, bytes));
+  }
+}
+
+// The mutation replay reader gets the same treatment: every mutant streams
+// to a list of mutations or a Status, batch by batch.
+TEST_F(GraphIoMutationTest, MutationStreamSurvivesMutation) {
+  const std::string valid =
+      "# replay\n"
+      "a 0 1 2.5\n"
+      "d 2 3\n"
+      "u 1 2 0.5\n"
+      "% another comment\n"
+      "+ 7 9\n"
+      "- 9 7\n"
+      "4 5\n"
+      "4294967295 0 1e-3\n";
+  const std::string path = Path("mutations");
+  auto read = [&](const std::string& bytes) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    MutationStreamReader reader;
+    EXPECT_TRUE(reader.Open(path).ok());
+    std::vector<Mutation> mutations;
+    while (true) {
+      const Result<size_t> got = reader.ReadBatch(3, &mutations);
+      if (!got.ok() || got.value() == 0) return got.ok();
+    }
+  };
+  ASSERT_TRUE(read(valid));
+  ASSERT_EQ(LoadMutationsText(path).value().size(), 7u);
+
+  Rng rng(4);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string bytes = valid;
+    const int flips = 1 + static_cast<int>(rng.Next() % 4);
+    for (int f = 0; f < flips; ++f) {
+      bytes[rng.Next() % bytes.size()] ^= static_cast<char>(1 + rng.Next() % 255);
+    }
+    read(bytes);
+  }
+  for (size_t len = 0; len < valid.size(); ++len) read(valid.substr(0, len));
+  // Long digit runs spliced anywhere: ids and weights past every range.
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string digits(1 + rng.Next() % 400, '0');
+    for (char& d : digits) d = static_cast<char>('0' + rng.Next() % 10);
+    std::string bytes = valid;
+    bytes.insert(rng.Next() % bytes.size(), digits);
+    read(bytes);
+  }
+  for (const char* line : {"a 1 2 1e300\n", "u 1 2 -1e39\n", "a 4294967296 1\n",
+                           "a 1 2 1e999\n", "d 18446744073709551616 1\n"}) {
+    EXPECT_FALSE(read(valid + line)) << line;
   }
 }
 
