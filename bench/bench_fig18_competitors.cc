@@ -72,17 +72,13 @@ int main() {
             .phase_seconds;
 
     sparse::SemiExternalOptions sem_opts;
-    sem_opts.num_threads = env.threads;
     sem_opts.dram_budget_bytes =
         env.ms->CapacityBytes(memsim::Tier::kDram) * 2 * 3 / 4;
     const double t_sem =
         sparse::SemiExternalSpmm(csr, b, &c, sem_opts, env.Context())
             .phase_seconds;
 
-    sparse::FusedMmOptions fused_opts;
-    fused_opts.num_threads = env.threads;
-    const auto fused =
-        sparse::FusedMmSpmm(csr, b, &c, fused_opts, env.Context());
+    const auto fused = sparse::FusedMmSpmm(csr, b, &c, env.Context());
 
     sem_speedups.push_back(t_sem / t_omega);
     std::string fused_cell = "OOM";

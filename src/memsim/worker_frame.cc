@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace omega::memsim {
@@ -29,9 +28,9 @@ double WorkerFrame::Run(ThreadPool* pool,
   if (pool == nullptr) {
     for (size_t w = 0; w < size(); ++w) fn(w, &ctxs_[w]);
   } else {
-    OMEGA_CHECK(pool->size() >= size()) << "thread pool smaller than the frame";
-    pool->RunOnAll([&](size_t w) {
-      if (w < size()) fn(w, &ctxs_[w]);
+    const size_t threads = pool->size();
+    pool->RunOnAll([&](size_t t) {
+      for (size_t w = t; w < size(); w += threads) fn(w, &ctxs_[w]);
     });
   }
   double lap = 0.0;

@@ -55,10 +55,12 @@ class WorkerFrame {
     return placements;
   }
 
-  /// Runs fn(worker, ctx) once per worker, worker w on pool thread w (the
-  /// pool must have at least size() threads; the rest idle). A null pool
-  /// runs the workers in order on the calling thread. Returns the lap's
-  /// straggler: the largest clock advance any worker made during this call.
+  /// Runs fn(worker, ctx) once per worker, worker w on pool thread w modulo
+  /// the pool's size, so a pool smaller than the frame runs workers in turn
+  /// and a larger one leaves threads idle. A null pool runs the workers in
+  /// order on the calling thread. Each worker charges only its own clock, so
+  /// the seconds do not depend on the pool. Returns the lap's straggler: the
+  /// largest clock advance any worker made during this call.
   double Run(ThreadPool* pool,
              const std::function<void(size_t, WorkerCtx*)>& fn);
 

@@ -1,13 +1,12 @@
 #include "omega/baselines.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
+#include <memory>
 
 #include "buffer/buffer_manager.h"
-#include "common/logging.h"
-#include "memsim/worker_frame.h"
-#include "sparse/csdb_ops.h"
 #include "sched/entropy.h"
+#include "sparse/csdb_ops.h"
 
 namespace omega::engine {
 
@@ -48,42 +47,55 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
                                          const linalg::DenseMatrix& b,
                                          linalg::DenseMatrix* c,
                                          const sparse::SpmmPlacements& placements,
-                                         const exec::Context& exec_ctx,
+                                         const exec::Context& ctx,
                                          const sparse::CsrSpmmPlan* plan) {
-  memsim::MemorySystem* ms = exec_ctx.ms();
-  ThreadPool* pool = exec_ctx.pool();
-  const int threads = exec_ctx.threads();
-  OMEGA_CHECK(pool != nullptr);
-  sparse::CsrSpmmPlan local_plan;
-  if (plan == nullptr) {
-    local_plan = sparse::CsrSpmmPlan::Build(
-        a, threads, sparse::CsrSpmmPlan::Split::kEqualRows);
-    plan = &local_plan;
-  }
-  OMEGA_CHECK(plan->Matches(a, threads, sparse::CsrSpmmPlan::Split::kEqualRows))
-      << "StaticCsrSpmm: stale plan";
-  sparse::ParallelSpmmResult result;
-  result.thread_seconds.assign(threads, 0.0);
-  result.thread_breakdowns.assign(threads, sparse::SpmmCostBreakdown{});
-  memsim::WorkerFrame frame(ms->topology(), threads);
-
-  frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
-    // Equal-row chunk with its pre-scanned nnz/entropy.
-    const sparse::CsrPlanPart& part = plan->parts()[worker];
-    sparse::ComputeWorkloadCsr(a, b, c, part.row_begin, part.row_end);
-    result.thread_breakdowns[worker] = sparse::ChargeWorkloadCsr(
-        a, b.cols(), part.row_begin, part.row_end, part.nnz, part.entropy,
-        placements, ms, ctx);
-  });
-
-  for (int t = 0; t < threads; ++t) {
-    result.thread_seconds[t] = frame.seconds(t);
-    result.total_breakdown += result.thread_breakdowns[t];
-  }
-  result.nnz_processed = a.nnz();
-  result.phase_seconds = frame.MaxSeconds();
-  return result;
+  return sparse::ParallelCsrSpmm(
+      a, b, c, ctx, sparse::CsrSpmmPlan::Split::kEqualRows, plan,
+      [&](const sparse::CsrPlanPart& part, memsim::WorkerCtx* wctx) {
+        return sparse::ChargeWorkloadCsr(a, b.cols(), part.row_begin,
+                                         part.row_end, part.nnz, part.entropy,
+                                         placements, ctx.ms(), wctx);
+      });
 }
+
+namespace {
+
+// One SpMM of a CSR family on `csr` with a `plan` that matches it; returns
+// its simulated seconds.
+using CsrFamilySpmm = std::function<Result<double>(
+    const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
+    const linalg::DenseMatrix& in, linalg::DenseMatrix* out)>;
+
+// The SpMM executor of both CSR families: one span per SpMM, the matrix's
+// CSR form from a CsrCache, and its `split` plan rebuilt under an aux
+// "plan.build" span whenever the structure changes. `spmm` is all that
+// differs between the families.
+embed::SpmmExecutor CsrFamilyExecutor(internal::ProneRun* run,
+                                      sparse::CsrSpmmPlan::Split split,
+                                      CsrFamilySpmm spmm) {
+  struct Cached {
+    internal::CsrCache csr;
+    sparse::CsrSpmmPlan plan;  // reused across the stage's SpMM calls
+  };
+  auto cached = std::make_shared<Cached>();
+  return [run, split, spmm = std::move(spmm), cached](
+             const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
+             linalg::DenseMatrix* out) -> Result<double> {
+    const exec::Context& ctx = run->ctx();
+    exec::PhaseSpan span(ctx, run->NextSpmmName());
+    *out = linalg::DenseMatrix(m.num_rows(), in.cols());
+    OMEGA_ASSIGN_OR_RETURN(const graph::CsrMatrix* csr, cached->csr.Get(m));
+    if (!cached->plan.Matches(*csr, ctx.threads(), split)) {
+      exec::PhaseSpan plan_span(ctx, "plan.build", /*aux=*/true);
+      cached->plan = sparse::CsrSpmmPlan::Build(*csr, ctx.threads(), split);
+    }
+    OMEGA_ASSIGN_OR_RETURN(const double seconds, spmm(*csr, cached->plan, in, out));
+    span.AddSimSeconds(seconds);
+    return seconds;
+  };
+}
+
+}  // namespace
 
 Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& dataset,
                                  const EngineOptions& options,
@@ -91,7 +103,6 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
   internal::ProneRun run(dataset, options, outer_ctx);
   const exec::Context& ctx = run.ctx();
   memsim::MemorySystem* ms = ctx.ms();
-  const int threads = ctx.threads();
   run.Read(g, GraphFormat::kCsr);
 
   // Adjacency plus one derived matrix live at peak (as in the OMeGa family),
@@ -112,64 +123,50 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
   pl.result = interleave_dram;
 
   const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
-  internal::CsrCache csr_cache;
-  sparse::CsrSpmmPlan csr_plan;  // reused across the stage's SpMM calls
   uint64_t staging_site = 0;  // fault-site cursor across the staging reads
 
-  embed::SpmmExecutor executor =
-      [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-          linalg::DenseMatrix* out) -> Result<double> {
-    exec::PhaseSpan span(ctx, run.NextSpmmName());
-    *out = linalg::DenseMatrix(m.num_rows(), in.cols());
-    OMEGA_ASSIGN_OR_RETURN(const graph::CsrMatrix* cached, csr_cache.Get(m));
-    const graph::CsrMatrix& csr = *cached;
-    if (!csr_plan.Matches(csr, threads, sparse::CsrSpmmPlan::Split::kEqualRows)) {
-      exec::PhaseSpan plan_span(ctx, "plan.build", /*aux=*/true);
-      csr_plan = sparse::CsrSpmmPlan::Build(
-          csr, threads, sparse::CsrSpmmPlan::Split::kEqualRows);
-    }
-    const sparse::ParallelSpmmResult r =
-        StaticCsrSpmm(csr, in, out, pl, ctx, &csr_plan);
-    double seconds = r.phase_seconds;
-    if (hm) {
-      // Synchronous dense staging PM -> DRAM before and DRAM -> PM after each
-      // SpMM, not overlapped with compute (no ASL).
-      const size_t stage_bytes = in.bytes() + out->bytes();
-      if (!ms->faults_enabled()) {
-        seconds += ms->AccessSeconds(interleave_pm, 0, memsim::MemOp::kRead,
-                                     memsim::Pattern::kSequential, stage_bytes, 1, 1);
-      } else {
-        // The naive HM port has no degradation path: a staging read that
-        // keeps faulting surfaces as the run's failure (contrast with the
-        // OMeGa family's retry-then-degrade recovery).
-        const uint64_t site = staging_site++;
-        bool delivered = false;
-        for (int attempt = 0; attempt <= 2 && !delivered; ++attempt) {
-          const memsim::MemorySystem::FaultDraw draw = ms->TryAccessSeconds(
-              interleave_pm, 0, memsim::MemOp::kRead,
-              memsim::Pattern::kSequential, stage_bytes, 1, 1,
-              memsim::kFaultStreamProneStaging, site,
-              static_cast<uint32_t>(attempt));
-          seconds += draw.seconds;
-          if (draw.kind == memsim::FaultKind::kNone ||
-              draw.kind == memsim::FaultKind::kTransientStall) {
-            delivered = true;
-          } else if (attempt < 2) {
-            ms->faults().CountRetried();
-          } else {
-            ms->faults().CountSurfaced();
-            return Status::IOError(
-                "ProNE-HM: dense staging read failed after 2 retries: " +
-                std::string(memsim::FaultKindName(draw.kind)));
+  const embed::SpmmExecutor executor = CsrFamilyExecutor(
+      &run, sparse::CsrSpmmPlan::Split::kEqualRows,
+      [&](const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
+          const linalg::DenseMatrix& in, linalg::DenseMatrix* out) -> Result<double> {
+        double seconds = StaticCsrSpmm(csr, in, out, pl, ctx, &plan).phase_seconds;
+        if (!hm) return seconds;
+        // Synchronous dense staging PM -> DRAM before and DRAM -> PM after
+        // each SpMM, not overlapped with compute (no ASL).
+        const size_t stage_bytes = in.bytes() + out->bytes();
+        if (!ms->faults_enabled()) {
+          seconds += ms->AccessSeconds(interleave_pm, 0, memsim::MemOp::kRead,
+                                       memsim::Pattern::kSequential, stage_bytes, 1, 1);
+        } else {
+          // The naive HM port has no degradation path: a staging read that
+          // keeps faulting surfaces as the run's failure (contrast with the
+          // OMeGa family's retry-then-degrade recovery).
+          const uint64_t site = staging_site++;
+          bool delivered = false;
+          for (int attempt = 0; attempt <= 2 && !delivered; ++attempt) {
+            const memsim::MemorySystem::FaultDraw draw = ms->TryAccessSeconds(
+                interleave_pm, 0, memsim::MemOp::kRead,
+                memsim::Pattern::kSequential, stage_bytes, 1, 1,
+                memsim::kFaultStreamProneStaging, site,
+                static_cast<uint32_t>(attempt));
+            seconds += draw.seconds;
+            if (draw.kind == memsim::FaultKind::kNone ||
+                draw.kind == memsim::FaultKind::kTransientStall) {
+              delivered = true;
+            } else if (attempt < 2) {
+              ms->faults().CountRetried();
+            } else {
+              ms->faults().CountSurfaced();
+              return Status::IOError(
+                  "ProNE-HM: dense staging read failed after 2 retries: " +
+                  std::string(memsim::FaultKindName(draw.kind)));
+            }
           }
         }
-      }
-      seconds += ms->AccessSeconds(interleave_pm, 0, memsim::MemOp::kWrite,
-                                   memsim::Pattern::kSequential, out->bytes(), 1, 1);
-    }
-    span.AddSimSeconds(seconds);
-    return seconds;
-  };
+        return seconds + ms->AccessSeconds(interleave_pm, 0, memsim::MemOp::kWrite,
+                                           memsim::Pattern::kSequential,
+                                           out->bytes(), 1, 1);
+      });
 
   OMEGA_ASSIGN_OR_RETURN(embed::EmbeddingResult emb,
                          embed::ProneEmbed(adjacency, run.prone(), executor));
@@ -223,7 +220,6 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
   internal::ProneRun run(dataset, options, outer_ctx);
   const exec::Context& ctx = run.ctx();
   memsim::MemorySystem* ms = ctx.ms();
-  const int threads = ctx.threads();
   const bool ginex = options.system == SystemKind::kGinex;
   const OutOfCoreProfile profile = ginex ? GinexProfile() : MariusProfile();
   // Graph preprocessed into the system's on-SSD format.
@@ -265,79 +261,68 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
   }
 
   const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g, ctx.pool());
-  internal::CsrCache csr_cache;
-  sparse::CsrSpmmPlan csr_plan;  // reused across the stage's SpMM calls
   const Placement ssd{Tier::kSsd, 0};
   const Placement dram{Tier::kDram, Placement::kInterleaved};
 
-  embed::SpmmExecutor executor =
-      [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-          linalg::DenseMatrix* out) -> Result<double> {
-    exec::PhaseSpan span(ctx, run.NextSpmmName());
-    *out = linalg::DenseMatrix(m.num_rows(), in.cols());
-    OMEGA_ASSIGN_OR_RETURN(const graph::CsrMatrix* cached, csr_cache.Get(m));
-    const graph::CsrMatrix& csr = *cached;
-    const size_t d = in.cols();
-
-    // Both systems batch work by edges (sampled subgraphs / buffer
-    // partitions), so partition by nnz rather than rows; the parts and their
-    // nnz/entropy metadata live in the reusable plan.
-    if (!csr_plan.Matches(csr, threads, sparse::CsrSpmmPlan::Split::kEqualNnz)) {
-      exec::PhaseSpan plan_span(ctx, "plan.build", /*aux=*/true);
-      csr_plan = sparse::CsrSpmmPlan::Build(
-          csr, threads, sparse::CsrSpmmPlan::Split::kEqualNnz);
-    }
-    // A fresh frame per execute: seed its fault-site cursors from the
-    // execute epoch so the miss-read retry loop doesn't replay one draw key.
-    memsim::WorkerFrame frame(ms->topology(), threads, memsim::Contention::kPool,
-                              ms->NextFaultEpoch());
-    frame.Run(ctx.pool(), [&](size_t worker, memsim::WorkerCtx* wctx) {
-      const sparse::CsrPlanPart& part = csr_plan.parts()[worker];
-      const uint32_t begin = part.row_begin;
-      const uint32_t end = part.row_end;
-
-      sparse::ComputeWorkloadCsr(csr, in, out, begin, end);
-      const uint64_t nnz = part.nnz;
-
-      // Sparse structure streams from SSD once per pass.
-      ms->ChargeAccess(wctx, ssd, memsim::MemOp::kRead, memsim::Pattern::kSequential,
-                       (end - begin) * 8 + nnz * 8, 1);
-      // Feature gathers: hits in the DRAM cache, misses on SSD pages. The
-      // sampling pipeline adds extra gather traffic.
-      const double gathers =
-          static_cast<double>(nnz) * d * (1.0 + profile.sampling_overhead);
-      const uint64_t hits = static_cast<uint64_t>(gathers * hit_rate);
-      const uint64_t misses = static_cast<uint64_t>(
-          (gathers - hits) * profile.miss_scale);
-      const double z = sched::NormalizedEntropy(part.entropy, csr.num_cols());
-      wctx->clock->Advance(sparse::GatherSeconds(ms, wctx->cpu_socket, dram, z,
-                                                hits, wctx->active_threads));
-      if (misses > 0) {
-        // Miss pages retry a couple of times under fault injection; a range
-        // that keeps failing degrades to unamortized full-page re-reads
-        // (identical to the plain charge when faults are disabled).
-        memsim::FaultRetryPolicy policy;
-        policy.max_retries = 2;
-        const Status miss_read = ms->ChargeAccessWithRetry(
-            wctx, ssd, memsim::MemOp::kRead, profile.miss_pattern,
-            misses * profile.miss_bytes, misses, policy);
-        if (!miss_read.ok()) {
-          ms->faults().CountDegraded();
-          ms->ChargeAccess(wctx, ssd, memsim::MemOp::kRead,
-                           memsim::Pattern::kSequential, misses * 4096, misses);
-        }
+  // Prices one part's SpMM over `d` columns of `csr` with the system's I/O
+  // discipline. The family reports phase seconds only, so no breakdown.
+  const auto price = [&](const graph::CsrMatrix& csr, uint64_t d,
+                         const sparse::CsrPlanPart& part, memsim::WorkerCtx* wctx) {
+    const uint64_t rows = part.row_end - part.row_begin;
+    // Sparse structure streams from SSD once per pass.
+    ms->ChargeAccess(wctx, ssd, memsim::MemOp::kRead, memsim::Pattern::kSequential,
+                     rows * 8 + part.nnz * 8, 1);
+    // Feature gathers: hits in the DRAM cache, misses on SSD pages. The
+    // sampling pipeline adds extra gather traffic.
+    const double gathers =
+        static_cast<double>(part.nnz) * d * (1.0 + profile.sampling_overhead);
+    const uint64_t hits = static_cast<uint64_t>(gathers * hit_rate);
+    const uint64_t misses =
+        static_cast<uint64_t>((gathers - hits) * profile.miss_scale);
+    const double z = sched::NormalizedEntropy(part.entropy, csr.num_cols());
+    wctx->clock->Advance(sparse::GatherSeconds(ms, wctx->cpu_socket, dram, z, hits,
+                                               wctx->active_threads));
+    if (misses > 0) {
+      // Miss pages retry a couple of times under fault injection; a range
+      // that keeps failing degrades to unamortized full-page re-reads
+      // (identical to the plain charge when faults are disabled).
+      memsim::FaultRetryPolicy policy;
+      policy.max_retries = 2;
+      const Status miss_read = ms->ChargeAccessWithRetry(
+          wctx, ssd, memsim::MemOp::kRead, profile.miss_pattern,
+          misses * profile.miss_bytes, misses, policy);
+      if (!miss_read.ok()) {
+        ms->faults().CountDegraded();
+        ms->ChargeAccess(wctx, ssd, memsim::MemOp::kRead,
+                         memsim::Pattern::kSequential, misses * 4096, misses);
       }
-      // GPU-class arithmetic.
-      wctx->clock->Advance(ms->cost_model().ComputeSeconds(d * nnz * 2) /
-                          profile.compute_rate_multiplier);
-      // Result written back to host memory.
-      ms->ChargeAccess(wctx, dram, memsim::MemOp::kWrite, memsim::Pattern::kSequential,
-                       (end - begin) * d * sizeof(float), 1);
-    });
-    const double seconds = frame.MaxSeconds();
-    span.AddSimSeconds(seconds);
-    return seconds;
+    }
+    // GPU-class arithmetic.
+    wctx->clock->Advance(ms->cost_model().ComputeSeconds(d * part.nnz * 2) /
+                         profile.compute_rate_multiplier);
+    // Result written back to host memory.
+    ms->ChargeAccess(wctx, dram, memsim::MemOp::kWrite, memsim::Pattern::kSequential,
+                     rows * d * sizeof(float), 1);
+    return sparse::SpmmCostBreakdown{};
   };
+
+  // Both systems batch work by edges (sampled subgraphs / buffer partitions),
+  // so partition by nnz rather than rows.
+  const embed::SpmmExecutor executor = CsrFamilyExecutor(
+      &run, sparse::CsrSpmmPlan::Split::kEqualNnz,
+      [&](const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
+          const linalg::DenseMatrix& in, linalg::DenseMatrix* out) -> Result<double> {
+        // A fresh fault epoch per execute, so the miss-read retry loop
+        // doesn't replay one draw key.
+        const uint64_t fault_site = ms->NextFaultEpoch();
+        return sparse::ParallelCsrSpmm(
+                   csr, in, out, ctx, plan.split(), &plan,
+                   [&](const sparse::CsrPlanPart& part, memsim::WorkerCtx* wctx) {
+                     return price(csr, in.cols(), part, wctx);
+                   },
+                   fault_site)
+            .phase_seconds;
+      });
 
   OMEGA_ASSIGN_OR_RETURN(embed::EmbeddingResult emb,
                          embed::ProneEmbed(adjacency, run.prone(), executor));

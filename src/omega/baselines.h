@@ -34,8 +34,9 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
                                      const exec::Context& ctx);
 
 /// Charged parallel CSR SpMM with equal-row static chunking — the baseline
-/// execution style of the ProNE family. Uses ctx.threads() workers. Exposed
-/// for tests and benches. When `plan` is non-null it must match
+/// execution style of the ProNE family: ChargeWorkloadCsr on `placements`
+/// over sparse::ParallelCsrSpmm, with ctx.threads() workers. Exposed for
+/// tests and benches. When `plan` is non-null it must match
 /// (a, ctx.threads(), kEqualRows); otherwise one is built for this call.
 sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
                                          const linalg::DenseMatrix& b,

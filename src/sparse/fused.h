@@ -19,20 +19,15 @@
 
 namespace omega::sparse {
 
-struct FusedMmOptions {
-  int num_threads = 8;
-};
-
-/// Runs C = A * B with the FusedMM strategy. Fails with CapacityExceeded when
-/// sparse + dense + result do not fit in the simulated machine's total DRAM.
-/// Builds the kEqualRows plan per call unless `plan` is given; a given plan
-/// must match (a, options.num_threads, kEqualRows), and repeated SpMMs on the
-/// same structure should build it once. The simulated charges are identical
-/// either way.
+/// Runs C = A * B with the FusedMM strategy on ctx.threads() workers through
+/// ParallelCsrSpmm. Fails with CapacityExceeded when sparse + dense + result
+/// do not fit in the simulated machine's total DRAM. Builds the kEqualRows
+/// plan per call unless `plan` is given; a given plan must match
+/// (a, ctx.threads(), kEqualRows), and repeated SpMMs on the same structure
+/// should build it once. The simulated charges are identical either way.
 Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
                                        const linalg::DenseMatrix& b,
                                        linalg::DenseMatrix* c,
-                                       const FusedMmOptions& options,
                                        const exec::Context& ctx,
                                        const CsrSpmmPlan* plan = nullptr);
 

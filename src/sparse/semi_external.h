@@ -20,18 +20,17 @@
 namespace omega::sparse {
 
 struct SemiExternalOptions {
-  int num_threads = 8;
   /// DRAM bytes available to hold the dense operand + result. Working sets
   /// beyond this spill to SSD.
   size_t dram_budget_bytes = 96ULL << 20;
 };
 
-/// Runs C = A * B with the SEM-SpMM strategy; returns the simulated phase
-/// result (breakdowns attribute SSD traffic to the sparse/dense components).
-/// Builds the kEqualNnz plan per call unless `plan` is given; a given plan
-/// must match (a, options.num_threads, kEqualNnz), and repeated SpMMs on the
-/// same structure should build it once. The simulated charges are identical
-/// either way.
+/// Runs C = A * B with the SEM-SpMM strategy on ctx.threads() workers through
+/// ParallelCsrSpmm; returns the simulated phase result (breakdowns attribute
+/// SSD traffic to the sparse/dense components). Builds the kEqualNnz plan per
+/// call unless `plan` is given; a given plan must match (a, ctx.threads(),
+/// kEqualNnz), and repeated SpMMs on the same structure should build it once.
+/// The simulated charges are identical either way.
 ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
                                     const linalg::DenseMatrix& b,
                                     linalg::DenseMatrix* c,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "memsim/worker_frame.h"
 #include "sched/entropy.h"
 #include "sparse/spmm_kernels.h"
 
@@ -36,11 +35,6 @@ SpmmCostBreakdown& SpmmCostBreakdown::operator+=(const SpmmCostBreakdown& other)
   return *this;
 }
 
-namespace {
-
-constexpr uint64_t kLineBytes = 64;
-
-// Charges an access and attributes it to one breakdown component.
 void Charge(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
             SpmmCostBreakdown* breakdown, SpmmOp op, memsim::Placement p,
             memsim::MemOp mem_op, memsim::Pattern pat, uint64_t bytes,
@@ -52,12 +46,25 @@ void Charge(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
   breakdown->seconds[static_cast<int>(op)] += seconds;
 }
 
+void ChargeGather(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
+                  SpmmCostBreakdown* breakdown, memsim::Placement dense,
+                  double z, uint64_t touches) {
+  const double seconds = GatherSeconds(ms, ctx->cpu_socket, dense, z, touches,
+                                       ctx->active_threads);
+  ctx->clock->Advance(seconds);
+  breakdown->seconds[static_cast<int>(SpmmOp::kGetDenseNnz)] += seconds;
+}
+
 void ChargeCompute(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
                    SpmmCostBreakdown* breakdown, uint64_t ops) {
   const double seconds = ms->cost_model().ComputeSeconds(ops);
   ctx->clock->Advance(seconds);
   breakdown->seconds[static_cast<int>(SpmmOp::kAccumulate)] += seconds;
 }
+
+namespace {
+
+constexpr uint64_t kLineBytes = 64;
 
 // Shared cost-charging for both formats once traffic has been counted.
 // `entropy_h` is the part's raw workload entropy H (Eq. 3, accumulated in
@@ -82,11 +89,8 @@ void ChargeWorkloadCosts(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
          memsim::Pattern::kSequential, d * nnz * 8, d);
   // 3 get_dense_nnz: Z(H)-blended gathers (Eqs. 4-5); hits go to the cache's
   // (DRAM) placement at random-access cost, which is still far cheaper.
-  const double z = sched::NormalizedEntropy(entropy_h, num_nodes);
-  const double gather = GatherSeconds(ms, ctx->cpu_socket, pl.dense, z,
-                                      d * misses, ctx->active_threads);
-  ctx->clock->Advance(gather);
-  breakdown->seconds[static_cast<int>(SpmmOp::kGetDenseNnz)] += gather;
+  ChargeGather(ms, ctx, breakdown, pl.dense,
+               sched::NormalizedEntropy(entropy_h, num_nodes), d * misses);
   if (cache != nullptr && cache_hits > 0) {
     Charge(ms, ctx, breakdown, SpmmOp::kGetDenseNnz, cache->placement(),
            memsim::MemOp::kRead, memsim::Pattern::kRandom,
@@ -217,15 +221,6 @@ SpmmCostBreakdown ChargeWorkloadCsdb(const graph::CsdbMatrix& a,
   return breakdown;
 }
 
-void ComputeWorkloadCsr(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
-                        linalg::DenseMatrix* c, uint32_t row_begin,
-                        uint32_t row_end, size_t col_begin, size_t col_end) {
-  OMEGA_DCHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
-  col_end = std::min(col_end, b.cols());
-  col_begin = std::min(col_begin, col_end);
-  kernels::CsrPanelSpmm(a, b, c, row_begin, row_end, col_begin, col_end);
-}
-
 void ComputeWorkloadCsrPerColumn(const graph::CsrMatrix& a,
                                  const linalg::DenseMatrix& b,
                                  linalg::DenseMatrix* c, uint32_t row_begin,
@@ -267,6 +262,23 @@ SpmmCostBreakdown ChargeWorkloadCsr(const graph::CsrMatrix& a,
   return breakdown;
 }
 
+ParallelSpmmResult ChargeParallel(
+    memsim::WorkerFrame* frame, ThreadPool* pool,
+    const std::function<SpmmCostBreakdown(size_t, memsim::WorkerCtx*)>& charge) {
+  ParallelSpmmResult result;
+  result.thread_breakdowns.resize(frame->size());
+  frame->Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
+    result.thread_breakdowns[worker] = charge(worker, ctx);
+  });
+  result.thread_seconds.resize(frame->size());
+  for (size_t w = 0; w < frame->size(); ++w) {
+    result.thread_seconds[w] = frame->seconds(w);
+    result.total_breakdown += result.thread_breakdowns[w];
+  }
+  result.phase_seconds = frame->MaxSeconds();
+  return result;
+}
+
 ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
                                 const linalg::DenseMatrix& b,
                                 linalg::DenseMatrix* c,
@@ -274,32 +286,17 @@ ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
                                 const SpmmPlacements& placements,
                                 const exec::Context& ctx) {
   memsim::MemorySystem* ms = ctx.ms();
-  ThreadPool* pool = ctx.pool();
-  const size_t n = workloads.size();
-  OMEGA_CHECK(pool != nullptr && pool->size() >= n)
-      << "thread pool smaller than workload count";
-
-  ParallelSpmmResult result;
-  result.thread_seconds.assign(n, 0.0);
-  result.thread_breakdowns.assign(n, SpmmCostBreakdown{});
-  memsim::WorkerFrame frame(ms->topology(), static_cast<int>(n));
-
   // Compute: the workloads partition A, so one all-rows pass covers them.
-  ComputeAllRowsCsdb(a, b, c, pool);
+  ComputeAllRowsCsdb(a, b, c, ctx.pool());
 
   // Charge: one simulated worker per workload, on its own clock.
-  frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
-    result.thread_breakdowns[worker] = ChargeWorkloadCsdb(
-        a, b.cols(), ScanChargeMetaCsdb(a, workloads[worker]), placements, ms,
-        ctx);
-  });
-
-  for (size_t i = 0; i < n; ++i) {
-    result.thread_seconds[i] = frame.seconds(i);
-    result.total_breakdown += result.thread_breakdowns[i];
-    result.nnz_processed += workloads[i].nnz;
-  }
-  result.phase_seconds = frame.MaxSeconds();
+  memsim::WorkerFrame frame(ms->topology(), static_cast<int>(workloads.size()));
+  ParallelSpmmResult result =
+      ChargeParallel(&frame, ctx.pool(), [&](size_t worker, memsim::WorkerCtx* wctx) {
+        return ChargeWorkloadCsdb(a, b.cols(), ScanChargeMetaCsdb(a, workloads[worker]),
+                                  placements, ms, wctx);
+      });
+  for (const sched::Workload& w : workloads) result.nnz_processed += w.nnz;
   return result;
 }
 

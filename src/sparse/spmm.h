@@ -21,6 +21,7 @@
 
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -28,6 +29,7 @@
 #include "graph/csr.h"
 #include "linalg/dense_matrix.h"
 #include "memsim/memory_system.h"
+#include "memsim/worker_frame.h"
 #include "omega/exec_context.h"
 #include "sched/workload.h"
 
@@ -147,16 +149,27 @@ double GatherSeconds(memsim::MemorySystem* ms, int cpu_socket,
                      memsim::Placement dense, double z, uint64_t touches,
                      int active_threads);
 
-/// CSR flavor of the compute step (used by the ProNE/CSR baselines); fixed
-/// ascending-k reduction order. Column range and clamp semantics are unified
-/// with the CSDB kernel: col_end is clamped to b.cols(), then col_begin to
-/// col_end.
-void ComputeWorkloadCsr(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
-                        linalg::DenseMatrix* c, uint32_t row_begin,
-                        uint32_t row_end, size_t col_begin = 0,
-                        size_t col_end = SIZE_MAX);
+/// Charges one access on `ctx`'s clock and attributes its seconds to `op` in
+/// `breakdown`. Nothing is charged when bytes and accesses are both zero.
+/// With ChargeGather and ChargeCompute, the building blocks every SpMM
+/// pricing (Algorithm 1's five components) is written in.
+void Charge(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
+            SpmmCostBreakdown* breakdown, SpmmOp op, memsim::Placement p,
+            memsim::MemOp mem_op, memsim::Pattern pat, uint64_t bytes,
+            uint64_t accesses);
 
-/// Per-column CSR oracle, mirroring ComputeWorkloadCsdbPerColumn.
+/// Charges GatherSeconds' Z-blended gathers as get_dense_nnz.
+void ChargeGather(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
+                  SpmmCostBreakdown* breakdown, memsim::Placement dense,
+                  double z, uint64_t touches);
+
+/// Charges `ops` arithmetic operations as accumulation.
+void ChargeCompute(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
+                   SpmmCostBreakdown* breakdown, uint64_t ops);
+
+/// Per-column CSR oracle, mirroring ComputeWorkloadCsdbPerColumn: rows
+/// [row_begin, row_end), the same column clamp and reduction order. The CSR
+/// compute step itself is ParallelCsrSpmm's (sparse/spmm_plan.h).
 void ComputeWorkloadCsrPerColumn(const graph::CsrMatrix& a,
                                  const linalg::DenseMatrix& b,
                                  linalg::DenseMatrix* c, uint32_t row_begin,
@@ -187,13 +200,21 @@ struct ParallelSpmmResult {
   }
 };
 
+/// Runs `charge(worker, ctx)` once per worker of `frame` on `pool` and
+/// assembles the breakdowns it returns into a phase result: per-worker
+/// seconds and breakdowns, their sum, and the straggler. nnz_processed is
+/// left to the caller.
+ParallelSpmmResult ChargeParallel(
+    memsim::WorkerFrame* frame, ThreadPool* pool,
+    const std::function<SpmmCostBreakdown(size_t, memsim::WorkerCtx*)>& charge);
+
 /// Runs one SpMM A (CSDB) x B -> C with one simulated worker per workload.
 /// The workloads must partition A's rows (every caller passes
 /// sched::Allocate output): the host compute covers all rows of A at once
 /// under ComputeAllRowsCsdb, then each workload's scanned metadata is charged
 /// on its own worker, bound to the socket given by the topology's block
-/// assignment. The context must carry a pool with at least workloads.size()
-/// workers. Simulated seconds do not depend on the host thread count.
+/// assignment. C and the simulated seconds do not depend on the pool's size
+/// (a null pool runs serially).
 ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
                                 const linalg::DenseMatrix& b,
                                 linalg::DenseMatrix* c,

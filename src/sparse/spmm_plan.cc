@@ -4,8 +4,10 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "memsim/worker_frame.h"
 #include "sched/entropy.h"
 #include "sparse/spmm.h"
+#include "sparse/spmm_kernels.h"
 
 namespace omega::sparse {
 
@@ -109,8 +111,8 @@ CsrSpmmPlan CsrSpmmPlan::Build(const graph::CsrMatrix& a, int threads,
 
   const uint32_t rows = a.num_rows();
   if (split == Split::kEqualRows) {
-    // OpenMP-static equal-row chunks (nnz-oblivious), as in FusedMmSpmm and
-    // the ProNE family's StaticCsrSpmm.
+    // OpenMP-static equal-row chunks (nnz-oblivious), as in FusedMM and the
+    // ProNE family.
     const uint32_t chunk = (rows + threads - 1) / threads;
     for (int t = 0; t < threads; ++t) {
       plan.parts_[t].row_begin = std::min<uint32_t>(rows, t * chunk);
@@ -119,7 +121,7 @@ CsrSpmmPlan CsrSpmmPlan::Build(const graph::CsrMatrix& a, int threads,
     }
   } else {
     // Contiguous ~equal-nnz parts with sequential row consumption, as in
-    // SemiExternalSpmm and the out-of-core engines.
+    // SEM-SpMM and the out-of-core engines.
     const uint64_t per = std::max<uint64_t>(1, a.nnz() / threads);
     uint32_t row = 0;
     for (int t = 0; t < threads; ++t) {
@@ -150,6 +152,46 @@ bool CsrSpmmPlan::Matches(const graph::CsrMatrix& a, int threads,
                           Split split) const {
   return valid() && split_ == split && threads_ == threads &&
          structure_ == StructureOf(a);
+}
+
+ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
+                                   const linalg::DenseMatrix& b,
+                                   linalg::DenseMatrix* c, const exec::Context& ctx,
+                                   CsrSpmmPlan::Split split, const CsrSpmmPlan* plan,
+                                   const CsrPartPricing& price,
+                                   uint64_t fault_site) {
+  const int threads = ctx.threads();
+  CsrSpmmPlan local_plan;
+  if (plan == nullptr) {
+    local_plan = CsrSpmmPlan::Build(a, threads, split);
+    plan = &local_plan;
+  }
+  OMEGA_CHECK(plan->Matches(a, threads, split)) << "ParallelCsrSpmm: stale plan";
+  OMEGA_CHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
+
+  // Compute: dynamic row blocks (power-law rows make static chunks skewed);
+  // each element's ascending-k reduction is fixed inside the panel kernel, so
+  // C is bit-identical under any split. No memsim state is touched here.
+  constexpr size_t kRowBlock = 1024;
+  const auto compute_rows = [&](size_t, size_t row_begin, size_t row_end) {
+    kernels::CsrPanelSpmm(a, b, c, static_cast<uint32_t>(row_begin),
+                          static_cast<uint32_t>(row_end), 0, b.cols());
+  };
+  if (ctx.pool() == nullptr) {
+    compute_rows(0, 0, a.num_rows());
+  } else {
+    ctx.pool()->ParallelForDynamic(a.num_rows(), kRowBlock, compute_rows);
+  }
+
+  // Charge: one simulated worker per plan part, from the part's metadata.
+  memsim::WorkerFrame frame(ctx.ms()->topology(), threads,
+                            memsim::Contention::kPool, fault_site);
+  ParallelSpmmResult result =
+      ChargeParallel(&frame, ctx.pool(), [&](size_t worker, memsim::WorkerCtx* wctx) {
+        return price(plan->parts()[worker], wctx);
+      });
+  result.nnz_processed = a.nnz();
+  return result;
 }
 
 }  // namespace omega::sparse

@@ -6,8 +6,8 @@
 // scan, the per-part nnz/entropy metadata of the CSR baselines — depends only
 // on the matrix *structure*, never on the dense values, so it can be built
 // once per (structure, thread count, allocator) and reused by every execute.
-// This header holds the plan keys and the CSR baselines' plan; the CSDB
-// plan is numa::NadpPlan.
+// This header holds the plan keys, the CSR baselines' plan and the one CSR
+// SpMM driver that executes it; the CSDB plan is numa::NadpPlan.
 //
 // Two-clock contract (DESIGN.md): a plan caches host-side structures only.
 // Every simulated charge is still issued per execute, in the same order and
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/csdb.h"
@@ -116,5 +117,25 @@ class CsrSpmmPlan {
   int threads_ = 0;
   std::vector<CsrPlanPart> parts_;
 };
+
+/// Prices one plan part on its simulated worker: charges `ctx` and returns
+/// the part's breakdown.
+using CsrPartPricing =
+    std::function<SpmmCostBreakdown(const CsrPlanPart& part, memsim::WorkerCtx* ctx)>;
+
+/// The parallel CSR SpMM driver. The CSR baselines (FusedMM, SEM-SpMM, the
+/// ProNE and out-of-core engines) all run Algorithm 1 through it and differ
+/// only in `price`. Uses `plan`, which must match (a, ctx.threads(), split),
+/// or builds one for this call. Computes every row of C = A * B once on
+/// ctx.pool() with the CSR panel kernels, then prices each of the plan's
+/// parts on its own worker of a memsim::WorkerFrame (whole-pool contention,
+/// fault cursors starting at `fault_site`). nnz_processed is a.nnz(). C and
+/// every simulated second are the same at any pool size.
+ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
+                                   const linalg::DenseMatrix& b,
+                                   linalg::DenseMatrix* c, const exec::Context& ctx,
+                                   CsrSpmmPlan::Split split, const CsrSpmmPlan* plan,
+                                   const CsrPartPricing& price,
+                                   uint64_t fault_site = 0);
 
 }  // namespace omega::sparse

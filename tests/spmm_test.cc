@@ -13,6 +13,7 @@
 #include "sparse/fused.h"
 #include "sparse/semi_external.h"
 #include "sparse/spmm.h"
+#include "sparse/spmm_kernels.h"
 #include "sparse/spmm_plan.h"
 
 namespace omega::sparse {
@@ -213,7 +214,7 @@ TEST_F(SpmmTest, CsrKernelMatchesReference) {
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
   const CsrPlanPart part =
       CsrSpmmPlan::Build(csr, 1, CsrSpmmPlan::Split::kEqualRows).parts()[0];
-  ComputeWorkloadCsr(csr, b_, &c, part.row_begin, part.row_end);
+  kernels::CsrPanelSpmm(csr, b_, &c, part.row_begin, part.row_end, 0, b_.cols());
   ChargeWorkloadCsr(csr, b_.cols(), part.row_begin, part.row_end, part.nnz,
                     part.entropy, SpmmPlacements{}, ms_.get(), &ctx);
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected_), 1e-4);
@@ -224,7 +225,6 @@ TEST_F(SpmmTest, SemiExternalMatchesReferenceAndChargesSsd) {
   const auto csr = ToCsr(a_).value();
   ThreadPool pool(4);
   SemiExternalOptions opts;
-  opts.num_threads = 4;
   opts.dram_budget_bytes = 1ULL << 30;  // everything fits: no spill
   DenseMatrix c(csr.num_rows(), b_.cols());
   ms_->ResetTraffic();
@@ -238,7 +238,6 @@ TEST_F(SpmmTest, SemiExternalSpillsMakeItSlower) {
   const auto csr = ToCsr(a_).value();
   ThreadPool pool(4);
   SemiExternalOptions fit;
-  fit.num_threads = 4;
   fit.dram_budget_bytes = 1ULL << 30;
   SemiExternalOptions spill = fit;
   spill.dram_budget_bytes = b_.bytes() / 4;  // force spilling
@@ -253,10 +252,8 @@ TEST_F(SpmmTest, SemiExternalSpillsMakeItSlower) {
 TEST_F(SpmmTest, FusedMmMatchesReferenceInDram) {
   const auto csr = ToCsr(a_).value();
   ThreadPool pool(4);
-  FusedMmOptions opts;
-  opts.num_threads = 4;
   DenseMatrix c(csr.num_rows(), b_.cols());
-  auto result = FusedMmSpmm(csr, b_, &c, opts, exec::Context(ms_.get(), &pool));
+  auto result = FusedMmSpmm(csr, b_, &c, exec::Context(ms_.get(), &pool));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected_), 1e-4);
   EXPECT_GT(result.value().phase_seconds, 0.0);
@@ -269,10 +266,8 @@ TEST_F(SpmmTest, FusedMmFailsPastDramCapacity) {
   memsim::MemorySystem tiny(topo, memsim::DefaultProfiles());
   const auto csr = ToCsr(a_).value();
   ThreadPool pool(2);
-  FusedMmOptions opts;
-  opts.num_threads = 2;
   DenseMatrix c(csr.num_rows(), b_.cols());
-  auto result = FusedMmSpmm(csr, b_, &c, opts, exec::Context(&tiny, &pool));
+  auto result = FusedMmSpmm(csr, b_, &c, exec::Context(&tiny, &pool));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCapacityExceeded());
 }
