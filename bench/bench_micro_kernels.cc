@@ -8,15 +8,19 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "graph/datasets.h"
 #include "graph/rmat.h"
 #include "sched/entropy.h"
 #include "linalg/gemm.h"
+#include "linalg/qr.h"
 #include "linalg/random_matrix.h"
 #include "prefetch/topm_store.h"
 #include "prefetch/wofp.h"
@@ -250,6 +254,21 @@ void BM_GemmBlockedPool8(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBlockedPool8)->Arg(256)->Arg(512);
 
+// The randomized range finder's orthonormalization at FR's factorize shape
+// (dim + oversample = 40 columns) on a pool of range(0) threads (1 = serial).
+void BM_ReducedQr(benchmark::State& state) {
+  const size_t threads = static_cast<size_t>(state.range(0));
+  const linalg::DenseMatrix a = linalg::GaussianMatrix(65536, 40, 3);
+  const auto pool = threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  linalg::DenseMatrix q, r;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::ReducedQr(a, &q, &r, pool.get()));
+    benchmark::DoNotOptimize(q.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ReducedQr)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
 // Timed GEMM section behind the custom main: GFLOP/s of the three variants
 // at a few square sizes, printed as a table and (optionally) written to the
 // --bench-json file for perf tracking.
@@ -299,13 +318,53 @@ void RunGemmReport(const std::string& json_path) {
   }
 }
 
-// Timed SpMM section: the per-column oracle vs the scalar-panel and best
-// (possibly SIMD) column-panel kernels, for CSDB and CSR, on the bench R-MAT
-// graph. GFLOP/s counts 2*nnz*d flops; effective GB/s charges the panel
-// kernels' algorithmic traffic (one index+value load per nonzero, d dense
-// reads per nonzero, d writes per row) to every variant so the column is
-// comparable — the per-column loop actually re-reads the sparse side d times,
-// which is exactly the host cost the panels remove.
+// "Packed" is the serial all-rows path (sparse::ComputeAllRowsCsdb without a
+// pool), so its time includes allocating and packing the dense slice.
+double PackedSeconds(int reps, const graph::CsdbMatrix& m,
+                     const linalg::DenseMatrix& b, linalg::DenseMatrix* c) {
+  return BestSeconds(reps, [&] { sparse::ComputeAllRowsCsdb(m, b, c, nullptr); });
+}
+
+// FR-shaped widths: the ProNE factorize SpMM multiplies by dim + oversample =
+// 40 columns, which ASL streams as two 20-column partitions, and propagation
+// by dim = 32. The packed kernel and the scalar-panel oracle run serially on
+// FR's adjacency and must agree bit for bit.
+void RunSpmmFrReport(bench::BenchJson* json) {
+  const graph::Graph g = graph::LoadDatasetByName("FR").value();
+  const graph::CsdbMatrix m = graph::CsdbMatrix::FromGraph(g);
+  std::printf("\nSpMM on FR (%u rows, %llu nnz), serial, best of 3:\n",
+              m.num_rows(), static_cast<unsigned long long>(m.nnz()));
+  std::printf("%8s %12s %12s %10s %8s\n", "d", "scalar GF/s", "packed GF/s",
+              "pk/scalar", "bitwise");
+  for (const size_t d : {size_t{20}, size_t{32}, size_t{40}}) {
+    const linalg::DenseMatrix b = linalg::GaussianMatrix(m.num_cols(), d, 7);
+    linalg::DenseMatrix scalar(m.num_rows(), d);
+    linalg::DenseMatrix packed(m.num_rows(), d);
+    const double flops = 2.0 * static_cast<double>(m.nnz()) * d;
+    const double scalar_s = BestSeconds(3, [&] {
+      sparse::kernels::CsdbPanelSpmmScalar(m, b, &scalar, 0, m.num_rows(), 0, d);
+    });
+    const double packed_s = PackedSeconds(3, m, b, &packed);
+    const bool equal =
+        std::memcmp(scalar.data(), packed.data(), scalar.bytes()) == 0;
+    std::printf("%8zu %12.2f %12.2f %9.2fx %8s\n", d, flops / scalar_s / 1e9,
+                flops / packed_s / 1e9, scalar_s / packed_s,
+                equal ? "yes" : "NO");
+    const std::string entry = "spmm_csdb_fr_" + std::to_string(d);
+    json->Add(entry, "panel_scalar_gflops", flops / scalar_s / 1e9);
+    json->Add(entry, "packed_gflops", flops / packed_s / 1e9);
+    json->Add(entry, "bitwise_equal", equal ? 1.0 : 0.0);
+  }
+}
+
+// Timed SpMM section: the per-column oracle vs the scalar-panel oracle and
+// the packed kernel for CSDB, and vs the best (possibly SIMD) column-panel
+// kernel for CSR, on the bench R-MAT graph; plus, outside --smoke, the FR
+// widths. GFLOP/s counts 2*nnz*d flops; effective GB/s charges the
+// algorithmic traffic of a one-pass kernel (one index+value load per
+// nonzero, d dense reads per nonzero, d writes per row) to every variant so
+// the column is comparable — the per-column loop actually re-reads the
+// sparse side d times, which is exactly the host cost the panels remove.
 void RunSpmmReport(const std::string& json_path, bool smoke) {
   const graph::CsdbMatrix& m = TestMatrix();
   const graph::CsrMatrix csr = sparse::ToCsr(m).value();
@@ -319,7 +378,7 @@ void RunSpmmReport(const std::string& json_path, bool smoke) {
   std::printf("\nSpMM host kernels, serial (best of %d, wall clock; simd=%s):\n",
               reps, sparse::kernels::SpmmSimdEnabled() ? "on" : "off");
   std::printf("%14s %12s %12s %12s %10s %10s\n", "kernel", "percol GF/s",
-              "scalar GF/s", "panel GF/s", "panel/pc", "eff GB/s");
+              "scalar GF/s", "best GF/s", "best/pc", "eff GB/s");
   for (const size_t d : widths) {
     const linalg::DenseMatrix b = linalg::GaussianMatrix(m.num_cols(), d, 7);
     linalg::DenseMatrix c(m.num_rows(), d);
@@ -331,9 +390,7 @@ void RunSpmmReport(const std::string& json_path, bool smoke) {
     const double csdb_scalar_s = BestSeconds(reps, [&] {
       sparse::kernels::CsdbPanelSpmmScalar(m, b, &c, 0, m.num_rows(), 0, d);
     });
-    const double csdb_panel_s = BestSeconds(reps, [&] {
-      sparse::kernels::CsdbPanelSpmm(m, b, &c, 0, m.num_rows(), 0, d);
-    });
+    const double csdb_packed_s = PackedSeconds(reps, m, b, &c);
     const double csr_percol_s = BestSeconds(reps, [&] {
       sparse::ComputeWorkloadCsrPerColumn(csr, b, &c, 0, csr.num_rows());
     });
@@ -343,8 +400,8 @@ void RunSpmmReport(const std::string& json_path, bool smoke) {
 
     std::printf("%10s d=%-3zu %12.2f %12.2f %12.2f %9.2fx %10.1f\n", "csdb", d,
                 flops / csdb_percol_s / 1e9, flops / csdb_scalar_s / 1e9,
-                flops / csdb_panel_s / 1e9, csdb_percol_s / csdb_panel_s,
-                bytes / csdb_panel_s / 1e9);
+                flops / csdb_packed_s / 1e9, csdb_percol_s / csdb_packed_s,
+                bytes / csdb_packed_s / 1e9);
     std::printf("%10s d=%-3zu %12.2f %12s %12.2f %9.2fx %10.1f\n", "csr", d,
                 flops / csr_percol_s / 1e9, "-", flops / csr_panel_s / 1e9,
                 csr_percol_s / csr_panel_s, bytes / csr_panel_s / 1e9);
@@ -352,15 +409,16 @@ void RunSpmmReport(const std::string& json_path, bool smoke) {
     const std::string entry = "spmm_csdb_" + std::to_string(d);
     json.Add(entry, "percol_gflops", flops / csdb_percol_s / 1e9);
     json.Add(entry, "panel_scalar_gflops", flops / csdb_scalar_s / 1e9);
-    json.Add(entry, "panel_gflops", flops / csdb_panel_s / 1e9);
-    json.Add(entry, "speedup_panel", csdb_percol_s / csdb_panel_s);
-    json.Add(entry, "effective_gbs", bytes / csdb_panel_s / 1e9);
+    json.Add(entry, "packed_gflops", flops / csdb_packed_s / 1e9);
+    json.Add(entry, "speedup_packed", csdb_percol_s / csdb_packed_s);
+    json.Add(entry, "effective_gbs", bytes / csdb_packed_s / 1e9);
     const std::string csr_entry = "spmm_csr_" + std::to_string(d);
     json.Add(csr_entry, "percol_gflops", flops / csr_percol_s / 1e9);
     json.Add(csr_entry, "panel_gflops", flops / csr_panel_s / 1e9);
     json.Add(csr_entry, "speedup_panel", csr_percol_s / csr_panel_s);
     json.Add(csr_entry, "effective_gbs", bytes / csr_panel_s / 1e9);
   }
+  if (!smoke) RunSpmmFrReport(&json);
   json.Add("spmm_build", "simd_enabled",
            sparse::kernels::SpmmSimdEnabled() ? 1.0 : 0.0);
   if (!json_path.empty() && json.WriteFile(json_path)) {

@@ -14,6 +14,35 @@ constexpr size_t kParallelWorkThreshold = 1 << 15;
 // Q columns formed together, so each reflector streams once per panel.
 constexpr size_t kQPanelWidth = 4;
 
+// Trailing columns one elimination task updates, so v_j streams once per
+// group instead of once per column.
+constexpr size_t kElimGroupWidth = 4;
+
+// Applies reflector j (v_j = colj[j..n), scaled by beta) to the W trailing
+// columns starting at c and records their row-j entries of R. Every column
+// keeps the arithmetic of a one-column loop: its dot product is its own
+// chain, summed over ascending i, and the W chains run interleaved so they
+// share the loads of v_j and overlap their add latencies; the axpys follow
+// one column at a time.
+template <size_t W>
+void ApplyReflector(const double* colj, double beta, size_t n, size_t k,
+                    size_t j, size_t c, double* work, double* rmat) {
+  double* cols[W];
+  for (size_t w = 0; w < W; ++w) cols[w] = work + (c + w) * n;
+  // Fully unrolled so the W accumulators live in registers.
+  double dot[W] = {};
+  for (size_t i = j; i < n; ++i) {
+#pragma GCC unroll 4
+    for (size_t w = 0; w < W; ++w) dot[w] += colj[i] * cols[w][i];
+  }
+  for (size_t w = 0; w < W; ++w) {
+    double* colc = cols[w];
+    const double scale = beta * dot[w];
+    for (size_t i = j; i < n; ++i) colc[i] -= scale * colj[i];
+    rmat[(c + w) * k + j] = colc[j];
+  }
+}
+
 // Forms Q columns [c0, c0 + W) by applying reflectors j_top, ..., 0 (stored
 // in `work`, scaled by `betas`) to unit vectors. `e` is W * n scratch with
 // column c0 + w's row i at e[i * W + w]. Every column keeps the arithmetic of
@@ -88,23 +117,27 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
     finite_reflectors = finite_reflectors && std::isfinite(betas[j]);
     rmat[j * k + j] = alpha;
 
-    // Apply the reflector to the remaining columns; each trailing column is
-    // an independent dot + axpy, so the loop fans out across the pool.
-    auto apply_to = [&](size_t c) {
-      double* colc = work.data() + c * n;
-      double dot = 0.0;
-      for (size_t i = j; i < n; ++i) dot += colj[i] * colc[i];
-      const double scale = betas[j] * dot;
-      for (size_t i = j; i < n; ++i) colc[i] -= scale * colj[i];
-      rmat[c * k + j] = colc[j];
+    // Apply the reflector to the remaining columns in groups of up to
+    // kElimGroupWidth; each group is an independent task, so the groups fan
+    // out across the pool.
+    auto apply_group = [&](size_t group) {
+      const size_t c = j + 1 + group * kElimGroupWidth;
+      double* w = work.data();
+      double* rm = rmat.data();
+      switch (std::min(kElimGroupWidth, k - c)) {
+        case 4: ApplyReflector<4>(colj, betas[j], n, k, j, c, w, rm); break;
+        case 3: ApplyReflector<3>(colj, betas[j], n, k, j, c, w, rm); break;
+        case 2: ApplyReflector<2>(colj, betas[j], n, k, j, c, w, rm); break;
+        default: ApplyReflector<1>(colj, betas[j], n, k, j, c, w, rm); break;
+      }
     };
-    const size_t trailing = k - j - 1;
-    if (parallel && trailing >= 2) {
-      pool->ParallelFor(trailing, [&](size_t, size_t begin, size_t end) {
-        for (size_t t = begin; t < end; ++t) apply_to(j + 1 + t);
+    const size_t groups = (k - j - 1 + kElimGroupWidth - 1) / kElimGroupWidth;
+    if (parallel && groups >= 2) {
+      pool->ParallelFor(groups, [&](size_t, size_t begin, size_t end) {
+        for (size_t t = begin; t < end; ++t) apply_group(t);
       });
     } else {
-      for (size_t c = j + 1; c < k; ++c) apply_to(c);
+      for (size_t t = 0; t < groups; ++t) apply_group(t);
     }
   }
   // Upper part of R above diagonal was collected during elimination; collect

@@ -2,11 +2,11 @@
 // reflections — the orthonormalization step of the randomized range finder.
 //
 // The Householder elimination is inherently sequential in the column being
-// reduced, but applying each reflector to the trailing columns — and forming
-// the k columns of Q, in panels of a few columns — is embarrassingly parallel
-// per column. With a pool those loops fan out; every column's arithmetic
-// stays a fixed sequential chain, so the factorization is bit-identical at
-// any thread count.
+// reduced, but applying each reflector to the trailing columns and forming
+// the k columns of Q are embarrassingly parallel per column. Both run in
+// groups of a few columns that share the reflector's loads, and with a pool
+// the groups fan out; every column's arithmetic stays a fixed sequential
+// chain, so the factorization is bit-identical at any thread count.
 
 #pragma once
 

@@ -180,7 +180,9 @@ double RefreshTerms(const exec::Context& ctx, const graph::CsdbMatrix& propagati
 
     const std::vector<sched::Workload> parts =
         SplitRanges(propagation, ranges, beta, threads);
-    const linalg::DenseMatrix& prev = k == 1 ? capture->r0 : capture->terms[k - 2];
+    // One row-major copy of the previous term serves every worker's rows.
+    const sparse::kernels::PackedOperand prev = sparse::PackDense(
+        k == 1 ? capture->r0 : capture->terms[k - 2], ctx.pool());
     spmm_seconds += frame.Run(ctx.pool(), [&](size_t t, memsim::WorkerCtx* wctx) {
       if (t >= parts.size() || parts[t].empty()) return;
       const prefetch::WofpPrefetcher* cache = plan.cache(t);

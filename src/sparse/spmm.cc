@@ -66,6 +66,10 @@ namespace {
 
 constexpr uint64_t kLineBytes = 64;
 
+// Packed floats below which PackDense copies inline: a pool dispatch costs
+// more than copying this much.
+constexpr size_t kMinParallelPack = size_t{1} << 16;
+
 // Shared cost-charging for both formats once traffic has been counted.
 // `entropy_h` is the part's raw workload entropy H (Eq. 3, accumulated in
 // ascending-row order) — a plan may carry it precomputed; the Z-blend is
@@ -129,15 +133,31 @@ double GatherSeconds(memsim::MemorySystem* ms, int cpu_socket,
   return seconds;
 }
 
-void ComputeWorkloadCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
-                         linalg::DenseMatrix* c, const sched::Workload& w,
-                         size_t col_begin, size_t col_end) {
-  OMEGA_DCHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
+kernels::PackedOperand PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
+                                 size_t col_begin, size_t col_end) {
   col_end = std::min(col_end, b.cols());
   col_begin = std::min(col_begin, col_end);
+  kernels::PackedOperand packed(b.rows(), col_begin, col_end);
+  const size_t n = b.rows();
+  if (pool != nullptr && pool->size() > 1 &&
+      n * packed.width() >= kMinParallelPack) {
+    pool->ParallelFor(n, [&](size_t, size_t begin, size_t end) {
+      kernels::PackRows(b, begin, end, &packed);
+    });
+  } else {
+    kernels::PackRows(b, 0, n, &packed);
+  }
+  return packed;
+}
+
+void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
+                         const kernels::PackedOperand& b, linalg::DenseMatrix* c,
+                         const sched::Workload& w) {
+  OMEGA_DCHECK(c->rows() == a.num_rows() && b.rows() == a.num_cols() &&
+               b.col_end() <= c->cols());
   for (const sched::RowRange& range : w.ranges) {
     if (range.size() == 0) continue;
-    kernels::CsdbPanelSpmm(a, b, c, range.begin, range.end, col_begin, col_end);
+    kernels::CsdbPackedSpmm(a, b, c, range.begin, range.end);
   }
 }
 
@@ -145,11 +165,10 @@ void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b
                         linalg::DenseMatrix* c, ThreadPool* pool,
                         size_t col_begin, size_t col_end) {
   OMEGA_DCHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
-  col_end = std::min(col_end, b.cols());
-  col_begin = std::min(col_begin, col_end);
-  if (col_begin == col_end) return;
+  const kernels::PackedOperand packed = PackDense(b, pool, col_begin, col_end);
+  if (packed.width() == 0) return;
   graph::ForEachRowRange(a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
-    kernels::CsdbPanelSpmm(a, b, c, row_begin, row_end, col_begin, col_end);
+    kernels::CsdbPackedSpmm(a, packed, c, row_begin, row_end);
   });
 }
 

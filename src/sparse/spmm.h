@@ -32,6 +32,7 @@
 #include "memsim/worker_frame.h"
 #include "omega/exec_context.h"
 #include "sched/workload.h"
+#include "sparse/spmm_kernels.h"
 
 namespace omega::sparse {
 
@@ -84,28 +85,37 @@ class DenseCacheView {
   virtual uint64_t BytesPerHit() const { return 64; }
 };
 
+/// Packs B[:, col_begin:min(col_end, b.cols())) row-major for the CSDB
+/// kernel (col_begin is clamped to the clamped col_end, so any range is
+/// safe), its rows split across `pool` when the slice is large enough to pay
+/// for the dispatch (serial when `pool` is null). Allocates one b.rows() x
+/// width float buffer. Must not run inside a job of `pool`.
+kernels::PackedOperand PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
+                                 size_t col_begin = 0,
+                                 size_t col_end = SIZE_MAX);
+
 /// Host-only compute of one workload: C rows for the workload's ranges and
-/// columns [col_begin, min(col_end, b.cols())) with no memsim charging
-/// (col_begin is clamped to the clamped col_end, so any range is safe).
-/// Dispatches to the column-panel kernels (sparse/spmm_kernels.h); every
-/// output element is reduced in ascending-k order with one accumulator, so the
-/// result is bit-identical no matter how the rows or columns are split across
-/// workers.
-void ComputeWorkloadCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
-                         linalg::DenseMatrix* c, const sched::Workload& w,
-                         size_t col_begin = 0, size_t col_end = SIZE_MAX);
+/// the packed columns, with no memsim charging. Runs the packed kernel
+/// (sparse/spmm_kernels.h); every output element is reduced in ascending-k
+/// order with one accumulator, so the result is bit-identical no matter how
+/// the rows or columns are split across workers. Callers that compute many
+/// workloads over one operand (RefreshTerms' workers) share one PackDense.
+void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
+                         const kernels::PackedOperand& b, linalg::DenseMatrix* c,
+                         const sched::Workload& w);
 
 /// Computes every row of C = A * B for columns [col_begin, min(col_end,
-/// b.cols())) with the panel kernels, split across `pool` by
-/// graph::ForEachRowRange (serial when `pool` is null). The compute step of
-/// every parallel CSDB SpMM driver; bit-identical at any pool size.
+/// b.cols())): PackDense on `pool`, then the packed kernel over row ranges
+/// from graph::ForEachRowRange (serial when `pool` is null). The compute step
+/// of every parallel CSDB SpMM driver; bit-identical to ComputeWorkloadCsdb
+/// and at any pool size.
 void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                         linalg::DenseMatrix* c, ThreadPool* pool,
                         size_t col_begin = 0, size_t col_end = SIZE_MAX);
 
 /// The original per-column kernel (Algorithm 1's loop nesting verbatim), kept
-/// as the oracle the panel kernels are tested and benchmarked against. Same
-/// clamp and reduction order as ComputeWorkloadCsdb.
+/// as the oracle the packed kernel is tested and benchmarked against. Same
+/// clamp as PackDense and the same reduction order as ComputeWorkloadCsdb.
 void ComputeWorkloadCsdbPerColumn(const graph::CsdbMatrix& a,
                                   const linalg::DenseMatrix& b,
                                   linalg::DenseMatrix* c, const sched::Workload& w,

@@ -1,26 +1,28 @@
-// Column-panel SpMM compute kernels (host arithmetic only, no memsim).
+// Host SpMM compute kernels (host arithmetic only, no memsim).
 //
 // The per-column kernels in spmm.cc walk the whole sparse row list once per
 // dense column: every nonzero's (col, val) pair is re-loaded d times and pays
-// one scalar gather per load. The panel kernels here process the dense
-// operand in panels of kPanelCols columns instead: one index/value load per
-// nonzero is amortized across the panel's register-resident accumulators, so
-// the sparse stream shrinks by kPanelCols x and the gather feeds kPanelCols
-// FMAs. The CSDB variant additionally iterates degree blocks
-// (CsdbMatrix::BlocksInRange) so the inner trip count is a per-block constant
-// and short rows (deg <= 4) run fully unrolled — the branch-predictable
-// short-row path the degree-descending layout exists for (§III-A).
+// one scalar gather per load. The kernels here amortize one index/value load
+// per nonzero across many register-resident column accumulators instead.
+//
+// CSDB runs one packed-operand kernel: the dense slice B[:, col_begin:
+// col_end) is copied row-major once per call (PackedOperand), so a nonzero's
+// whole width is one contiguous run, and CsdbPackedSpmm walks the CSDB
+// degree blocks (CsdbMatrix::BlocksInRange) once per slab of up to
+// kMaxSlabCols columns with plain vector loads and a masked ragged tail.
+// CSR keeps the column-panel kernels: kPanelCols columns per panel, each
+// nonzero's panel gathered from kPanelCols dense columns.
 //
 // Numerics policy (DESIGN.md "SpMM column-panel kernels"): every output
 // element C(r, t) is reduced over its row's nonzeros in ascending k with a
 // single accumulator, and all paths inside this translation unit — vector
-// full panel, scalar tail panel, degree-specialized unrolls — round
+// slabs and panels, masked and scalar tails, the scalar oracles — round
 // identically (explicit FMA everywhere when the TU is compiled with AVX2+FMA
 // under OMEGA_SPMM_SIMD, plain multiply-add everywhere otherwise; the TU is
 // built with -ffp-contract=off so the compiler cannot mix the two). An
 // element therefore lands on the same bits no matter how the column range is
 // sliced, which is what keeps embeddings bit-identical across thread counts
-// when NaDP/ASL shift panel boundaries.
+// when NaDP/ASL shift slice boundaries.
 //
 // These kernels never touch the simulator: charging stays in spmm.cc's
 // ChargeWorkload* functions and is byte-identical to the per-column era.
@@ -29,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "graph/csdb.h"
 #include "graph/csr.h"
@@ -36,29 +39,70 @@
 
 namespace omega::sparse::kernels {
 
-/// Dense columns per panel: 8 register-resident accumulators — one AVX2
+/// Dense columns per CSR panel: 8 register-resident accumulators — one AVX2
 /// vector in the SIMD variant, a compiler-unrolled float[8] in the scalar
 /// fallback.
 inline constexpr size_t kPanelCols = 8;
 
-/// True when this build compiled the panel TU with the AVX2+FMA variant
+/// True when this build compiled the kernel TU with the AVX2+FMA variant
 /// (OMEGA_SPMM_SIMD on a supporting toolchain).
 bool SpmmSimdEnabled();
 
-/// C[r, t] = sum_k A(r, :) * B(:, t) for rows [row_begin, row_end) of the
-/// CSDB matrix and columns [col_begin, col_end) (caller pre-clamps both).
-/// Best available variant: SIMD when compiled in, scalar panels otherwise.
-void CsdbPanelSpmm(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
-                   linalg::DenseMatrix* c, uint32_t row_begin, uint32_t row_end,
-                   size_t col_begin, size_t col_end);
+// --- Packed-operand CSDB kernel ----------------------------------------------
 
-/// Scalar-panel variant, always compiled — the fallback the SIMD path is
-/// tested against (bit-identical under this TU's rounding policy).
+/// Columns per packed-kernel slab: 8 register-resident vector accumulators.
+inline constexpr size_t kMaxSlabCols = 64;
+
+/// A row-major copy of the dense column slice B[:, col_begin:col_end): the
+/// width() values of B's row r sit contiguously at Row(r). Holds page-aligned
+/// storage of its own mapping, uninitialized until PackRows fills it.
+class PackedOperand {
+ public:
+  PackedOperand() = default;
+  PackedOperand(size_t rows, size_t col_begin, size_t col_end);
+
+  size_t rows() const { return rows_; }
+  size_t col_begin() const { return col_begin_; }
+  size_t col_end() const { return col_begin_ + width_; }
+  size_t width() const { return width_; }
+  const float* Row(size_t r) const { return data_.get() + r * width_; }
+  float* Row(size_t r) { return data_.get() + r * width_; }
+
+ private:
+  struct Unmap {
+    size_t bytes;
+    void operator()(float* p) const;
+  };
+  std::unique_ptr<float, Unmap> data_;
+  size_t rows_ = 0;
+  size_t col_begin_ = 0;
+  size_t width_ = 0;
+};
+
+/// Copies rows [row_begin, row_end) of B's slice into `packed` (whose shape
+/// was fixed at construction; b.rows() == packed->rows()). Writes only those
+/// rows, so disjoint row ranges may be packed concurrently.
+void PackRows(const linalg::DenseMatrix& b, size_t row_begin, size_t row_end,
+              PackedOperand* packed);
+
+/// C(r, packed.col_begin() + j) = sum_k A(r, :) * B(:, packed.col_begin() + j)
+/// for rows [row_begin, row_end) of the CSDB matrix and every packed column;
+/// `packed` covers all of A's columns. Bit-identical to CsdbPanelSpmmScalar
+/// over the same columns.
+void CsdbPackedSpmm(const graph::CsdbMatrix& a, const PackedOperand& packed,
+                    linalg::DenseMatrix* c, uint32_t row_begin,
+                    uint32_t row_end);
+
+/// Scalar column-panel CSDB kernel over B in place, always compiled: the
+/// bit-exact oracle CsdbPackedSpmm is tested and benchmarked against. No
+/// compute path runs it. Columns [col_begin, col_end), caller pre-clamps.
 void CsdbPanelSpmmScalar(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                          linalg::DenseMatrix* c, uint32_t row_begin,
                          uint32_t row_end, size_t col_begin, size_t col_end);
 
-/// CSR flavors of the same panel kernels.
+/// C[r, t] = sum_k A(r, :) * B(:, t) for rows [row_begin, row_end) of the
+/// CSR matrix and columns [col_begin, col_end) (caller pre-clamps both).
+/// Best available variant: SIMD panels when compiled in, scalar otherwise.
 void CsrPanelSpmm(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
                   linalg::DenseMatrix* c, uint32_t row_begin, uint32_t row_end,
                   size_t col_begin, size_t col_end);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/md5.h"
 #include "common/thread_pool.h"
@@ -235,6 +236,86 @@ TEST(QrTest, PooledResultsBitIdenticalToSerial) {
       DenseMatrix qp, rp;
       ASSERT_TRUE(ReducedQr(a, &qp, &rp, &pool).ok());
       EXPECT_EQ(QrDigest(qp, rp), serial);
+    }
+  }
+}
+
+// Textbook Householder QR, one column at a time: each reflector updates the
+// trailing columns one by one, and each Q column applies every reflector.
+void ColumnAtATimeQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r) {
+  const size_t n = a.rows();
+  const size_t k = a.cols();
+  std::vector<double> work(n * k);
+  for (size_t c = 0; c < k; ++c) {
+    for (size_t i = 0; i < n; ++i) work[c * n + i] = a.At(i, c);
+  }
+  std::vector<double> betas(k, 0.0);
+  std::vector<double> rmat(k * k, 0.0);
+  for (size_t j = 0; j < k; ++j) {
+    double* colj = work.data() + j * n;
+    double norm = 0.0;
+    for (size_t i = j; i < n; ++i) norm += colj[i] * colj[i];
+    norm = std::sqrt(norm);
+    if (norm == 0.0) continue;
+    const double alpha = colj[j] >= 0 ? -norm : norm;
+    colj[j] -= alpha;
+    double vnorm2 = 0.0;
+    for (size_t i = j; i < n; ++i) vnorm2 += colj[i] * colj[i];
+    betas[j] = vnorm2 > 0.0 ? 2.0 / vnorm2 : 0.0;
+    rmat[j * k + j] = alpha;
+    for (size_t c = j + 1; c < k; ++c) {
+      double* colc = work.data() + c * n;
+      double dot = 0.0;
+      for (size_t i = j; i < n; ++i) dot += colj[i] * colc[i];
+      const double scale = betas[j] * dot;
+      for (size_t i = j; i < n; ++i) colc[i] -= scale * colj[i];
+      rmat[c * k + j] = colc[j];
+    }
+  }
+  for (size_t c = 0; c < k; ++c) {
+    for (size_t i = 0; i < c; ++i) rmat[c * k + i] = work[c * n + i];
+  }
+  *q = DenseMatrix(n, k);
+  std::vector<double> e(n);
+  for (size_t c = 0; c < k; ++c) {
+    std::fill(e.begin(), e.end(), 0.0);
+    e[c] = 1.0;
+    for (size_t j = k; j-- > 0;) {
+      if (betas[j] == 0.0) continue;
+      const double* vj = work.data() + j * n;
+      double dot = 0.0;
+      for (size_t i = j; i < n; ++i) dot += vj[i] * e[i];
+      const double scale = betas[j] * dot;
+      for (size_t i = j; i < n; ++i) e[i] -= scale * vj[i];
+    }
+    for (size_t i = 0; i < n; ++i) q->At(i, c) = static_cast<float>(e[i]);
+  }
+  *r = DenseMatrix(k, k);
+  for (size_t c = 0; c < k; ++c) {
+    for (size_t i = 0; i <= c; ++i) r->At(i, c) = static_cast<float>(rmat[c * k + i]);
+  }
+}
+
+TEST(QrTest, GroupedEliminationMatchesColumnAtATimeOracle) {
+  // Whole and ragged elimination groups (k - j - 1 trailing columns take
+  // every remainder mod 4), serial and pooled; n is large enough that the
+  // pool engages from k = 2.
+  for (const size_t k : {1, 2, 3, 4, 5, 7, 8, 9, 32, 40}) {
+    SCOPED_TRACE(k);
+    DenseMatrix a = GaussianMatrix(20000, k, 90 + k);
+    if (k >= 3) std::fill(a.ColData(k / 2), a.ColData(k / 2) + a.rows(), 0.0f);
+    DenseMatrix qo, ro;
+    ColumnAtATimeQr(a, &qo, &ro);
+    const std::string oracle = QrDigest(qo, ro);
+    DenseMatrix q, r;
+    ASSERT_TRUE(ReducedQr(a, &q, &r).ok());
+    EXPECT_EQ(QrDigest(q, r), oracle);
+    for (const size_t threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      DenseMatrix qp, rp;
+      ASSERT_TRUE(ReducedQr(a, &qp, &rp, &pool).ok());
+      EXPECT_EQ(QrDigest(qp, rp), oracle);
     }
   }
 }

@@ -1,11 +1,13 @@
-// Unit tests for the column-panel SpMM kernels (sparse/spmm_kernels.h):
-// panel-tail widths, zero-degree rows, single-row ranges, SIMD vs scalar
-// panel vs per-column oracle agreement, the fixed-reduction-order bit
+// Unit tests for the host SpMM kernels (sparse/spmm_kernels.h): the packed
+// CSDB kernel at slab and tail widths, zero-degree rows, single-row ranges,
+// column slices, packed vs scalar-panel oracle vs per-column oracle
+// agreement, SIMD vs scalar CSR panels, the fixed-reduction-order bit
 // guarantees, the scanned charge metadata, and engine-level embedding
 // determinism across host thread counts.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "graph/rmat.h"
@@ -26,8 +28,30 @@ using graph::CsrMatrix;
 using graph::Graph;
 using linalg::DenseMatrix;
 
-// Panel-tail coverage: below / at / above one panel, plus the bench width.
+// Tail coverage: below / at / above one vector, plus the bench width.
 const size_t kWidths[] = {1, 7, 8, 9, 128};
+
+// Below, at and above one vector; ASL's 20-column partitions; the 32/40
+// ProNE widths; one full slab, one slab plus a column, two slabs.
+const size_t kPackedWidths[] = {1, 4, 7, 8, 9, 20, 32, 40, 64, 65, 128};
+
+// Bit-for-bit equality (MaxAbsDiff would accept -0 == +0).
+bool BitsEqual(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.bytes()) == 0;
+}
+
+// Packs B[:, col_begin:col_end) in two row halves (as pool workers would) and
+// runs the packed kernel over rows [row_begin, row_end).
+void PackedSpmm(const CsdbMatrix& a, const DenseMatrix& b, DenseMatrix* c,
+                uint32_t row_begin, uint32_t row_end, size_t col_begin,
+                size_t col_end) {
+  kernels::PackedOperand packed(b.rows(), col_begin, col_end);
+  const size_t half = b.rows() / 2;
+  kernels::PackRows(b, 0, half, &packed);
+  kernels::PackRows(b, half, b.rows(), &packed);
+  kernels::CsdbPackedSpmm(a, packed, c, row_begin, row_end);
+}
 
 class SpmmKernelsTest : public ::testing::Test {
  protected:
@@ -57,13 +81,13 @@ class SpmmKernelsTest : public ::testing::Test {
   CsrMatrix csr_;
 };
 
-TEST_F(SpmmKernelsTest, CsdbPanelMatchesOracleAtEveryTailWidth) {
+TEST_F(SpmmKernelsTest, CsdbPackedMatchesOracleAtEveryTailWidth) {
   for (size_t d : kWidths) {
     const DenseMatrix b = Dense(d);
     const DenseMatrix expected = Oracle(b);
     DenseMatrix c(a_.num_rows(), d);
-    kernels::CsdbPanelSpmm(a_, b, &c, 0, a_.num_rows(), 0, d);
-    // The panel path may fuse its multiply-adds (one rounding per nonzero
+    PackedSpmm(a_, b, &c, 0, a_.num_rows(), 0, d);
+    // The packed kernel may fuse its multiply-adds (one rounding per nonzero
     // where the oracle takes two), so agreement is tight but not bitwise.
     EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected), 1e-4) << "d=" << d;
   }
@@ -81,55 +105,80 @@ TEST_F(SpmmKernelsTest, CsrPanelMatchesOracleAtEveryTailWidth) {
 }
 
 // The TU-wide rounding policy (explicit FMA everywhere or nowhere) makes the
-// vector and scalar panel paths land on identical bits, which is what the
-// SIMD-vs-scalar CI matrix relies on within one build.
-TEST_F(SpmmKernelsTest, SimdAndScalarPanelsAreBitIdentical) {
-  for (size_t d : kWidths) {
+// packed slabs and the scalar CSDB panels, and the vector and scalar CSR
+// panels, land on identical bits, which is what the SIMD-vs-scalar CI matrix
+// relies on within one build.
+TEST_F(SpmmKernelsTest, PackedAndSimdPanelsMatchScalarBitForBit) {
+  for (size_t d : kPackedWidths) {
     const DenseMatrix b = Dense(d);
-    DenseMatrix best(a_.num_rows(), d);
+    DenseMatrix packed(a_.num_rows(), d);
     DenseMatrix scalar(a_.num_rows(), d);
-    kernels::CsdbPanelSpmm(a_, b, &best, 0, a_.num_rows(), 0, d);
+    PackedSpmm(a_, b, &packed, 0, a_.num_rows(), 0, d);
     kernels::CsdbPanelSpmmScalar(a_, b, &scalar, 0, a_.num_rows(), 0, d);
-    EXPECT_EQ(DenseMatrix::MaxAbsDiff(best, scalar), 0.0) << "csdb d=" << d;
+    EXPECT_TRUE(BitsEqual(packed, scalar)) << "csdb d=" << d;
 
     DenseMatrix csr_best(a_.num_rows(), d);
     DenseMatrix csr_scalar(a_.num_rows(), d);
     kernels::CsrPanelSpmm(csr_, b, &csr_best, 0, csr_.num_rows(), 0, d);
     kernels::CsrPanelSpmmScalar(csr_, b, &csr_scalar, 0, csr_.num_rows(), 0, d);
-    EXPECT_EQ(DenseMatrix::MaxAbsDiff(csr_best, csr_scalar), 0.0)
-        << "csr d=" << d;
+    EXPECT_TRUE(BitsEqual(csr_best, csr_scalar)) << "csr d=" << d;
   }
 }
 
 // NaDP/ASL slice the column range at thread-dependent boundaries; an element
-// must not care which panel slicing computed it.
+// must not care which slice computed it.
 TEST_F(SpmmKernelsTest, ColumnRangeSlicingIsBitIdentical) {
   const size_t d = 19;
   const DenseMatrix b = Dense(d);
   DenseMatrix whole(a_.num_rows(), d);
-  kernels::CsdbPanelSpmm(a_, b, &whole, 0, a_.num_rows(), 0, d);
+  PackedSpmm(a_, b, &whole, 0, a_.num_rows(), 0, d);
 
   DenseMatrix sliced(a_.num_rows(), d);
   const size_t cuts[] = {0, 3, 11, 12, d};
   for (size_t i = 0; i + 1 < std::size(cuts); ++i) {
-    kernels::CsdbPanelSpmm(a_, b, &sliced, 0, a_.num_rows(), cuts[i],
-                           cuts[i + 1]);
+    PackedSpmm(a_, b, &sliced, 0, a_.num_rows(), cuts[i], cuts[i + 1]);
   }
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(whole, sliced), 0.0);
+  EXPECT_TRUE(BitsEqual(whole, sliced));
+}
+
+TEST_F(SpmmKernelsTest, PackedColumnSlicesMatchTheWholeWidth) {
+  const size_t d = 40;
+  const DenseMatrix b = Dense(d);
+  DenseMatrix whole(a_.num_rows(), d);
+  kernels::CsdbPanelSpmmScalar(a_, b, &whole, 0, a_.num_rows(), 0, d);
+  // ASL's two 20-column partitions, NaDP-style socket blocks, ragged cuts.
+  const std::vector<std::vector<size_t>> cut_sets = {
+      {0, 20, 40}, {0, 10, 20, 30, 40}, {0, 3, 11, 12, 19, 33, 40}};
+  for (const auto& cuts : cut_sets) {
+    DenseMatrix sliced(a_.num_rows(), d);
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      PackedSpmm(a_, b, &sliced, 0, a_.num_rows(), cuts[i], cuts[i + 1]);
+    }
+    EXPECT_TRUE(BitsEqual(sliced, whole)) << "cuts=" << cuts.size();
+  }
+  // Row ranges split at arbitrary points land on the same bits too.
+  DenseMatrix by_rows(a_.num_rows(), d);
+  const uint32_t n = a_.num_rows();
+  const uint32_t row_cuts[] = {0, 1, 7, n / 3, n - 1, n};
+  for (size_t i = 0; i + 1 < std::size(row_cuts); ++i) {
+    PackedSpmm(a_, b, &by_rows, row_cuts[i], row_cuts[i + 1], 0, d);
+  }
+  EXPECT_TRUE(BitsEqual(by_rows, whole));
 }
 
 TEST_F(SpmmKernelsTest, SingleRowRangesReproduceTheFullResult) {
   const size_t d = 9;
   const DenseMatrix b = Dense(d);
   DenseMatrix expected(a_.num_rows(), d);
-  kernels::CsdbPanelSpmm(a_, b, &expected, 0, a_.num_rows(), 0, d);
+  PackedSpmm(a_, b, &expected, 0, a_.num_rows(), 0, d);
   // Per-row invocations must land on the same bits as the full range: each
   // element's reduction order is a property of its row, not of the slicing.
+  const kernels::PackedOperand packed = PackDense(b, nullptr);
   DenseMatrix c(a_.num_rows(), d);
   for (uint32_t r = 0; r < a_.num_rows(); ++r) {
-    kernels::CsdbPanelSpmm(a_, b, &c, r, r + 1, 0, d);
+    kernels::CsdbPackedSpmm(a_, packed, &c, r, r + 1);
   }
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(c, expected), 0.0);
+  EXPECT_TRUE(BitsEqual(c, expected));
 }
 
 TEST_F(SpmmKernelsTest, ZeroDegreeRowsAreWrittenAsZero) {
@@ -140,10 +189,10 @@ TEST_F(SpmmKernelsTest, ZeroDegreeRowsAreWrittenAsZero) {
   const CsdbMatrix m =
       CsdbMatrix::FromParts(5, 5, degrees, cols, vals).value();
   const DenseMatrix b = linalg::GaussianMatrix(5, 9, 3);
-  for (size_t col_end : {size_t{8}, size_t{9}}) {  // full panel and tail
+  for (size_t col_end : {size_t{8}, size_t{9}}) {  // whole vector and tail
     DenseMatrix c(5, 9);
     c.Fill(123.0f);  // the kernel must overwrite, not accumulate
-    kernels::CsdbPanelSpmm(m, b, &c, 0, 5, 0, col_end);
+    PackedSpmm(m, b, &c, 0, 5, 0, col_end);
     sched::Workload w;
     w.ranges.push_back(sched::RowRange{0, 5});
     DenseMatrix expected(5, 9);
@@ -156,6 +205,23 @@ TEST_F(SpmmKernelsTest, ZeroDegreeRowsAreWrittenAsZero) {
       }
     }
   }
+  // A ragged column range inside a wider B: bit-equal to the scalar panels,
+  // and columns outside the range are left alone.
+  const DenseMatrix wide = linalg::GaussianMatrix(5, 20, 3);
+  DenseMatrix c(5, 20);
+  c.Fill(123.0f);
+  PackedSpmm(m, wide, &c, 0, 5, 2, 13);
+  DenseMatrix expected(5, 20);
+  expected.Fill(123.0f);
+  kernels::CsdbPanelSpmmScalar(m, wide, &expected, 0, 5, 2, 13);
+  EXPECT_TRUE(BitsEqual(c, expected));
+  for (uint32_t r = 3; r < 5; ++r) {
+    for (size_t t = 2; t < 13; ++t) {
+      EXPECT_EQ(c.At(r, t), 0.0f) << "row " << r << " col " << t;
+    }
+  }
+  EXPECT_EQ(c.At(0, 1), 123.0f);
+  EXPECT_EQ(c.At(0, 13), 123.0f);
 }
 
 TEST_F(SpmmKernelsTest, EmptyAndClampedRangesAreSafe) {
@@ -163,10 +229,22 @@ TEST_F(SpmmKernelsTest, EmptyAndClampedRangesAreSafe) {
   const DenseMatrix b = Dense(d);
   DenseMatrix c(a_.num_rows(), d);
   // Empty row range, empty column range, row range past the end.
-  kernels::CsdbPanelSpmm(a_, b, &c, 5, 5, 0, d);
-  kernels::CsdbPanelSpmm(a_, b, &c, 0, a_.num_rows(), 3, 3);
-  kernels::CsdbPanelSpmm(a_, b, &c, a_.num_rows(), a_.num_rows() + 10, 0, d);
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(c, DenseMatrix(a_.num_rows(), d)), 0.0);
+  PackedSpmm(a_, b, &c, 5, 5, 0, d);
+  PackedSpmm(a_, b, &c, 0, a_.num_rows(), 3, 3);
+  PackedSpmm(a_, b, &c, a_.num_rows(), a_.num_rows() + 10, 0, d);
+  EXPECT_TRUE(BitsEqual(c, DenseMatrix(a_.num_rows(), d)));
+  // PackDense clamps: an inverted range packs nothing, one past B's width
+  // packs up to its last column.
+  EXPECT_EQ(PackDense(b, nullptr, 6, 2).width(), 0u);
+  const kernels::PackedOperand clamped = PackDense(b, nullptr, 5, 1000);
+  EXPECT_EQ(clamped.col_begin(), 5u);
+  EXPECT_EQ(clamped.col_end(), d);
+  sched::Workload all;
+  all.ranges.push_back(sched::RowRange{0, a_.num_rows()});
+  ComputeWorkloadCsdb(a_, clamped, &c, all);
+  DenseMatrix expected(a_.num_rows(), d);
+  kernels::CsdbPanelSpmmScalar(a_, b, &expected, 0, a_.num_rows(), 5, d);
+  EXPECT_TRUE(BitsEqual(c, expected));
 }
 
 // The plan-scanned WoFP hit count must equal a per-element Contains count
@@ -202,8 +280,8 @@ TEST_F(SpmmKernelsTest, ChargeMetaCountsCacheHits) {
   EXPECT_GT(total_hits, 0u);
 }
 
-// End-to-end: the engine's embedding (panel kernels under NaDP/WoFP column
-// slicing) must not change a single bit with the host thread count.
+// End-to-end: the engine's embedding (the packed kernel under NaDP/WoFP
+// column slicing) must not change a single bit with the host thread count.
 TEST(SpmmKernelsEngineTest, EmbeddingBitIdenticalAcrossThreadCounts) {
   graph::RmatParams params;
   params.scale = 10;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "graph/rmat.h"
 #include "linalg/random_matrix.h"
@@ -50,7 +51,7 @@ class SpmmTest : public ::testing::Test {
                         size_t col_begin = 0, size_t col_end = SIZE_MAX) const {
     const sched::Workload w = FullWorkload();
     col_end = std::min(col_end, b_.cols());
-    ComputeWorkloadCsdb(a_, b_, c, w, col_begin, col_end);
+    ComputeWorkloadCsdb(a_, PackDense(b_, nullptr, col_begin, col_end), c, w);
     return ChargeWorkloadCsdb(a_, col_end - col_begin,
                               ScanChargeMetaCsdb(a_, w, cache), placements,
                               ms_.get(), ctx, cache);
@@ -189,6 +190,83 @@ TEST_F(SpmmTest, ParallelSpmmMatchesReferenceAcrossAllocators) {
     for (double s : result.thread_seconds) mx = std::max(mx, s);
     EXPECT_DOUBLE_EQ(result.phase_seconds, mx);
     EXPECT_GT(result.ThroughputNnzPerSec(), 0.0);
+  }
+}
+
+// Pooled packed-kernel cases (this suite runs under TSan). The graph is large
+// enough that both PackDense and the row loop really split at 2 and 8
+// threads.
+class PackedSpmmPoolTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    graph::RmatParams params;
+    params.scale = 12;
+    params.num_edges = 40000;
+    params.seed = 5;
+    a_ = CsdbMatrix::FromGraph(graph::GenerateRmat(params).value());
+    b_ = linalg::GaussianMatrix(a_.num_cols(), 65, 13);
+  }
+
+  static bool BitsEqual(const DenseMatrix& x, const DenseMatrix& y) {
+    return std::memcmp(x.data(), y.data(), x.bytes()) == 0;
+  }
+
+  CsdbMatrix a_;
+  DenseMatrix b_;
+};
+
+// The all-rows path packs on the pool and splits rows with ForEachRowRange;
+// neither may move a bit, and it must equal the scalar-panel oracle.
+TEST_F(PackedSpmmPoolTest, AllRowsPooledEqualsSerialBitForBit) {
+  const std::pair<size_t, size_t> ranges[] = {{0, 40}, {0, 20}, {20, 40},
+                                              {3, 65}, {0, 65}};
+  for (const auto& [col_begin, col_end] : ranges) {
+    DenseMatrix serial(a_.num_rows(), b_.cols());
+    ComputeAllRowsCsdb(a_, b_, &serial, nullptr, col_begin, col_end);
+    DenseMatrix oracle(a_.num_rows(), b_.cols());
+    kernels::CsdbPanelSpmmScalar(a_, b_, &oracle, 0, a_.num_rows(), col_begin,
+                                 col_end);
+    EXPECT_TRUE(BitsEqual(oracle, serial))
+        << "cols [" << col_begin << ", " << col_end << ")";
+    for (size_t threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      DenseMatrix pooled(a_.num_rows(), b_.cols());
+      ComputeAllRowsCsdb(a_, b_, &pooled, &pool, col_begin, col_end);
+      EXPECT_TRUE(BitsEqual(pooled, serial))
+          << "threads=" << threads << " cols [" << col_begin << ", "
+          << col_end << ")";
+    }
+  }
+}
+
+// RefreshTerms' shape: one pooled pack, then each worker computes its own
+// row subset (several ranges each) from it concurrently. Every subset row
+// lands on the all-rows bits and no other row is written.
+TEST_F(PackedSpmmPoolTest, WorkloadRowSubsetsMatchAllRows) {
+  DenseMatrix all(a_.num_rows(), b_.cols());
+  ComputeAllRowsCsdb(a_, b_, &all, nullptr);
+  const uint32_t n = a_.num_rows();
+  for (size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    // Worker t owns every range [i * 97, i * 97 + 40) with i % threads == t;
+    // rows in the gaps belong to nobody.
+    std::vector<sched::Workload> parts(threads);
+    for (uint32_t i = 0; i * 97 < n; ++i) {
+      parts[i % threads].ranges.push_back(
+          sched::RowRange{i * 97, std::min(n, i * 97 + 40)});
+    }
+    const kernels::PackedOperand packed = PackDense(b_, &pool);
+    DenseMatrix c(a_.num_rows(), b_.cols());
+    c.Fill(-7.0f);
+    pool.RunOnAll([&](size_t t) { ComputeWorkloadCsdb(a_, packed, &c, parts[t]); });
+    for (uint32_t r = 0; r < n; ++r) {
+      const bool owned = r % 97 < 40;
+      for (size_t t = 0; t < b_.cols(); ++t) {
+        const float want = owned ? all.At(r, t) : -7.0f;
+        ASSERT_EQ(std::memcmp(&c.At(r, t), &want, sizeof(float)), 0)
+            << "threads=" << threads << " row " << r << " col " << t;
+      }
+    }
   }
 }
 
