@@ -1,5 +1,6 @@
 // Pinned end-to-end reports. Every fig12 system, the kOmega feature, fault
-// and durability variants, and one DynamicEmbedder refresh per OMeGa-family
+// and durability variants, the DistGER and DistDGL analogues (bulk and
+// shared-log sync), and one DynamicEmbedder refresh per OMeGa-family
 // system run on a small RMAT graph at 2 threads; OMeGa, Ginex, MariusGNN and
 // one OMeGa refresh also run at 3 threads on 2 sockets and at 5 threads on 4. Each pin records
 // total_seconds and every phase's (name, sim_seconds) as hex floats plus the
@@ -22,6 +23,7 @@
 #include "graph/mutable_graph.h"
 #include "graph/rmat.h"
 #include "memsim/fault.h"
+#include "omega/distributed_sim.h"
 #include "omega/engine.h"
 #include "omega/incremental.h"
 
@@ -139,6 +141,24 @@ std::vector<RunCase> RunCases() {
       return RunOn(ms.get(), g, opts);
     };
   };
+  // The durable variant syncs through the shared log with a checkpoint every
+  // 2 rounds, and machine 0 is lost after round 1, so the pin also covers
+  // the log replay and the recovery record.
+  auto durable_dist = [](SystemKind system) {
+    return [system](const graph::Graph& g) {
+      auto ms = memsim::MemorySystem::CreateDefault();
+      memsim::FaultPlan plan;
+      plan.enabled = true;
+      plan.kills = {{0, 1}};
+      ms->SetFaultPlan(plan);
+      DistParams params;
+      params.checkpoint_every_rounds = 2;
+      ThreadPool pool(kThreads);
+      return RunDistributedFamily(g, "pin", PinOptions(system),
+                                  exec::Context(ms.get(), &pool, kThreads),
+                                  params);
+    };
+  };
   return {
       {"omega", plain(SystemKind::kOmega)},
       {"omega-dram", plain(SystemKind::kOmegaDram)},
@@ -200,6 +220,10 @@ std::vector<RunCase> RunCases() {
       {"ginex@5t4s", on_layout(SystemKind::kGinex, 5, 4)},
       {"marius@3t2s", on_layout(SystemKind::kMariusGnn, 3, 2)},
       {"marius@5t4s", on_layout(SystemKind::kMariusGnn, 5, 4)},
+      {"distger", plain(SystemKind::kDistGer)},
+      {"distdgl", plain(SystemKind::kDistDgl)},
+      {"distger.ckpt-every-2", durable_dist(SystemKind::kDistGer)},
+      {"distdgl.ckpt-every-2", durable_dist(SystemKind::kDistDgl)},
   };
 }
 
@@ -584,6 +608,39 @@ const Pin kRunPins[] = {
      "factorize.dense 0x1.828a4c150049bp-15\n"
      "propagate.dense 0x1.5375dce506e97p-17\n"
      "embedding da5f4a27f40ebd9abfbb2801b80f9c64\n"},
+    // The distributed analogues return no embedding (MD5 of zero bytes).
+    {"distger",
+     "total 0x1.c7c67f22185a4p-9\n"
+     "read 0x1.4f8b588e368f1p-17\n"
+     "walks 0x1.990b233126378p-11\n"
+     "train 0x1.5e6a09bfbc8a2p-9\n"
+     "sync 0x1.ca213d840baf8p-17\n"
+     "embedding d41d8cd98f00b204e9800998ecf8427e\n"},
+    {"distdgl",
+     "total 0x1.f0803da5d2c01p-6\n"
+     "read 0x1.4f8b588e368f1p-17\n"
+     "sampling 0x1.e5617cc1840d2p-6\n"
+     "train 0x1.33a6d1633c6b4p-11\n"
+     "sync 0x1.5798ee2308c3ap-14\n"
+     "embedding d41d8cd98f00b204e9800998ecf8427e\n"},
+    {"distger.ckpt-every-2",
+     "total 0x1.c9d9360ae53ffp-9\n"
+     "read 0x1.4f8b588e368f1p-17\n"
+     "walks 0x1.990b233126378p-11\n"
+     "train 0x1.5e6a09bfbc8a2p-9\n"
+     "ckpt.write 0x1.323acc54b071ep-18\n"
+     "recovery 0x1.24091eddf8153p-16\n"
+     "sync 0x1.f75104d551d69p-18\n"
+     "embedding d41d8cd98f00b204e9800998ecf8427e\n"},
+    {"distdgl.ckpt-every-2",
+     "total 0x1.f0a13b6dd6f69p-6\n"
+     "read 0x1.4f8b588e368f1p-17\n"
+     "sampling 0x1.e5617cc1840d8p-6\n"
+     "train 0x1.33a6d1633c6b4p-11\n"
+     "ckpt.write 0x1.cb58327f08aafp-16\n"
+     "recovery 0x1.24091eddf8153p-16\n"
+     "sync 0x1.797cc39ffd60ep-15\n"
+     "embedding d41d8cd98f00b204e9800998ecf8427e\n"},
 };
 
 const Pin kRefreshPins[] = {
