@@ -87,7 +87,7 @@ std::string Md5Hex(const void* data, size_t len) {
   // Final block(s): 0x80 terminator, zero pad, 64-bit little-endian bit count.
   unsigned char tail[128] = {};
   const size_t rem = len - i;
-  std::memcpy(tail, bytes + i, rem);
+  if (rem > 0) std::memcpy(tail, bytes + i, rem);  // data may be null when len == 0
   tail[rem] = 0x80;
   const size_t tail_len = rem + 1 <= 56 ? 64 : 128;
   const uint64_t bit_count = static_cast<uint64_t>(len) * 8;

@@ -1,6 +1,7 @@
 #include "embed/chebyshev.h"
 
 #include <cmath>
+#include <utility>
 
 namespace omega::embed {
 
@@ -29,6 +30,52 @@ std::vector<double> ChebyshevCoefficients(const SpectralFilter& filter, int orde
   return coeffs;
 }
 
+void ChebyshevTermRows(size_t k, const linalg::DenseMatrix& st,
+                       const linalg::DenseMatrix* t_km2, linalg::DenseMatrix* t_k,
+                       size_t begin, size_t end) {
+  for (size_t c = 0; c < st.cols(); ++c) {
+    const float* s_col = st.ColData(c);
+    float* dst = t_k->ColData(c);
+    if (k == 1) {
+      for (size_t r = begin; r < end; ++r) dst[r] = -1.0f * s_col[r];
+      continue;
+    }
+    const float* prev = t_km2->ColData(c);
+    for (size_t r = begin; r < end; ++r) {
+      float acc = 0.0f;
+      acc += -2.0f * s_col[r];
+      acc += -1.0f * prev[r];
+      dst[r] = acc;
+    }
+  }
+}
+
+void ChebyshevAccumulateRows(size_t k, double c_k, const linalg::DenseMatrix& t_k,
+                             linalg::DenseMatrix* out, size_t begin, size_t end) {
+  const float coeff = static_cast<float>(c_k);
+  for (size_t c = 0; c < t_k.cols(); ++c) {
+    const float* src = t_k.ColData(c);
+    float* dst = out->ColData(c);
+    if (k == 0) {
+      for (size_t r = begin; r < end; ++r) dst[r] = 0.0f + coeff * src[r];
+    } else {
+      for (size_t r = begin; r < end; ++r) dst[r] += coeff * src[r];
+    }
+  }
+}
+
+void L2NormalizeRows(linalg::DenseMatrix* m, size_t begin, size_t end) {
+  for (size_t r = begin; r < end; ++r) {
+    double norm2 = 0.0;
+    for (size_t c = 0; c < m->cols(); ++c) {
+      const double v = m->At(r, c);
+      norm2 += v * v;
+    }
+    const float inv = norm2 > 0.0 ? static_cast<float>(1.0 / std::sqrt(norm2)) : 0.0f;
+    for (size_t c = 0; c < m->cols(); ++c) m->At(r, c) *= inv;
+  }
+}
+
 Result<double> ChebyshevFilterApply(const graph::CsdbMatrix& propagation,
                                     const std::vector<double>& coefficients,
                                     const linalg::DenseMatrix& r,
@@ -45,6 +92,16 @@ Result<double> ChebyshevFilterApply(const graph::CsdbMatrix& propagation,
   }
   const size_t n = r.rows();
   const size_t d = r.cols();
+  auto n_by_d = [&](const linalg::DenseMatrix& m) {
+    return m.rows() == n && m.cols() == d;
+  };
+  if (propagation.num_rows() != n || propagation.num_cols() != n) {
+    return Status::InvalidArgument("propagation matrix does not match the basis");
+  }
+  if (resuming && !(n_by_d(hooks->resume->t_prev) && n_by_d(hooks->resume->t_cur) &&
+                    n_by_d(hooks->resume->partial))) {
+    return Status::InvalidArgument("Chebyshev resume state does not match the basis");
+  }
   double sim_seconds = 0.0;
   if (capture != nullptr) {
     capture->r0 = r;
@@ -64,7 +121,7 @@ Result<double> ChebyshevFilterApply(const graph::CsdbMatrix& propagation,
   linalg::DenseMatrix t_prev;
   linalg::DenseMatrix t_cur;
   linalg::DenseMatrix tmp(n, d);
-  size_t first_term = 2;
+  size_t first_term = 1;
   if (resuming) {
     // Everything through term next_term - 1 is already in the restored
     // accumulator; the skipped terms' SpMMs charge nothing.
@@ -74,34 +131,24 @@ Result<double> ChebyshevFilterApply(const graph::CsdbMatrix& propagation,
     first_term = hooks->resume->next_term;
   } else {
     *out = linalg::DenseMatrix(n, d);
-    OMEGA_RETURN_NOT_OK(
-        out->AddScaled(r, static_cast<float>(coefficients[0]), pool));
-    t_prev = r;  // T_0
-    t_cur = linalg::DenseMatrix(n, d);
-    if (coefficients.size() > 1) {
-      OMEGA_ASSIGN_OR_RETURN(double secs, spmm(propagation, r, &tmp));
-      sim_seconds += secs;
-      t_cur = tmp;
-      t_cur.Scale(-1.0f, pool);
-      OMEGA_RETURN_NOT_OK(
-          out->AddScaled(t_cur, static_cast<float>(coefficients[1]), pool));
-      if (capture != nullptr) capture->terms.push_back(t_cur);
-      OMEGA_RETURN_NOT_OK(after_term(2, t_prev, t_cur));
-    }
+    linalg::ForEachRowBlock(n, d, pool, [&](size_t begin, size_t end) {
+      ChebyshevAccumulateRows(0, coefficients[0], r, out, begin, end);
+    });
+    t_prev = linalg::DenseMatrix(n, d);  // T_1 lands here
+    t_cur = r;                           // T_0
   }
 
   for (size_t k = first_term; k < coefficients.size(); ++k) {
     OMEGA_ASSIGN_OR_RETURN(double secs, spmm(propagation, t_cur, &tmp));
     sim_seconds += secs;
-    // T_k = -2 S T_{k-1} - T_{k-2}.
-    linalg::DenseMatrix t_next(n, d);
-    OMEGA_RETURN_NOT_OK(t_next.AddScaled(tmp, -2.0f, pool));
-    OMEGA_RETURN_NOT_OK(t_next.AddScaled(t_prev, -1.0f, pool));
-    OMEGA_RETURN_NOT_OK(
-        out->AddScaled(t_next, static_cast<float>(coefficients[k]), pool));
-    if (capture != nullptr) capture->terms.push_back(t_next);
-    t_prev = std::move(t_cur);
-    t_cur = std::move(t_next);
+    // One pass writes T_k over T_{k-2}, whose last reader it is, and adds
+    // c_k T_k to the output.
+    linalg::ForEachRowBlock(n, d, pool, [&](size_t begin, size_t end) {
+      ChebyshevTermRows(k, tmp, &t_prev, &t_prev, begin, end);
+      ChebyshevAccumulateRows(k, coefficients[k], t_prev, out, begin, end);
+    });
+    std::swap(t_prev, t_cur);
+    if (capture != nullptr) capture->terms.push_back(t_cur);
     OMEGA_RETURN_NOT_OK(after_term(k + 1, t_prev, t_cur));
   }
   return sim_seconds;

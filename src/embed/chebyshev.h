@@ -31,13 +31,37 @@ SpectralFilter ProneBandPass(double mu, double theta);
 std::vector<double> ChebyshevCoefficients(const SpectralFilter& filter, int order,
                                           int quad_points = 256);
 
+// The recurrence's per-element arithmetic, over rows [begin, end) of
+// column-major n x d operands. ChebyshevFilterApply, ProneEmbed and the
+// incremental refresh (omega/incremental.h) all run these, so a refreshed
+// row equals a from-scratch recompute bit for bit. Rows are independent:
+// callers may split them over workers freely.
+
+/// Term k >= 1 from st = S T_{k-1}: T_1 = -1 * st, else
+/// T_k = (0 + -2 * st) + -1 * T_{k-2}. The explicit 0 + turns the -0 of
+/// -2 * 0 into +0. `t_km2` is not read for k == 1; `t_k` may alias `st` or
+/// `t_km2`.
+void ChebyshevTermRows(size_t k, const linalg::DenseMatrix& st,
+                       const linalg::DenseMatrix* t_km2, linalg::DenseMatrix* t_k,
+                       size_t begin, size_t end);
+
+/// Adds term k to the filter output: out = 0 + c_k * T_0 for k == 0,
+/// out += c_k * T_k after. Terms must come in ascending k.
+void ChebyshevAccumulateRows(size_t k, double c_k, const linalg::DenseMatrix& t_k,
+                             linalg::DenseMatrix* out, size_t begin, size_t end);
+
+/// Scales each row to unit L2 norm (squared norm summed in double over
+/// ascending columns); an all-zero row stays zero.
+void L2NormalizeRows(linalg::DenseMatrix* m, size_t begin, size_t end);
+
 /// Computes out = sum_k c_k T_k(L - I) r, where L = I - S and `propagation`
 /// is S in CSDB form. Each recurrence step issues one SpMM through `spmm`.
 /// Returns the accumulated simulated seconds of all SpMMs.
 ///
-/// `pool` parallelizes the dense AXPY/scale passes of the recurrence on the
-/// host; it does not change the simulated charging (that happens inside
-/// `spmm`) and the output is bit-identical at any thread count.
+/// `pool` splits each term's one dense pass (ChebyshevTermRows, then
+/// ChebyshevAccumulateRows) by rows on the host; it does not change the
+/// simulated charging (that happens inside `spmm`) and the output is
+/// bit-identical at any thread count.
 ///
 /// A non-null `capture` receives copies of the basis, every term T_1..T_{K-1}
 /// and the coefficients (perm is the caller's to fill) — host-side state for
@@ -48,7 +72,8 @@ std::vector<double> ChebyshevCoefficients(const SpectralFilter& filter, int orde
 /// hooks->resume restarts at term resume->next_term with the restored
 /// accumulator — skipped terms charge nothing and the final output is
 /// bitwise identical to an uninterrupted run. resume + capture is
-/// InvalidArgument.
+/// InvalidArgument, as is a propagation matrix or resume state whose shape
+/// does not match `r`.
 Result<double> ChebyshevFilterApply(const graph::CsdbMatrix& propagation,
                                     const std::vector<double>& coefficients,
                                     const linalg::DenseMatrix& r,

@@ -152,26 +152,9 @@ Result<EmbeddingResult> ProneEmbed(const graph::CsdbMatrix& adjacency,
   result.total_seconds = result.factorize_seconds + result.propagate_seconds;
 
   if (options.l2_normalize_rows) {
-    // Per-row normalization is independent work; fan rows out when a pool is
-    // available (identical arithmetic per row, so bit-identical output).
-    auto normalize_rows = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        double norm2 = 0.0;
-        for (size_t c = 0; c < options.dim; ++c) {
-          const double v = result.vectors.At(i, c);
-          norm2 += v * v;
-        }
-        const float inv =
-            norm2 > 0.0 ? static_cast<float>(1.0 / std::sqrt(norm2)) : 0.0f;
-        for (size_t c = 0; c < options.dim; ++c) result.vectors.At(i, c) *= inv;
-      }
-    };
-    if (options.pool != nullptr && options.pool->size() > 1 && n >= 4096) {
-      options.pool->ParallelFor(
-          n, [&](size_t, size_t begin, size_t end) { normalize_rows(begin, end); });
-    } else {
-      normalize_rows(0, n);
-    }
+    linalg::ForEachRowBlock(n, options.dim, options.pool, [&](size_t begin, size_t end) {
+      L2NormalizeRows(&result.vectors, begin, end);
+    });
   }
   return result;
 }

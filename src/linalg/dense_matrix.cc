@@ -7,13 +7,14 @@
 
 namespace omega::linalg {
 
-namespace {
-
-// Elementwise kernels are worth a parallel dispatch only past ~L2-sized
-// blocks; below that the RunOnAll rendezvous costs more than the loop.
-constexpr size_t kParallelElementThreshold = 1 << 15;
-
-}  // namespace
+void ForEachRowBlock(size_t rows, size_t cols, ThreadPool* pool,
+                     const std::function<void(size_t, size_t)>& fn) {
+  if (pool != nullptr && pool->size() > 1 && rows * cols >= (1 << 15)) {
+    pool->ParallelFor(rows, [&](size_t, size_t begin, size_t end) { fn(begin, end); });
+  } else {
+    fn(0, rows);
+  }
+}
 
 Status DenseMatrix::AddScaled(const DenseMatrix& other, float alpha,
                               ThreadPool* pool) {
@@ -22,27 +23,17 @@ Status DenseMatrix::AddScaled(const DenseMatrix& other, float alpha,
   }
   const float* src = other.data_.data();
   float* dst = data_.data();
-  if (pool != nullptr && pool->size() > 1 &&
-      data_.size() >= kParallelElementThreshold) {
-    pool->ParallelFor(data_.size(), [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) dst[i] += alpha * src[i];
-    });
-  } else {
-    for (size_t i = 0; i < data_.size(); ++i) dst[i] += alpha * src[i];
-  }
+  ForEachRowBlock(data_.size(), 1, pool, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) dst[i] += alpha * src[i];
+  });
   return Status::OK();
 }
 
 void DenseMatrix::Scale(float alpha, ThreadPool* pool) {
   float* dst = data_.data();
-  if (pool != nullptr && pool->size() > 1 &&
-      data_.size() >= kParallelElementThreshold) {
-    pool->ParallelFor(data_.size(), [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) dst[i] *= alpha;
-    });
-  } else {
-    for (float& v : data_) v *= alpha;
-  }
+  ForEachRowBlock(data_.size(), 1, pool, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) dst[i] *= alpha;
+  });
 }
 
 double DenseMatrix::FrobeniusNorm() const {

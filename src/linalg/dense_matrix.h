@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <new>
 #include <vector>
 
@@ -52,6 +53,13 @@ struct AlignedAllocator {
 };
 
 inline constexpr size_t kDenseAlignment = 64;
+
+/// Runs fn(begin, end) over [0, rows) of a pass over rows x cols elements:
+/// split across `pool` once the pass is large enough to repay the dispatch
+/// (~L2-sized), as one call otherwise. Only for passes whose every element is
+/// independent, so the result is bit-identical at any thread count.
+void ForEachRowBlock(size_t rows, size_t cols, ThreadPool* pool,
+                     const std::function<void(size_t, size_t)>& fn);
 
 class DenseMatrix {
  public:

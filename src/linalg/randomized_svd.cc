@@ -60,17 +60,6 @@ Result<SvdResult> RandomizedSvd(size_t n, size_t m, const MatMulFn& apply,
   DenseMatrix wk = eig.eigenvectors.SliceCols(0, k);
   OMEGA_RETURN_NOT_OK(Gemm(q, wk, &result.u, pool));
 
-  // V = B^T * W_k * Sigma^{-1}  (m x k).
-  DenseMatrix v_unscaled;
-  OMEGA_RETURN_NOT_OK(Gemm(bt, wk, &v_unscaled, pool));
-  result.v = DenseMatrix(m, k);
-  for (size_t c = 0; c < k; ++c) {
-    const double s = result.singular[c];
-    const float inv = s > 1e-12 ? static_cast<float>(1.0 / s) : 0.0f;
-    const float* src = v_unscaled.ColData(c);
-    float* dst = result.v.ColData(c);
-    for (size_t r = 0; r < m; ++r) dst[r] = src[r] * inv;
-  }
   return result;
 }
 

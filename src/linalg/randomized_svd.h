@@ -33,10 +33,11 @@ struct RandomizedSvdOptions {
   ThreadPool* pool = nullptr;
 };
 
+/// The left half of a truncated SVD; a caller that needs the right singular
+/// vectors forms V = A^T U Sigma^-1.
 struct SvdResult {
   DenseMatrix u;                 ///< n x rank, orthonormal columns
   std::vector<double> singular;  ///< rank values, non-increasing
-  DenseMatrix v;                 ///< m x rank, orthonormal columns
 };
 
 /// Computes the truncated SVD of an n x m operator given by `apply` (A*X) and

@@ -11,7 +11,8 @@
 //   5. a multi-source BFS from the delta's touched nodes bounds the k-hop
 //      affected set, and only those rows of the Chebyshev recurrence
 //      T_k = -2 S T_{k-1} - T_{k-2} are recomputed from the captured
-//      training-time terms (embed::ChebyshevCapture);
+//      training-time terms (embed::ChebyshevCapture) by training's own
+//      recurrence functions (embed/chebyshev.h);
 //   6. the refreshed output rows are re-accumulated, re-normalized, and
 //      written back into the node-order embedding.
 //

@@ -335,6 +335,92 @@ TEST(ChebyshevTest, FilterApplyBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(DenseMatrix::MaxAbsDiff(serial_out, pooled_out), 0.0);
 }
 
+TEST(ChebyshevTest, FilterApplyMatchesThreePassRecurrenceBitForBit) {
+  // The seed graph plus one isolated node, whose basis row is all zero: its
+  // SpMM rows are +0, so T_1 = -1 * (+0) = -0 and only the explicit 0 + in
+  // T_2 = (0 + -2 * st) + -1 * T_0 turns the result back into +0. The
+  // negated band-pass gives c_0 < 0 and c_1 > 0, so the partial sum
+  // (0 + c_0 * T_0) + c_1 * T_1 is +0 only with the 0 + of the first term.
+  graph::RmatParams params;
+  params.scale = 12;
+  params.num_edges = 30000;
+  params.seed = 9;
+  const Graph rmat = graph::GenerateRmat(params).value();
+  std::vector<Edge> edges;
+  for (graph::NodeId u = 0; u < rmat.num_nodes(); ++u) {
+    for (uint32_t i = 0; i < rmat.degree(u); ++i) {
+      if (u < rmat.neighbors(u)[i]) edges.push_back(Edge{u, rmat.neighbors(u)[i], 1.0f});
+    }
+  }
+  const Graph g = Graph::FromEdges(rmat.num_nodes() + 1, edges, true).value();
+  const CsdbMatrix s = BuildPropagationMatrix(CsdbMatrix::FromGraph(g));
+  const size_t n = s.num_rows();
+  const size_t d = 16;
+  ASSERT_EQ(s.Rows(static_cast<uint32_t>(n - 1)).degree(), 0u);
+  DenseMatrix r = linalg::GaussianMatrix(n, d, 7);
+  for (size_t c = 0; c < d; ++c) r.At(n - 1, c) = 0.0f;
+  const SpectralFilter band = ProneBandPass(0.2, 0.5);
+  const auto coeffs =
+      ChebyshevCoefficients([&](double lambda) { return -band(lambda); }, 8);
+  ASSERT_LT(coeffs[0], 0.0);
+
+  // Reference: the recurrence as whole-matrix AddScaled/Scale passes, with
+  // the partial sum after every term.
+  DenseMatrix expect(n, d);
+  ASSERT_TRUE(expect.AddScaled(r, static_cast<float>(coeffs[0])).ok());
+  std::vector<DenseMatrix> terms;
+  std::vector<DenseMatrix> partials;
+  DenseMatrix t_prev = r;
+  DenseMatrix t_cur;
+  ASSERT_TRUE(sparse::ReferenceSpmm(s, r, &t_cur).ok());
+  t_cur.Scale(-1.0f);
+  ASSERT_TRUE(expect.AddScaled(t_cur, static_cast<float>(coeffs[1])).ok());
+  terms.push_back(t_cur);
+  partials.push_back(expect);
+  for (size_t k = 2; k < coeffs.size(); ++k) {
+    DenseMatrix st;
+    ASSERT_TRUE(sparse::ReferenceSpmm(s, t_cur, &st).ok());
+    DenseMatrix t_next(n, d);
+    ASSERT_TRUE(t_next.AddScaled(st, -2.0f).ok());
+    ASSERT_TRUE(t_next.AddScaled(t_prev, -1.0f).ok());
+    ASSERT_TRUE(expect.AddScaled(t_next, static_cast<float>(coeffs[k])).ok());
+    terms.push_back(t_next);
+    partials.push_back(expect);
+    t_prev = std::move(t_cur);
+    t_cur = std::move(t_next);
+  }
+  ASSERT_TRUE(std::signbit(terms[0].At(n - 1, 0)));
+  ASSERT_FALSE(std::signbit(terms[1].At(n - 1, 0)));
+  ASSERT_FALSE(std::signbit(partials[0].At(n - 1, 0)));
+
+  auto same_bits = [](const DenseMatrix& a, const DenseMatrix& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+  };
+  for (const size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    DenseMatrix out;
+    ChebyshevCapture capture;
+    std::vector<DenseMatrix> got_partials;
+    ChebyshevHooks hooks;
+    hooks.after_term = [&](size_t, const DenseMatrix&, const DenseMatrix&,
+                           const DenseMatrix& partial) {
+      got_partials.push_back(partial);
+      return Status::OK();
+    };
+    ASSERT_TRUE(ChebyshevFilterApply(s, coeffs, r, &out, PlainExecutor(), &pool,
+                                     &capture, &hooks)
+                    .ok());
+    EXPECT_TRUE(same_bits(out, expect));
+    ASSERT_EQ(capture.terms.size(), terms.size());
+    ASSERT_EQ(got_partials.size(), partials.size());
+    for (size_t k = 0; k < terms.size(); ++k) {
+      EXPECT_TRUE(same_bits(capture.terms[k], terms[k])) << "T_" << k + 1;
+      EXPECT_TRUE(same_bits(got_partials[k], partials[k])) << "sum to T_" << k + 1;
+    }
+  }
+}
+
 TEST(ProneTest, ToOriginalOrderInvertsPerm) {
   const Graph g = CommunityGraph();
   const CsdbMatrix adj = CsdbMatrix::FromGraph(g);

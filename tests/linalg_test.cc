@@ -367,12 +367,14 @@ TEST(SvdTest, PooledResultsBitIdenticalToSerial) {
   auto pooled = RandomizedSvd(120, 120, apply, apply_t, pooled_opts);
   ASSERT_TRUE(pooled.ok());
 
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(serial.value().u, pooled.value().u), 0.0);
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(serial.value().v, pooled.value().v), 0.0);
-  ASSERT_EQ(serial.value().singular.size(), pooled.value().singular.size());
-  for (size_t i = 0; i < serial.value().singular.size(); ++i) {
-    EXPECT_EQ(serial.value().singular[i], pooled.value().singular[i]);
-  }
+  const DenseMatrix& u = serial.value().u;
+  const DenseMatrix& u_pooled = pooled.value().u;
+  ASSERT_EQ(u.size(), u_pooled.size());
+  EXPECT_EQ(std::memcmp(u.data(), u_pooled.data(), u.bytes()), 0);
+  const std::vector<double>& s = serial.value().singular;
+  const std::vector<double>& s_pooled = pooled.value().singular;
+  ASSERT_EQ(s.size(), s_pooled.size());
+  EXPECT_EQ(std::memcmp(s.data(), s_pooled.data(), s.size() * sizeof(double)), 0);
 }
 
 TEST(RandomMatrixTest, DeterministicAndOrderIndependent) {
@@ -522,10 +524,22 @@ TEST_F(SvdFixture, RecoversLeadingSingularValues) {
     EXPECT_NEAR(svd.value().singular[i], singular_[i], singular_[i] * 0.02 + 0.05)
         << "sigma_" << i;
   }
+  // V = A^T U Sigma^-1, formed here: the SVD returns only U and Sigma.
+  DenseMatrix v;
+  ASSERT_TRUE(GemmTransA(a_, svd.value().u, &v).ok());
+  for (size_t c = 0; c < 5; ++c) {
+    const float inv = static_cast<float>(1.0 / svd.value().singular[c]);
+    for (size_t r = 0; r < v.rows(); ++r) v.At(r, c) *= inv;
+  }
   // U and V columns orthonormal.
   DenseMatrix utu;
+  DenseMatrix vtv;
   ASSERT_TRUE(GemmTransA(svd.value().u, svd.value().u, &utu).ok());
-  for (size_t i = 0; i < 5; ++i) EXPECT_NEAR(utu.At(i, i), 1.0, 1e-3);
+  ASSERT_TRUE(GemmTransA(v, v, &vtv).ok());
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_NEAR(utu.At(i, i), 1.0, 1e-3);
+    EXPECT_NEAR(vtv.At(i, i), 1.0, 1e-3);
+  }
   // Rank-5 reconstruction error is bounded by sigma_6.
   DenseMatrix us = svd.value().u;
   for (size_t c = 0; c < 5; ++c) {
@@ -534,7 +548,7 @@ TEST_F(SvdFixture, RecoversLeadingSingularValues) {
     }
   }
   DenseMatrix recon;
-  ASSERT_TRUE(GemmTransB(us, svd.value().v, &recon).ok());
+  ASSERT_TRUE(GemmTransB(us, v, &recon).ok());
   ASSERT_TRUE(recon.AddScaled(a_, -1.0f).ok());
   EXPECT_LT(recon.FrobeniusNorm(), 3.0 * singular_[5] + 1.0);
 }
