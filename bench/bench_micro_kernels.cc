@@ -269,6 +269,18 @@ void BM_ReducedQr(benchmark::State& state) {
 }
 BENCHMARK(BM_ReducedQr)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+// The range finder's Gaussian sketch at the same shape on a pool of range(0)
+// threads (1 = serial).
+void BM_GaussianMatrix(benchmark::State& state) {
+  const size_t threads = static_cast<size_t>(state.range(0));
+  const auto pool = threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  for (auto _ : state) {
+    const linalg::DenseMatrix m = linalg::GaussianMatrix(65536, 40, 3, pool.get());
+    benchmark::DoNotOptimize(m.data());
+  }
+}
+BENCHMARK(BM_GaussianMatrix)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
 // Timed GEMM section behind the custom main: GFLOP/s of the three variants
 // at a few square sizes, printed as a table and (optionally) written to the
 // --bench-json file for perf tracking.

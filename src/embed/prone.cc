@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "embed/chebyshev.h"
 #include "linalg/randomized_svd.h"
@@ -22,21 +23,20 @@ linalg::DenseMatrix EmbeddingResult::ToOriginalOrder() const {
 
 graph::CsdbMatrix BuildTargetMatrix(const graph::CsdbMatrix& adjacency,
                                     double neg_lambda, ThreadPool* pool) {
-  graph::CsdbMatrix target = adjacency;
   // Per-row factors of the entry expression below, once per degree block:
   // the clamped structural degree d = max(1, entry count) and its ProNE
   // negative-sampling weight d^0.75. pd_norm = sum_j deg_j^0.75 normalizes
   // P_D(j) ~ deg_j^0.75; it stays a serial ascending-row sum.
-  const uint32_t n = target.num_rows();
+  const uint32_t n = adjacency.num_rows();
   std::vector<double> clamped_degree(n);
   std::vector<double> sampling_weight(n);
   double pd_norm = 0.0;
-  for (uint32_t b = 0; b < target.num_blocks(); ++b) {
-    const double degree = target.deg_list()[b];
+  for (uint32_t b = 0; b < adjacency.num_blocks(); ++b) {
+    const double degree = adjacency.deg_list()[b];
     const double clamped = std::max(1.0, degree);
     const double weight = std::pow(clamped, 0.75);
     const double pd_term = std::pow(degree, 0.75);
-    for (uint32_t r = target.deg_ind()[b]; r < target.deg_ind()[b + 1]; ++r) {
+    for (uint32_t r = adjacency.deg_ind()[b]; r < adjacency.deg_ind()[b + 1]; ++r) {
       clamped_degree[r] = clamped;
       sampling_weight[r] = weight;
       pd_norm += pd_term;
@@ -44,17 +44,19 @@ graph::CsdbMatrix BuildTargetMatrix(const graph::CsdbMatrix& adjacency,
   }
   if (pd_norm <= 0.0) pd_norm = 1.0;
 
-  // Entries transform independently; each row is written by one worker.
-  std::vector<float>& vals = target.mutable_nnz_list();
-  const std::vector<graph::NodeId>& cols = target.col_list();
-  graph::ForEachRowRange(target, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
-    for (auto cur = target.Rows(row_begin); cur.row() < row_end; cur.Next()) {
+  // Entries transform independently into a fresh value array over the
+  // adjacency's structure; each row is written by one worker.
+  const std::vector<float>& weights = adjacency.nnz_list();
+  std::vector<float> vals(weights.size());
+  const std::vector<graph::NodeId>& cols = adjacency.col_list();
+  graph::ForEachRowRange(adjacency, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+    for (auto cur = adjacency.Rows(row_begin); cur.row() < row_end; cur.Next()) {
       const double di = clamped_degree[cur.row()];
       const double wi = sampling_weight[cur.row()];
       for (uint64_t idx = cur.ptr(); idx < cur.ptr() + cur.degree(); ++idx) {
         const graph::NodeId col = cols[idx];
         const double p =
-            static_cast<double>(vals[idx]) / std::sqrt(di * clamped_degree[col]);
+            static_cast<double>(weights[idx]) / std::sqrt(di * clamped_degree[col]);
         // Symmetrized negative-sampling shift sqrt(P_D(i) P_D(j)) so that the
         // target stays symmetric (apply == apply^T in the tSVD; see header).
         const double pd = std::sqrt(wi * sampling_weight[col]) / pd_norm;
@@ -65,7 +67,7 @@ graph::CsdbMatrix BuildTargetMatrix(const graph::CsdbMatrix& adjacency,
       }
     }
   });
-  return target;
+  return adjacency.WithValues(std::move(vals));
 }
 
 graph::CsdbMatrix BuildPropagationMatrix(const graph::CsdbMatrix& adjacency,
@@ -93,7 +95,8 @@ Result<EmbeddingResult> ProneEmbed(const graph::CsdbMatrix& adjacency,
 
   // ----- Stage 1: sparse matrix factorization via randomized tSVD. ---------
   // Scoped so the target matrix is freed before stage 2 builds the
-  // propagation matrix (peak: adjacency + one derived sparse matrix).
+  // propagation matrix (peak: adjacency + one derived value array; the
+  // derived matrices share the adjacency's structure).
   linalg::DenseMatrix r0;
   if (durability != nullptr && durability->resume_r0 != nullptr) {
     // Restored basis: stage 1 is skipped entirely — no tSVD work, no

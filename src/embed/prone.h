@@ -132,14 +132,16 @@ struct EmbeddingResult {
   linalg::DenseMatrix ToOriginalOrder() const;
 };
 
-/// Builds the (symmetrized) target matrix of stage 1 from the adjacency.
-/// With a pool, rows are transformed in parallel; the result is
-/// byte-identical at any thread count.
+/// Builds the (symmetrized) target matrix of stage 1 from the adjacency: a
+/// new value array over the adjacency's shared structure. With a pool, rows
+/// are transformed in parallel; the result is byte-identical at any thread
+/// count.
 graph::CsdbMatrix BuildTargetMatrix(const graph::CsdbMatrix& adjacency,
                                     double neg_lambda, ThreadPool* pool = nullptr);
 
-/// Builds the symmetric-normalized propagation matrix D^-1/2 A D^-1/2
-/// (byte-identical at any thread count, like BuildTargetMatrix).
+/// Builds the symmetric-normalized propagation matrix D^-1/2 A D^-1/2, also
+/// over the adjacency's shared structure (byte-identical at any thread count,
+/// like BuildTargetMatrix).
 graph::CsdbMatrix BuildPropagationMatrix(const graph::CsdbMatrix& adjacency,
                                          ThreadPool* pool = nullptr);
 

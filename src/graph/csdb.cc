@@ -1,6 +1,7 @@
 #include "graph/csdb.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -9,13 +10,8 @@ namespace omega::graph {
 namespace {
 
 // Builds the block metadata from a non-increasing per-row degree sequence.
-void BuildBlocks(const std::vector<uint32_t>& row_degrees, CsdbMatrix* out,
-                 std::vector<uint32_t>* deg_list, std::vector<uint32_t>* deg_ind,
-                 std::vector<uint64_t>* block_ptr) {
-  (void)out;
-  deg_list->clear();
-  deg_ind->clear();
-  block_ptr->clear();
+void BuildBlocks(const std::vector<uint32_t>& row_degrees, std::vector<uint32_t>* deg_list,
+                 std::vector<uint32_t>* deg_ind, std::vector<uint64_t>* block_ptr) {
   uint64_t ptr = 0;
   for (uint32_t r = 0; r < row_degrees.size(); ++r) {
     if (deg_list->empty() || row_degrees[r] != deg_list->back()) {
@@ -74,27 +70,59 @@ void ForEachRowRange(const CsdbMatrix& m, ThreadPool* pool,
                            });
 }
 
+CsdbMatrix::CsdbMatrix(CsdbMatrix&& other) noexcept
+    : s_(std::exchange(other.s_, EmptyStructure())),
+      nnz_list_(std::move(other.nnz_list_)) {
+  other.nnz_list_.clear();
+}
+
+CsdbMatrix& CsdbMatrix::operator=(CsdbMatrix&& other) noexcept {
+  if (this != &other) {
+    s_ = std::exchange(other.s_, EmptyStructure());
+    nnz_list_ = std::move(other.nnz_list_);
+    other.nnz_list_.clear();
+  }
+  return *this;
+}
+
+const std::shared_ptr<const CsdbMatrix::Structure>& CsdbMatrix::EmptyStructure() {
+  static const std::shared_ptr<const Structure> empty = std::make_shared<Structure>();
+  return empty;
+}
+
+CsdbMatrix CsdbMatrix::WithValues(std::vector<float> values) const {
+  OMEGA_CHECK(values.size() == nnz()) << "one value per stored entry";
+  CsdbMatrix m;
+  m.s_ = s_;
+  m.nnz_list_ = std::move(values);
+  return m;
+}
+
 CsdbMatrix CsdbMatrix::FromGraph(const Graph& g, ThreadPool* pool) {
   // Degree order, inverse permutation and block metadata are O(n) and stay
   // serial; the block metadata fixes every row's nnz offset up front.
   const NodeId n = g.num_nodes();
-  CsdbMatrix m;
-  m.num_rows_ = n;
-  m.num_cols_ = n;
-  m.perm_ = g.DegreeDescendingOrder();
-  const std::vector<NodeId>& order = m.perm_;
+  auto structure = std::make_shared<Structure>();
+  structure->num_rows = n;
+  structure->num_cols = n;
+  structure->perm = g.DegreeDescendingOrder();
+  const std::vector<NodeId>& order = structure->perm;
   std::vector<NodeId> inverse(n);
   std::vector<uint32_t> row_degrees(n);
   for (NodeId i = 0; i < n; ++i) {
     inverse[order[i]] = i;
     row_degrees[i] = g.degree(order[i]);
   }
-  BuildBlocks(row_degrees, &m, &m.deg_list_, &m.deg_ind_, &m.block_ptr_);
-  m.col_list_.resize(m.block_ptr_.back());
-  m.nnz_list_.resize(m.block_ptr_.back());
+  BuildBlocks(row_degrees, &structure->deg_list, &structure->deg_ind,
+              &structure->block_ptr);
+  structure->col_list.resize(structure->block_ptr.back());
+  CsdbMatrix m;
+  m.s_ = structure;
+  m.nnz_list_.resize(structure->block_ptr.back());
 
   // Each row's gather, sort and write touch only that row's slots, so rows
   // fan out; one scratch row per worker is reused across its ranges.
+  std::vector<NodeId>& col_list = structure->col_list;
   std::vector<std::vector<std::pair<NodeId, float>>> scratch(
       pool != nullptr ? pool->size() : 1);
   ForEachRowRange(m, pool, [&](size_t worker, uint32_t row_begin, uint32_t row_end) {
@@ -109,7 +137,7 @@ CsdbMatrix CsdbMatrix::FromGraph(const Graph& g, ThreadPool* pool) {
         for (uint32_t k = 0; k < s.degree; ++k) row[k] = {inverse[nbrs[k]], wts[k]};
         std::sort(row.begin(), row.end());
         for (uint32_t k = 0; k < s.degree; ++k) {
-          m.col_list_[ptr + k] = row[k].first;
+          col_list[ptr + k] = row[k].first;
           m.nnz_list_[ptr + k] = row[k].second;
         }
       }
@@ -142,27 +170,31 @@ Result<CsdbMatrix> CsdbMatrix::FromParts(uint32_t num_rows, uint32_t num_cols,
   if (!perm.empty() && perm.size() != num_rows) {
     return Status::InvalidArgument("perm must be empty or num_rows long");
   }
+  auto structure = std::make_shared<Structure>();
+  structure->num_rows = num_rows;
+  structure->num_cols = num_cols;
+  structure->col_list = std::move(col_list);
+  structure->perm = std::move(perm);
+  BuildBlocks(row_degrees, &structure->deg_list, &structure->deg_ind,
+              &structure->block_ptr);
   CsdbMatrix m;
-  m.num_rows_ = num_rows;
-  m.num_cols_ = num_cols;
-  m.col_list_ = std::move(col_list);
+  m.s_ = std::move(structure);
   m.nnz_list_ = std::move(nnz_list);
-  m.perm_ = std::move(perm);
-  BuildBlocks(row_degrees, &m, &m.deg_list_, &m.deg_ind_, &m.block_ptr_);
   return m;
 }
 
 uint32_t CsdbMatrix::BlockOfRow(uint32_t row) const {
-  OMEGA_DCHECK(row < num_rows_);
+  OMEGA_DCHECK(row < num_rows());
   // Last block whose first row is <= row.
-  const auto it = std::upper_bound(deg_ind_.begin(), deg_ind_.end(), row);
-  return static_cast<uint32_t>(it - deg_ind_.begin()) - 1;
+  const std::vector<uint32_t>& ind = deg_ind();
+  const auto it = std::upper_bound(ind.begin(), ind.end(), row);
+  return static_cast<uint32_t>(it - ind.begin()) - 1;
 }
 
 uint64_t CsdbMatrix::RowPtr(uint32_t row) const {
   const uint32_t b = BlockOfRow(row);
-  return block_ptr_[b] +
-         static_cast<uint64_t>(row - deg_ind_[b]) * static_cast<uint64_t>(deg_list_[b]);
+  return block_ptr()[b] + static_cast<uint64_t>(row - deg_ind()[b]) *
+                              static_cast<uint64_t>(deg_list()[b]);
 }
 
 CsdbMatrix::RowCursor::RowCursor(const CsdbMatrix& m, uint32_t start_row)
@@ -174,14 +206,14 @@ CsdbMatrix::RowCursor::RowCursor(const CsdbMatrix& m, uint32_t start_row)
     return;
   }
   block_ = m.BlockOfRow(start_row);
-  degree_ = m.deg_list_[block_];
-  ptr_ = m.block_ptr_[block_] +
-         static_cast<uint64_t>(start_row - m.deg_ind_[block_]) * degree_;
+  degree_ = m.deg_list()[block_];
+  ptr_ = m.block_ptr()[block_] +
+         static_cast<uint64_t>(start_row - m.deg_ind()[block_]) * degree_;
 }
 
 CsdbMatrix::BlockCursor::BlockCursor(const CsdbMatrix& m, uint32_t row_begin,
                                      uint32_t row_end)
-    : m_(&m), end_(std::min(row_end, m.num_rows_)) {
+    : m_(&m), end_(std::min(row_end, m.num_rows())) {
   if (row_begin >= end_) {
     span_.row_begin = span_.row_end = end_;
     block_ = m.num_blocks();
@@ -189,28 +221,28 @@ CsdbMatrix::BlockCursor::BlockCursor(const CsdbMatrix& m, uint32_t row_begin,
   }
   block_ = m.BlockOfRow(row_begin);
   span_.row_begin = row_begin;
-  span_.row_end = std::min(end_, m.deg_ind_[block_ + 1]);
-  span_.degree = m.deg_list_[block_];
-  span_.ptr = m.block_ptr_[block_] +
-              static_cast<uint64_t>(row_begin - m.deg_ind_[block_]) * span_.degree;
+  span_.row_end = std::min(end_, m.deg_ind()[block_ + 1]);
+  span_.degree = m.deg_list()[block_];
+  span_.ptr = m.block_ptr()[block_] +
+              static_cast<uint64_t>(row_begin - m.deg_ind()[block_]) * span_.degree;
 }
 
 void CsdbMatrix::BlockCursor::Next() {
   span_.row_begin = span_.row_end;
   if (AtEnd()) return;
   ++block_;
-  span_.row_end = std::min(end_, m_->deg_ind_[block_ + 1]);
-  span_.degree = m_->deg_list_[block_];
-  span_.ptr = m_->block_ptr_[block_];
+  span_.row_end = std::min(end_, m_->deg_ind()[block_ + 1]);
+  span_.degree = m_->deg_list()[block_];
+  span_.ptr = m_->block_ptr()[block_];
 }
 
 void CsdbMatrix::RowCursor::Next() {
   ptr_ += degree_;
   ++row_;
   if (AtEnd()) return;
-  if (row_ >= m_->deg_ind_[block_ + 1]) {
+  if (row_ >= m_->deg_ind()[block_ + 1]) {
     ++block_;
-    degree_ = m_->deg_list_[block_];
+    degree_ = m_->deg_list()[block_];
   }
 }
 

@@ -10,11 +10,18 @@
 // Within a block every row has the same degree d, so
 //   Deg_ptr(row) = block_ptr[b] + (row - Deg_ind[b]) * d        (Eq. 1)
 // is computable in O(1).
+//
+// The index (perm, the three block arrays and col_list) is immutable once
+// built and lives behind one shared pointer; a matrix owns only its values
+// (nnz_list). WithValues() derives a matrix over the same structure, so
+// ProNE's target and propagation matrices and every copy share the
+// adjacency's index and allocate only a value array.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -28,6 +35,11 @@ namespace omega::graph {
 class CsdbMatrix {
  public:
   CsdbMatrix() = default;
+  CsdbMatrix(const CsdbMatrix&) = default;
+  CsdbMatrix& operator=(const CsdbMatrix&) = default;
+  /// A moved-from matrix is the empty matrix.
+  CsdbMatrix(CsdbMatrix&& other) noexcept;
+  CsdbMatrix& operator=(CsdbMatrix&& other) noexcept;
 
   /// Builds the weighted adjacency matrix of `g` in CSDB form, relabeling
   /// nodes into degree-descending order. With a pool, rows are gathered and
@@ -42,35 +54,39 @@ class CsdbMatrix {
                                       std::vector<float> nnz_list,
                                       std::vector<NodeId> perm = {});
 
-  uint32_t num_rows() const { return num_rows_; }
-  uint32_t num_cols() const { return num_cols_; }
-  uint64_t nnz() const { return col_list_.size(); }
-  uint32_t num_blocks() const { return static_cast<uint32_t>(deg_list_.size()); }
+  /// This matrix's structure with `values` as its nnz_list (one per stored
+  /// entry, in col_list order). The structure is shared, not copied.
+  CsdbMatrix WithValues(std::vector<float> values) const;
 
-  const std::vector<uint32_t>& deg_list() const { return deg_list_; }
-  const std::vector<uint32_t>& deg_ind() const { return deg_ind_; }
-  const std::vector<uint64_t>& block_ptr() const { return block_ptr_; }
-  const std::vector<NodeId>& col_list() const { return col_list_; }
+  uint32_t num_rows() const { return s_->num_rows; }
+  uint32_t num_cols() const { return s_->num_cols; }
+  uint64_t nnz() const { return s_->col_list.size(); }
+  uint32_t num_blocks() const { return static_cast<uint32_t>(s_->deg_list.size()); }
+
+  const std::vector<uint32_t>& deg_list() const { return s_->deg_list; }
+  const std::vector<uint32_t>& deg_ind() const { return s_->deg_ind; }
+  const std::vector<uint64_t>& block_ptr() const { return s_->block_ptr; }
+  const std::vector<NodeId>& col_list() const { return s_->col_list; }
   const std::vector<float>& nnz_list() const { return nnz_list_; }
   std::vector<float>& mutable_nnz_list() { return nnz_list_; }
 
   /// CSDB row i corresponds to original node perm()[i]. Empty when the matrix
   /// was built without relabeling.
-  const std::vector<NodeId>& perm() const { return perm_; }
+  const std::vector<NodeId>& perm() const { return s_->perm; }
 
   /// Block containing `row` (binary search, O(log blocks)).
   uint32_t BlockOfRow(uint32_t row) const;
 
   /// Degree of `row` (O(log blocks); use RowCursor for linear scans).
-  uint32_t RowDegree(uint32_t row) const { return deg_list_[BlockOfRow(row)]; }
+  uint32_t RowDegree(uint32_t row) const { return s_->deg_list[BlockOfRow(row)]; }
 
   /// Starting nnz offset of `row` — the paper's Deg_ptr (Eq. 1).
   uint64_t RowPtr(uint32_t row) const;
 
   /// Bytes of index metadata — O(|distinct degrees|), the CSDB saving.
   size_t IndexBytes() const {
-    return deg_list_.size() * sizeof(uint32_t) + deg_ind_.size() * sizeof(uint32_t) +
-           block_ptr_.size() * sizeof(uint64_t);
+    return s_->deg_list.size() * sizeof(uint32_t) + s_->deg_ind.size() * sizeof(uint32_t) +
+           s_->block_ptr.size() * sizeof(uint64_t);
   }
 
   /// O(1)-per-step forward iterator over rows for sequential kernels.
@@ -81,7 +97,7 @@ class CsdbMatrix {
     uint32_t row() const { return row_; }
     uint32_t degree() const { return degree_; }
     uint64_t ptr() const { return ptr_; }
-    bool AtEnd() const { return row_ >= m_->num_rows_; }
+    bool AtEnd() const { return row_ >= m_->num_rows(); }
 
     void Next();
 
@@ -134,14 +150,23 @@ class CsdbMatrix {
   }
 
  private:
-  uint32_t num_rows_ = 0;
-  uint32_t num_cols_ = 0;
-  std::vector<uint32_t> deg_list_;   // distinct degrees, non-increasing
-  std::vector<uint32_t> deg_ind_;    // size num_blocks+1: first row per block
-  std::vector<uint64_t> block_ptr_;  // size num_blocks+1: first nnz per block
-  std::vector<NodeId> col_list_;
+  // Everything but the values; never modified once a matrix holds it.
+  struct Structure {
+    uint32_t num_rows = 0;
+    uint32_t num_cols = 0;
+    std::vector<uint32_t> deg_list;   // distinct degrees, non-increasing
+    std::vector<uint32_t> deg_ind;    // size num_blocks+1: first row per block
+    std::vector<uint64_t> block_ptr;  // size num_blocks+1: first nnz per block
+    std::vector<NodeId> col_list;
+    std::vector<NodeId> perm;
+  };
+
+  // The empty matrix's structure, shared by every default-constructed and
+  // moved-from matrix so that s_ is never null.
+  static const std::shared_ptr<const Structure>& EmptyStructure();
+
+  std::shared_ptr<const Structure> s_ = EmptyStructure();
   std::vector<float> nnz_list_;
-  std::vector<NodeId> perm_;
 };
 
 /// Runs `fn(worker, row_begin, row_end)` over contiguous row ranges that

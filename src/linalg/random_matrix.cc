@@ -4,24 +4,26 @@
 
 namespace omega::linalg {
 
-DenseMatrix GaussianMatrix(size_t rows, size_t cols, uint64_t seed) {
-  DenseMatrix m(rows, cols);
-  for (size_t c = 0; c < cols; ++c) {
-    Rng rng(SplitMix64(seed ^ (0x9e3779b9ULL * (c + 1))));
-    float* col = m.ColData(c);
-    for (size_t r = 0; r < rows; ++r) col[r] = static_cast<float>(rng.NextGaussian());
-  }
-  return m;
-}
+namespace {
 
-DenseMatrix UniformMatrix(size_t rows, size_t cols, uint64_t seed, float lo, float hi) {
+// Entries below this many are drawn inline; a pool dispatch would cost more.
+constexpr size_t kParallelEntries = 1 << 15;
+
+}  // namespace
+
+DenseMatrix GaussianMatrix(size_t rows, size_t cols, uint64_t seed, ThreadPool* pool) {
   DenseMatrix m(rows, cols);
-  for (size_t c = 0; c < cols; ++c) {
-    Rng rng(SplitMix64(seed ^ (0x517cc1b7ULL * (c + 1))));
-    float* col = m.ColData(c);
-    for (size_t r = 0; r < rows; ++r) {
-      col[r] = lo + static_cast<float>(rng.NextDouble()) * (hi - lo);
+  auto fill_columns = [&](size_t, size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      Rng rng(SplitMix64(seed ^ (0x9e3779b9ULL * (c + 1))));
+      float* col = m.ColData(c);
+      for (size_t r = 0; r < rows; ++r) col[r] = static_cast<float>(rng.NextGaussian());
     }
+  };
+  if (pool != nullptr && pool->size() > 1 && cols > 1 && rows * cols >= kParallelEntries) {
+    pool->ParallelFor(cols, fill_columns);
+  } else {
+    fill_columns(0, 0, cols);
   }
   return m;
 }

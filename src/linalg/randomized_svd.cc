@@ -20,7 +20,7 @@ Result<SvdResult> RandomizedSvd(size_t n, size_t m, const MatMulFn& apply,
   }
 
   // Stage A: randomized range finder. Y = A * Omega, Omega m x l Gaussian.
-  DenseMatrix omega_mat = GaussianMatrix(m, l, options.seed);
+  DenseMatrix omega_mat = GaussianMatrix(m, l, options.seed, pool);
   DenseMatrix y(n, l);
   OMEGA_RETURN_NOT_OK(apply(omega_mat, &y));
 

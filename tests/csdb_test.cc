@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "csdb_test_inputs.h"
+#include "embed/prone.h"
 #include "graph/csdb.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
@@ -238,6 +239,37 @@ TEST(CsdbTest, RowRangesCoverEveryRowOnceAndSplitByWork) {
     EXPECT_EQ(end, 0u);
   });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(CsdbTest, DerivedMatricesShareStructure) {
+  for (const auto& [name, g] : PooledBuildGraphs()) {
+    SCOPED_TRACE(name);
+    ThreadPool pool(4);
+    const CsdbMatrix adjacency = CsdbMatrix::FromGraph(g, &pool);
+    const std::vector<float> weights = adjacency.nnz_list();
+    const CsdbMatrix target = embed::BuildTargetMatrix(adjacency, 1.0, &pool);
+    const CsdbMatrix propagation = embed::BuildPropagationMatrix(adjacency, &pool);
+    for (const CsdbMatrix* derived : {&target, &propagation}) {
+      EXPECT_EQ(derived->col_list().data(), adjacency.col_list().data());
+      EXPECT_EQ(derived->perm().data(), adjacency.perm().data());
+    }
+    // The adjacency's values are untouched.
+    ExpectCsdbIdentical(adjacency, adjacency.WithValues(weights));
+
+    // Built from a deep copy with its own structure, the derived matrices
+    // hold the same bytes.
+    std::vector<uint32_t> degrees;
+    for (auto cur = adjacency.Rows(); !cur.AtEnd(); cur.Next()) {
+      degrees.push_back(cur.degree());
+    }
+    const CsdbMatrix copy =
+        CsdbMatrix::FromParts(adjacency.num_rows(), adjacency.num_cols(), degrees,
+                              adjacency.col_list(), weights, adjacency.perm())
+            .value();
+    ASSERT_NE(copy.perm().data(), adjacency.perm().data());
+    ExpectCsdbIdentical(embed::BuildTargetMatrix(copy, 1.0), target);
+    ExpectCsdbIdentical(embed::BuildPropagationMatrix(copy), propagation);
+  }
 }
 
 }  // namespace
