@@ -114,9 +114,10 @@ class CsdbMatrix {
   /// One maximal run of same-degree rows inside a queried row range: rows
   /// [row_begin, row_end) all have degree `degree`, with row r's elements at
   /// nnz offset ptr + (r - row_begin) * degree. Every row of a span shares the
-  /// same inner-loop trip count, which is what lets the SpMM panel kernels
-  /// specialize on the degree (§III-A's point: the degree-descending layout
+  /// same inner-loop trip count, which is what lets the packed SpMM kernel
+  /// run a whole block per call (§III-A's point: the degree-descending layout
   /// turns short-row handling into a per-block, branch-predictable decision).
+  /// The kernel takes a CSR row as a one-row span.
   struct BlockSpan {
     uint32_t row_begin = 0;
     uint32_t row_end = 0;

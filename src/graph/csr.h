@@ -30,7 +30,6 @@ class CsrMatrix {
   uint64_t nnz() const { return col_idx_.size(); }
 
   uint64_t RowBegin(uint32_t r) const { return row_ptr_[r]; }
-  uint64_t RowEnd(uint32_t r) const { return row_ptr_[r + 1]; }
   uint32_t RowDegree(uint32_t r) const {
     return static_cast<uint32_t>(row_ptr_[r + 1] - row_ptr_[r]);
   }

@@ -228,24 +228,6 @@ MemorySystem::FaultDraw MemorySystem::TryAccessSeconds(
   return draw;
 }
 
-Status MemorySystem::TryChargeAccess(WorkerCtx* ctx, Placement p, MemOp op,
-                                     Pattern pat, size_t bytes, size_t accesses) {
-  if (!injector_.enabled()) {
-    ChargeAccess(ctx, p, op, pat, bytes, accesses);
-    return Status::OK();
-  }
-  const uint64_t stream = kFaultStreamWorkerBase + ctx->worker;
-  const FaultDraw draw = TryAccessSeconds(p, ctx->cpu_socket, op, pat, bytes,
-                                          accesses, ctx->active_threads, stream,
-                                          ctx->fault_site++, /*attempt=*/0);
-  ctx->clock->Advance(draw.seconds);
-  if (draw.kind == FaultKind::kMediaError || draw.kind == FaultKind::kTimeout) {
-    return Status::IOError(std::string(TierName(p.tier)) + " access failed: " +
-                           FaultKindName(draw.kind));
-  }
-  return Status::OK();
-}
-
 Status MemorySystem::ChargeAccessWithRetry(WorkerCtx* ctx, Placement p, MemOp op,
                                            Pattern pat, size_t bytes,
                                            size_t accesses,

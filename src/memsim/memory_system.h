@@ -164,18 +164,12 @@ class MemorySystem {
                              size_t bytes, size_t accesses, int active_threads,
                              uint64_t stream, uint64_t site, uint32_t attempt);
 
-  /// Fault-aware ChargeAccess: one attempt, drawn at the worker's stream and
-  /// next fault_site, charged to the worker's clock. OK when data moved
-  /// (kNone or an absorbed stall); IOError on a media error or timeout, with
-  /// the wasted attempt charged and recovery left to the caller.
-  Status TryChargeAccess(WorkerCtx* ctx, Placement p, MemOp op, Pattern pat,
-                         size_t bytes, size_t accesses = 1);
-
-  /// Bounded retry with exponential backoff over TryChargeAccess: one fault
-  /// site, attempts 0..max_retries, backoff waits charged to the clock and
-  /// counted as fault penalty. Non-final faults count as retried; the final
-  /// exhausting fault is returned un-bucketed (the caller records degraded or
-  /// surfaced, preserving injected == retried + degraded + surfaced).
+  /// Fault-aware ChargeAccess with bounded retry and exponential backoff:
+  /// attempts 0..max_retries of TryAccessSeconds at the worker's stream and
+  /// one fault site, backoff waits charged to the clock and counted as fault
+  /// penalty. Non-final faults count as retried; the final exhausting fault
+  /// is returned un-bucketed (the caller records degraded or surfaced,
+  /// preserving injected == retried + degraded + surfaced).
   Status ChargeAccessWithRetry(WorkerCtx* ctx, Placement p, MemOp op,
                                Pattern pat, size_t bytes, size_t accesses,
                                const FaultRetryPolicy& policy);

@@ -30,8 +30,6 @@ struct TopologyConfig {
   int pim_banks_per_socket = 64;
   size_t pim_mram_bytes_per_bank = 256ULL << 10;
 
-  int TotalCores() const { return num_sockets * cores_per_socket; }
-  int TotalPimBanks() const { return num_sockets * pim_banks_per_socket; }
   size_t TierCapacityPerSocket(Tier t) const {
     switch (t) {
       case Tier::kDram:

@@ -34,20 +34,6 @@ std::vector<PhaseRecord> TraceRecorder::Records() const {
   return records_;
 }
 
-void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-}
-
-double TraceRecorder::TotalSimSeconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double total = 0.0;
-  for (const PhaseRecord& r : records_) {
-    if (!r.aux) total += r.sim_seconds;
-  }
-  return total;
-}
-
 Context::Context(memsim::MemorySystem* ms, ThreadPool* pool, int threads,
                  TraceRecorder* trace)
     : ms_(ms), pool_(pool), threads_(threads), trace_(trace) {

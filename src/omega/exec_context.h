@@ -95,11 +95,6 @@ class TraceRecorder {
   /// Copy of the records accumulated so far.
   std::vector<PhaseRecord> Records() const;
 
-  void Clear();
-
-  /// Sum of non-aux phase seconds (aux phases are contained in other phases).
-  double TotalSimSeconds() const;
-
  private:
   mutable std::mutex mu_;
   std::vector<PhaseRecord> records_;

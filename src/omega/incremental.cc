@@ -28,7 +28,10 @@ std::vector<sched::Workload> SplitRanges(const graph::CsdbMatrix& a,
   sched::Workload all;
   all.ranges = ranges;
   sched::RefreshCounts(a, &all);
-  const uint64_t target = (all.nnz + parts - 1) / parts;
+  // At least 1, so a group always takes a row: with a zero target on an
+  // all-empty level (no nnz to balance) no group would ever extend. Such a
+  // level becomes one group, as on one thread.
+  const uint64_t target = std::max<uint64_t>(1, (all.nnz + parts - 1) / parts);
 
   sched::Workload cur;
   uint64_t cur_nnz = 0;
@@ -197,7 +200,9 @@ double RefreshTerms(const exec::Context& ctx, const graph::CsdbMatrix& propagati
         k == 1 ? nullptr : (k == 2 ? &capture->r0 : &capture->terms[k - 3]);
     const bool output_level = k + 1 == order;
     spmm_seconds += frame.Run(ctx.pool(), [&](size_t t, memsim::WorkerCtx* wctx) {
-      if (t >= parts.size() || parts[t].empty()) return;
+      // A part of zero-degree rows (nodes a deletion isolated) has no nnz
+      // but still has rows to write.
+      if (t >= parts.size() || parts[t].ranges.empty()) return;
       const prefetch::WofpPrefetcher* cache = plan.cache(t);
       sparse::ComputeWorkloadCsdb(propagation, prev, &tmp, parts[t]);
       for (const sched::RowRange& rr : parts[t].ranges) {

@@ -26,16 +26,6 @@ TopMStore TopMStore::Build(std::vector<ScoredKey> candidates, size_t m,
   return store;
 }
 
-TopMStore TopMStore::BuildFromScores(const std::vector<uint64_t>& scores,
-                                     size_t m) {
-  std::vector<ScoredKey> candidates;
-  candidates.reserve(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) {
-    candidates.push_back(ScoredKey{static_cast<graph::NodeId>(i), scores[i]});
-  }
-  return Build(std::move(candidates), m, static_cast<uint32_t>(scores.size()));
-}
-
 uint64_t TopMStore::MinScore() const {
   return entries_.empty() ? 0 : entries_.back().score;
 }

@@ -65,11 +65,6 @@ class TopMStore {
   static TopMStore Build(std::vector<ScoredKey> candidates, size_t m,
                          uint32_t universe);
 
-  /// Convenience for dense per-key scores: candidate key i scores scores[i],
-  /// universe = scores.size() (the serving hot-set selection).
-  static TopMStore BuildFromScores(const std::vector<uint64_t>& scores,
-                                   size_t m);
-
   bool Contains(graph::NodeId key) const {
     return key < bitmap_.size() && bitmap_[key] != 0;
   }

@@ -42,10 +42,6 @@ double ScatterFactor(double entropy, uint32_t num_nodes, double beta) {
   return 1.0 - z + beta * z;
 }
 
-double EataWeight(double entropy, uint32_t num_nodes, double beta) {
-  return entropy * ScatterFactor(entropy, num_nodes, beta);
-}
-
 double WorkloadEntropy(const graph::CsdbMatrix& a, const Workload& w) {
   EntropyAccumulator acc;
   for (const RowRange& range : w.ranges) {

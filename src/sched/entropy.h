@@ -40,10 +40,6 @@ double NormalizedEntropy(double entropy, uint32_t num_nodes);
 /// W_sca = 1 - Z(H) + beta * Z(H)  (Eq. 5), where beta = BW_rand / BW_seq.
 double ScatterFactor(double entropy, uint32_t num_nodes, double beta);
 
-/// EaTA's per-thread weight H * (1 - Z(H) + beta * Z(H)) — the denominator /
-/// numerator structure of Eq. 7.
-double EataWeight(double entropy, uint32_t num_nodes, double beta);
-
 /// Entropy of an arbitrary workload (sums Eq. 3 across its ranges).
 double WorkloadEntropy(const graph::CsdbMatrix& a, const Workload& w);
 

@@ -267,8 +267,8 @@ Status SpMV(const graph::CsdbMatrix& a, const std::vector<float>& x,
   const float* xv = x.data();
   float* yv = y->data();
   // Degree blocks give the inner reduction a per-block constant trip count —
-  // the same short-row specialization the panel SpMM kernels use; the
-  // ascending-k order (and hence the result) is unchanged.
+  // the same spans the packed SpMM kernel walks; the ascending-k order (and
+  // hence the result) is unchanged.
   for (auto blk = a.BlocksInRange(0, a.num_rows()); !blk.AtEnd(); blk.Next()) {
     const graph::CsdbMatrix::BlockSpan& s = blk.span();
     const uint32_t deg = s.degree;

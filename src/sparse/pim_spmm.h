@@ -2,7 +2,7 @@
 //
 // Charge-only, like every other charge step: the offloaded rows' arithmetic
 // runs for real on host memory in numa::NadpExecute's all-rows compute pass —
-// the very same panel kernels as every host row, so a row's bits never depend
+// the very same packed kernel as every host row, so a row's bits never depend
 // on where the simulator placed it — while PimSpmm charges model the PIM
 // execution:
 //
@@ -63,10 +63,6 @@ struct PimSpmmResult {
   uint64_t nnz_processed = 0;
   uint64_t degraded_blocks = 0;  ///< blocks recharged at host cost
   uint64_t column_passes = 1;    ///< broadcast passes forced by MRAM pressure
-
-  double TotalSeconds() const {
-    return transfer_seconds + compute_seconds + reduce_seconds;
-  }
 };
 
 /// Charges the PIM execution of `placement`'s offloaded blocks over

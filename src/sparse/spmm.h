@@ -85,7 +85,7 @@ class DenseCacheView {
   virtual uint64_t BytesPerHit() const { return 64; }
 };
 
-/// Packs B[:, col_begin:min(col_end, b.cols())) row-major for the CSDB
+/// Packs B[:, col_begin:min(col_end, b.cols())) row-major for the packed
 /// kernel (col_begin is clamped to the clamped col_end, so any range is
 /// safe), its rows split across `pool` when the slice is large enough to pay
 /// for the dispatch (serial when `pool` is null). Allocates one b.rows() x
@@ -179,7 +179,8 @@ void ChargeCompute(memsim::MemorySystem* ms, memsim::WorkerCtx* ctx,
 
 /// Per-column CSR oracle, mirroring ComputeWorkloadCsdbPerColumn: rows
 /// [row_begin, row_end), the same column clamp and reduction order. The CSR
-/// compute step itself is ParallelCsrSpmm's (sparse/spmm_plan.h).
+/// compute step itself is ParallelCsrSpmm's (sparse/spmm_plan.h), which runs
+/// the packed kernel CSDB runs.
 void ComputeWorkloadCsrPerColumn(const graph::CsrMatrix& a,
                                  const linalg::DenseMatrix& b,
                                  linalg::DenseMatrix* c, uint32_t row_begin,

@@ -3,7 +3,7 @@
 // This translation unit is the SpMM analogue of linalg/gemm.cc's per-TU ISA
 // split: under OMEGA_SPMM_SIMD the build compiles it with -mavx2 -mfma (and
 // always with -ffp-contract=off), and the __AVX2__/__FMA__ macros select the
-// vector packed-slab and CSR panel kernels plus explicit-FMA scalar paths.
+// vector packed-slab bodies plus explicit-FMA scalar paths.
 // Without the option the same sources compile to plain multiply-add scalar
 // loops.
 
@@ -36,112 +36,25 @@ inline float MulAdd(float v, float b, float acc) {
 #endif
 }
 
-// --- Scalar panel paths (also the tail/fallback paths of the SIMD build) ---
-
-// One row of a full kPanelCols-wide panel, degree known at compile time so
-// the k loop fully unrolls (the CSDB short-row path).
-template <uint32_t kDeg>
-inline void PanelRowFixed(const graph::NodeId* cols, const float* vals,
-                          const float* bp, size_t bstride, float* cp,
-                          size_t cstride, uint32_t r) {
-  float acc[kPanelCols] = {};
-  for (uint32_t k = 0; k < kDeg; ++k) {
-    const size_t col = cols[k];
-    const float v = vals[k];
-    for (size_t j = 0; j < kPanelCols; ++j) {
-      acc[j] = MulAdd(v, bp[col + j * bstride], acc[j]);
-    }
-  }
-  for (size_t j = 0; j < kPanelCols; ++j) cp[r + j * cstride] = acc[j];
-}
-
-// One row of a full panel, runtime degree.
-inline void PanelRow(const graph::NodeId* cols, const float* vals, uint32_t deg,
-                     const float* bp, size_t bstride, float* cp, size_t cstride,
-                     uint32_t r) {
-  float acc[kPanelCols] = {};
-  for (uint32_t k = 0; k < deg; ++k) {
-    const size_t col = cols[k];
-    const float v = vals[k];
-    for (size_t j = 0; j < kPanelCols; ++j) {
-      acc[j] = MulAdd(v, bp[col + j * bstride], acc[j]);
-    }
-  }
-  for (size_t j = 0; j < kPanelCols; ++j) cp[r + j * cstride] = acc[j];
-}
-
-// One row of a ragged tail panel (pw < kPanelCols columns).
-inline void PanelRowTail(const graph::NodeId* cols, const float* vals,
-                         uint32_t deg, const float* bp, size_t bstride,
-                         float* cp, size_t cstride, uint32_t r, size_t pw) {
-  float acc[kPanelCols] = {};
-  for (uint32_t k = 0; k < deg; ++k) {
-    const size_t col = cols[k];
-    const float v = vals[k];
-    for (size_t j = 0; j < pw; ++j) {
-      acc[j] = MulAdd(v, bp[col + j * bstride], acc[j]);
-    }
-  }
-  for (size_t j = 0; j < pw; ++j) cp[r + j * cstride] = acc[j];
-}
-
-// Full scalar panel over one CSDB degree span: constant-degree rows, deg <= 4
-// dispatched to the unrolled specializations.
-void CsdbSpanPanelScalar(const graph::CsdbMatrix::BlockSpan& s,
-                         const graph::NodeId* cols, const float* vals,
-                         const float* bp, size_t bstride, float* cp,
-                         size_t cstride) {
-  const uint32_t deg = s.degree;
-  uint64_t ptr = s.ptr;
-  switch (deg) {
-    case 0:
-      for (uint32_t r = s.row_begin; r < s.row_end; ++r) {
-        for (size_t j = 0; j < kPanelCols; ++j) cp[r + j * cstride] = 0.0f;
-      }
-      return;
-    case 1:
-      for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += 1) {
-        PanelRowFixed<1>(cols + ptr, vals + ptr, bp, bstride, cp, cstride, r);
-      }
-      return;
-    case 2:
-      for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += 2) {
-        PanelRowFixed<2>(cols + ptr, vals + ptr, bp, bstride, cp, cstride, r);
-      }
-      return;
-    case 3:
-      for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += 3) {
-        PanelRowFixed<3>(cols + ptr, vals + ptr, bp, bstride, cp, cstride, r);
-      }
-      return;
-    case 4:
-      for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += 4) {
-        PanelRowFixed<4>(cols + ptr, vals + ptr, bp, bstride, cp, cstride, r);
-      }
-      return;
-    default:
-      for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += deg) {
-        PanelRow(cols + ptr, vals + ptr, deg, bp, bstride, cp, cstride, r);
-      }
-      return;
+// C(r, t) = sum_k vals[k] * B(cols[k], t) for t in [col_begin, col_end), read
+// from B in place: one MulAdd chain per column over the row's deg nonzeros in
+// ascending k, the chain every packed body reproduces lane by lane.
+inline void OracleRow(const graph::NodeId* cols, const float* vals,
+                      uint32_t deg, const linalg::DenseMatrix& b,
+                      linalg::DenseMatrix* c, uint32_t r, size_t col_begin,
+                      size_t col_end) {
+  for (size_t t = col_begin; t < col_end; ++t) {
+    const float* bt = b.ColData(t);
+    float acc = 0.0f;
+    for (uint32_t k = 0; k < deg; ++k) acc = MulAdd(vals[k], bt[cols[k]], acc);
+    c->ColData(t)[r] = acc;
   }
 }
 
-// Ragged tail panel over one CSDB degree span.
-void CsdbSpanPanelTail(const graph::CsdbMatrix::BlockSpan& s,
-                       const graph::NodeId* cols, const float* vals,
-                       const float* bp, size_t bstride, float* cp,
-                       size_t cstride, size_t pw) {
-  const uint32_t deg = s.degree;
-  uint64_t ptr = s.ptr;
-  for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += deg) {
-    PanelRowTail(cols + ptr, vals + ptr, deg, bp, bstride, cp, cstride, r, pw);
-  }
-}
-
-// One packed slab over one CSDB degree span (PackedSpanSimd /
-// PackedSpanScalar below): p is the packed row of node 0 offset to the slab,
-// pstride the packed width, sw the slab width, cp C's first slab column.
+// One packed slab over one span of constant-degree rows (PackedSpanSimd /
+// PackedSpanScalar below): a CSDB degree block, or a single CSR row. p is the
+// packed row of node 0 offset to the slab, pstride the packed width, sw the
+// slab width, cp C's first slab column.
 using PackedSpanFn = void (*)(const graph::CsdbMatrix::BlockSpan& s,
                               const graph::NodeId* cols, const float* vals,
                               const float* p, size_t pstride, size_t sw,
@@ -149,29 +62,17 @@ using PackedSpanFn = void (*)(const graph::CsdbMatrix::BlockSpan& s,
 
 #if OMEGA_SPMM_SIMD_TU
 
-// The strided-gather index vector {0, bstride, ..., 7*bstride} must fit in
-// int32; beyond this row count (no dataset analogue comes close) the CSR
-// panels and GatherRows fall back to their bit-identical scalar loops. The
-// packed CSDB kernel gathers nothing, so it needs no such guard.
-constexpr size_t kMaxSimdStride = (size_t{1} << 31) / (kPanelCols - 1) - 1;
+// Floats per AVX2 vector.
+constexpr size_t kLanes = 8;
 
-// One row of a full panel: 8 column accumulators in one ymm, one
-// constant-stride gather + one FMA per nonzero, single ascending-k chain.
-inline void PanelRowSimd(const graph::NodeId* cols, const float* vals,
-                         uint32_t deg, const float* bp, __m256i vindex,
-                         float* cp, size_t cstride, uint32_t r) {
-  __m256 acc = _mm256_setzero_ps();
-  for (uint32_t k = 0; k < deg; ++k) {
-    const __m256 bv = _mm256_i32gather_ps(bp + cols[k], vindex, 4);
-    acc = _mm256_fmadd_ps(_mm256_set1_ps(vals[k]), bv, acc);
-  }
-  alignas(32) float out[kPanelCols];
-  _mm256_store_ps(out, acc);
-  for (size_t j = 0; j < kPanelCols; ++j) cp[r + j * cstride] = out[j];
-}
+// GatherRows' strided index vector {0, stride, ..., 7*stride} must fit in
+// int32; beyond this row count (no dataset analogue comes close) it falls
+// back to its bit-identical scalar loop. The packed kernels gather nothing,
+// so they need no such guard.
+constexpr size_t kMaxSimdStride = (size_t{1} << 31) / (kLanes - 1) - 1;
 
-inline __m256i PanelIndex(size_t bstride) {
-  const int s = static_cast<int>(bstride);
+inline __m256i PanelIndex(size_t stride) {
+  const int s = static_cast<int>(stride);
   return _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
 }
 
@@ -182,20 +83,20 @@ inline __m256i TailMask(size_t tail) {
 }
 
 // One packed slab of sw = 8 * kVecs (+ sw % 8 when kTail) columns over one
-// CSDB degree span: per nonzero, kVecs contiguous vector loads from the
-// packed row plus, with kTail, one masked load of the slab's last sw % 8
-// columns. Masked-off lanes load 0 and are never stored; every live lane is
-// the same single fused ascending-k chain as MulAdd, so each element lands
-// on CsdbPanelSpmmScalar's bits. No argument is a vector type, so the
-// compiler ends the function with vzeroupper: a dirty upper-YMM state
-// leaking into the SSE code of other translation units slows all of it down.
+// span: per nonzero, kVecs contiguous vector loads from the packed row plus,
+// with kTail, one masked load of the slab's last sw % 8 columns. Masked-off
+// lanes load 0 and are never stored; every live lane is the same single
+// fused ascending-k chain as MulAdd, so each element lands on OracleRow's
+// bits. No argument is a vector type, so the compiler ends the function with
+// vzeroupper: a dirty upper-YMM state leaking into the SSE code of other
+// translation units slows all of it down.
 template <size_t kVecs, bool kTail>
 void PackedSpanSimd(const graph::CsdbMatrix::BlockSpan& s,
                     const graph::NodeId* cols, const float* vals,
                     const float* p, size_t pstride, size_t sw, float* cp,
                     size_t cstride) {
   constexpr size_t kAcc = kVecs + (kTail ? 1 : 0);
-  const __m256i tail_mask = TailMask(sw % kPanelCols);
+  const __m256i tail_mask = TailMask(sw % kLanes);
   const uint32_t deg = s.degree;
   uint64_t ptr = s.ptr;
   for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += deg) {
@@ -205,19 +106,17 @@ void PackedSpanSimd(const graph::CsdbMatrix::BlockSpan& s,
       const float* row = p + size_t{cols[ptr + k]} * pstride;
 #pragma GCC unroll 8
       for (size_t i = 0; i < kVecs; ++i) {
-        acc[i] = _mm256_fmadd_ps(v, _mm256_loadu_ps(row + i * kPanelCols),
-                                 acc[i]);
+        acc[i] = _mm256_fmadd_ps(v, _mm256_loadu_ps(row + i * kLanes), acc[i]);
       }
       if constexpr (kTail) {
         acc[kVecs] = _mm256_fmadd_ps(
-            v, _mm256_maskload_ps(row + kVecs * kPanelCols, tail_mask),
-            acc[kVecs]);
+            v, _mm256_maskload_ps(row + kVecs * kLanes, tail_mask), acc[kVecs]);
       }
     }
-    alignas(32) float out[kAcc * kPanelCols];
+    alignas(32) float out[kAcc * kLanes];
 #pragma GCC unroll 8
     for (size_t i = 0; i < kAcc; ++i) {
-      _mm256_store_ps(out + i * kPanelCols, acc[i]);
+      _mm256_store_ps(out + i * kLanes, acc[i]);
     }
     for (size_t j = 0; j < sw; ++j) cp[r + j * cstride] = out[j];
   }
@@ -236,9 +135,8 @@ PackedSpanFn SelectPackedSpan(size_t sw) {
       &PackedSpanSimd<2, true>, &PackedSpanSimd<3, true>,
       &PackedSpanSimd<4, true>, &PackedSpanSimd<5, true>,
       &PackedSpanSimd<6, true>, &PackedSpanSimd<7, true>};
-  static_assert(std::size(kFull) == kMaxSlabCols / kPanelCols + 1);
-  return sw % kPanelCols == 0 ? kFull[sw / kPanelCols]
-                              : kTailed[sw / kPanelCols];
+  static_assert(std::size(kFull) == kMaxSlabCols / kLanes + 1);
+  return sw % kLanes == 0 ? kFull[sw / kLanes] : kTailed[sw / kLanes];
 }
 
 #else  // !OMEGA_SPMM_SIMD_TU
@@ -261,33 +159,33 @@ void PackedSpanScalar(const graph::CsdbMatrix::BlockSpan& s,
   }
 }
 
+PackedSpanFn SelectPackedSpan(size_t) { return &PackedSpanScalar; }
+
 #endif  // OMEGA_SPMM_SIMD_TU
+
+// The slab loop of both packed kernels: for each slab of up to kMaxSlabCols
+// packed columns, runs the span body over every span `for_each_span` hands
+// to its callback. Each span's ptr indexes the format's `cols`/`vals`.
+template <typename ForEachSpan>
+void PackedSlabs(const graph::NodeId* cols, const float* vals,
+                 const PackedOperand& packed, linalg::DenseMatrix* c,
+                 const ForEachSpan& for_each_span) {
+  const size_t width = packed.width();
+  const size_t cstride = c->col_stride();
+  for (size_t s0 = 0; s0 < width; s0 += kMaxSlabCols) {
+    const size_t sw = std::min(kMaxSlabCols, width - s0);
+    const PackedSpanFn span_fn = SelectPackedSpan(sw);
+    const float* p = packed.Row(0) + s0;
+    float* cp = c->ColData(packed.col_begin() + s0);
+    for_each_span([&](const graph::CsdbMatrix::BlockSpan& s) {
+      span_fn(s, cols, vals, p, width, sw, cp, cstride);
+    });
+  }
+}
 
 }  // namespace
 
 bool SpmmSimdEnabled() { return OMEGA_SPMM_SIMD_TU != 0; }
-
-void CsdbPanelSpmmScalar(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
-                         linalg::DenseMatrix* c, uint32_t row_begin,
-                         uint32_t row_end, size_t col_begin, size_t col_end) {
-  const graph::NodeId* cols = a.col_list().data();
-  const float* vals = a.nnz_list().data();
-  const size_t bstride = b.col_stride();
-  const size_t cstride = c->col_stride();
-  for (size_t t0 = col_begin; t0 < col_end; t0 += kPanelCols) {
-    const size_t pw = std::min(kPanelCols, col_end - t0);
-    const float* bp = b.ColData(t0);
-    float* cp = c->ColData(t0);
-    for (auto blk = a.BlocksInRange(row_begin, row_end); !blk.AtEnd();
-         blk.Next()) {
-      if (pw == kPanelCols) {
-        CsdbSpanPanelScalar(blk.span(), cols, vals, bp, bstride, cp, cstride);
-      } else {
-        CsdbSpanPanelTail(blk.span(), cols, vals, bp, bstride, cp, cstride, pw);
-      }
-    }
-  }
-}
 
 PackedOperand::PackedOperand(size_t rows, size_t col_begin, size_t col_end)
     : rows_(rows), col_begin_(col_begin), width_(col_end - col_begin) {
@@ -323,22 +221,38 @@ void PackRows(const linalg::DenseMatrix& b, size_t row_begin, size_t row_end,
 void CsdbPackedSpmm(const graph::CsdbMatrix& a, const PackedOperand& packed,
                     linalg::DenseMatrix* c, uint32_t row_begin,
                     uint32_t row_end) {
+  PackedSlabs(a.col_list().data(), a.nnz_list().data(), packed, c,
+              [&](const auto& run) {
+                for (auto blk = a.BlocksInRange(row_begin, row_end);
+                     !blk.AtEnd(); blk.Next()) {
+                  run(blk.span());
+                }
+              });
+}
+
+void CsrPackedSpmm(const graph::CsrMatrix& a, const PackedOperand& packed,
+                   linalg::DenseMatrix* c, uint32_t row_begin,
+                   uint32_t row_end) {
+  row_end = std::min(row_end, a.num_rows());
+  PackedSlabs(a.col_idx().data(), a.values().data(), packed, c,
+              [&](const auto& run) {
+                for (uint32_t r = row_begin; r < row_end; ++r) {
+                  run({r, r + 1, a.RowDegree(r), a.RowBegin(r)});
+                }
+              });
+}
+
+void CsdbPanelSpmmScalar(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
+                         linalg::DenseMatrix* c, uint32_t row_begin,
+                         uint32_t row_end, size_t col_begin, size_t col_end) {
   const graph::NodeId* cols = a.col_list().data();
   const float* vals = a.nnz_list().data();
-  const size_t width = packed.width();
-  const size_t cstride = c->col_stride();
-  for (size_t s0 = 0; s0 < width; s0 += kMaxSlabCols) {
-    const size_t sw = std::min(kMaxSlabCols, width - s0);
-    const float* p = packed.Row(0) + s0;
-    float* cp = c->ColData(packed.col_begin() + s0);
-#if OMEGA_SPMM_SIMD_TU
-    const PackedSpanFn span_fn = SelectPackedSpan(sw);
-#else
-    const PackedSpanFn span_fn = &PackedSpanScalar;
-#endif
-    for (auto blk = a.BlocksInRange(row_begin, row_end); !blk.AtEnd();
-         blk.Next()) {
-      span_fn(blk.span(), cols, vals, p, width, sw, cp, cstride);
+  for (auto blk = a.BlocksInRange(row_begin, row_end); !blk.AtEnd();
+       blk.Next()) {
+    const graph::CsdbMatrix::BlockSpan& s = blk.span();
+    uint64_t ptr = s.ptr;
+    for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += s.degree) {
+      OracleRow(cols + ptr, vals + ptr, s.degree, b, c, r, col_begin, col_end);
     }
   }
 }
@@ -348,22 +262,10 @@ void CsrPanelSpmmScalar(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
                         uint32_t row_end, size_t col_begin, size_t col_end) {
   const graph::NodeId* cols = a.col_idx().data();
   const float* vals = a.values().data();
-  const size_t bstride = b.col_stride();
-  const size_t cstride = c->col_stride();
-  for (size_t t0 = col_begin; t0 < col_end; t0 += kPanelCols) {
-    const size_t pw = std::min(kPanelCols, col_end - t0);
-    const float* bp = b.ColData(t0);
-    float* cp = c->ColData(t0);
-    for (uint32_t r = row_begin; r < row_end; ++r) {
-      const uint64_t start = a.RowBegin(r);
-      const uint32_t deg = a.RowDegree(r);
-      if (pw == kPanelCols) {
-        PanelRow(cols + start, vals + start, deg, bp, bstride, cp, cstride, r);
-      } else {
-        PanelRowTail(cols + start, vals + start, deg, bp, bstride, cp, cstride,
-                     r, pw);
-      }
-    }
+  for (uint32_t r = row_begin; r < row_end; ++r) {
+    const uint64_t start = a.RowBegin(r);
+    OracleRow(cols + start, vals + start, a.RowDegree(r), b, c, r, col_begin,
+              col_end);
   }
 }
 
@@ -389,7 +291,7 @@ void GatherRows(const linalg::DenseMatrix& e, const uint32_t* keys, size_t n,
       const float* src = e.data() + keys[i];
       float* dst = out->ColData(i);
       size_t j = 0;
-      for (; j + kPanelCols <= d; j += kPanelCols) {
+      for (; j + kLanes <= d; j += kLanes) {
         _mm256_storeu_ps(dst + j,
                          _mm256_i32gather_ps(src + j * estride, vindex, 4));
       }
@@ -419,7 +321,7 @@ void ScoreRows(const linalg::DenseMatrix& e, const float* q,
   const size_t d = e.cols();
   const size_t estride = e.col_stride();
   uint32_t c = row_begin;
-  for (; c + kPanelCols <= row_end; c += kPanelCols) {
+  for (; c + kLanes <= row_end; c += kLanes) {
     const float* row = e.data() + c;
     __m256 acc = _mm256_setzero_ps();
     for (size_t j = 0; j < d; ++j) {
@@ -434,38 +336,6 @@ void ScoreRows(const linalg::DenseMatrix& e, const float* q,
 #else
   ScoreRowsScalar(e, q, row_begin, row_end, scores);
 #endif
-}
-
-void CsrPanelSpmm(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
-                  linalg::DenseMatrix* c, uint32_t row_begin, uint32_t row_end,
-                  size_t col_begin, size_t col_end) {
-#if OMEGA_SPMM_SIMD_TU
-  const size_t bstride = b.col_stride();
-  if (bstride <= kMaxSimdStride) {
-    const graph::NodeId* cols = a.col_idx().data();
-    const float* vals = a.values().data();
-    const size_t cstride = c->col_stride();
-    const __m256i vindex = PanelIndex(bstride);
-    for (size_t t0 = col_begin; t0 < col_end; t0 += kPanelCols) {
-      const size_t pw = std::min(kPanelCols, col_end - t0);
-      const float* bp = b.ColData(t0);
-      float* cp = c->ColData(t0);
-      for (uint32_t r = row_begin; r < row_end; ++r) {
-        const uint64_t start = a.RowBegin(r);
-        const uint32_t deg = a.RowDegree(r);
-        if (pw == kPanelCols) {
-          PanelRowSimd(cols + start, vals + start, deg, bp, vindex, cp, cstride,
-                       r);
-        } else {
-          PanelRowTail(cols + start, vals + start, deg, bp, bstride, cp,
-                       cstride, r, pw);
-        }
-      }
-    }
-    return;
-  }
-#endif
-  CsrPanelSpmmScalar(a, b, c, row_begin, row_end, col_begin, col_end);
 }
 
 }  // namespace omega::sparse::kernels

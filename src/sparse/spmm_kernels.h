@@ -5,18 +5,18 @@
 // one scalar gather per load. The kernels here amortize one index/value load
 // per nonzero across many register-resident column accumulators instead.
 //
-// CSDB runs one packed-operand kernel: the dense slice B[:, col_begin:
+// Both formats run one packed-operand kernel: the dense slice B[:, col_begin:
 // col_end) is copied row-major once per call (PackedOperand), so a nonzero's
-// whole width is one contiguous run, and CsdbPackedSpmm walks the CSDB
-// degree blocks (CsdbMatrix::BlocksInRange) once per slab of up to
-// kMaxSlabCols columns with plain vector loads and a masked ragged tail.
-// CSR keeps the column-panel kernels: kPanelCols columns per panel, each
-// nonzero's panel gathered from kPanelCols dense columns.
+// whole width is one contiguous run, and the kernel walks spans of
+// constant-degree rows once per slab of up to kMaxSlabCols columns with plain
+// vector loads and a masked ragged tail. CsdbPackedSpmm's spans are the CSDB
+// degree blocks (CsdbMatrix::BlocksInRange); CsrPackedSpmm's are single CSR
+// rows.
 //
-// Numerics policy (DESIGN.md "SpMM column-panel kernels"): every output
+// Numerics policy (DESIGN.md "SpMM packed kernel"): every output
 // element C(r, t) is reduced over its row's nonzeros in ascending k with a
 // single accumulator, and all paths inside this translation unit — vector
-// slabs and panels, masked and scalar tails, the scalar oracles — round
+// slabs, masked tails, the scalar span body, the scalar oracles — round
 // identically (explicit FMA everywhere when the TU is compiled with AVX2+FMA
 // under OMEGA_SPMM_SIMD, plain multiply-add everywhere otherwise; the TU is
 // built with -ffp-contract=off so the compiler cannot mix the two). An
@@ -39,16 +39,11 @@
 
 namespace omega::sparse::kernels {
 
-/// Dense columns per CSR panel: 8 register-resident accumulators — one AVX2
-/// vector in the SIMD variant, a compiler-unrolled float[8] in the scalar
-/// fallback.
-inline constexpr size_t kPanelCols = 8;
-
 /// True when this build compiled the kernel TU with the AVX2+FMA variant
 /// (OMEGA_SPMM_SIMD on a supporting toolchain).
 bool SpmmSimdEnabled();
 
-// --- Packed-operand CSDB kernel ----------------------------------------------
+// --- Packed-operand kernel ---------------------------------------------------
 
 /// Columns per packed-kernel slab: 8 register-resident vector accumulators.
 inline constexpr size_t kMaxSlabCols = 64;
@@ -93,19 +88,20 @@ void CsdbPackedSpmm(const graph::CsdbMatrix& a, const PackedOperand& packed,
                     linalg::DenseMatrix* c, uint32_t row_begin,
                     uint32_t row_end);
 
-/// Scalar column-panel CSDB kernel over B in place, always compiled: the
-/// bit-exact oracle CsdbPackedSpmm is tested and benchmarked against. No
-/// compute path runs it. Columns [col_begin, col_end), caller pre-clamps.
+/// The same for rows [row_begin, row_end) of a CSR matrix, each row one span
+/// of the packed slab loop. Bit-identical to CsrPanelSpmmScalar.
+void CsrPackedSpmm(const graph::CsrMatrix& a, const PackedOperand& packed,
+                   linalg::DenseMatrix* c, uint32_t row_begin,
+                   uint32_t row_end);
+
+/// Scalar oracles over B in place, always compiled: the bit-exact references
+/// the packed kernels are tested and benchmarked against; no compute path
+/// runs them. Each row is one ascending-k MulAdd chain per column of
+/// [col_begin, col_end). The caller pre-clamps the columns, and for CSR the
+/// rows too.
 void CsdbPanelSpmmScalar(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                          linalg::DenseMatrix* c, uint32_t row_begin,
                          uint32_t row_end, size_t col_begin, size_t col_end);
-
-/// C[r, t] = sum_k A(r, :) * B(:, t) for rows [row_begin, row_end) of the
-/// CSR matrix and columns [col_begin, col_end) (caller pre-clamps both).
-/// Best available variant: SIMD panels when compiled in, scalar otherwise.
-void CsrPanelSpmm(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
-                  linalg::DenseMatrix* c, uint32_t row_begin, uint32_t row_end,
-                  size_t col_begin, size_t col_end);
 
 void CsrPanelSpmmScalar(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
                         linalg::DenseMatrix* c, uint32_t row_begin,
@@ -116,15 +112,15 @@ void CsrPanelSpmmScalar(const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
 // The serving batch path lives in this TU so it inherits the rounding policy
 // above: GatherRows is a pure copy (trivially identical across variants), and
 // ScoreRows reduces each row's dot product over ascending j with a single
-// accumulator — fused exactly when the panel kernels are fused — so top-k
+// accumulator — fused exactly when the packed kernel is fused — so top-k
 // scores are bit-identical whether a scan is served per-request or batched,
 // vector or scalar.
 
 /// out(j, i) = e(keys[i], j): gathers n embedding rows of the column-major
 /// matrix `e` into the e.cols() x n matrix `out`, one key's vector per output
 /// column (contiguous, ready to use as a query vector). `out` must be
-/// pre-sized e.cols() x n. The SIMD variant reuses the panels' strided
-/// _mm256_i32gather_ps with the same int32-stride guard.
+/// pre-sized e.cols() x n. The SIMD variant gathers 8 columns per
+/// _mm256_i32gather_ps, guarded against strides that overflow int32.
 void GatherRows(const linalg::DenseMatrix& e, const uint32_t* keys, size_t n,
                 linalg::DenseMatrix* out);
 

@@ -169,13 +169,15 @@ ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
   OMEGA_CHECK(plan->Matches(a, threads, split)) << "ParallelCsrSpmm: stale plan";
   OMEGA_CHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
 
-  // Compute: dynamic row blocks (power-law rows make static chunks skewed);
-  // each element's ascending-k reduction is fixed inside the panel kernel, so
-  // C is bit-identical under any split. No memsim state is touched here.
+  // Compute: one pack of B, then dynamic row blocks (power-law rows make
+  // static chunks skewed); each element's ascending-k reduction is fixed
+  // inside the packed kernel, so C is bit-identical under any split. No
+  // memsim state is touched here.
+  const kernels::PackedOperand packed = PackDense(b, ctx.pool());
   constexpr size_t kRowBlock = 1024;
   const auto compute_rows = [&](size_t, size_t row_begin, size_t row_end) {
-    kernels::CsrPanelSpmm(a, b, c, static_cast<uint32_t>(row_begin),
-                          static_cast<uint32_t>(row_end), 0, b.cols());
+    kernels::CsrPackedSpmm(a, packed, c, static_cast<uint32_t>(row_begin),
+                           static_cast<uint32_t>(row_end));
   };
   if (ctx.pool() == nullptr) {
     compute_rows(0, 0, a.num_rows());

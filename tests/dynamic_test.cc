@@ -374,6 +374,55 @@ TEST_F(IncrementalRefreshTest, SelectiveMatchesFullRecomputeAcrossThreads) {
             selective_report.affected_rows);
 }
 
+// Deleting the only edge of a node leaves a zero-degree row among the rows
+// a refresh recomputes, and that row must still be rewritten, on the full
+// recompute's bits. With both endpoints isolated every row of every level
+// has zero nnz, so no worker's share has any, and splitting such a level
+// across two or more workers must still return. With one endpoint isolated
+// the empty row sits among rows that have nnz.
+TEST_F(IncrementalRefreshTest, DeletionThatIsolatesEndpointsRefreshesThem) {
+  const Graph rmat = RmatGraph();
+  std::vector<NodeId> isolated;
+  NodeId hub = 0;
+  std::vector<graph::Edge> arcs;
+  for (NodeId v = 0; v < rmat.num_nodes(); ++v) {
+    if (rmat.degree(v) == 0) isolated.push_back(v);
+    if (rmat.degree(v) > rmat.degree(hub)) hub = v;
+    for (uint32_t k = 0; k < rmat.degree(v); ++k) {
+      arcs.push_back({v, rmat.neighbors(v)[k], rmat.weights(v)[k]});
+    }
+  }
+  ASSERT_GE(isolated.size(), 3u);
+  // isolated[0] - isolated[1] is the nodes' only edge; so is isolated[2] - hub
+  // for isolated[2].
+  const NodeId pair[][2] = {{isolated[0], isolated[1]}, {isolated[2], hub}};
+  for (const auto& [u, w] : pair) {
+    arcs.push_back({u, w, 1.0f});
+    arcs.push_back({w, u, 1.0f});
+  }
+  const Graph base =
+      Graph::FromEdges(rmat.num_nodes(), arcs, /*undirected=*/false).value();
+
+  for (const auto& [u, w] : pair) {
+    const std::vector<Mutation> muts = {{MutationKind::kDeleteEdge, u, w, 1.0f}};
+    const linalg::DenseMatrix reference =
+        RunDynamic(base, muts, 1, /*refresh_all=*/true, nullptr);
+    for (const int threads : {1, 2, 8}) {
+      engine::RefreshReport r;
+      const linalg::DenseMatrix selective =
+          RunDynamic(base, muts, threads, /*refresh_all=*/false, &r);
+      ASSERT_EQ(selective.bytes(), reference.bytes());
+      EXPECT_EQ(0, std::memcmp(selective.data(), reference.data(),
+                               reference.bytes()))
+          << "delete " << u << "-" << w << " at " << threads << " threads";
+      EXPECT_EQ(r.mutations_applied, 1u);
+      if (w != hub) {
+        EXPECT_EQ(r.affected_rows, 2u);
+      }
+    }
+  }
+}
+
 TEST_F(IncrementalRefreshTest, NoPendingMutationsIsANoOp) {
   const Graph base = RmatGraph(8, 1500);
   auto ms = memsim::MemorySystem::CreateDefault();

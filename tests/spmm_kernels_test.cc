@@ -1,12 +1,13 @@
 // Unit tests for the host SpMM kernels (sparse/spmm_kernels.h): the packed
-// CSDB kernel at slab and tail widths, zero-degree rows, single-row ranges,
-// column slices, packed vs scalar-panel oracle vs per-column oracle
-// agreement, SIMD vs scalar CSR panels, the fixed-reduction-order bit
-// guarantees, the scanned charge metadata, and engine-level embedding
-// determinism across host thread counts.
+// kernel over CSDB and CSR at slab and tail widths, zero-degree rows,
+// single-row ranges, column slices, packed vs scalar oracle vs per-column
+// oracle agreement, the fixed-reduction-order bit guarantees, the scanned
+// charge metadata, and engine-level embedding determinism across host thread
+// counts.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -51,6 +52,13 @@ void PackedSpmm(const CsdbMatrix& a, const DenseMatrix& b, DenseMatrix* c,
   kernels::PackRows(b, 0, half, &packed);
   kernels::PackRows(b, half, b.rows(), &packed);
   kernels::CsdbPackedSpmm(a, packed, c, row_begin, row_end);
+}
+
+// The CSR flavour: packs the whole width once and runs rows [row_begin,
+// row_end).
+void PackedSpmm(const CsrMatrix& a, const DenseMatrix& b, DenseMatrix* c,
+                uint32_t row_begin, uint32_t row_end) {
+  kernels::CsrPackedSpmm(a, PackDense(b, nullptr), c, row_begin, row_end);
 }
 
 class SpmmKernelsTest : public ::testing::Test {
@@ -99,15 +107,14 @@ TEST_F(SpmmKernelsTest, CsrPanelMatchesOracleAtEveryTailWidth) {
     DenseMatrix expected(a_.num_rows(), d);
     ComputeWorkloadCsrPerColumn(csr_, b, &expected, 0, csr_.num_rows());
     DenseMatrix c(a_.num_rows(), d);
-    kernels::CsrPanelSpmm(csr_, b, &c, 0, csr_.num_rows(), 0, d);
+    PackedSpmm(csr_, b, &c, 0, csr_.num_rows());
     EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected), 1e-4) << "d=" << d;
   }
 }
 
 // The TU-wide rounding policy (explicit FMA everywhere or nowhere) makes the
-// packed slabs and the scalar CSDB panels, and the vector and scalar CSR
-// panels, land on identical bits, which is what the SIMD-vs-scalar CI matrix
-// relies on within one build.
+// packed slabs land on the scalar oracles' bits for both formats, which is
+// what the SIMD-vs-scalar CI matrix relies on within one build.
 TEST_F(SpmmKernelsTest, PackedAndSimdPanelsMatchScalarBitForBit) {
   for (size_t d : kPackedWidths) {
     const DenseMatrix b = Dense(d);
@@ -117,11 +124,11 @@ TEST_F(SpmmKernelsTest, PackedAndSimdPanelsMatchScalarBitForBit) {
     kernels::CsdbPanelSpmmScalar(a_, b, &scalar, 0, a_.num_rows(), 0, d);
     EXPECT_TRUE(BitsEqual(packed, scalar)) << "csdb d=" << d;
 
-    DenseMatrix csr_best(a_.num_rows(), d);
+    DenseMatrix csr_packed(a_.num_rows(), d);
     DenseMatrix csr_scalar(a_.num_rows(), d);
-    kernels::CsrPanelSpmm(csr_, b, &csr_best, 0, csr_.num_rows(), 0, d);
+    PackedSpmm(csr_, b, &csr_packed, 0, csr_.num_rows());
     kernels::CsrPanelSpmmScalar(csr_, b, &csr_scalar, 0, csr_.num_rows(), 0, d);
-    EXPECT_TRUE(BitsEqual(csr_best, csr_scalar)) << "csr d=" << d;
+    EXPECT_TRUE(BitsEqual(csr_packed, csr_scalar)) << "csr d=" << d;
   }
 }
 
@@ -222,6 +229,65 @@ TEST_F(SpmmKernelsTest, ZeroDegreeRowsAreWrittenAsZero) {
   }
   EXPECT_EQ(c.At(0, 1), 123.0f);
   EXPECT_EQ(c.At(0, 13), 123.0f);
+}
+
+// CSR rows go through the packed slab loop one row per span, so a row's bits
+// must not depend on which call computed it: zero-degree rows (leading,
+// interior and trailing) come out as +0, and row halves or single rows
+// reproduce the whole-matrix result and the scalar oracle.
+TEST_F(SpmmKernelsTest, CsrPackedRowSlicesAndEmptyRowsMatchTheWholeMatrix) {
+  // Rows 0, 3, 5 and 6 are empty.
+  const std::vector<uint64_t> row_ptr = {0, 0, 3, 5, 5, 7, 7, 7};
+  const std::vector<graph::NodeId> cols = {0, 1, 4, 2, 6, 0, 2};
+  const std::vector<float> vals = {1.f, -2.f, 3.f, 4.f, 5.f, 6.f, 7.f};
+  const CsrMatrix m = CsrMatrix::FromParts(7, 7, row_ptr, cols, vals).value();
+  for (size_t d : kPackedWidths) {
+    const DenseMatrix b = linalg::GaussianMatrix(7, d, 5);
+    DenseMatrix whole(7, d);
+    whole.Fill(123.0f);  // the kernel must overwrite, not accumulate
+    PackedSpmm(m, b, &whole, 0, 7);
+    DenseMatrix oracle(7, d);
+    kernels::CsrPanelSpmmScalar(m, b, &oracle, 0, 7, 0, d);
+    EXPECT_TRUE(BitsEqual(whole, oracle)) << "d=" << d;
+    for (uint32_t r : {0u, 3u, 5u, 6u}) {
+      for (size_t t = 0; t < d; ++t) {
+        const float got = whole.At(r, t);
+        EXPECT_TRUE(got == 0.0f && !std::signbit(got))
+            << "d=" << d << " row " << r << " col " << t;
+      }
+    }
+    const kernels::PackedOperand packed = PackDense(b, nullptr);
+    DenseMatrix halves(7, d);
+    kernels::CsrPackedSpmm(m, packed, &halves, 0, 3);
+    kernels::CsrPackedSpmm(m, packed, &halves, 3, 7);
+    EXPECT_TRUE(BitsEqual(halves, whole)) << "d=" << d;
+    DenseMatrix rows(7, d);
+    for (uint32_t r = 0; r < 7; ++r) {
+      kernels::CsrPackedSpmm(m, packed, &rows, r, r + 1);
+    }
+    EXPECT_TRUE(BitsEqual(rows, whole)) << "d=" << d;
+  }
+  // The same on the R-MAT matrix, which has zero-degree rows of its own.
+  uint32_t empty_rows = 0;
+  for (uint32_t r = 0; r < csr_.num_rows(); ++r) {
+    empty_rows += csr_.RowDegree(r) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(empty_rows, 0u);
+  const size_t d = 40;
+  const DenseMatrix b = Dense(d);
+  DenseMatrix whole(a_.num_rows(), d);
+  PackedSpmm(csr_, b, &whole, 0, csr_.num_rows());
+  const kernels::PackedOperand packed = PackDense(b, nullptr);
+  const uint32_t n = csr_.num_rows();
+  DenseMatrix halves(n, d);
+  kernels::CsrPackedSpmm(csr_, packed, &halves, 0, n / 2);
+  kernels::CsrPackedSpmm(csr_, packed, &halves, n / 2, n);
+  EXPECT_TRUE(BitsEqual(halves, whole));
+  DenseMatrix rows(n, d);
+  for (uint32_t r = 0; r < n; ++r) {
+    kernels::CsrPackedSpmm(csr_, packed, &rows, r, r + 1);
+  }
+  EXPECT_TRUE(BitsEqual(rows, whole));
 }
 
 TEST_F(SpmmKernelsTest, EmptyAndClampedRangesAreSafe) {

@@ -292,7 +292,8 @@ TEST_F(SpmmTest, CsrKernelMatchesReference) {
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
   const CsrPlanPart part =
       CsrSpmmPlan::Build(csr, 1, CsrSpmmPlan::Split::kEqualRows).parts()[0];
-  kernels::CsrPanelSpmm(csr, b_, &c, part.row_begin, part.row_end, 0, b_.cols());
+  kernels::CsrPackedSpmm(csr, PackDense(b_, nullptr), &c, part.row_begin,
+                         part.row_end);
   ChargeWorkloadCsr(csr, b_.cols(), part.row_begin, part.row_end, part.nnz,
                     part.entropy, SpmmPlacements{}, ms_.get(), &ctx);
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected_), 1e-4);
