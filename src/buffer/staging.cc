@@ -49,49 +49,30 @@ Result<StageFetchResult> StageFetch(memsim::MemorySystem* ms, size_t bytes,
 
   uint64_t throwaway = 0;
   uint64_t* cursor = cfg.fault_site != nullptr ? cfg.fault_site : &throwaway;
-  const uint64_t site = (*cursor)++;
-  memsim::FaultInjector& faults = ms->faults();
-
-  double cost = 0.0;
-  double backoff = cfg.retry_backoff_seconds;
-  for (int attempt = 0;; ++attempt) {
-    const memsim::MemorySystem::FaultDraw draw = ms->TryAccessSeconds(
-        cfg.from, socket, memsim::MemOp::kRead, memsim::Pattern::kSequential,
-        bytes, 1, 1, cfg.fault_stream, site, static_cast<uint32_t>(attempt));
-    if (draw.kind == memsim::FaultKind::kNone ||
-        draw.kind == memsim::FaultKind::kTransientStall) {
-      // Stalls self-recover inside the draw: the returned seconds already
-      // include the stall charge.
-      cost += std::max(draw.seconds, write);
-      result.seconds = cost;
-      return result;
-    }
-    // Media error / timeout: the wasted attempt is paid for in full.
-    cost += draw.seconds;
-    if (attempt < cfg.max_retries) {
-      faults.CountRetried();
-      result.retries++;
-      cost += backoff;
-      faults.AddPenaltySeconds(backoff);
-      backoff *= 2.0;
-      continue;
-    }
-    if (cfg.allow_degraded) {
-      // Stream from the slower durable home instead of the failing source.
-      faults.CountDegraded();
-      result.degraded = true;
-      const double fallback_read =
-          ms->AccessSeconds(cfg.degraded_home, socket, memsim::MemOp::kRead,
-                            memsim::Pattern::kSequential, bytes, 1, 1);
-      cost += std::max(fallback_read, write);
-      result.seconds = cost;
-      return result;
-    }
-    faults.CountSurfaced();
-    return Status::IOError(cfg.label + " failed after " +
-                           std::to_string(cfg.max_retries) +
-                           " retries: " + memsim::FaultKindName(draw.kind));
+  memsim::SimClock cost;
+  const memsim::MemorySystem::RetryOutcome read = ms->RetryAccessSeconds(
+      cfg.from, socket, memsim::MemOp::kRead, memsim::Pattern::kSequential,
+      bytes, 1, 1, memsim::kFaultStreamAsl, (*cursor)++,
+      memsim::FaultRetryPolicy{}, &cost);
+  result.retries = static_cast<uint64_t>(read.retries);
+  if (read.delivered()) {
+    cost.Advance(std::max(read.seconds, write));
+  } else if (cfg.allow_degraded) {
+    // Stream from the slower semi-external home instead of the failing
+    // source.
+    ms->faults().CountDegraded();
+    result.degraded = true;
+    const double fallback_read =
+        ms->AccessSeconds({memsim::Tier::kSsd, 0}, socket,
+                          memsim::MemOp::kRead, memsim::Pattern::kSequential,
+                          bytes, 1, 1);
+    cost.Advance(std::max(fallback_read, write));
+  } else {
+    ms->faults().CountSurfaced();
+    return read.Error(cfg.label);
   }
+  result.seconds = cost.seconds();
+  return result;
 }
 
 double FetchSlowdown(const memsim::MemorySystem* ms, memsim::Placement from,

@@ -1,11 +1,12 @@
-// Shared partition-staging helpers.
+// Partition-staging helpers.
 //
-// stream/asl and sparse/semi_external both walk a dense matrix in column
-// slices and charge a staged copy per slice; the slicing arithmetic and the
-// fault-aware copy loop used to be duplicated in each. StageFetch is the one
-// implementation: a sequential read from `from` overlapped with a sequential
-// write to `to` on one background loader stream, with the PR5 retry /
-// degrade / surface recovery on the read side when fault injection is on.
+// SliceColumns and NumColumnPasses are the column-slicing arithmetic that
+// stream/asl and sparse/semi_external share. StageFetch is ASL's partition
+// load alone: a sequential read from `from` overlapped with a sequential
+// write to `to` on one background loader stream. Under fault injection the
+// read side goes through memsim's bounded-retry loop
+// (MemorySystem::RetryAccessSeconds); StageFetch owns only what happens once
+// the retries run out: degrade to the semi-external home, or surface.
 //
 // FetchSlowdown feeds SimClock::OverlappedSeconds: when an async staging
 // fetch shares a device with `compute_threads` compute streams, the Fig. 9
@@ -42,12 +43,11 @@ struct StageFetchConfig {
   memsim::Placement from;
   memsim::Placement to;
 
-  // Fault recovery (consulted only when ms->faults_enabled()).
-  int max_retries = 3;
-  double retry_backoff_seconds = 1e-4;  ///< first backoff; doubles per retry
+  // Fault recovery (consulted only when ms->faults_enabled()). The read
+  // retries with FaultRetryPolicy{} on the kFaultStreamAsl stream.
+  /// After the retries run out: true streams the slice from its
+  /// semi-external home on SSD instead, false surfaces an IOError.
   bool allow_degraded = true;
-  memsim::Placement degraded_home{memsim::Tier::kSsd, 0};
-  uint64_t fault_stream = 0;
   /// Caller-owned fault-site cursor; one site is consumed per non-empty fetch.
   /// Null uses a throwaway cursor (only sensible for single-shot callers).
   uint64_t* fault_site = nullptr;
@@ -58,13 +58,13 @@ struct StageFetchConfig {
 struct StageFetchResult {
   double seconds = 0.0;    ///< pipelined cost of the fetch, faults included
   uint64_t retries = 0;    ///< media/timeout faults recovered by retrying
-  bool degraded = false;   ///< served from degraded_home after retries ran out
+  bool degraded = false;   ///< served from SSD after the retries ran out
 };
 
 /// Fault-aware staged copy of `bytes` from `from` to `to`. Healthy (or
 /// fault-injection off) it charges exactly StageSeconds; under faults the
-/// read side retries up to max_retries with exponential backoff, then either
-/// degrades to degraded_home or surfaces an IOError, preserving the
+/// read side retries (3 retries, backoff 1e-4 s doubling), then either
+/// degrades to the SSD home or surfaces an IOError, preserving the
 /// injected == retried + degraded + surfaced accounting identity.
 Result<StageFetchResult> StageFetch(memsim::MemorySystem* ms, size_t bytes,
                                     const StageFetchConfig& cfg);

@@ -1,13 +1,12 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 
 namespace omega {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -26,9 +25,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
@@ -40,7 +36,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(leve
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= g_level.load() || level_ == LogLevel::kFatal) {
+  if (level_ >= kMinLevel) {
     std::cerr << stream_.str() << std::endl;
   }
   if (level_ == LogLevel::kFatal) std::abort();

@@ -8,11 +8,8 @@
 
 namespace omega {
 
+/// Messages below kInfo are dropped.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
-
-/// Sets the global minimum level that will be emitted (default: kInfo).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 

@@ -46,9 +46,6 @@ class TopK {
   size_t k() const { return k_; }
   size_t size() const { return heap_.size(); }
 
-  /// The current worst retained candidate; undefined when empty.
-  const ScoredId& Worst() const { return heap_.front(); }
-
   void Offer(uint32_t id, float score) { Offer(ScoredId{id, score}); }
   void Offer(const ScoredId& candidate);
 

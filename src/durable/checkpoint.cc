@@ -89,32 +89,18 @@ Result<CkptCosts> CheckpointStore::AppendImpl(uint32_t type,
 
   // Header dance, charge side: stream the payload, order it with a persist
   // barrier, then publish the stamped header and order again. Each chunk is
-  // one fault draw with bounded retries; a chunk that exhausts them fails
-  // the append with its final fault un-bucketed (caller's to account).
+  // one fault draw with bounded retries (FaultRetryPolicy{}); a chunk that
+  // exhausts them fails the append with its final fault un-bucketed
+  // (caller's to account).
+  memsim::SimClock clock;
   auto charged_write = [&](size_t write_bytes) -> Status {
-    const uint64_t site = fault_site_++;
-    double backoff = options_.retry.backoff_seconds;
-    for (int attempt = 0; attempt <= options_.retry.max_retries; ++attempt) {
-      const memsim::MemorySystem::FaultDraw draw = ms_->TryAccessSeconds(
-          options_.placement, /*cpu_socket=*/0, memsim::MemOp::kWrite,
-          memsim::Pattern::kSequential, write_bytes, /*accesses=*/1,
-          options_.threads, memsim::kFaultStreamDurable, site, attempt);
-      costs.seconds += draw.seconds;
-      if (draw.kind != memsim::FaultKind::kMediaError &&
-          draw.kind != memsim::FaultKind::kTimeout) {
-        return Status::OK();
-      }
-      if (attempt == options_.retry.max_retries) {
-        return Status::IOError("checkpoint write failed after " +
-                               std::to_string(options_.retry.max_retries) +
-                               " retries: " +
-                               memsim::FaultKindName(draw.kind));
-      }
-      ms_->faults().CountRetried();
-      costs.seconds += backoff;
-      ms_->faults().AddPenaltySeconds(backoff);
-      backoff *= options_.retry.backoff_multiplier;
-    }
+    const memsim::MemorySystem::RetryOutcome w = ms_->RetryAccessSeconds(
+        options_.placement, /*cpu_socket=*/0, memsim::MemOp::kWrite,
+        memsim::Pattern::kSequential, write_bytes, /*accesses=*/1,
+        options_.threads, memsim::kFaultStreamDurable, fault_site_++,
+        memsim::FaultRetryPolicy{}, &clock);
+    if (!w.delivered()) return w.Error("checkpoint write");
+    clock.Advance(w.seconds);
     return Status::OK();
   };
 
@@ -122,9 +108,10 @@ Result<CkptCosts> CheckpointStore::AppendImpl(uint32_t type,
     OMEGA_RETURN_NOT_OK(
         charged_write(std::min(options_.chunk_bytes, bytes - off)));
   }
-  costs.seconds += ms_->PersistBarrierSeconds(options_.placement.tier);
+  clock.Advance(ms_->PersistBarrierSeconds(options_.placement.tier));
   OMEGA_RETURN_NOT_OK(charged_write(kHeaderBytes));
-  costs.seconds += ms_->PersistBarrierSeconds(options_.placement.tier);
+  clock.Advance(ms_->PersistBarrierSeconds(options_.placement.tier));
+  costs.seconds = clock.seconds();
   costs.barriers += 2;
 
   // Host image, [header][payload] per entry. A torn append models the crash

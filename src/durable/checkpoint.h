@@ -76,7 +76,6 @@ struct CheckpointOptions {
   /// Largest PM write charged per fault draw; a multi-MB matrix entry is a
   /// chunked stream of draws, so one media error wastes one chunk.
   size_t chunk_bytes = 1 << 20;
-  memsim::FaultRetryPolicy retry;
 };
 
 class CheckpointStore {

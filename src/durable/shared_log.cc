@@ -23,32 +23,19 @@ Result<ReplicatedLog::AppendResult> ReplicatedLog::Append(int machine,
   for (int replica = 0; replica < options_.replicas; ++replica) {
     const uint64_t site =
         result.position * static_cast<uint64_t>(options_.replicas) + replica;
-    double replica_seconds = 0.0;
-    double backoff = options_.retry.backoff_seconds;
-    bool acked = false;
-    for (int attempt = 0; attempt <= options_.retry.max_retries; ++attempt) {
-      const memsim::MemorySystem::FaultDraw draw = ms_->TryAccessSeconds(
-          options_.placement, /*cpu_socket=*/0, memsim::MemOp::kWrite,
-          memsim::Pattern::kSequential, bytes, /*accesses=*/1,
-          options_.threads, memsim::kFaultStreamSharedLog, site, attempt);
-      replica_seconds += draw.seconds;
-      if (draw.kind != memsim::FaultKind::kMediaError &&
-          draw.kind != memsim::FaultKind::kTimeout) {
-        acked = true;
-        break;
-      }
-      if (attempt == options_.retry.max_retries) break;  // final fault
-      ms_->faults().CountRetried();
-      replica_seconds += backoff;
-      ms_->faults().AddPenaltySeconds(backoff);
-      backoff *= options_.retry.backoff_multiplier;
-    }
-    if (acked) {
+    memsim::SimClock chain;
+    const memsim::MemorySystem::RetryOutcome w = ms_->RetryAccessSeconds(
+        options_.placement, /*cpu_socket=*/0, memsim::MemOp::kWrite,
+        memsim::Pattern::kSequential, bytes, /*accesses=*/1, options_.threads,
+        memsim::kFaultStreamSharedLog, site, memsim::FaultRetryPolicy{},
+        &chain);
+    if (w.delivered()) {
+      chain.Advance(w.seconds);
       ++result.acks;
     } else {
-      ++failed_finals;
+      ++failed_finals;  // left for the quorum decision below
     }
-    result.seconds = std::max(result.seconds, replica_seconds);
+    result.seconds = std::max(result.seconds, chain.seconds());
   }
 
   // The position is consumed either way (a CORFU hole); record it so replay

@@ -47,7 +47,6 @@ struct SharedLogOptions {
   /// Where replica writes land (the NET tier).
   memsim::Placement placement{memsim::Tier::kNetwork, 0};
   int threads = 1;
-  memsim::FaultRetryPolicy retry;
 
   int ResolvedQuorum() const { return quorum > 0 ? quorum : replicas / 2 + 1; }
 };

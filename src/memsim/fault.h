@@ -224,7 +224,8 @@ class FaultInjector {
   std::atomic<uint64_t> penalty_nanos_{0};
 };
 
-/// Bounded-retry policy for the fault-aware charge helpers.
+/// Bounded-retry policy of MemorySystem::RetryAccessSeconds. Each site passes
+/// its own constant (DESIGN.md "Fault model and recovery" lists them).
 struct FaultRetryPolicy {
   int max_retries = 3;
   double backoff_seconds = 1e-4;  ///< first retry's wait; doubles per retry

@@ -228,6 +228,39 @@ MemorySystem::FaultDraw MemorySystem::TryAccessSeconds(
   return draw;
 }
 
+Status MemorySystem::RetryOutcome::Error(const std::string& what) const {
+  return Status::IOError(what + " failed after " + std::to_string(retries) +
+                         " retries: " + FaultKindName(exhausted));
+}
+
+MemorySystem::RetryOutcome MemorySystem::RetryAccessSeconds(
+    Placement p, int cpu_socket, MemOp op, Pattern pat, size_t bytes,
+    size_t accesses, int active_threads, uint64_t stream, uint64_t site,
+    const FaultRetryPolicy& policy, SimClock* clock) {
+  RetryOutcome outcome;
+  double backoff = policy.backoff_seconds;
+  for (int attempt = 0;; ++attempt) {
+    const FaultDraw draw =
+        TryAccessSeconds(p, cpu_socket, op, pat, bytes, accesses,
+                         active_threads, stream, site, attempt);
+    if (draw.kind != FaultKind::kMediaError && draw.kind != FaultKind::kTimeout) {
+      outcome.seconds = draw.seconds;
+      return outcome;
+    }
+    clock->Advance(draw.seconds);
+    if (attempt >= policy.max_retries) {
+      outcome.exhausted = draw.kind;
+      return outcome;
+    }
+    injector_.CountRetried();
+    ++outcome.retries;
+    // A zero backoff adds nothing: x + 0.0 == x, and no penalty is counted.
+    clock->Advance(backoff);
+    injector_.AddPenaltySeconds(backoff);
+    backoff *= policy.backoff_multiplier;
+  }
+}
+
 Status MemorySystem::ChargeAccessWithRetry(WorkerCtx* ctx, Placement p, MemOp op,
                                            Pattern pat, size_t bytes,
                                            size_t accesses,
@@ -236,29 +269,14 @@ Status MemorySystem::ChargeAccessWithRetry(WorkerCtx* ctx, Placement p, MemOp op
     ChargeAccess(ctx, p, op, pat, bytes, accesses);
     return Status::OK();
   }
-  const uint64_t stream = kFaultStreamWorkerBase + ctx->worker;
-  const uint64_t site = ctx->fault_site++;
-  double backoff = policy.backoff_seconds;
-  for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
-    const FaultDraw draw =
-        TryAccessSeconds(p, ctx->cpu_socket, op, pat, bytes, accesses,
-                         ctx->active_threads, stream, site, attempt);
-    ctx->clock->Advance(draw.seconds);
-    if (draw.kind != FaultKind::kMediaError && draw.kind != FaultKind::kTimeout) {
-      return Status::OK();
-    }
-    if (attempt == policy.max_retries) {
-      // Exhausted: the final fault stays un-bucketed for the caller.
-      return Status::IOError(std::string(TierName(p.tier)) +
-                             " access failed after " +
-                             std::to_string(policy.max_retries) +
-                             " retries: " + FaultKindName(draw.kind));
-    }
-    injector_.CountRetried();
-    ctx->clock->Advance(backoff);
-    injector_.AddPenaltySeconds(backoff);
-    backoff *= policy.backoff_multiplier;
+  const RetryOutcome outcome = RetryAccessSeconds(
+      p, ctx->cpu_socket, op, pat, bytes, accesses, ctx->active_threads,
+      kFaultStreamWorkerBase + ctx->worker, ctx->fault_site++, policy,
+      ctx->clock);
+  if (!outcome.delivered()) {
+    return outcome.Error(std::string(TierName(p.tier)) + " access");
   }
+  ctx->clock->Advance(outcome.seconds);
   return Status::OK();
 }
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -164,12 +165,36 @@ class MemorySystem {
                              size_t bytes, size_t accesses, int active_threads,
                              uint64_t stream, uint64_t site, uint32_t attempt);
 
-  /// Fault-aware ChargeAccess with bounded retry and exponential backoff:
-  /// attempts 0..max_retries of TryAccessSeconds at the worker's stream and
-  /// one fault site, backoff waits charged to the clock and counted as fault
-  /// penalty. Non-final faults count as retried; the final exhausting fault
-  /// is returned un-bucketed (the caller records degraded or surfaced,
-  /// preserving injected == retried + degraded + surfaced).
+  /// Outcome of RetryAccessSeconds.
+  struct RetryOutcome {
+    /// Cost of the attempt that delivered, left for the caller to charge
+    /// (StageFetch charges max(read, write)); 0 when the retries ran out.
+    double seconds = 0.0;
+    /// Faulted attempts that were retried (each counted as retried).
+    int retries = 0;
+    /// The media error or timeout that exhausted the retries, un-bucketed:
+    /// the caller records it as degraded or surfaced. kNone when delivered.
+    FaultKind exhausted = FaultKind::kNone;
+
+    bool delivered() const { return exhausted == FaultKind::kNone; }
+    /// IOError "<what> failed after <retries> retries: <fault>".
+    Status Error(const std::string& what) const;
+  };
+
+  /// The bounded-retry loop every fault-recovery site shares: attempts
+  /// 0..policy.max_retries of TryAccessSeconds at one (stream, site). Each
+  /// faulted attempt's seconds go into `clock`, then, if it will be retried,
+  /// its backoff wait (counted as fault penalty; the wait grows by
+  /// backoff_multiplier per retry). Stalls self-recover inside the draw.
+  RetryOutcome RetryAccessSeconds(Placement p, int cpu_socket, MemOp op,
+                                  Pattern pat, size_t bytes, size_t accesses,
+                                  int active_threads, uint64_t stream,
+                                  uint64_t site, const FaultRetryPolicy& policy,
+                                  SimClock* clock);
+
+  /// RetryAccessSeconds on the worker's stream and next fault site, with the
+  /// delivering attempt charged to the worker's clock as well. An exhausted
+  /// access returns an IOError and leaves its final fault un-bucketed.
   Status ChargeAccessWithRetry(WorkerCtx* ctx, Placement p, MemOp op,
                                Pattern pat, size_t bytes, size_t accesses,
                                const FaultRetryPolicy& policy);

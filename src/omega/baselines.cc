@@ -139,29 +139,23 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
                                        memsim::Pattern::kSequential, stage_bytes, 1, 1);
         } else {
           // The naive HM port has no degradation path: a staging read that
-          // keeps faulting surfaces as the run's failure (contrast with the
-          // OMeGa family's retry-then-degrade recovery).
-          const uint64_t site = staging_site++;
-          bool delivered = false;
-          for (int attempt = 0; attempt <= 2 && !delivered; ++attempt) {
-            const memsim::MemorySystem::FaultDraw draw = ms->TryAccessSeconds(
-                interleave_pm, 0, memsim::MemOp::kRead,
-                memsim::Pattern::kSequential, stage_bytes, 1, 1,
-                memsim::kFaultStreamProneStaging, site,
-                static_cast<uint32_t>(attempt));
-            seconds += draw.seconds;
-            if (draw.kind == memsim::FaultKind::kNone ||
-                draw.kind == memsim::FaultKind::kTransientStall) {
-              delivered = true;
-            } else if (attempt < 2) {
-              ms->faults().CountRetried();
-            } else {
-              ms->faults().CountSurfaced();
-              return Status::IOError(
-                  "ProNE-HM: dense staging read failed after 2 retries: " +
-                  std::string(memsim::FaultKindName(draw.kind)));
-            }
+          // keeps faulting (two immediate retries) surfaces as the run's
+          // failure (contrast with the OMeGa family's retry-then-degrade
+          // recovery).
+          constexpr memsim::FaultRetryPolicy kStagingRetry{2, 0.0};
+          memsim::SimClock clock;  // wasted attempts add onto the SpMM
+          clock.Advance(seconds);
+          const memsim::MemorySystem::RetryOutcome read =
+              ms->RetryAccessSeconds(interleave_pm, 0, memsim::MemOp::kRead,
+                                     memsim::Pattern::kSequential, stage_bytes,
+                                     1, 1, memsim::kFaultStreamProneStaging,
+                                     staging_site++, kStagingRetry, &clock);
+          if (!read.delivered()) {
+            ms->faults().CountSurfaced();
+            return read.Error("ProNE-HM: dense staging read");
           }
+          clock.Advance(read.seconds);
+          seconds = clock.seconds();
         }
         return seconds + ms->AccessSeconds(interleave_pm, 0, memsim::MemOp::kWrite,
                                            memsim::Pattern::kSequential,
@@ -286,11 +280,10 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
       // Miss pages retry a couple of times under fault injection; a range
       // that keeps failing degrades to unamortized full-page re-reads
       // (identical to the plain charge when faults are disabled).
-      memsim::FaultRetryPolicy policy;
-      policy.max_retries = 2;
+      constexpr memsim::FaultRetryPolicy kMissRetry{2};
       const Status miss_read = ms->ChargeAccessWithRetry(
           wctx, ssd, memsim::MemOp::kRead, profile.miss_pattern,
-          misses * profile.miss_bytes, misses, policy);
+          misses * profile.miss_bytes, misses, kMissRetry);
       if (!miss_read.ok()) {
         ms->faults().CountDegraded();
         ms->ChargeAccess(wctx, ssd, memsim::MemOp::kRead,

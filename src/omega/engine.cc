@@ -296,8 +296,7 @@ class OmegaSpmm {
   double ProbeWofp() {
     if (!ctx_.ms()->faults_enabled() || !nadp_.use_wofp) return 0.0;
     const prefetch::CacheProbeResult probe = prefetch::ProbeCacheTier(
-        ctx_.ms(), nadp_.wofp.cache_placement, recovery_.wofp_probe_retries,
-        memsim::kFaultStreamWofpProbe, &wofp_probe_site_);
+        ctx_.ms(), nadp_.wofp.cache_placement, &wofp_probe_site_);
     if (!probe.healthy) {
       nadp_.use_wofp = false;
       Record("fault.wofp.drop");
@@ -346,8 +345,6 @@ class OmegaSpmm {
     cfg.dram_budget = placement_.asl_budget + placement_.sparse_bytes +
                       2 * cfg.dense_rows * cfg.dense_cols * sizeof(float);
     OMEGA_ASSIGN_OR_RETURN(cfg.fixed_partitions, Partitions(cfg));
-    cfg.max_load_retries = recovery_.asl_max_retries;
-    cfg.retry_backoff_seconds = recovery_.asl_backoff_seconds;
     cfg.allow_degraded = recovery_.allow_degraded;
     cfg.fault_site = &asl_fault_site_;
     cfg.async_staging = placement_.async_staging;

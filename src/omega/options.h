@@ -59,14 +59,8 @@ struct OmegaFeatures {
 /// How the engines react to injected faults (consulted only when the
 /// MemorySystem carries an enabled FaultPlan; otherwise dead config).
 struct FaultRecoveryOptions {
-  /// ASL partition loads: bounded retry with exponential backoff, then
-  /// degradation to semi-external streaming (see stream::AslConfig).
-  int asl_max_retries = 3;
-  double asl_backoff_seconds = 1e-4;
-  /// WoFP cache-tier probe retries before the engine drops the cache and
-  /// falls back to PM-resident gathers.
-  int wofp_probe_retries = 2;
-  /// false: exhausted retries surface an IOError instead of degrading.
+  /// false: an ASL partition load that exhausts its retries surfaces an
+  /// IOError instead of degrading to semi-external streaming.
   bool allow_degraded = true;
 };
 

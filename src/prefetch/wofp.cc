@@ -139,38 +139,32 @@ WofpPrefetcher::~WofpPrefetcher() {
 
 CacheProbeResult ProbeCacheTier(memsim::MemorySystem* ms,
                                 memsim::Placement cache_placement,
-                                int max_retries, uint64_t fault_stream,
                                 uint64_t* site) {
   CacheProbeResult result;
   if (!ms->faults_enabled()) return result;
 
   // A short burst of cache-line-sized random reads — representative of the
-  // gather-intercept hits the prefetcher will serve.
+  // gather-intercept hits the prefetcher will serve — with two immediate
+  // retries (no backoff).
   constexpr size_t kProbeBytes = 4096;
   constexpr size_t kProbeAccesses = 64;
-  memsim::FaultInjector& faults = ms->faults();
-  const uint64_t probe_site = (*site)++;
-  for (int attempt = 0;; ++attempt) {
-    const memsim::MemorySystem::FaultDraw draw = ms->TryAccessSeconds(
-        cache_placement, std::max(0, cache_placement.socket),
-        memsim::MemOp::kRead, memsim::Pattern::kRandom, kProbeBytes,
-        kProbeAccesses, 1, fault_stream, probe_site,
-        static_cast<uint32_t>(attempt));
-    result.seconds += draw.seconds;
-    if (draw.kind == memsim::FaultKind::kNone ||
-        draw.kind == memsim::FaultKind::kTransientStall) {
-      return result;  // stalls self-recover inside the draw
-    }
-    if (attempt < max_retries) {
-      faults.CountRetried();
-      continue;
-    }
+  constexpr memsim::FaultRetryPolicy kProbeRetry{2, 0.0};
+  memsim::SimClock clock;
+  const memsim::MemorySystem::RetryOutcome probe = ms->RetryAccessSeconds(
+      cache_placement, std::max(0, cache_placement.socket),
+      memsim::MemOp::kRead, memsim::Pattern::kRandom, kProbeBytes,
+      kProbeAccesses, 1, memsim::kFaultStreamWofpProbe, (*site)++, kProbeRetry,
+      &clock);
+  if (probe.delivered()) {
+    clock.Advance(probe.seconds);
+  } else {
     // The tier keeps faulting: report unhealthy so the caller degrades to
     // PM-resident gathers without the cache.
-    faults.CountDegraded();
+    ms->faults().CountDegraded();
     result.healthy = false;
-    return result;
   }
+  result.seconds = clock.seconds();
+  return result;
 }
 
 }  // namespace omega::prefetch

@@ -113,15 +113,14 @@ struct CacheProbeResult {
 };
 
 /// Probes the WoFP cache tier with a short random-read burst before a run
-/// uses it, retrying faulted probes up to `max_retries` times. Only
-/// meaningful under an enabled fault plan (otherwise returns {0, true} with
-/// no charge). A probe that keeps faulting marks the tier unhealthy — the
-/// engine reacts by dropping the cache and falling back to PM-resident
-/// gathers. The drop-causing final fault is counted degraded; recovered
-/// probes count retried. `site` is a caller-owned cursor advanced per probe.
+/// uses it, retrying a faulted probe twice (no backoff) on the
+/// kFaultStreamWofpProbe stream. Only meaningful under an enabled fault plan
+/// (otherwise returns {0, true} with no charge). A probe that keeps faulting
+/// marks the tier unhealthy — the engine reacts by dropping the cache and
+/// falling back to PM-resident gathers. The drop-causing final fault is
+/// counted degraded; recovered probes count retried. `site` is a caller-owned cursor advanced per probe.
 CacheProbeResult ProbeCacheTier(memsim::MemorySystem* ms,
                                 memsim::Placement cache_placement,
-                                int max_retries, uint64_t fault_stream,
                                 uint64_t* site);
 
 }  // namespace omega::prefetch

@@ -67,7 +67,7 @@ void HotCache::WarmHotSet(memsim::WorkerCtx* ctx,
 void HotCache::ChargeColdRead(memsim::WorkerCtx* ctx, size_t count) {
   const Status st = ms_->ChargeAccessWithRetry(
       ctx, options_.cold_home, memsim::MemOp::kRead, memsim::Pattern::kRandom,
-      count * vec_bytes_, count, options_.retry);
+      count * vec_bytes_, count, memsim::FaultRetryPolicy{});
   if (st.ok()) return;
   // Retries exhausted: the final fault is still un-bucketed — serve the
   // group from the local replica and account it as degraded.

@@ -50,7 +50,6 @@ struct HotCacheOptions {
   /// Local replica served when a cold read exhausts its retries (the
   /// degraded path; must be a tier the fault plan leaves healthy).
   memsim::Placement replica_home{memsim::Tier::kSsd, 0};
-  memsim::FaultRetryPolicy retry;
 };
 
 class HotCache {

@@ -84,7 +84,7 @@ PimSpmmResult PimSpmm(const graph::CsdbMatrix& a,
   Bracket(&front_seconds, [&] {
     const Status s = ms->ChargeAccessWithRetry(
         &ctx, kPimLink, MemOp::kWrite, Pattern::kSequential, broadcast_bytes,
-        result.column_passes, options.retry);
+        result.column_passes, memsim::FaultRetryPolicy{});
     if (!s.ok()) {
       // The whole gang lost the operand: every offloaded block degrades.
       broadcast_ok = false;
@@ -103,7 +103,7 @@ PimSpmmResult PimSpmm(const graph::CsdbMatrix& a,
       Bracket(&front_seconds, [&] {
         const Status s = ms->ChargeAccessWithRetry(
             &ctx, kPimLink, MemOp::kWrite, Pattern::kSequential, hb.nnz * 8, 1,
-            options.retry);
+            memsim::FaultRetryPolicy{});
         if (!s.ok()) {
           ok = false;
           ms->faults().CountDegraded();
@@ -123,7 +123,7 @@ PimSpmmResult PimSpmm(const graph::CsdbMatrix& a,
       Bracket(&readback_seconds, [&] {
         const Status s = ms->ChargeAccessWithRetry(
             &ctx, kPimLink, MemOp::kRead, Pattern::kSequential,
-            static_cast<uint64_t>(rows) * l * 4, 1, options.retry);
+            static_cast<uint64_t>(rows) * l * 4, 1, memsim::FaultRetryPolicy{});
         if (!s.ok()) {
           ok = false;
           ms->faults().CountDegraded();

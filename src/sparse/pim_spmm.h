@@ -46,7 +46,6 @@ struct PimSpmmOptions {
   /// Host placements: `host` prices a degraded block's fallback charge,
   /// `host.result` receives the merged panels.
   SpmmPlacements host;
-  memsim::FaultRetryPolicy retry;
   /// Width of the dense column range this execute covers.
   uint64_t dense_cols = 0;
 };

@@ -46,11 +46,7 @@ Result<double> AslStreamer::LoadPartition(size_t col_begin, size_t col_end,
   buffer::StageFetchConfig cfg;
   cfg.from = pm_home_;
   cfg.to = dram_home_;
-  cfg.max_retries = config_.max_load_retries;
-  cfg.retry_backoff_seconds = config_.retry_backoff_seconds;
   cfg.allow_degraded = config_.allow_degraded;
-  cfg.degraded_home = config_.degraded_home;
-  cfg.fault_stream = config_.fault_stream;
   cfg.fault_site =
       config_.fault_site != nullptr ? config_.fault_site : &local_fault_site_;
   cfg.label = "ASL: partition load [" + std::to_string(col_begin) + ", " +

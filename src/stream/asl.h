@@ -37,20 +37,16 @@ struct AslConfig {
   size_t fixed_partitions = 0;
 
   // --- Fault recovery (consulted only when ctx.ms()->faults_enabled()) -----
+  // Partition loads retry through buffer::StageFetch (3 retries, backoff
+  // 1e-4 s doubling, on the kFaultStreamAsl stream).
 
-  /// Bounded retry of a faulted partition load, with exponential backoff.
-  int max_load_retries = 3;
-  double retry_backoff_seconds = 1e-4;  ///< first backoff; doubles per retry
   /// After the retries are exhausted: true streams the partition from its
-  /// semi-external home instead (degraded but running); false surfaces the
-  /// fault as an IOError from Run().
+  /// semi-external home on SSD instead (degraded but running); false
+  /// surfaces the fault as an IOError from Run().
   bool allow_degraded = true;
-  /// Semi-external fallback source for a PM partition that keeps failing.
-  memsim::Placement degraded_home{memsim::Tier::kSsd, 0};
-  /// Fault-draw stream, and an optional caller-owned site cursor so repeated
-  /// passes draw fresh sites (the engine persists one across its SpMM calls).
-  /// With a null cursor the streamer uses a per-instance cursor.
-  uint64_t fault_stream = memsim::kFaultStreamAsl;
+  /// Optional caller-owned fault-site cursor so repeated passes draw fresh
+  /// sites (the engine persists one across its SpMM calls). With a null
+  /// cursor the streamer uses a per-instance cursor.
   uint64_t* fault_site = nullptr;
 
   // --- Async staging (opt-in; default off keeps the seed charge model) -----
@@ -146,11 +142,10 @@ class AslStreamer {
   /// duration. Loads overlap the previous partition's compute.
   ///
   /// Under an enabled fault plan each partition load retries faulted PM reads
-  /// up to config.max_load_retries times with exponential backoff; a
-  /// partition that keeps failing degrades to the semi-external fallback home
-  /// (or surfaces an IOError when config.allow_degraded is false). All
-  /// wasted attempts, backoff waits, and fallback streams are charged into
-  /// the load pipeline.
+  /// (buffer::StageFetch); a partition that keeps failing degrades to the
+  /// semi-external fallback home (or surfaces an IOError when
+  /// config.allow_degraded is false). All wasted attempts, backoff waits,
+  /// and fallback streams are charged into the load pipeline.
   Result<AslRunResult> Run(
       const std::function<double(size_t, size_t, size_t)>& compute_fn);
 

@@ -236,6 +236,24 @@ int main(int argc, char** argv) {
     }
   }
   if (cli.threads <= 0 || cli.dim == 0 || cli.cheb <= 0) return Usage(argv[0]);
+  // Names and the fault profile are checked before the graph loads:
+  // building a large dataset only to reject a typo wastes seconds.
+  auto system = ParseSystem(cli.system);
+  auto allocator = ParseAllocator(cli.allocator);
+  auto pim_policy = ParsePimPolicy(cli.pim_placement);
+  if (!system.ok() || !allocator.ok() || !pim_policy.ok()) {
+    return Usage(argv[0]);
+  }
+  if (cli.pim_banks < 0) return Usage(argv[0]);
+  memsim::FaultPlan fault_plan;
+  if (!cli.fault_profile.empty()) {
+    auto plan = memsim::FaultPlanFromProfile(cli.fault_profile);
+    if (!plan.ok()) {
+      std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
+      return Usage(argv[0]);
+    }
+    fault_plan = plan.value();
+  }
 
   // Load the graph: dataset name first, then as a file path.
   Result<graph::Graph> loaded = graph::LoadDatasetByName(cli.graph);
@@ -249,29 +267,14 @@ int main(int argc, char** argv) {
   std::printf("graph %s: %u nodes, %llu arcs\n", cli.graph.c_str(), g.num_nodes(),
               static_cast<unsigned long long>(g.num_arcs()));
 
-  auto system = ParseSystem(cli.system);
-  auto allocator = ParseAllocator(cli.allocator);
-  auto pim_policy = ParsePimPolicy(cli.pim_placement);
-  if (!system.ok() || !allocator.ok() || !pim_policy.ok()) {
-    return Usage(argv[0]);
-  }
-  if (cli.pim_banks < 0) return Usage(argv[0]);
-
   auto ms = std::make_unique<memsim::MemorySystem>(
       memsim::TopologyConfig{},
       cli.cxl ? memsim::CxlProfiles() : memsim::DefaultProfiles());
-  if (!cli.fault_profile.empty()) {
-    auto plan = memsim::FaultPlanFromProfile(cli.fault_profile);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
-      return Usage(argv[0]);
-    }
-    ms->SetFaultPlan(plan.value());
-    if (ms->faults_enabled()) {
-      std::printf("fault injection: profile %s (seed %llu)\n",
-                  cli.fault_profile.c_str(),
-                  static_cast<unsigned long long>(plan.value().seed));
-    }
+  ms->SetFaultPlan(fault_plan);
+  if (ms->faults_enabled()) {
+    std::printf("fault injection: profile %s (seed %llu)\n",
+                cli.fault_profile.c_str(),
+                static_cast<unsigned long long>(fault_plan.seed));
   }
   ThreadPool pool(static_cast<size_t>(cli.threads));
 
