@@ -1,11 +1,13 @@
 // Micro benchmarks (google-benchmark) of the hot kernels and data
 // structures: CSDB traversal and indexing, SpMM host kernels, the thread
 // allocators, the top-M store, the entropy accumulator, R-MAT generation and
-// graph construction.
+// graph construction, plus one whole warm FR embedding run.
 // These measure real host time (not simulated time) — they are about the
 // library's own efficiency.
 
 #include <benchmark/benchmark.h>
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstring>
@@ -22,6 +24,8 @@
 #include "linalg/gemm.h"
 #include "linalg/qr.h"
 #include "linalg/random_matrix.h"
+#include "memsim/memory_system.h"
+#include "omega/engine.h"
 #include "prefetch/topm_store.h"
 #include "prefetch/wofp.h"
 #include "sched/allocators.h"
@@ -281,9 +285,70 @@ void BM_GaussianMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianMatrix)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+// What the last BM_RunEmbeddingFr measured, for the --bench-json report
+// (threads stays 0 when the filter skipped it).
+struct EmbedFrSample {
+  int threads = 0;
+  double wall_ms = 0.0;       ///< per run
+  double minor_faults = 0.0;  ///< per run
+};
+EmbedFrSample g_embed_fr;
+
+uint64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_minflt);
+}
+
+// One warm OMeGa run of the FR analogue with perfbench embed-fr's options
+// (d = 32, oversample 8, Chebyshev order 8) on a pool of range(0) threads:
+// wall time and minor page faults per run, the faults a getrusage delta over
+// this process. Each fault is a fresh page a run's buffers touched. Run it
+// with MALLOC_MMAP_THRESHOLD_=4194304, as perfbench does: under glibc's
+// adaptive threshold, the order of earlier frees decides which buffers are
+// mmapped.
+void BM_RunEmbeddingFr(benchmark::State& state) {
+  static const graph::Graph kFr =
+      graph::GenerateRmat(graph::FindDataset("FR").value().rmat).value();
+  const int threads = static_cast<int>(state.range(0));
+  engine::EngineOptions options;
+  options.system = engine::SystemKind::kOmega;
+  options.num_threads = threads;
+  options.prone.dim = 32;
+  options.prone.oversample = 8;
+  options.prone.chebyshev_order = 8;
+  const auto ms = memsim::MemorySystem::CreateDefault();
+  ThreadPool pool(threads);
+  const exec::Context ctx(ms.get(), &pool, threads);
+  if (!engine::RunEmbedding(kFr, "FR", options, ctx).ok()) {  // warm-up
+    state.SkipWithError("RunEmbedding failed");
+    return;
+  }
+  uint64_t faults = 0;
+  double wall_s = 0.0;
+  for (auto _ : state) {
+    const uint64_t before = MinorFaults();
+    bench::WallTimer timer;
+    auto report = engine::RunEmbedding(kFr, "FR", options, ctx);
+    wall_s += timer.Seconds();
+    faults += MinorFaults() - before;
+    if (!report.ok()) {
+      state.SkipWithError("RunEmbedding failed");
+      return;
+    }
+    benchmark::DoNotOptimize(report.value().embedding.data());
+  }
+  const double runs = static_cast<double>(state.iterations());
+  state.counters["minor_faults"] =
+      benchmark::Counter(static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+  g_embed_fr = {threads, 1e3 * wall_s / runs, static_cast<double>(faults) / runs};
+}
+BENCHMARK(BM_RunEmbeddingFr)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // Timed GEMM section behind the custom main: GFLOP/s of the three variants
 // at a few square sizes, printed as a table and (optionally) written to the
-// --bench-json file for perf tracking.
+// --bench-json file for perf tracking, together with BM_RunEmbeddingFr's
+// per-run wall time and page faults when it ran.
 template <typename Fn>
 double BestSeconds(int reps, const Fn& fn) {
   double best = 1e30;
@@ -325,6 +390,11 @@ void RunGemmReport(const std::string& json_path) {
     json.Add(entry, "speedup_blocked", naive_s / blocked_s);
     json.Add(entry, "speedup_blocked_pool8", naive_s / pool_s);
   }
+  if (g_embed_fr.threads > 0) {
+    const std::string entry = "run_embedding_fr_" + std::to_string(g_embed_fr.threads);
+    json.Add(entry, "wall_ms", g_embed_fr.wall_ms);
+    json.Add(entry, "minor_faults", g_embed_fr.minor_faults);
+  }
   if (!json_path.empty() && json.WriteFile(json_path)) {
     std::printf("wrote %s\n", json_path.c_str());
   }
@@ -342,8 +412,9 @@ double PackedSeconds(int reps, const graph::CsdbMatrix& m,
 double PackedSeconds(int reps, const graph::CsrMatrix& m,
                      const linalg::DenseMatrix& b, linalg::DenseMatrix* c) {
   return BestSeconds(reps, [&] {
-    sparse::kernels::CsrPackedSpmm(m, sparse::PackDense(b, nullptr), c, 0,
-                                   m.num_rows());
+    sparse::kernels::PackedOperand packed;
+    sparse::PackDense(b, nullptr, &packed);
+    sparse::kernels::CsrPackedSpmm(m, packed, c, 0, m.num_rows());
   });
 }
 

@@ -118,9 +118,11 @@ Result<double> ChebyshevFilterApply(const graph::CsdbMatrix& propagation,
   };
 
   // L - I = -S, so T_1 = -S R and T_{k+1} = -2 S T_k - T_{k-1}.
+  // Every buffer below is written in full before it is read: `tmp` by each
+  // SpMM, T_1 by term 1's pass, `out` by term 0's.
   linalg::DenseMatrix t_prev;
   linalg::DenseMatrix t_cur;
-  linalg::DenseMatrix tmp(n, d);
+  linalg::DenseMatrix tmp = linalg::DenseMatrix::Uninitialized(n, d);
   size_t first_term = 1;
   if (resuming) {
     // Everything through term next_term - 1 is already in the restored
@@ -130,11 +132,11 @@ Result<double> ChebyshevFilterApply(const graph::CsdbMatrix& propagation,
     t_cur = hooks->resume->t_cur;
     first_term = hooks->resume->next_term;
   } else {
-    *out = linalg::DenseMatrix(n, d);
+    out->ResizeForOverwrite(n, d);
     linalg::ForEachRowBlock(n, d, pool, [&](size_t begin, size_t end) {
       ChebyshevAccumulateRows(0, coefficients[0], r, out, begin, end);
     });
-    t_prev = linalg::DenseMatrix(n, d);  // T_1 lands here
+    t_prev = linalg::DenseMatrix::Uninitialized(n, d);  // T_1 lands here
     t_cur = r;                           // T_0
   }
 

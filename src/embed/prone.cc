@@ -10,14 +10,20 @@
 
 namespace omega::embed {
 
-linalg::DenseMatrix EmbeddingResult::ToOriginalOrder() const {
+linalg::DenseMatrix EmbeddingResult::ToOriginalOrder(ThreadPool* pool) const {
   if (perm.empty()) return vectors;
-  linalg::DenseMatrix out(vectors.rows(), vectors.cols());
-  for (size_t c = 0; c < vectors.cols(); ++c) {
-    const float* src = vectors.ColData(c);
-    float* dst = out.ColData(c);
-    for (size_t r = 0; r < vectors.rows(); ++r) dst[perm[r]] = src[r];
-  }
+  // perm is a permutation of the rows, so the scatter writes every element
+  // once, whatever rows each worker takes.
+  linalg::DenseMatrix out =
+      linalg::DenseMatrix::Uninitialized(vectors.rows(), vectors.cols());
+  linalg::ForEachRowBlock(vectors.rows(), vectors.cols(), pool,
+                          [&](size_t begin, size_t end) {
+    for (size_t c = 0; c < vectors.cols(); ++c) {
+      const float* src = vectors.ColData(c);
+      float* dst = out.ColData(c);
+      for (size_t r = begin; r < end; ++r) dst[perm[r]] = src[r];
+    }
+  });
   return out;
 }
 

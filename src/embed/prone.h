@@ -81,7 +81,12 @@ struct ProneDurability {
 
 /// Executes one full-width SpMM out = m * in on behalf of the embedder and
 /// returns its *simulated* seconds. Engines inject their charged kernels
-/// (EaTA/WoFP/NaDP/ASL or any baseline) through this hook.
+/// (EaTA/WoFP/NaDP/ASL or any baseline) through this hook. `out` arrives
+/// with any shape and contents: the executor makes it m.num_rows() x
+/// in.cols() and overwrites it entirely. The embedder hands the same few
+/// blocks back call after call, so an executor that keeps `out`'s storage
+/// when the shape already matches (DenseMatrix::ResizeForOverwrite)
+/// allocates nothing after the first call of each shape.
 using SpmmExecutor = std::function<Result<double>(
     const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
     linalg::DenseMatrix* out)>;
@@ -128,8 +133,9 @@ struct EmbeddingResult {
   double propagate_seconds = 0.0;     ///< simulated, stage 2
   double total_seconds = 0.0;         ///< simulated end-to-end model time
 
-  /// Rearranges the rows into original node-id order (row v = node v).
-  linalg::DenseMatrix ToOriginalOrder() const;
+  /// Rearranges the rows into original node-id order (row v = node v), its
+  /// rows split across `pool` when the matrix is large enough.
+  linalg::DenseMatrix ToOriginalOrder(ThreadPool* pool = nullptr) const;
 };
 
 /// Builds the (symmetrized) target matrix of stage 1 from the adjacency: a

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -26,7 +27,9 @@ class ThreadPool;
 namespace omega::linalg {
 
 /// Minimal allocator putting every allocation on an `Alignment`-byte
-/// boundary; lets DenseMatrix keep the std::vector API.
+/// boundary; lets DenseMatrix keep the std::vector API. It default-initialises
+/// elements constructed without a value, so resize() leaves new floats
+/// unwritten instead of zero-filling them; assign() and copies still write.
 template <typename T, size_t Alignment>
 struct AlignedAllocator {
   using value_type = T;
@@ -48,6 +51,15 @@ struct AlignedAllocator {
     ::operator delete(p, std::align_val_t(Alignment));
   }
 
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
   bool operator==(const AlignedAllocator&) const { return true; }
   bool operator!=(const AlignedAllocator&) const { return false; }
 };
@@ -66,6 +78,27 @@ class DenseMatrix {
   DenseMatrix() = default;
   DenseMatrix(size_t rows, size_t cols) : rows_(rows), cols_(cols) {
     data_.assign(rows * cols, 0.0f);
+  }
+
+  /// A rows x cols matrix whose elements are left unwritten (no zero-fill).
+  /// Only for outputs whose producer writes every element before any is read.
+  static DenseMatrix Uninitialized(size_t rows, size_t cols) {
+    DenseMatrix m;
+    m.ResizeForOverwrite(rows, cols);
+    return m;
+  }
+
+  /// Makes this rows x cols for a producer that overwrites every element:
+  /// the storage is kept when it already holds rows * cols elements, and
+  /// otherwise released and replaced by Uninitialized storage. The elements
+  /// are unspecified afterwards.
+  void ResizeForOverwrite(size_t rows, size_t cols) {
+    if (rows * cols != data_.size()) {
+      decltype(data_)().swap(data_);  // free before the new allocation
+      data_.resize(rows * cols);
+    }
+    rows_ = rows;
+    cols_ = cols;
   }
 
   size_t rows() const { return rows_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 namespace omega::linalg {
@@ -124,8 +123,17 @@ void FormQPanel(const double* work, const std::vector<double>& betas,
 
 }  // namespace
 
+double* QrWorkspace::Reserve(size_t count) {
+  if (count > capacity_) {
+    data_.reset();  // free before the new allocation
+    data_.reset(new double[count]);
+    capacity_ = count;
+  }
+  return data_.get();
+}
+
 Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
-                 ThreadPool* pool) {
+                 ThreadPool* pool, QrWorkspace* workspace) {
   const size_t n = a.rows();
   const size_t k = a.cols();
   if (n < k) return Status::InvalidArgument("ReducedQr requires rows >= cols");
@@ -134,9 +142,16 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
   const bool parallel = pool != nullptr && pool->size() > 1 && k >= 2 &&
                         n * k >= kParallelWorkThreshold;
 
-  // Work in double for numerical robustness on float inputs. Left
-  // uninitialized: the copy writes every element, on the pool if there is one.
-  const std::unique_ptr<double[]> work(new double[n * k]);
+  // Work in double for numerical robustness on float inputs, in the caller's
+  // workspace when there is one. Its tail holds one Q panel's lanes per
+  // worker. Left uninitialized: the copy writes every element of the working
+  // matrix, on the pool if there is one, and each panel clears its lanes.
+  QrWorkspace local;
+  if (workspace == nullptr) workspace = &local;
+  const size_t lanes_per_panel = kQPanelWidth * n;
+  double* const work =
+      workspace->Reserve(n * k + (parallel ? pool->size() : 1) * lanes_per_panel);
+  double* const panel_lanes = work + n * k;
   auto copy_columns = [&](size_t, size_t begin, size_t end) {
     for (size_t c = begin; c < end; ++c) {
       const float* col = a.ColData(c);
@@ -165,7 +180,7 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
   // is applied to column j first, in the same pass as the norm. Returns false
   // for a zero column, whose step is skipped: no reflector, a zero in R.
   auto form_reflector = [&](size_t j, const double* u) {
-    double* colj = work.get() + j * n;
+    double* colj = work + j * n;
     double norm = 0.0;
     if (u != nullptr) {
       const double scale = betas[j - 1] * dots[j];
@@ -205,7 +220,7 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
     bool formed = false;
     auto run_group = [&](size_t group) {
       const size_t c = c_begin + group * kElimGroupWidth;
-      const ColumnLanes lanes{work.get() + c * n, n};
+      const ColumnLanes lanes{work + c * n, n};
       double* d = dots.data() + c;
       switch (std::min(kElimGroupWidth, k - c)) {
         case 4: ReflectorPass<4>(lanes, n, u, a, beta, v, b, d); break;
@@ -232,7 +247,7 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
   // dots. Every element gets the value and every dot the chain of applying
   // the reflectors one at a time.
   auto column = [&](size_t j, bool exists) {
-    return exists ? work.get() + j * n : nullptr;
+    return exists ? work + j * n : nullptr;
   };
   bool active = form_reflector(0, nullptr);  // reflector j exists
   bool next = k > 1 && sweep(1, nullptr, column(0, active));  // reflector j + 1
@@ -248,29 +263,28 @@ Status ReducedQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
   // product is +0.0 and so is the update, so panels skip those reflectors.
   // A non-finite reflector would turn that 0 into NaN, so then every panel
   // applies all of them, as an unskipped loop would.
-  *q = DenseMatrix(n, k);
+  q->ResizeForOverwrite(n, k);  // the panels write every element
   const size_t num_panels = (k + kQPanelWidth - 1) / kQPanelWidth;
-  auto form_panel = [&](size_t panel, std::vector<double>& e) {
+  auto form_panel = [&](size_t panel, double* e) {
     const size_t c0 = panel * kQPanelWidth;
     const size_t width = std::min(kQPanelWidth, k - c0);
     const size_t j_top = finite_reflectors ? c0 + width - 1 : k - 1;
-    e.resize(width * n);
     switch (width) {
-      case 4: FormQPanel<4>(work.get(), betas, n, c0, j_top, e.data(), q); break;
-      case 3: FormQPanel<3>(work.get(), betas, n, c0, j_top, e.data(), q); break;
-      case 2: FormQPanel<2>(work.get(), betas, n, c0, j_top, e.data(), q); break;
-      default: FormQPanel<1>(work.get(), betas, n, c0, j_top, e.data(), q); break;
+      case 4: FormQPanel<4>(work, betas, n, c0, j_top, e, q); break;
+      case 3: FormQPanel<3>(work, betas, n, c0, j_top, e, q); break;
+      case 2: FormQPanel<2>(work, betas, n, c0, j_top, e, q); break;
+      default: FormQPanel<1>(work, betas, n, c0, j_top, e, q); break;
     }
   };
   if (parallel) {
     // Later panels apply more reflectors; hand them out first.
-    std::vector<std::vector<double>> scratch(pool->size());
     pool->ParallelForDynamic(num_panels, 1, [&](size_t w, size_t begin, size_t end) {
-      for (size_t t = begin; t < end; ++t) form_panel(num_panels - 1 - t, scratch[w]);
+      for (size_t t = begin; t < end; ++t) {
+        form_panel(num_panels - 1 - t, panel_lanes + w * lanes_per_panel);
+      }
     });
   } else {
-    std::vector<double> e;
-    for (size_t panel = 0; panel < num_panels; ++panel) form_panel(panel, e);
+    for (size_t panel = 0; panel < num_panels; ++panel) form_panel(panel, panel_lanes);
   }
 
   if (r != nullptr) {

@@ -12,7 +12,7 @@ constexpr size_t kParallelEntries = 1 << 15;
 }  // namespace
 
 DenseMatrix GaussianMatrix(size_t rows, size_t cols, uint64_t seed, ThreadPool* pool) {
-  DenseMatrix m(rows, cols);
+  DenseMatrix m = DenseMatrix::Uninitialized(rows, cols);  // every entry drawn
   auto fill_columns = [&](size_t, size_t begin, size_t end) {
     for (size_t c = begin; c < end; ++c) {
       Rng rng(SplitMix64(seed ^ (0x9e3779b9ULL * (c + 1))));

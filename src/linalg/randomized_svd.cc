@@ -19,28 +19,30 @@ Result<SvdResult> RandomizedSvd(size_t n, size_t m, const MatMulFn& apply,
     return Status::InvalidArgument("rank + oversample exceeds matrix dimensions");
   }
 
-  // Stage A: randomized range finder. Y = A * Omega, Omega m x l Gaussian.
-  DenseMatrix omega_mat = GaussianMatrix(m, l, options.seed, pool);
-  DenseMatrix y(n, l);
-  OMEGA_RETURN_NOT_OK(apply(omega_mat, &y));
-
+  // Three dense blocks cycle through the range finder, each allocated once
+  // (the callbacks keep a block's storage when its shape already fits):
+  // `x` carries Omega, Z, Y2 and B^T; `y` carries Y and QZ; `q` holds Q. The
+  // QRs share one workspace.
+  DenseMatrix x = GaussianMatrix(m, l, options.seed, pool);
+  DenseMatrix y;
   DenseMatrix q;
-  OMEGA_RETURN_NOT_OK(ReducedQr(y, &q, nullptr, pool));
+  QrWorkspace qr_work;
+
+  // Stage A: randomized range finder. Y = A * Omega, Omega m x l Gaussian.
+  OMEGA_RETURN_NOT_OK(apply(x, &y));
+  OMEGA_RETURN_NOT_OK(ReducedQr(y, &q, nullptr, pool, &qr_work));
 
   // Power iterations with re-orthonormalization: Q <- qr(A * qr(A^T Q)).
   for (int it = 0; it < options.power_iterations; ++it) {
-    DenseMatrix z(m, l);
-    OMEGA_RETURN_NOT_OK(apply_t(q, &z));
-    DenseMatrix qz;
-    OMEGA_RETURN_NOT_OK(ReducedQr(z, &qz, nullptr, pool));
-    DenseMatrix y2(n, l);
-    OMEGA_RETURN_NOT_OK(apply(qz, &y2));
-    OMEGA_RETURN_NOT_OK(ReducedQr(y2, &q, nullptr, pool));
+    OMEGA_RETURN_NOT_OK(apply_t(q, &x));                            // Z
+    OMEGA_RETURN_NOT_OK(ReducedQr(x, &y, nullptr, pool, &qr_work));  // QZ
+    OMEGA_RETURN_NOT_OK(apply(y, &x));                              // Y2
+    OMEGA_RETURN_NOT_OK(ReducedQr(x, &q, nullptr, pool, &qr_work));
   }
 
   // Stage B: B^T = A^T * Q  (m x l). Then B = Q^T A and
   // B B^T = (B^T)^T (B^T) is l x l symmetric.
-  DenseMatrix bt(m, l);
+  DenseMatrix& bt = x;
   OMEGA_RETURN_NOT_OK(apply_t(q, &bt));
 
   DenseMatrix bbt;

@@ -18,7 +18,9 @@
 namespace omega::linalg {
 
 /// Applies an n x m linear operator to a dense block: out = Op * in.
-/// `in` has m rows; `out` must be filled with n rows and in.cols() columns.
+/// `in` has m rows. `out` arrives with any shape and contents (RandomizedSvd
+/// hands back a block it used before); the callback makes it n x in.cols()
+/// and overwrites every element.
 using MatMulFn = std::function<Status(const DenseMatrix& in, DenseMatrix* out)>;
 
 struct RandomizedSvdOptions {

@@ -143,7 +143,7 @@ bool NadpPlan::Matches(const graph::CsdbMatrix& a,
 NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
                        const linalg::DenseMatrix& b, linalg::DenseMatrix* c,
                        const exec::Context& exec_ctx, size_t col_begin,
-                       size_t col_end) {
+                       size_t col_end, sparse::kernels::PackedOperand* packed) {
   OMEGA_CHECK(plan.valid());
   memsim::MemorySystem* ms = exec_ctx.ms();
   ThreadPool* pool = exec_ctx.pool();
@@ -173,7 +173,7 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   // Compute: every row of C[:, col_begin:col_end) in one pooled pass — the
   // host workers' rows and the PIM-offloaded rows alike. Everything below
   // only charges.
-  sparse::ComputeAllRowsCsdb(a, b, c, pool, col_begin, col_end);
+  sparse::ComputeAllRowsCsdb(a, b, c, pool, col_begin, col_end, packed);
 
   // Each worker's WoFP build warm-up first, as per-call planning paid it, so
   // a reused plan is simulation-identical to rebuilding; the straggler of

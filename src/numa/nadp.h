@@ -140,7 +140,8 @@ class NadpPlan {
   friend NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
                                 const linalg::DenseMatrix& b,
                                 linalg::DenseMatrix* c, const exec::Context& ctx,
-                                size_t col_begin, size_t col_end);
+                                size_t col_begin, size_t col_end,
+                                sparse::kernels::PackedOperand* packed);
 
   NadpOptions options_;
   sparse::SparseStructureKey structure_;
@@ -171,16 +172,18 @@ class NadpPlan {
 };
 
 /// Executor half: runs one SpMM through a prebuilt plan in two steps. The
-/// compute step writes every row of C[:, col_begin:col_end) in one pooled
-/// pass (sparse::ComputeAllRowsCsdb); the charge step then issues every
-/// simulated charge — each worker's WoFP build warm-up, its pieces' charges
-/// from the plan's metadata, the merge and the PIM side — in the same order
-/// as NadpSpmm, so simulated seconds and traffic are byte-identical to
-/// per-call planning.
+/// compute step writes every element of C[:, col_begin:col_end) in one
+/// pooled pass (sparse::ComputeAllRowsCsdb, packing B into `packed` when
+/// given, so an executor that passes the same operand every call maps it
+/// once); the charge step then issues every simulated charge — each worker's
+/// WoFP build warm-up, its pieces' charges from the plan's metadata, the
+/// merge and the PIM side — in the same order as NadpSpmm, so simulated
+/// seconds and traffic are byte-identical to per-call planning.
 NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
                        const linalg::DenseMatrix& b, linalg::DenseMatrix* c,
                        const exec::Context& ctx, size_t col_begin = 0,
-                       size_t col_end = SIZE_MAX);
+                       size_t col_end = SIZE_MAX,
+                       sparse::kernels::PackedOperand* packed = nullptr);
 
 /// Small LRU plan cache keyed by (structure, options) — the engines' SpMM
 /// executors hit it once per ProNE stage. Multiple slots let the stage-1 and

@@ -48,34 +48,40 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
                                          linalg::DenseMatrix* c,
                                          const sparse::SpmmPlacements& placements,
                                          const exec::Context& ctx,
-                                         const sparse::CsrSpmmPlan* plan) {
+                                         const sparse::CsrSpmmPlan* plan,
+                                         sparse::kernels::PackedOperand* packed) {
   return sparse::ParallelCsrSpmm(
       a, b, c, ctx, sparse::CsrSpmmPlan::Split::kEqualRows, plan,
       [&](const sparse::CsrPlanPart& part, memsim::WorkerCtx* wctx) {
         return sparse::ChargeWorkloadCsr(a, b.cols(), part.row_begin,
                                          part.row_end, part.nnz, part.entropy,
                                          placements, ctx.ms(), wctx);
-      });
+      },
+      /*fault_site=*/0, packed);
 }
 
 namespace {
 
-// One SpMM of a CSR family on `csr` with a `plan` that matches it; returns
-// its simulated seconds.
+// One SpMM of a CSR family on `csr` with a `plan` that matches it, packing
+// `in` into `packed`; returns its simulated seconds.
 using CsrFamilySpmm = std::function<Result<double>(
     const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
-    const linalg::DenseMatrix& in, linalg::DenseMatrix* out)>;
+    const linalg::DenseMatrix& in, linalg::DenseMatrix* out,
+    sparse::kernels::PackedOperand* packed)>;
 
 // The SpMM executor of both CSR families: one span per SpMM, the matrix's
 // CSR form from a CsrCache, and its `split` plan rebuilt under an aux
-// "plan.build" span whenever the structure changes. `spmm` is all that
-// differs between the families.
+// "plan.build" span whenever the structure changes. The run's SpMMs share
+// one packed operand and keep `out`'s storage when its shape matches (the
+// compute writes every element). `spmm` is all that differs between the
+// families.
 embed::SpmmExecutor CsrFamilyExecutor(internal::ProneRun* run,
                                       sparse::CsrSpmmPlan::Split split,
                                       CsrFamilySpmm spmm) {
   struct Cached {
     internal::CsrCache csr;
     sparse::CsrSpmmPlan plan;  // reused across the stage's SpMM calls
+    sparse::kernels::PackedOperand packed;  // unmapped with the executor
   };
   auto cached = std::make_shared<Cached>();
   return [run, split, spmm = std::move(spmm), cached](
@@ -83,13 +89,14 @@ embed::SpmmExecutor CsrFamilyExecutor(internal::ProneRun* run,
              linalg::DenseMatrix* out) -> Result<double> {
     const exec::Context& ctx = run->ctx();
     exec::PhaseSpan span(ctx, run->NextSpmmName());
-    *out = linalg::DenseMatrix(m.num_rows(), in.cols());
+    out->ResizeForOverwrite(m.num_rows(), in.cols());
     OMEGA_ASSIGN_OR_RETURN(const graph::CsrMatrix* csr, cached->csr.Get(m));
     if (!cached->plan.Matches(*csr, ctx.threads(), split)) {
       exec::PhaseSpan plan_span(ctx, "plan.build", /*aux=*/true);
       cached->plan = sparse::CsrSpmmPlan::Build(*csr, ctx.threads(), split);
     }
-    OMEGA_ASSIGN_OR_RETURN(const double seconds, spmm(*csr, cached->plan, in, out));
+    OMEGA_ASSIGN_OR_RETURN(const double seconds,
+                           spmm(*csr, cached->plan, in, out, &cached->packed));
     span.AddSimSeconds(seconds);
     return seconds;
   };
@@ -128,8 +135,10 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
   const embed::SpmmExecutor executor = CsrFamilyExecutor(
       &run, sparse::CsrSpmmPlan::Split::kEqualRows,
       [&](const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
-          const linalg::DenseMatrix& in, linalg::DenseMatrix* out) -> Result<double> {
-        double seconds = StaticCsrSpmm(csr, in, out, pl, ctx, &plan).phase_seconds;
+          const linalg::DenseMatrix& in, linalg::DenseMatrix* out,
+          sparse::kernels::PackedOperand* packed) -> Result<double> {
+        double seconds =
+            StaticCsrSpmm(csr, in, out, pl, ctx, &plan, packed).phase_seconds;
         if (!hm) return seconds;
         // Synchronous dense staging PM -> DRAM before and DRAM -> PM after
         // each SpMM, not overlapped with compute (no ASL).
@@ -304,7 +313,8 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
   const embed::SpmmExecutor executor = CsrFamilyExecutor(
       &run, sparse::CsrSpmmPlan::Split::kEqualNnz,
       [&](const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
-          const linalg::DenseMatrix& in, linalg::DenseMatrix* out) -> Result<double> {
+          const linalg::DenseMatrix& in, linalg::DenseMatrix* out,
+          sparse::kernels::PackedOperand* packed) -> Result<double> {
         // A fresh fault epoch per execute, so the miss-read retry loop
         // doesn't replay one draw key.
         const uint64_t fault_site = ms->NextFaultEpoch();
@@ -313,7 +323,7 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
                    [&](const sparse::CsrPlanPart& part, memsim::WorkerCtx* wctx) {
                      return price(csr, in.cols(), part, wctx);
                    },
-                   fault_site)
+                   fault_site, packed)
             .phase_seconds;
       });
 

@@ -106,7 +106,13 @@ Status Checkpointer::Write(const std::string& site, Stage stage,
     const bool torn = KillHere(site) && durability_.crash_tear_checkpoint;
     auto costs = torn ? durable::WriteSnapshotTorn(store_, snap)
                       : durable::WriteSnapshot(store_, snap);
-    OMEGA_RETURN_NOT_OK(costs.status());
+    if (!costs.ok()) {
+      // The store's IOError is a write whose retries ran out, and the store
+      // leaves that final fault to its caller: the run fails on it. (A full
+      // device is not a fault; kill sites return below, not here.)
+      if (costs.status().IsIOError()) ctx_.ms()->faults().CountSurfaced();
+      return costs.status();
+    }
     span.AddSimSeconds(costs.value().seconds);
     span.AddCkptCounters(costs.value().entries, costs.value().bytes,
                          costs.value().barriers);

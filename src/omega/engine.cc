@@ -196,7 +196,7 @@ Result<RunReport> ProneRun::Finish(const graph::Graph& g,
   r.remote_fraction = ctx_.ms()->Traffic().RemoteFraction();
   r.faults_enabled = ctx_.ms()->faults_enabled();
   r.faults = ctx_.ms()->Faults();
-  r.embedding = emb.ToOriginalOrder();
+  r.embedding = emb.ToOriginalOrder(ctx_.pool());
   r.phases = recorder_.TakeRecords();
   if (options_.evaluate_quality) {
     OMEGA_ASSIGN_OR_RETURN(r.link_auc,
@@ -238,10 +238,12 @@ class OmegaSpmm {
                           : nullptr) {}
 
   /// out = m * in, traced as the phase `name`; returns its simulated seconds.
+  /// The partitions' compute passes write every element of `out`, so its
+  /// storage is kept when the shape matches and is never zero-filled.
   Result<double> Run(const std::string& name, const graph::CsdbMatrix& m,
                      const linalg::DenseMatrix& in, linalg::DenseMatrix* out) {
     exec::PhaseSpan span(ctx_, name);
-    *out = linalg::DenseMatrix(m.num_rows(), in.cols());
+    out->ResizeForOverwrite(m.num_rows(), in.cols());
     double seconds = ProbeWofp();
     const numa::NadpPlan& plan = Plan(m, in.cols());
     span.AddPlanCounters(1, 0, 0);
@@ -249,7 +251,8 @@ class OmegaSpmm {
       OMEGA_ASSIGN_OR_RETURN(const double staged, Staged(plan, m, in, out, &span));
       seconds += staged;
     } else {
-      seconds += Accumulate(numa::NadpExecute(plan, m, in, out, ctx_));
+      seconds += Accumulate(
+          numa::NadpExecute(plan, m, in, out, ctx_, 0, SIZE_MAX, &packed_));
     }
     span.AddSimSeconds(seconds);
     return seconds;
@@ -355,7 +358,8 @@ class OmegaSpmm {
     OMEGA_ASSIGN_OR_RETURN(
         const stream::AslRunResult run,
         streamer.Run([&](size_t, size_t col_begin, size_t col_end) {
-          return Accumulate(numa::NadpExecute(plan, m, in, out, ctx_, col_begin, col_end));
+          return Accumulate(numa::NadpExecute(plan, m, in, out, ctx_, col_begin,
+                                              col_end, &packed_));
         }));
     if (run.rebuild_recommended) Degraded();
     if (placement_.async_staging) {
@@ -409,6 +413,9 @@ class OmegaSpmm {
   const exec::Context ctx_;
   numa::NadpOptions nadp_;  ///< use_wofp flips off when the cache is dropped
   numa::NadpPlanCache plan_cache_;
+  /// Every SpMM of the run packs its dense operand here: mapped once, at the
+  /// widest width, and unmapped with the executor.
+  sparse::kernels::PackedOperand packed_;
   std::unique_ptr<buffer::BufferManager> stage_frames_;
   numa::NadpResult totals_;  ///< wofp_build / pim.* accumulators
   struct {

@@ -176,6 +176,8 @@ double RefreshTerms(const exec::Context& ctx, const graph::CsdbMatrix& propagati
     });
   }
   linalg::DenseMatrix tmp(n, d);
+  // Every level packs its previous term here: mapped once per refresh.
+  sparse::kernels::PackedOperand prev;
   for (size_t k = 1; k < order; ++k) {
     std::vector<sched::RowRange> ranges;
     uint64_t num_rows = 0;
@@ -193,8 +195,8 @@ double RefreshTerms(const exec::Context& ctx, const graph::CsdbMatrix& propagati
     const std::vector<sched::Workload> parts =
         SplitRanges(propagation, ranges, beta, threads);
     // One row-major copy of the previous term serves every worker's rows.
-    const sparse::kernels::PackedOperand prev = sparse::PackDense(
-        k == 1 ? capture->r0 : capture->terms[k - 2], ctx.pool());
+    sparse::PackDense(k == 1 ? capture->r0 : capture->terms[k - 2], ctx.pool(),
+                      &prev);
     linalg::DenseMatrix& t_k = capture->terms[k - 1];
     const linalg::DenseMatrix* t_km2 =
         k == 1 ? nullptr : (k == 2 ? &capture->r0 : &capture->terms[k - 3]);

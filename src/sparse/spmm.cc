@@ -133,21 +133,20 @@ double GatherSeconds(memsim::MemorySystem* ms, int cpu_socket,
   return seconds;
 }
 
-kernels::PackedOperand PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
-                                 size_t col_begin, size_t col_end) {
+void PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
+               kernels::PackedOperand* packed, size_t col_begin, size_t col_end) {
   col_end = std::min(col_end, b.cols());
   col_begin = std::min(col_begin, col_end);
-  kernels::PackedOperand packed(b.rows(), col_begin, col_end);
+  packed->Reshape(b.rows(), col_begin, col_end);
   const size_t n = b.rows();
   if (pool != nullptr && pool->size() > 1 &&
-      n * packed.width() >= kMinParallelPack) {
+      n * packed->width() >= kMinParallelPack) {
     pool->ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      kernels::PackRows(b, begin, end, &packed);
+      kernels::PackRows(b, begin, end, packed);
     });
   } else {
-    kernels::PackRows(b, 0, n, &packed);
+    kernels::PackRows(b, 0, n, packed);
   }
-  return packed;
 }
 
 void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
@@ -163,12 +162,15 @@ void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
 
 void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                         linalg::DenseMatrix* c, ThreadPool* pool,
-                        size_t col_begin, size_t col_end) {
+                        size_t col_begin, size_t col_end,
+                        kernels::PackedOperand* packed) {
   OMEGA_DCHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
-  const kernels::PackedOperand packed = PackDense(b, pool, col_begin, col_end);
-  if (packed.width() == 0) return;
+  kernels::PackedOperand local;
+  if (packed == nullptr) packed = &local;
+  PackDense(b, pool, packed, col_begin, col_end);
+  if (packed->width() == 0) return;
   graph::ForEachRowRange(a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
-    kernels::CsdbPackedSpmm(a, packed, c, row_begin, row_end);
+    kernels::CsdbPackedSpmm(a, *packed, c, row_begin, row_end);
   });
 }
 

@@ -85,14 +85,16 @@ class DenseCacheView {
   virtual uint64_t BytesPerHit() const { return 64; }
 };
 
-/// Packs B[:, col_begin:min(col_end, b.cols())) row-major for the packed
-/// kernel (col_begin is clamped to the clamped col_end, so any range is
-/// safe), its rows split across `pool` when the slice is large enough to pay
-/// for the dispatch (serial when `pool` is null). Allocates one b.rows() x
-/// width float buffer. Must not run inside a job of `pool`.
-kernels::PackedOperand PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
-                                 size_t col_begin = 0,
-                                 size_t col_end = SIZE_MAX);
+/// Packs B[:, col_begin:min(col_end, b.cols())) row-major into `packed` for
+/// the packed kernel (col_begin is clamped to the clamped col_end, so any
+/// range is safe), its rows split across `pool` when the slice is large
+/// enough to pay for the dispatch (serial when `pool` is null). `packed` is
+/// the caller's and is reused: it maps new storage only when this slice
+/// needs more than it holds (PackedOperand::Reshape). Must not run inside a
+/// job of `pool`.
+void PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
+               kernels::PackedOperand* packed, size_t col_begin = 0,
+               size_t col_end = SIZE_MAX);
 
 /// Host-only compute of one workload: C rows for the workload's ranges and
 /// the packed columns, with no memsim charging. Runs the packed kernel
@@ -105,13 +107,16 @@ void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
                          const sched::Workload& w);
 
 /// Computes every row of C = A * B for columns [col_begin, min(col_end,
-/// b.cols())): PackDense on `pool`, then the packed kernel over row ranges
-/// from graph::ForEachRowRange (serial when `pool` is null). The compute step
-/// of every parallel CSDB SpMM driver; bit-identical to ComputeWorkloadCsdb
-/// and at any pool size.
+/// b.cols())): PackDense on `pool` into `packed` (an operand local to the
+/// call when null), then the packed kernel over row ranges from
+/// graph::ForEachRowRange (serial when `pool` is null). Writes every element
+/// of those columns, zero-degree rows included, so C needs no zero-fill. The
+/// compute step of every parallel CSDB SpMM driver; bit-identical to
+/// ComputeWorkloadCsdb and at any pool size.
 void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                         linalg::DenseMatrix* c, ThreadPool* pool,
-                        size_t col_begin = 0, size_t col_end = SIZE_MAX);
+                        size_t col_begin = 0, size_t col_end = SIZE_MAX,
+                        kernels::PackedOperand* packed = nullptr);
 
 /// The original per-column kernel (Algorithm 1's loop nesting verbatim), kept
 /// as the oracle the packed kernel is tested and benchmarked against. Same

@@ -187,14 +187,18 @@ void PackedSlabs(const graph::NodeId* cols, const float* vals,
 
 bool SpmmSimdEnabled() { return OMEGA_SPMM_SIMD_TU != 0; }
 
-PackedOperand::PackedOperand(size_t rows, size_t col_begin, size_t col_end)
-    : rows_(rows), col_begin_(col_begin), width_(col_end - col_begin) {
+void PackedOperand::Reshape(size_t rows, size_t col_begin, size_t col_end) {
+  rows_ = rows;
+  col_begin_ = col_begin;
+  width_ = col_end - col_begin;
   const size_t bytes = rows_ * width_ * sizeof(float);
-  if (bytes == 0) return;
+  if (data_ != nullptr && bytes <= data_.get_deleter().bytes) return;
   // Mapped straight from the OS and unmapped on release. Recycled through
-  // malloc instead, these large short-lived buffers left the arena of the
-  // thread that packed them (a refresh writer, say) holding resident pages,
-  // which raised the process's peak RSS.
+  // malloc instead, these large buffers left the arena of the thread that
+  // packed them (a refresh writer, say) holding resident pages, which raised
+  // the process's peak RSS. The old mapping goes before the new one is made.
+  data_.reset();
+  if (bytes == 0) return;
   void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();

@@ -6,7 +6,8 @@
 // per nonzero across many register-resident column accumulators instead.
 //
 // Both formats run one packed-operand kernel: the dense slice B[:, col_begin:
-// col_end) is copied row-major once per call (PackedOperand), so a nonzero's
+// col_end) is copied row-major once per call (into a PackedOperand the
+// caller keeps across calls), so a nonzero's
 // whole width is one contiguous run, and the kernel walks spans of
 // constant-degree rows once per slab of up to kMaxSlabCols columns with plain
 // vector loads and a masked ragged tail. CsdbPackedSpmm's spans are the CSDB
@@ -51,10 +52,18 @@ inline constexpr size_t kMaxSlabCols = 64;
 /// A row-major copy of the dense column slice B[:, col_begin:col_end): the
 /// width() values of B's row r sit contiguously at Row(r). Holds page-aligned
 /// storage of its own mapping, uninitialized until PackRows fills it.
+///
+/// One operand serves many packs: Reshape maps new storage only when the
+/// shape needs more floats than the mapping holds, so an owner that packs
+/// every SpMM of a run into one operand maps it once, at the widest width it
+/// sees, and packing a narrower slice reuses it. The mapping is unmapped when
+/// the operand dies (OmegaSpmm and the CSR executors own one per run, the
+/// incremental refresh one per Refresh call), so none outlives its owner.
 class PackedOperand {
  public:
-  PackedOperand() = default;
-  PackedOperand(size_t rows, size_t col_begin, size_t col_end);
+  /// Becomes rows x (col_end - col_begin) for B[:, col_begin:col_end). The
+  /// contents are unspecified until PackRows fills them.
+  void Reshape(size_t rows, size_t col_begin, size_t col_end);
 
   size_t rows() const { return rows_; }
   size_t col_begin() const { return col_begin_; }
@@ -75,7 +84,7 @@ class PackedOperand {
 };
 
 /// Copies rows [row_begin, row_end) of B's slice into `packed` (whose shape
-/// was fixed at construction; b.rows() == packed->rows()). Writes only those
+/// was set beforehand; b.rows() == packed->rows()). Writes only those
 /// rows, so disjoint row ranges may be packed concurrently.
 void PackRows(const linalg::DenseMatrix& b, size_t row_begin, size_t row_end,
               PackedOperand* packed);

@@ -159,7 +159,8 @@ ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
                                    linalg::DenseMatrix* c, const exec::Context& ctx,
                                    CsrSpmmPlan::Split split, const CsrSpmmPlan* plan,
                                    const CsrPartPricing& price,
-                                   uint64_t fault_site) {
+                                   uint64_t fault_site,
+                                   kernels::PackedOperand* packed) {
   const int threads = ctx.threads();
   CsrSpmmPlan local_plan;
   if (plan == nullptr) {
@@ -173,10 +174,12 @@ ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
   // static chunks skewed); each element's ascending-k reduction is fixed
   // inside the packed kernel, so C is bit-identical under any split. No
   // memsim state is touched here.
-  const kernels::PackedOperand packed = PackDense(b, ctx.pool());
+  kernels::PackedOperand local;
+  if (packed == nullptr) packed = &local;
+  PackDense(b, ctx.pool(), packed);
   constexpr size_t kRowBlock = 1024;
   const auto compute_rows = [&](size_t, size_t row_begin, size_t row_end) {
-    kernels::CsrPackedSpmm(a, packed, c, static_cast<uint32_t>(row_begin),
+    kernels::CsrPackedSpmm(a, *packed, c, static_cast<uint32_t>(row_begin),
                            static_cast<uint32_t>(row_end));
   };
   if (ctx.pool() == nullptr) {

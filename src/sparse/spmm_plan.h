@@ -126,17 +126,19 @@ using CsrPartPricing =
 /// The parallel CSR SpMM driver. The CSR baselines (FusedMM, SEM-SpMM, the
 /// ProNE and out-of-core engines) all run Algorithm 1 through it and differ
 /// only in `price`. Uses `plan`, which must match (a, ctx.threads(), split),
-/// or builds one for this call. Packs B once (PackDense) and computes every
+/// or builds one for this call. Packs B once (PackDense, into `packed` when
+/// given, into an operand local to the call otherwise) and computes every
 /// row of C = A * B on ctx.pool() with the packed kernel CSDB runs too
-/// (kernels::CsrPackedSpmm), then prices each of the plan's parts on its own
-/// worker of a memsim::WorkerFrame (whole-pool contention, fault cursors
-/// starting at `fault_site`). nnz_processed is a.nnz(). C and every
-/// simulated second are the same at any pool size.
+/// (kernels::CsrPackedSpmm), writing every element of C, then prices each of
+/// the plan's parts on its own worker of a memsim::WorkerFrame (whole-pool
+/// contention, fault cursors starting at `fault_site`). nnz_processed is
+/// a.nnz(). C and every simulated second are the same at any pool size.
 ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
                                    const linalg::DenseMatrix& b,
                                    linalg::DenseMatrix* c, const exec::Context& ctx,
                                    CsrSpmmPlan::Split split, const CsrSpmmPlan* plan,
                                    const CsrPartPricing& price,
-                                   uint64_t fault_site = 0);
+                                   uint64_t fault_site = 0,
+                                   kernels::PackedOperand* packed = nullptr);
 
 }  // namespace omega::sparse

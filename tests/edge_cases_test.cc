@@ -167,7 +167,9 @@ TEST(EmptyWorkloadTest, SpmmOnEmptyWorkloadIsFree) {
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
   sched::Workload empty;
-  sparse::ComputeWorkloadCsdb(m, sparse::PackDense(b, nullptr), &c, empty);
+  sparse::kernels::PackedOperand packed;
+  sparse::PackDense(b, nullptr, &packed);
+  sparse::ComputeWorkloadCsdb(m, packed, &c, empty);
   const auto bd = sparse::ChargeWorkloadCsdb(
       m, b.cols(), sparse::ScanChargeMetaCsdb(m, empty),
       sparse::SpmmPlacements{}, ms.get(), &ctx);

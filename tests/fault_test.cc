@@ -448,6 +448,40 @@ TEST_F(FaultEngineTest, ProneHmSurfacesUnrecoverableStagingFault) {
   EXPECT_TRUE(ms->Faults().Accounted());
 }
 
+// A checkpoint write whose retries run out fails the run, and its final
+// fault is counted as surfaced: PM sequential writes fault often enough
+// that the first checkpoint's write exhausts its three retries.
+TEST_F(FaultEngineTest, CheckpointWriteExhaustionIsSurfaced) {
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 3;
+  plan.at(Tier::kPm, MemOp::kWrite, Pattern::kSequential).media = 0.9;
+
+  auto ms = memsim::MemorySystem::CreateDefault();
+  ms->SetFaultPlan(plan);
+  durable::CheckpointStore store(ms.get(), durable::CheckpointOptions{});
+  ThreadPool pool(4);
+  engine::EngineOptions options;
+  options.system = engine::SystemKind::kOmega;
+  options.num_threads = 4;
+  options.prone.dim = 16;
+  options.prone.oversample = 4;
+  options.prone.chebyshev_order = 4;
+  options.durability.store = &store;
+  options.durability.checkpoint_every = 1;
+  auto report = engine::RunEmbedding(g_, "rmat", options,
+                                     exec::Context(ms.get(), &pool, 4));
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsIOError()) << report.status().ToString();
+  EXPECT_FALSE(durable::IsKilledError(report.status()));
+  const FaultCounters c = ms->Faults();
+  EXPECT_EQ(c.InjectedTotal(), 4u) << memsim::FaultCountersSummary(c);
+  EXPECT_EQ(c.retried, 3u);
+  EXPECT_EQ(c.surfaced, 1u);
+  EXPECT_EQ(c.degraded, 0u);
+  EXPECT_TRUE(c.Accounted());
+}
+
 TEST_F(FaultEngineTest, ReportJsonCarriesFaultSection) {
   const engine::RunReport on = RunWith(
       g_, engine::SystemKind::kOmega,
@@ -667,7 +701,7 @@ SitePin PinAsl(memsim::MemorySystem* ms, bool allow_degraded) {
   for (int pass = 0; pass < 3; ++pass) {
     auto run = streamer.Run([](size_t, size_t, size_t) { return 1e-3; });
     if (!run.ok()) {
-      pin.outcome += "[" + run.status().ToString() + "]";
+      pin.outcome.append("[").append(run.status().ToString()).append("]");
       continue;
     }
     pin.seconds += run.value().total_seconds;
@@ -693,7 +727,7 @@ SitePin PinStageFetch(memsim::MemorySystem* ms) {
       cfg.label = "fetch " + std::to_string(bytes);
       auto fetch = buffer::StageFetch(ms, bytes, cfg);
       if (!fetch.ok()) {
-        pin.outcome += "[" + fetch.status().ToString() + "]";
+        pin.outcome.append("[").append(fetch.status().ToString()).append("]");
         continue;
       }
       pin.seconds += fetch.value().seconds;
@@ -728,7 +762,7 @@ SitePin PinCheckpoint(memsim::MemorySystem* ms) {
     if (!costs.ok()) {
       // The store leaves the exhausting fault to its caller.
       ms->faults().CountSurfaced();
-      pin.outcome += "[" + costs.status().ToString() + "]";
+      pin.outcome.append("[").append(costs.status().ToString()).append("]");
       continue;
     }
     pin.seconds += costs.value().seconds;
@@ -743,7 +777,7 @@ SitePin PinSharedLog(memsim::MemorySystem* ms) {
   for (int append = 0; append < 8; ++append) {
     auto res = log.Append(append % 2, 4096);
     if (!res.ok()) {
-      pin.outcome += "[" + res.status().ToString() + "]";
+      pin.outcome.append("[").append(res.status().ToString()).append("]");
       continue;
     }
     pin.seconds += res.value().seconds;
@@ -766,7 +800,11 @@ SitePin PinEngine(memsim::MemorySystem* ms, engine::SystemKind system,
   options.features.pim_placement = sched::PimPolicy::kAuto;
   auto report =
       engine::RunEmbedding(g, "rmat", options, exec::Context(ms, &pool, 2));
-  if (!report.ok()) return SitePin{0.0, "[" + report.status().ToString() + "]"};
+  if (!report.ok()) {
+    SitePin pin;
+    pin.outcome.append("[").append(report.status().ToString()).append("]");
+    return pin;
+  }
   return SitePin{report.value().total_seconds, "[ok]"};
 }
 

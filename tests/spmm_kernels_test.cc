@@ -47,7 +47,8 @@ bool BitsEqual(const DenseMatrix& x, const DenseMatrix& y) {
 void PackedSpmm(const CsdbMatrix& a, const DenseMatrix& b, DenseMatrix* c,
                 uint32_t row_begin, uint32_t row_end, size_t col_begin,
                 size_t col_end) {
-  kernels::PackedOperand packed(b.rows(), col_begin, col_end);
+  kernels::PackedOperand packed;
+  packed.Reshape(b.rows(), col_begin, col_end);
   const size_t half = b.rows() / 2;
   kernels::PackRows(b, 0, half, &packed);
   kernels::PackRows(b, half, b.rows(), &packed);
@@ -58,7 +59,9 @@ void PackedSpmm(const CsdbMatrix& a, const DenseMatrix& b, DenseMatrix* c,
 // row_end).
 void PackedSpmm(const CsrMatrix& a, const DenseMatrix& b, DenseMatrix* c,
                 uint32_t row_begin, uint32_t row_end) {
-  kernels::CsrPackedSpmm(a, PackDense(b, nullptr), c, row_begin, row_end);
+  kernels::PackedOperand packed;
+  PackDense(b, nullptr, &packed);
+  kernels::CsrPackedSpmm(a, packed, c, row_begin, row_end);
 }
 
 class SpmmKernelsTest : public ::testing::Test {
@@ -180,7 +183,8 @@ TEST_F(SpmmKernelsTest, SingleRowRangesReproduceTheFullResult) {
   PackedSpmm(a_, b, &expected, 0, a_.num_rows(), 0, d);
   // Per-row invocations must land on the same bits as the full range: each
   // element's reduction order is a property of its row, not of the slicing.
-  const kernels::PackedOperand packed = PackDense(b, nullptr);
+  kernels::PackedOperand packed;
+  PackDense(b, nullptr, &packed);
   DenseMatrix c(a_.num_rows(), d);
   for (uint32_t r = 0; r < a_.num_rows(); ++r) {
     kernels::CsdbPackedSpmm(a_, packed, &c, r, r + 1);
@@ -256,7 +260,8 @@ TEST_F(SpmmKernelsTest, CsrPackedRowSlicesAndEmptyRowsMatchTheWholeMatrix) {
             << "d=" << d << " row " << r << " col " << t;
       }
     }
-    const kernels::PackedOperand packed = PackDense(b, nullptr);
+    kernels::PackedOperand packed;
+    PackDense(b, nullptr, &packed);
     DenseMatrix halves(7, d);
     kernels::CsrPackedSpmm(m, packed, &halves, 0, 3);
     kernels::CsrPackedSpmm(m, packed, &halves, 3, 7);
@@ -277,7 +282,8 @@ TEST_F(SpmmKernelsTest, CsrPackedRowSlicesAndEmptyRowsMatchTheWholeMatrix) {
   const DenseMatrix b = Dense(d);
   DenseMatrix whole(a_.num_rows(), d);
   PackedSpmm(csr_, b, &whole, 0, csr_.num_rows());
-  const kernels::PackedOperand packed = PackDense(b, nullptr);
+  kernels::PackedOperand packed;
+  PackDense(b, nullptr, &packed);
   const uint32_t n = csr_.num_rows();
   DenseMatrix halves(n, d);
   kernels::CsrPackedSpmm(csr_, packed, &halves, 0, n / 2);
@@ -301,8 +307,10 @@ TEST_F(SpmmKernelsTest, EmptyAndClampedRangesAreSafe) {
   EXPECT_TRUE(BitsEqual(c, DenseMatrix(a_.num_rows(), d)));
   // PackDense clamps: an inverted range packs nothing, one past B's width
   // packs up to its last column.
-  EXPECT_EQ(PackDense(b, nullptr, 6, 2).width(), 0u);
-  const kernels::PackedOperand clamped = PackDense(b, nullptr, 5, 1000);
+  kernels::PackedOperand clamped;
+  PackDense(b, nullptr, &clamped, 6, 2);
+  EXPECT_EQ(clamped.width(), 0u);
+  PackDense(b, nullptr, &clamped, 5, 1000);
   EXPECT_EQ(clamped.col_begin(), 5u);
   EXPECT_EQ(clamped.col_end(), d);
   sched::Workload all;

@@ -51,7 +51,9 @@ class SpmmTest : public ::testing::Test {
                         size_t col_begin = 0, size_t col_end = SIZE_MAX) const {
     const sched::Workload w = FullWorkload();
     col_end = std::min(col_end, b_.cols());
-    ComputeWorkloadCsdb(a_, PackDense(b_, nullptr, col_begin, col_end), c, w);
+    kernels::PackedOperand packed;
+    PackDense(b_, nullptr, &packed, col_begin, col_end);
+    ComputeWorkloadCsdb(a_, packed, c, w);
     return ChargeWorkloadCsdb(a_, col_end - col_begin,
                               ScanChargeMetaCsdb(a_, w, cache), placements,
                               ms_.get(), ctx, cache);
@@ -255,7 +257,8 @@ TEST_F(PackedSpmmPoolTest, WorkloadRowSubsetsMatchAllRows) {
       parts[i % threads].ranges.push_back(
           sched::RowRange{i * 97, std::min(n, i * 97 + 40)});
     }
-    const kernels::PackedOperand packed = PackDense(b_, &pool);
+    kernels::PackedOperand packed;
+    PackDense(b_, &pool, &packed);
     DenseMatrix c(a_.num_rows(), b_.cols());
     c.Fill(-7.0f);
     pool.RunOnAll([&](size_t t) { ComputeWorkloadCsdb(a_, packed, &c, parts[t]); });
@@ -292,8 +295,9 @@ TEST_F(SpmmTest, CsrKernelMatchesReference) {
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
   const CsrPlanPart part =
       CsrSpmmPlan::Build(csr, 1, CsrSpmmPlan::Split::kEqualRows).parts()[0];
-  kernels::CsrPackedSpmm(csr, PackDense(b_, nullptr), &c, part.row_begin,
-                         part.row_end);
+  kernels::PackedOperand packed;
+  PackDense(b_, nullptr, &packed);
+  kernels::CsrPackedSpmm(csr, packed, &c, part.row_begin, part.row_end);
   ChargeWorkloadCsr(csr, b_.cols(), part.row_begin, part.row_end, part.nnz,
                     part.entropy, SpmmPlacements{}, ms_.get(), &ctx);
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected_), 1e-4);

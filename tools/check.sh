@@ -11,6 +11,9 @@
 #                               # pim/durable) under one Debug+ASan build
 #   tools/check.sh --smoke      # additionally run every bench --smoke from
 #                               # the tier-1 build
+#   tools/check.sh --release    # additionally build a Release (-O3) tree in
+#                               # build-release with -Werror and run the
+#                               # full suite there
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,12 +22,14 @@ SANITIZE=0
 TSAN=0
 DEBUG_ASAN=0
 SMOKE=0
+RELEASE=0
 for arg in "$@"; do
   case "$arg" in
     --sanitize) SANITIZE=1 ;;
     --tsan) TSAN=1 ;;
     --debug-asan) DEBUG_ASAN=1 ;;
     --smoke) SMOKE=1 ;;
+    --release) RELEASE=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -40,6 +45,14 @@ run_suite() {
 
 echo "== tier-1: build + ctest =="
 run_suite build
+
+if [[ "$RELEASE" == 1 ]]; then
+  echo "== Release (-O3) with -Werror: build + ctest =="
+  # GCC warns at -O3 about code it does not analyse at the default level, so
+  # a warning-free tier-1 build does not make a warning-free Release build.
+  run_suite build-release -DCMAKE_BUILD_TYPE=Release \
+    "-DCMAKE_CXX_FLAGS=${CXXFLAGS:-} -Werror"
+fi
 
 if [[ "$SANITIZE" == 1 ]]; then
   echo "== sanitizers: ASan + UBSan build + ctest =="
@@ -70,12 +83,14 @@ if [[ "$TSAN" == 1 ]]; then
   # per-worker charge pass, the BufferManager's concurrent pin/unpin, and the
   # pooled CSDB/ProNE matrix builds and QR, the chunked R-MAT generator, the
   # engines' SpMM executor and checkpointer, and memsim::WorkerFrame's pool run
-  # that every parallel charge phase and the baseline executors go through)
-  # are what TSan is after; the full suite under TSan is prohibitively slow.
+  # that every parallel charge phase and the baseline executors go through,
+  # and the pooled producers that write into reused buffers: QR panel lanes,
+  # ToOriginalOrder's scatter) are what TSan is after; the full suite under
+  # TSan is prohibitively slow.
   cmake -B build-tsan -S . -DOMEGA_TSAN=ON
-  cmake --build build-tsan -j "$JOBS" --target common_test graph_test spmm_test plan_test buffer_test serve_test dynamic_test pim_test durable_test csdb_test embed_test engine_test linalg_test sparse_ops_test numa_test multisocket_test prefetch_test memsim_test systems_test
+  cmake --build build-tsan -j "$JOBS" --target common_test graph_test spmm_test plan_test buffer_test serve_test dynamic_test pim_test durable_test csdb_test embed_test engine_test linalg_test sparse_ops_test numa_test multisocket_test prefetch_test memsim_test systems_test output_reuse_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(common_test|graph_test|spmm_test|plan_test|buffer_test|serve_test|dynamic_test|pim_test|durable_test|csdb_test|embed_test|engine_test|linalg_test|sparse_ops_test|numa_test|multisocket_test|prefetch_test|memsim_test|systems_test)$'
+    -R '^(common_test|graph_test|spmm_test|plan_test|buffer_test|serve_test|dynamic_test|pim_test|durable_test|csdb_test|embed_test|engine_test|linalg_test|sparse_ops_test|numa_test|multisocket_test|prefetch_test|memsim_test|systems_test|output_reuse_test)$'
 fi
 
 if [[ "$SMOKE" == 1 ]]; then
