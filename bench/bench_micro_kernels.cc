@@ -1,7 +1,8 @@
 // Micro benchmarks (google-benchmark) of the hot kernels and data
-// structures: CSDB traversal and indexing, SpMM host kernels, the thread
-// allocators, the top-M store, the entropy accumulator, R-MAT generation and
-// graph construction, plus one whole warm FR embedding run.
+// structures: CSDB construction, traversal and indexing, ProNE's derived
+// matrices, SpMM host kernels, the thread allocators, the top-M store, the
+// entropy accumulator, R-MAT generation and graph construction, plus one
+// whole warm FR embedding run.
 // These measure real host time (not simulated time) — they are about the
 // library's own efficiency.
 
@@ -18,6 +19,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "embed/prone.h"
 #include "graph/datasets.h"
 #include "graph/rmat.h"
 #include "sched/entropy.h"
@@ -53,14 +55,37 @@ const graph::CsdbMatrix& TestMatrix() {
   return kMatrix;
 }
 
+// The set-up passes of every embedding run, on a pool of range(0) threads:
+// the CSDB build and ProNE's two derived matrices.
 void BM_CsdbFromGraph(benchmark::State& state) {
   const graph::Graph& g = TestGraph();
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::CsdbMatrix::FromGraph(g));
+    benchmark::DoNotOptimize(graph::CsdbMatrix::FromGraph(g, &pool));
   }
   state.SetItemsProcessed(state.iterations() * g.num_arcs());
 }
-BENCHMARK(BM_CsdbFromGraph);
+BENCHMARK(BM_CsdbFromGraph)->Arg(1)->Arg(4)->UseRealTime();
+
+void BM_BuildTargetMatrix(benchmark::State& state) {
+  const graph::CsdbMatrix& a = TestMatrix();
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(embed::BuildTargetMatrix(a, 1.0, &pool));
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_BuildTargetMatrix)->Arg(1)->Arg(4)->UseRealTime();
+
+void BM_BuildPropagationMatrix(benchmark::State& state) {
+  const graph::CsdbMatrix& a = TestMatrix();
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(embed::BuildPropagationMatrix(a, &pool));
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_BuildPropagationMatrix)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_CsdbCursorTraversal(benchmark::State& state) {
   const graph::CsdbMatrix& m = TestMatrix();

@@ -1,9 +1,12 @@
 #include "embed/prone.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <utility>
 
+#include "common/first_touch.h"
 #include "embed/chebyshev.h"
 #include "linalg/randomized_svd.h"
 #include "sparse/csdb_ops.h"
@@ -29,47 +32,68 @@ linalg::DenseMatrix EmbeddingResult::ToOriginalOrder(ThreadPool* pool) const {
 
 graph::CsdbMatrix BuildTargetMatrix(const graph::CsdbMatrix& adjacency,
                                     double neg_lambda, ThreadPool* pool) {
-  // Per-row factors of the entry expression below, once per degree block:
-  // the clamped structural degree d = max(1, entry count) and its ProNE
-  // negative-sampling weight d^0.75. pd_norm = sum_j deg_j^0.75 normalizes
-  // P_D(j) ~ deg_j^0.75; it stays a serial ascending-row sum.
-  const uint32_t n = adjacency.num_rows();
-  std::vector<double> clamped_degree(n);
-  std::vector<double> sampling_weight(n);
+  // Per-block factors of the entry expression below: the clamped structural
+  // degree d = max(1, entry count) and its ProNE negative-sampling weight
+  // d^0.75. pd_norm = sum_j deg_j^0.75 normalizes P_D(j) ~ deg_j^0.75; it
+  // stays a serial ascending-row sum. block_of maps a row (or column) to
+  // its degree block.
+  const uint32_t blocks = adjacency.num_blocks();
+  std::vector<double> clamped_degree(blocks);
+  std::vector<double> sampling_weight(blocks);
+  std::vector<uint32_t> block_of(adjacency.num_rows());
   double pd_norm = 0.0;
-  for (uint32_t b = 0; b < adjacency.num_blocks(); ++b) {
+  for (uint32_t b = 0; b < blocks; ++b) {
     const double degree = adjacency.deg_list()[b];
-    const double clamped = std::max(1.0, degree);
-    const double weight = std::pow(clamped, 0.75);
+    clamped_degree[b] = std::max(1.0, degree);
+    sampling_weight[b] = std::pow(clamped_degree[b], 0.75);
     const double pd_term = std::pow(degree, 0.75);
     for (uint32_t r = adjacency.deg_ind()[b]; r < adjacency.deg_ind()[b + 1]; ++r) {
-      clamped_degree[r] = clamped;
-      sampling_weight[r] = weight;
+      block_of[r] = b;
       pd_norm += pd_term;
     }
   }
   if (pd_norm <= 0.0) pd_norm = 1.0;
 
-  // Entries transform independently into a fresh value array over the
-  // adjacency's structure; each row is written by one worker.
+  // An entry's value is a pure function of (row block, column block, weight
+  // bits), so each worker memoises it in a table indexed by column block and
+  // stamped with the row block it was computed for. Weights are keyed by
+  // their bits: -0.0f == +0.0f, yet the two give different p below.
+  struct Memo {
+    uint32_t row_block = std::numeric_limits<uint32_t>::max();
+    uint32_t weight_bits = 0;
+    float value = 0.0f;
+  };
+  std::vector<std::vector<Memo>> memos(pool != nullptr ? pool->size() : 1);
   const std::vector<float>& weights = adjacency.nnz_list();
-  std::vector<float> vals(weights.size());
+  std::vector<float> vals = ZeroedArray<float>(weights.size(), pool);
   const std::vector<graph::NodeId>& cols = adjacency.col_list();
-  graph::ForEachRowRange(adjacency, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
-    for (auto cur = adjacency.Rows(row_begin); cur.row() < row_end; cur.Next()) {
-      const double di = clamped_degree[cur.row()];
-      const double wi = sampling_weight[cur.row()];
-      for (uint64_t idx = cur.ptr(); idx < cur.ptr() + cur.degree(); ++idx) {
-        const graph::NodeId col = cols[idx];
-        const double p =
-            static_cast<double>(weights[idx]) / std::sqrt(di * clamped_degree[col]);
-        // Symmetrized negative-sampling shift sqrt(P_D(i) P_D(j)) so that the
-        // target stays symmetric (apply == apply^T in the tSVD; see header).
-        const double pd = std::sqrt(wi * sampling_weight[col]) / pd_norm;
-        const double val = std::log(std::max(p, 1e-12)) -
-                           std::log(std::max(neg_lambda * pd, 1e-12));
-        // Shifted-PPMI truncation keeps the factorized matrix non-negative.
-        vals[idx] = static_cast<float>(std::max(val, 0.0));
+  graph::ForEachRowRange(adjacency, pool,
+                         [&](size_t worker, uint32_t row_begin, uint32_t row_end) {
+    std::vector<Memo>& memo = memos[worker];
+    memo.resize(blocks);
+    for (auto blk = adjacency.BlocksInRange(row_begin, row_end); !blk.AtEnd(); blk.Next()) {
+      const graph::CsdbMatrix::BlockSpan& span = blk.span();
+      const uint32_t rb = block_of[span.row_begin];
+      const double di = clamped_degree[rb];
+      const double wi = sampling_weight[rb];
+      const uint64_t end = span.ptr + static_cast<uint64_t>(span.rows()) * span.degree;
+      for (uint64_t idx = span.ptr; idx < end; ++idx) {
+        const uint32_t cb = block_of[cols[idx]];
+        const uint32_t bits = std::bit_cast<uint32_t>(weights[idx]);
+        Memo& m = memo[cb];
+        if (m.row_block != rb || m.weight_bits != bits) {
+          const double p =
+              static_cast<double>(weights[idx]) / std::sqrt(di * clamped_degree[cb]);
+          // Symmetrized negative-sampling shift sqrt(P_D(i) P_D(j)) so that
+          // the target stays symmetric (apply == apply^T in the tSVD; see
+          // header).
+          const double pd = std::sqrt(wi * sampling_weight[cb]) / pd_norm;
+          const double val = std::log(std::max(p, 1e-12)) -
+                             std::log(std::max(neg_lambda * pd, 1e-12));
+          // Shifted-PPMI truncation keeps the factorized matrix non-negative.
+          m = {rb, bits, static_cast<float>(std::max(val, 0.0))};
+        }
+        vals[idx] = m.value;
       }
     }
   });
@@ -78,9 +102,22 @@ graph::CsdbMatrix BuildTargetMatrix(const graph::CsdbMatrix& adjacency,
 
 graph::CsdbMatrix BuildPropagationMatrix(const graph::CsdbMatrix& adjacency,
                                          ThreadPool* pool) {
-  graph::CsdbMatrix s = adjacency;
-  sparse::SymmetricNormalize(&s, pool);
-  return s;
+  // a(r, c) / sqrt(rs(r) * rs(c)) over the row sums rs; an entry whose
+  // denominator is zero keeps its weight.
+  const std::vector<double> sums = sparse::RowSums(adjacency, pool);
+  const std::vector<float>& weights = adjacency.nnz_list();
+  std::vector<float> vals = ZeroedArray<float>(weights.size(), pool);
+  const std::vector<graph::NodeId>& cols = adjacency.col_list();
+  graph::ForEachRowRange(adjacency, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+    for (auto cur = adjacency.Rows(row_begin); cur.row() < row_end; cur.Next()) {
+      const double sr = sums[cur.row()];
+      for (uint64_t idx = cur.ptr(); idx < cur.ptr() + cur.degree(); ++idx) {
+        const double denom = std::sqrt(sr * sums[cols[idx]]);
+        vals[idx] = denom > 0.0 ? static_cast<float>(weights[idx] / denom) : weights[idx];
+      }
+    }
+  });
+  return adjacency.WithValues(std::move(vals));
 }
 
 Result<EmbeddingResult> ProneEmbed(const graph::CsdbMatrix& adjacency,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/first_touch.h"
 #include "common/logging.h"
 
 namespace omega::graph {
@@ -30,6 +31,10 @@ void BuildBlocks(const std::vector<uint32_t>& row_degrees, std::vector<uint32_t>
 constexpr uint64_t kMinRangeWork = 1 << 14;
 // Ranges per pool thread: slack for the dynamic hand-out to even out skew.
 constexpr uint64_t kRangesPerThread = 8;
+
+// RowSorter insertion-sorts rows up to this long: on them, clearing and
+// summing a 256-bin histogram per digit costs more than the shifts.
+constexpr uint32_t kInsertionSortMax = 32;
 
 }  // namespace
 
@@ -115,35 +120,81 @@ CsdbMatrix CsdbMatrix::FromGraph(const Graph& g, ThreadPool* pool) {
   }
   BuildBlocks(row_degrees, &structure->deg_list, &structure->deg_ind,
               &structure->block_ptr);
-  structure->col_list.resize(structure->block_ptr.back());
+  structure->col_list = ZeroedArray<NodeId>(structure->block_ptr.back(), pool);
   CsdbMatrix m;
   m.s_ = structure;
-  m.nnz_list_.resize(structure->block_ptr.back());
+  m.nnz_list_ = ZeroedArray<float>(structure->block_ptr.back(), pool);
 
-  // Each row's gather, sort and write touch only that row's slots, so rows
-  // fan out; one scratch row per worker is reused across its ranges.
-  std::vector<NodeId>& col_list = structure->col_list;
-  std::vector<std::vector<std::pair<NodeId, float>>> scratch(
-      pool != nullptr ? pool->size() : 1);
+  // Each row is gathered through the relabeling into its own slots and
+  // sorted there, so rows fan out; one sorter per worker.
+  NodeId* cols = structure->col_list.data();
+  float* vals = m.nnz_list_.data();
+  std::vector<RowSorter> sorters(pool != nullptr ? pool->size() : 1);
   ForEachRowRange(m, pool, [&](size_t worker, uint32_t row_begin, uint32_t row_end) {
-    std::vector<std::pair<NodeId, float>>& row = scratch[worker];
-    for (auto blk = m.BlocksInRange(row_begin, row_end); !blk.AtEnd(); blk.Next()) {
-      const BlockSpan& s = blk.span();
-      uint64_t ptr = s.ptr;
-      for (uint32_t r = s.row_begin; r < s.row_end; ++r, ptr += s.degree) {
-        const NodeId* nbrs = g.neighbors(order[r]);
-        const float* wts = g.weights(order[r]);
-        row.resize(s.degree);
-        for (uint32_t k = 0; k < s.degree; ++k) row[k] = {inverse[nbrs[k]], wts[k]};
-        std::sort(row.begin(), row.end());
-        for (uint32_t k = 0; k < s.degree; ++k) {
-          col_list[ptr + k] = row[k].first;
-          m.nnz_list_[ptr + k] = row[k].second;
-        }
-      }
+    for (auto cur = m.Rows(row_begin); cur.row() < row_end; cur.Next()) {
+      const NodeId* nbrs = g.neighbors(order[cur.row()]);
+      NodeId* row_cols = cols + cur.ptr();
+      float* row_vals = vals + cur.ptr();
+      for (uint32_t k = 0; k < cur.degree(); ++k) row_cols[k] = inverse[nbrs[k]];
+      std::copy_n(g.weights(order[cur.row()]), cur.degree(), row_vals);
+      sorters[worker].Sort(row_cols, row_vals, cur.degree());
     }
   });
   return m;
+}
+
+void RowSorter::Sort(NodeId* cols, float* vals, uint32_t n) {
+  if (n <= kInsertionSortMax) {
+    for (uint32_t i = 1; i < n; ++i) {
+      const NodeId c = cols[i];
+      const float v = vals[i];
+      uint32_t j = i;
+      for (; j > 0 && cols[j - 1] > c; --j) {
+        cols[j] = cols[j - 1];
+        vals[j] = vals[j - 1];
+      }
+      cols[j] = c;
+      vals[j] = v;
+    }
+    return;
+  }
+  // One read pass counts all four 8-bit digits; a digit whose count for
+  // the first column's value is n is the same in every column and needs no
+  // pass. Each pass scatters src into dst by one digit, then the two swap.
+  uint32_t counts[4][256] = {};
+  for (uint32_t k = 0; k < n; ++k) {
+    const NodeId c = cols[k];
+    ++counts[0][c & 0xFF];
+    ++counts[1][(c >> 8) & 0xFF];
+    ++counts[2][(c >> 16) & 0xFF];
+    ++counts[3][c >> 24];
+  }
+  if (cols_.size() < n) {
+    cols_.resize(n);
+    vals_.resize(n);
+  }
+  NodeId* src_cols = cols;
+  float* src_vals = vals;
+  NodeId* dst_cols = cols_.data();
+  float* dst_vals = vals_.data();
+  for (uint32_t digit = 0; digit < 4; ++digit) {
+    const uint32_t shift = 8 * digit;
+    uint32_t* start = counts[digit];
+    if (start[(cols[0] >> shift) & 0xFF] == n) continue;
+    uint32_t sum = 0;
+    for (uint32_t b = 0; b < 256; ++b) sum += std::exchange(start[b], sum);
+    for (uint32_t k = 0; k < n; ++k) {
+      const uint32_t at = start[(src_cols[k] >> shift) & 0xFF]++;
+      dst_cols[at] = src_cols[k];
+      dst_vals[at] = src_vals[k];
+    }
+    std::swap(src_cols, dst_cols);
+    std::swap(src_vals, dst_vals);
+  }
+  if (src_cols != cols) {
+    std::copy_n(src_cols, n, cols);
+    std::copy_n(src_vals, n, vals);
+  }
 }
 
 Result<CsdbMatrix> CsdbMatrix::FromParts(uint32_t num_rows, uint32_t num_cols,

@@ -42,8 +42,10 @@ class CsdbMatrix {
   CsdbMatrix& operator=(CsdbMatrix&& other) noexcept;
 
   /// Builds the weighted adjacency matrix of `g` in CSDB form, relabeling
-  /// nodes into degree-descending order. With a pool, rows are gathered and
-  /// sorted in parallel; the result is byte-identical at any thread count.
+  /// nodes into degree-descending order. Each row is gathered through the
+  /// relabeling and put in column order by a RowSorter; with a pool, rows
+  /// are built in parallel and the result is byte-identical at any thread
+  /// count.
   static CsdbMatrix FromGraph(const Graph& g, ThreadPool* pool = nullptr);
 
   /// Builds from explicit parts. `row_degrees` must be non-increasing.
@@ -168,6 +170,22 @@ class CsdbMatrix {
 
   std::shared_ptr<const Structure> s_ = EmptyStructure();
   std::vector<float> nnz_list_;
+};
+
+/// Sorts one row's entries (cols[k], vals[k]), k < n, into ascending column
+/// order in place, without comparisons: an LSD radix sort over 8-bit column
+/// digits that skips every digit no entry of the row varies in, and an
+/// insertion sort for short rows. Both are stable, so on a row with distinct
+/// columns (every graph row is deduplicated) the result is the one any sort
+/// by column gives. The scratch row is reused across calls: keep one sorter
+/// per worker.
+class RowSorter {
+ public:
+  void Sort(NodeId* cols, float* vals, uint32_t n);
+
+ private:
+  std::vector<NodeId> cols_;
+  std::vector<float> vals_;
 };
 
 /// Runs `fn(worker, row_begin, row_end)` over contiguous row ranges that

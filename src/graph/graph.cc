@@ -128,11 +128,14 @@ Result<Graph> Graph::Relabel(const std::vector<NodeId>& perm) const {
 }
 
 std::vector<NodeId> Graph::DegreeDescendingOrder() const {
+  // Stable counting sort on k = max_degree - degree, so nodes of one degree
+  // keep ascending id order. Counts go one slot up, so after the prefix sum
+  // start[k] is where the nodes of key k begin.
+  std::vector<NodeId> start(size_t{max_degree_} + 2, 0);
+  for (NodeId v = 0; v < num_nodes_; ++v) ++start[max_degree_ - degree(v) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
   std::vector<NodeId> order(num_nodes_);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [this](NodeId a, NodeId b) {
-    return degree(a) > degree(b);
-  });
+  for (NodeId v = 0; v < num_nodes_; ++v) order[start[max_degree_ - degree(v)]++] = v;
   return order;
 }
 

@@ -120,7 +120,7 @@ class DynamicEmbedder {
   std::string dataset_;
 
   graph::CsdbMatrix adjacency_;     ///< CSDB of graph() at the current epoch
-  graph::CsdbMatrix propagation_;   ///< SymmetricNormalize(adjacency_)
+  graph::CsdbMatrix propagation_;   ///< BuildPropagationMatrix(adjacency_)
   embed::ChebyshevCapture capture_; ///< stage-2 state in adjacency_ row order
   linalg::DenseMatrix embedding_;   ///< node order
   numa::NadpPlanCache plan_cache_;

@@ -93,18 +93,19 @@ Result<CsdbDeltaResult> ApplyDelta(const graph::CsdbMatrix& old_csdb,
   const auto& old_vals = old_csdb.nnz_list();
 
   uint64_t touched_arcs = 0;
-  std::vector<std::pair<graph::NodeId, float>> row;
+  graph::RowSorter sorter;
   for (graph::NodeId i = 0; i < n; ++i) {
     const graph::NodeId node = order[i];
     const uint32_t deg = new_graph.degree(node);
     row_degrees[i] = deg;
-    row.clear();
+    const size_t row_begin = col_list.size();
     if (touched[node]) {
       // Re-gather this row from the new adjacency, as FromGraph would.
       const graph::NodeId* nbrs = new_graph.neighbors(node);
       const float* wts = new_graph.weights(node);
       for (uint32_t k = 0; k < deg; ++k) {
-        row.emplace_back(new_inverse[nbrs[k]], wts[k]);
+        col_list.push_back(new_inverse[nbrs[k]]);
+        nnz_list.push_back(wts[k]);
       }
       ++result.touched_rows;
       touched_arcs += deg;
@@ -113,24 +114,16 @@ Result<CsdbDeltaResult> ApplyDelta(const graph::CsdbMatrix& old_csdb,
       // the old CSDB id space into the new one.
       const uint64_t ptr = old_csdb.RowPtr(old_inverse[node]);
       for (uint32_t k = 0; k < deg; ++k) {
-        row.emplace_back(new_inverse[old_csdb.perm()[old_cols[ptr + k]]],
-                         old_vals[ptr + k]);
+        col_list.push_back(new_inverse[old_csdb.perm()[old_cols[ptr + k]]]);
+        nnz_list.push_back(old_vals[ptr + k]);
       }
       ++result.reused_rows;
     }
-    // Rows usually stay nearly sorted after the remap; only fall back to the
-    // sort when the permutation actually reordered this row's columns.
-    bool ascending = true;
-    for (size_t k = 1; k < row.size(); ++k) {
-      if (row[k].first < row[k - 1].first) {
-        ascending = false;
-        break;
-      }
-    }
-    if (!ascending) std::sort(row.begin(), row.end());
-    for (const auto& [c, v] : row) {
-      col_list.push_back(c);
-      nnz_list.push_back(v);
+    // Rows usually stay nearly sorted after the remap; only sort, with
+    // FromGraph's row sort, when the permutation actually reordered this
+    // row's columns.
+    if (!std::is_sorted(col_list.begin() + row_begin, col_list.end())) {
+      sorter.Sort(col_list.data() + row_begin, nnz_list.data() + row_begin, deg);
     }
   }
 
@@ -238,24 +231,6 @@ void RowNormalize(graph::CsdbMatrix* a) {
       vals[cur.ptr() + k] = static_cast<float>(vals[cur.ptr() + k] / s);
     }
   }
-}
-
-void SymmetricNormalize(graph::CsdbMatrix* a, ThreadPool* pool) {
-  const std::vector<double> sums = RowSums(*a, pool);
-  auto& vals = a->mutable_nnz_list();
-  const auto& cols = a->col_list();
-  graph::ForEachRowRange(*a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
-    for (auto cur = a->Rows(row_begin); cur.row() < row_end; cur.Next()) {
-      const double sr = sums[cur.row()];
-      for (uint32_t k = 0; k < cur.degree(); ++k) {
-        const double sc = sums[cols[cur.ptr() + k]];
-        const double denom = std::sqrt(sr * sc);
-        if (denom > 0.0) {
-          vals[cur.ptr() + k] = static_cast<float>(vals[cur.ptr() + k] / denom);
-        }
-      }
-    }
-  });
 }
 
 Status SpMV(const graph::CsdbMatrix& a, const std::vector<float>& x,

@@ -68,11 +68,6 @@ std::vector<double> RowSums(const graph::CsdbMatrix& a, ThreadPool* pool = nullp
 /// Zero rows are left untouched.
 void RowNormalize(graph::CsdbMatrix* a);
 
-/// In-place symmetric normalization a(r, c) /= sqrt(rs(r) * rs(c)), where rs
-/// is the row-sum vector (the D^-1/2 A D^-1/2 operator of spectral methods).
-/// Byte-identical with or without a pool, like RowSums.
-void SymmetricNormalize(graph::CsdbMatrix* a, ThreadPool* pool = nullptr);
-
 /// y = a * x (SpMV; no memsim charging — used by tests and small utilities).
 Status SpMV(const graph::CsdbMatrix& a, const std::vector<float>& x,
             std::vector<float>* y);

@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <mutex>
+#include <numeric>
 
 #include "csdb_test_inputs.h"
 #include "embed/prone.h"
 #include "graph/csdb.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
+#include "common/rng.h"
 #include "graph/rmat.h"
 
 namespace omega::graph {
@@ -269,6 +273,220 @@ TEST(CsdbTest, DerivedMatricesShareStructure) {
     ASSERT_NE(copy.perm().data(), adjacency.perm().data());
     ExpectCsdbIdentical(embed::BuildTargetMatrix(copy, 1.0), target);
     ExpectCsdbIdentical(embed::BuildPropagationMatrix(copy), propagation);
+  }
+}
+
+// ----- Oracle sweep: the sort-free builders against the comparison-sort ones.
+
+// The comparison-sort CSDB build: a stable sort of the nodes by degree,
+// then every row gathered through the relabeling and std::sort'ed as
+// (column, weight) pairs.
+CsdbMatrix OracleFromGraph(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](NodeId a, NodeId b) { return g.degree(a) > g.degree(b); });
+  std::vector<NodeId> inverse(n);
+  for (NodeId i = 0; i < n; ++i) inverse[order[i]] = i;
+  std::vector<uint32_t> degrees(n);
+  std::vector<NodeId> cols;
+  std::vector<float> vals;
+  std::vector<std::pair<NodeId, float>> row;
+  for (NodeId i = 0; i < n; ++i) {
+    const NodeId v = order[i];
+    degrees[i] = g.degree(v);
+    row.clear();
+    for (uint32_t k = 0; k < g.degree(v); ++k) {
+      row.emplace_back(inverse[g.neighbors(v)[k]], g.weights(v)[k]);
+    }
+    std::sort(row.begin(), row.end());
+    for (const auto& [c, w] : row) {
+      cols.push_back(c);
+      vals.push_back(w);
+    }
+  }
+  return CsdbMatrix::FromParts(n, n, degrees, std::move(cols), std::move(vals),
+                               std::move(order))
+      .value();
+}
+
+// The target matrix's per-entry expression, evaluated for every entry.
+std::vector<float> OracleTargetValues(const CsdbMatrix& a, double neg_lambda) {
+  const uint32_t n = a.num_rows();
+  std::vector<double> clamped_degree(n);
+  std::vector<double> sampling_weight(n);
+  double pd_norm = 0.0;
+  for (uint32_t r = 0; r < n; ++r) {
+    const double degree = a.RowDegree(r);
+    clamped_degree[r] = std::max(1.0, degree);
+    sampling_weight[r] = std::pow(clamped_degree[r], 0.75);
+    pd_norm += std::pow(degree, 0.75);
+  }
+  if (pd_norm <= 0.0) pd_norm = 1.0;
+  std::vector<float> vals(a.nnz());
+  for (auto cur = a.Rows(); !cur.AtEnd(); cur.Next()) {
+    const double di = clamped_degree[cur.row()];
+    const double wi = sampling_weight[cur.row()];
+    for (uint64_t idx = cur.ptr(); idx < cur.ptr() + cur.degree(); ++idx) {
+      const NodeId col = a.col_list()[idx];
+      const double p =
+          static_cast<double>(a.nnz_list()[idx]) / std::sqrt(di * clamped_degree[col]);
+      const double pd = std::sqrt(wi * sampling_weight[col]) / pd_norm;
+      const double val = std::log(std::max(p, 1e-12)) -
+                         std::log(std::max(neg_lambda * pd, 1e-12));
+      vals[idx] = static_cast<float>(std::max(val, 0.0));
+    }
+  }
+  return vals;
+}
+
+// The propagation matrix as a copy of the adjacency normalized in place:
+// a(r, c) /= sqrt(rs(r) * rs(c)) wherever that denominator is positive.
+std::vector<float> OraclePropagationValues(const CsdbMatrix& a) {
+  std::vector<double> sums(a.num_rows(), 0.0);
+  for (auto cur = a.Rows(); !cur.AtEnd(); cur.Next()) {
+    double s = 0.0;
+    for (uint32_t k = 0; k < cur.degree(); ++k) s += a.nnz_list()[cur.ptr() + k];
+    sums[cur.row()] = s;
+  }
+  std::vector<float> vals = a.nnz_list();
+  for (auto cur = a.Rows(); !cur.AtEnd(); cur.Next()) {
+    const double sr = sums[cur.row()];
+    for (uint64_t idx = cur.ptr(); idx < cur.ptr() + cur.degree(); ++idx) {
+      const double denom = std::sqrt(sr * sums[a.col_list()[idx]]);
+      if (denom > 0.0) vals[idx] = static_cast<float>(vals[idx] / denom);
+    }
+  }
+  return vals;
+}
+
+// Random edges between nodes drawn from [0, n), with weights from `weight`.
+template <typename WeightFn>
+std::vector<Edge> RandomEdges(Rng* rng, NodeId n, int count, WeightFn weight) {
+  std::vector<Edge> edges;
+  for (int e = 0; e < count; ++e) {
+    const auto src = static_cast<NodeId>(rng->NextBounded(n));
+    const auto dst = static_cast<NodeId>(rng->NextBounded(n));
+    edges.push_back({src, dst, weight(e)});
+  }
+  return edges;
+}
+
+// Each graph is large enough (nnz + rows well above two row ranges) for the
+// pooled builders to split it.
+std::vector<std::pair<std::string, Graph>> OracleSweepGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  Rng rng(29);
+  const auto unit = [](int) { return 1.0f; };
+
+  // Directed, with (u, v) and (v, u) weighted differently.
+  std::vector<Edge> directed = RandomEdges(&rng, 3000, 60000, [&](int) {
+    return static_cast<float>(0.125 + rng.NextDouble());
+  });
+  graphs.emplace_back("directed", Graph::FromEdges(3000, directed, false).value());
+
+  // Every edge three times with different weights: merged by summing.
+  std::vector<Edge> dups;
+  for (const Edge& e : RandomEdges(&rng, 4000, 20000, unit)) {
+    for (const float w : {0.5f, 1.25f, 3.0f}) dups.push_back({e.src, e.dst, w});
+  }
+  graphs.emplace_back("duplicates", Graph::FromEdges(4000, dups).value());
+
+  // One edge in four a self-loop, all of them dropped.
+  std::vector<Edge> loops = RandomEdges(&rng, 2000, 40000, unit);
+  for (size_t e = 0; e < loops.size(); e += 4) loops[e].dst = loops[e].src;
+  graphs.emplace_back("self_loops", Graph::FromEdges(2000, loops).value());
+
+  // Edges among the first 1000 of 50000 nodes; the rest are isolated.
+  graphs.emplace_back("isolated",
+                      Graph::FromEdges(50000, RandomEdges(&rng, 1000, 30000, unit)).value());
+
+  // Hub rows of degree 600 and 2000 over a sparse background.
+  std::vector<Edge> hubs = RandomEdges(&rng, 20000, 30000, unit);
+  for (NodeId v = 1; v <= 600; ++v) hubs.push_back({0, v * 31, 2.0f});
+  for (NodeId v = 1; v <= 2000; ++v) hubs.push_back({1, v * 7 + 3, 0.5f});
+  graphs.emplace_back("hub", Graph::FromEdges(20000, hubs).value());
+
+  // More than 2^16 nodes: long rows hold columns on both sides of 2^16, so
+  // the third radix digit varies.
+  const NodeId wide_n = (NodeId{1} << 16) + 4500;
+  std::vector<Edge> wide = RandomEdges(&rng, wide_n, 150000, unit);
+  for (NodeId v = 0; v < 300; ++v) {
+    for (int k = 0; k < 100; ++k) {
+      wide.push_back({v, static_cast<NodeId>(rng.NextBounded(wide_n)), 1.0f});
+    }
+  }
+  graphs.emplace_back("wide", Graph::FromEdges(wide_n, wide).value());
+
+  // Weights that vary along a row: -0.0f next to +0.0f, negatives (some
+  // rows sum to zero or below, which the propagation matrix leaves as is)
+  // and repeats.
+  const float kWeights[] = {0.0f, -0.0f, 1.0f, -1.0f, 2.5f, 0.0f, -0.0f, 1e-30f};
+  std::vector<Edge> signed_zero = RandomEdges(&rng, 3000, 60000, [&](int e) {
+    return kWeights[e % 8];
+  });
+  graphs.emplace_back("signed_zero", Graph::FromEdges(3000, signed_zero, false).value());
+  return graphs;
+}
+
+TEST(CsdbTest, SortFreeBuildersMatchComparisonSortOracles) {
+  for (const auto& [name, g] : OracleSweepGraphs()) {
+    SCOPED_TRACE(name);
+    const CsdbMatrix oracle = OracleFromGraph(g);
+    const std::vector<float> target = OracleTargetValues(oracle, 1.0);
+    const std::vector<float> propagation = OraclePropagationValues(oracle);
+    for (const size_t threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      const CsdbMatrix a = CsdbMatrix::FromGraph(g, &pool);
+      ExpectCsdbIdentical(a, oracle);
+      ExpectCsdbIdentical(embed::BuildTargetMatrix(a, 1.0, &pool),
+                          oracle.WithValues(target));
+      ExpectCsdbIdentical(embed::BuildPropagationMatrix(a, &pool),
+                          oracle.WithValues(propagation));
+    }
+  }
+}
+
+TEST(CsdbTest, RowSorterMatchesComparisonSort) {
+  // Distinct random 32-bit columns make every digit vary; the lengths cross
+  // the insertion-sort cutoff. Columns sharing their low three bytes leave
+  // only the top digit to sort on.
+  Rng rng(31);
+  RowSorter sorter;
+  for (const uint32_t n : {0u, 1u, 2u, 31u, 32u, 33u, 100u, 257u, 5000u}) {
+    for (const bool top_digit_only : {false, true}) {
+      SCOPED_TRACE(testing::Message() << n << (top_digit_only ? " top" : ""));
+      std::vector<std::pair<NodeId, float>> row;
+      for (uint32_t k = 0; k < n; ++k) {
+        const NodeId col = top_digit_only
+                               ? (static_cast<NodeId>(k % 256) << 24) | 0x00ABCDEFu
+                               : static_cast<NodeId>(rng.Next());
+        row.emplace_back(col, static_cast<float>(rng.NextDouble()));
+      }
+      if (top_digit_only && n > 256) row.resize(256);
+      std::sort(row.begin(), row.end());
+      row.erase(std::unique(row.begin(), row.end(),
+                            [](const auto& x, const auto& y) { return x.first == y.first; }),
+                row.end());
+      std::vector<std::pair<NodeId, float>> shuffled = row;
+      for (size_t k = shuffled.size(); k > 1; --k) {
+        std::swap(shuffled[k - 1], shuffled[rng.NextBounded(k)]);
+      }
+      std::vector<NodeId> cols;
+      std::vector<float> vals;
+      for (const auto& [c, w] : shuffled) {
+        cols.push_back(c);
+        vals.push_back(w);
+      }
+      sorter.Sort(cols.data(), vals.data(), static_cast<uint32_t>(cols.size()));
+      ASSERT_EQ(cols.size(), row.size());
+      for (size_t k = 0; k < row.size(); ++k) {
+        ASSERT_EQ(cols[k], row[k].first) << "entry " << k;
+        ASSERT_EQ(vals[k], row[k].second) << "entry " << k;
+      }
+    }
   }
 }
 

@@ -448,6 +448,50 @@ TEST_F(FaultEngineTest, ProneHmSurfacesUnrecoverableStagingFault) {
   EXPECT_TRUE(ms->Faults().Accounted());
 }
 
+// OMeGa with async staging routes every SpMM operand through ASL, whose
+// partition loads read PM sequentially. With every such read faulting, the
+// first load exhausts its retries: FaultRecoveryOptions::allow_degraded
+// decides whether the engine surfaces that as the run's IOError or streams
+// the partition from the semi-external home and finishes.
+TEST_F(FaultEngineTest, AslExhaustionSurfacesOrDegradesPerAllowDegraded) {
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.at(Tier::kPm, MemOp::kRead, Pattern::kSequential).media = 1.0;
+  for (const bool allow_degraded : {false, true}) {
+    SCOPED_TRACE(allow_degraded);
+    auto ms = memsim::MemorySystem::CreateDefault();
+    ms->SetFaultPlan(plan);
+    ThreadPool pool(4);
+    engine::EngineOptions options;
+    options.system = engine::SystemKind::kOmega;
+    options.num_threads = 4;
+    options.prone.dim = 16;
+    options.prone.oversample = 4;
+    options.prone.chebyshev_order = 4;
+    options.features.async_staging = true;
+    options.fault_recovery.allow_degraded = allow_degraded;
+    auto report = engine::RunEmbedding(g_, "rmat", options,
+                                       exec::Context(ms.get(), &pool, 4));
+    const FaultCounters c = ms->Faults();
+    EXPECT_TRUE(c.Accounted()) << memsim::FaultCountersSummary(c);
+    if (allow_degraded) {
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_GE(c.degraded, 1u);
+      EXPECT_EQ(c.surfaced, 0u);
+    } else {
+      // The first partition load: injected 4 = retried 3 + surfaced 1.
+      ASSERT_FALSE(report.ok());
+      EXPECT_TRUE(report.status().IsIOError()) << report.status().ToString();
+      EXPECT_NE(report.status().ToString().find("ASL: partition load"), std::string::npos)
+          << report.status().ToString();
+      EXPECT_EQ(c.InjectedTotal(), 4u);
+      EXPECT_EQ(c.retried, 3u);
+      EXPECT_EQ(c.surfaced, 1u);
+      EXPECT_EQ(c.degraded, 0u);
+    }
+  }
+}
+
 // A checkpoint write whose retries run out fails the run, and its final
 // fault is counted as surfaced: PM sequential writes fault often enough
 // that the first checkpoint's write exhausts its three retries.

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "embed/prone.h"
 #include "graph/rmat.h"
 #include "linalg/random_matrix.h"
 #include "sparse/csdb_ops.h"
@@ -143,9 +144,8 @@ TEST(CsdbOpsTest, RowSumsAndRowNormalize) {
   }
 }
 
-TEST(CsdbOpsTest, SymmetricNormalizeKeepsSymmetry) {
-  CsdbMatrix m = SmallMatrix();
-  SymmetricNormalize(&m);
+TEST(CsdbOpsTest, PropagationMatrixKeepsSymmetry) {
+  const CsdbMatrix m = embed::BuildPropagationMatrix(SmallMatrix());
   const DenseMatrix d = ToDense(m);
   for (size_t i = 0; i < d.rows(); ++i) {
     for (size_t j = 0; j < d.cols(); ++j) {
