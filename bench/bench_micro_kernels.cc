@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -283,20 +284,28 @@ void BM_GemmBlockedPool8(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBlockedPool8)->Arg(256)->Arg(512);
 
+// Wall milliseconds per call of the last BM_ReducedQr run at each pool
+// size, for the --bench-json report.
+std::map<int, double> g_reduced_qr_ms;
+
 // The randomized range finder's orthonormalization at FR's factorize shape
 // (dim + oversample = 40 columns) on a pool of range(0) threads (1 = serial).
 void BM_ReducedQr(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
+  const int threads = static_cast<int>(state.range(0));
   const linalg::DenseMatrix a = linalg::GaussianMatrix(65536, 40, 3);
   const auto pool = threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   linalg::DenseMatrix q, r;
+  double wall_s = 0.0;
   for (auto _ : state) {
+    bench::WallTimer timer;
     benchmark::DoNotOptimize(linalg::ReducedQr(a, &q, &r, pool.get()));
+    wall_s += timer.Seconds();
     benchmark::DoNotOptimize(q.data());
     benchmark::ClobberMemory();
   }
+  g_reduced_qr_ms[threads] = 1e3 * wall_s / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_ReducedQr)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReducedQr)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The range finder's Gaussian sketch at the same shape on a pool of range(0)
 // threads (1 = serial).
@@ -372,8 +381,9 @@ BENCHMARK(BM_RunEmbeddingFr)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime
 
 // Timed GEMM section behind the custom main: GFLOP/s of the three variants
 // at a few square sizes, printed as a table and (optionally) written to the
-// --bench-json file for perf tracking, together with BM_RunEmbeddingFr's
-// per-run wall time and page faults when it ran.
+// --bench-json file for perf tracking, together with BM_ReducedQr's and
+// BM_RunEmbeddingFr's per-call wall time (and the latter's page faults) when
+// they ran.
 template <typename Fn>
 double BestSeconds(int reps, const Fn& fn) {
   double best = 1e30;
@@ -414,6 +424,9 @@ void RunGemmReport(const std::string& json_path) {
     json.Add(entry, "blocked_pool8_gflops", pool_gf);
     json.Add(entry, "speedup_blocked", naive_s / blocked_s);
     json.Add(entry, "speedup_blocked_pool8", naive_s / pool_s);
+  }
+  for (const auto& [threads, ms] : g_reduced_qr_ms) {
+    json.Add("reduced_qr_" + std::to_string(threads), "wall_ms", ms);
   }
   if (g_embed_fr.threads > 0) {
     const std::string entry = "run_embedding_fr_" + std::to_string(g_embed_fr.threads);

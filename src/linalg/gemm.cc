@@ -1,6 +1,7 @@
 #include "linalg/gemm.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace omega::linalg {
@@ -159,6 +160,82 @@ void GemmTransBPanel(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
   }
 }
 
+// Output tiles (i0, j) of the Gram product C = A^T * A on or above the
+// diagonal block: rows [i0, i0 + 4) of column j with i0 <= j, in column
+// order. Every tile streams four columns of A against column j, so tiles are
+// uniform work and a static split of this list balances the triangle.
+std::vector<std::pair<size_t, size_t>> GramTiles(size_t m) {
+  std::vector<std::pair<size_t, size_t>> tiles;
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t i0 = 0; i0 <= j; i0 += 4) tiles.emplace_back(i0, j);
+  }
+  return tiles;
+}
+
+// Tiles [begin, end) of GramTiles(m): the same per-element double dot as
+// GemmTransAPanel, computed once for each i <= j and written to both (i, j)
+// and (j, i). A product of two doubles does not depend on operand order, so
+// the mirrored element is the one GemmTransAPanel computes. Elements of a
+// diagonal tile below the diagonal are left to the tile that owns them.
+void GramTilesPanel(const DenseMatrix& a, DenseMatrix* c,
+                    const std::vector<std::pair<size_t, size_t>>& tiles, size_t begin,
+                    size_t end) {
+  const size_t n = a.rows();
+  const size_t m = a.cols();
+  for (size_t t = begin; t < end; ++t) {
+    const auto [i0, j] = tiles[t];
+    const float* bj = a.ColData(j);
+    double s[4] = {0.0, 0.0, 0.0, 0.0};
+    if (i0 + 4 <= m) {
+      const float* a0 = a.ColData(i0);
+      const float* a1 = a.ColData(i0 + 1);
+      const float* a2 = a.ColData(i0 + 2);
+      const float* a3 = a.ColData(i0 + 3);
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (size_t r = 0; r < n; ++r) {
+        const double br = bj[r];
+        s0 += static_cast<double>(a0[r]) * br;
+        s1 += static_cast<double>(a1[r]) * br;
+        s2 += static_cast<double>(a2[r]) * br;
+        s3 += static_cast<double>(a3[r]) * br;
+      }
+      s[0] = s0;
+      s[1] = s1;
+      s[2] = s2;
+      s[3] = s3;
+    } else {
+      for (size_t i = i0; i <= j; ++i) {
+        const float* ai = a.ColData(i);
+        double acc = 0.0;
+        for (size_t r = 0; r < n; ++r) acc += static_cast<double>(ai[r]) * bj[r];
+        s[i - i0] = acc;
+      }
+    }
+    for (size_t i = i0; i < i0 + 4 && i <= j; ++i) {
+      c->At(i, j) = static_cast<float>(s[i - i0]);
+      c->At(j, i) = static_cast<float>(s[i - i0]);
+    }
+  }
+}
+
+// C = A^T * A through the tiles of its upper triangle.
+Status RunGram(const DenseMatrix& a, DenseMatrix* c, ThreadPool* pool) {
+  const size_t m = a.cols();
+  DenseMatrix tmp;
+  DenseMatrix* out = c == &a ? &tmp : c;
+  *out = DenseMatrix(m, m);
+  const auto tiles = GramTiles(m);
+  if (ShouldParallelize(pool, m, a.rows() * m)) {
+    pool->ParallelFor(tiles.size(), [&](size_t, size_t begin, size_t end) {
+      GramTilesPanel(a, out, tiles, begin, end);
+    });
+  } else {
+    GramTilesPanel(a, out, tiles, 0, tiles.size());
+  }
+  if (out == &tmp) *c = std::move(tmp);
+  return Status::OK();
+}
+
 using PanelFn = void (*)(const DenseMatrix&, const DenseMatrix&, DenseMatrix*,
                          size_t, size_t);
 
@@ -197,6 +274,7 @@ Status GemmTransA(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
   if (a.rows() != b.rows()) {
     return Status::InvalidArgument("GemmTransA: row dim mismatch");
   }
+  if (&a == &b) return RunGram(a, c, pool);
   return RunBlocked(a, b, c, pool, a.cols(), b.cols(), a.rows() * a.cols(),
                     &GemmTransAPanel);
 }

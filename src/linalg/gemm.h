@@ -25,6 +25,8 @@ Status Gemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
             ThreadPool* pool = nullptr);
 
 /// C = A^T * B (A is n x k, B is n x m, C is k x m); accumulates in double.
+/// When `a` and `b` are the same object, C is symmetric: each element on or
+/// above the diagonal is computed once and mirrored, with the same bits.
 Status GemmTransA(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
                   ThreadPool* pool = nullptr);
 

@@ -1,13 +1,13 @@
 // Reduced (thin) QR factorization of tall-skinny matrices via Householder
 // reflections — the orthonormalization step of the randomized range finder.
 //
-// The elimination is sequential in the column being reduced. With
-// look-ahead, each step streams the trailing columns once: one pass applies
-// reflector j and takes reflector j + 1's dot products, and the worker that
-// updates column j + 2 forms reflector j + 2 while the rest of the pass runs.
-// Forming Q fuses the same way, backward. The trailing columns and the Q
-// panels fan out across a pool in groups that share the reflectors' loads. Every element gets the value and every dot product the ascending
-// chain of applying the reflectors one at a time, column by column, so the
+// The elimination is left-looking, in groups of 4 columns handed out in
+// ascending order on a pool. A group copies its columns into row-interleaved
+// lanes and applies each earlier reflector as soon as the group that forms
+// it publishes it; one pass applies a reflector and takes the next one's dot
+// products. It then forms its own reflectors and, at once, its 4 columns of
+// Q. Every element gets the value and every dot product the ascending chain
+// of applying the reflectors one at a time, column by column, so the
 // factorization is bit-identical to that textbook loop at any thread count.
 
 #pragma once
@@ -22,7 +22,7 @@
 namespace omega::linalg {
 
 /// Scratch that a caller keeps across ReducedQr calls: the n x k double
-/// working matrix plus one Q panel's lanes per worker. It grows to the
+/// reflector store plus one group's lanes per worker. It grows to the
 /// largest factorization it has served and is freed with the workspace;
 /// RandomizedSvd owns one for its QRs.
 class QrWorkspace {

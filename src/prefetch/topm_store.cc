@@ -32,9 +32,11 @@ uint64_t TopMStore::MinScore() const {
 
 TopMStore StreamingTopM::Finalize(uint32_t universe) const {
   std::vector<ScoredKey> candidates;
-  candidates.reserve(counts_.size());
-  for (const auto& [key, count] : counts_) {
-    candidates.push_back(ScoredKey{key, count});
+  candidates.reserve(DistinctKeys());
+  for (size_t key = 0; key < counts_.size(); ++key) {
+    if (counts_[key] != 0) {
+      candidates.push_back(ScoredKey{static_cast<graph::NodeId>(key), counts_[key]});
+    }
   }
   return TopMStore::Build(std::move(candidates), capacity_, universe);
 }

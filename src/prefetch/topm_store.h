@@ -7,8 +7,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <numeric>
 #include <vector>
 
 #include "graph/graph.h"
@@ -25,27 +26,39 @@ struct ScoredKey {
 /// paper's frequency-based prefetcher maintains in a back-end thread
 /// ("entails eviction and insertion operations for objects in the Top-M").
 /// Observe() counts occurrences; Finalize() materializes the current top-M
-/// into a TopMStore. Exact counts (hashmap) with lazy selection.
+/// into a TopMStore. Exact counts in a dense array indexed by key, sized to
+/// `universe` up front and grown to the largest key observed beyond it, with
+/// lazy selection. TopMStore::Build's order is strict, so the store does not
+/// depend on the order in which keys were observed.
 class StreamingTopM {
  public:
-  explicit StreamingTopM(size_t capacity) : capacity_(capacity) {}
+  explicit StreamingTopM(size_t capacity, uint32_t universe = 0)
+      : capacity_(capacity), counts_(universe, 0) {}
 
-  void Observe(graph::NodeId key) { counts_[key]++; }
+  void Observe(graph::NodeId key) {
+    if (key >= counts_.size()) counts_.resize(static_cast<size_t>(key) + 1, 0);
+    ++counts_[key];
+  }
+
+  /// Observes every key of [begin, end), in order.
+  void Observe(const graph::NodeId* begin, const graph::NodeId* end) {
+    for (const graph::NodeId* key = begin; key != end; ++key) Observe(*key);
+  }
 
   /// Number of distinct keys observed so far.
-  size_t DistinctKeys() const { return counts_.size(); }
+  size_t DistinctKeys() const {
+    return static_cast<size_t>(
+        std::count_if(counts_.begin(), counts_.end(), [](uint64_t c) { return c != 0; }));
+  }
 
   /// Total observations.
   uint64_t TotalObservations() const {
-    uint64_t total = 0;
-    for (const auto& [key, count] : counts_) total += count;
-    return total;
+    return std::accumulate(counts_.begin(), counts_.end(), uint64_t{0});
   }
 
   /// Current count of a key (0 if unseen).
   uint64_t CountOf(graph::NodeId key) const {
-    const auto it = counts_.find(key);
-    return it == counts_.end() ? 0 : it->second;
+    return key < counts_.size() ? counts_[key] : 0;
   }
 
   /// Builds the top-`capacity` store over `universe` (see TopMStore::Build).
@@ -53,7 +66,7 @@ class StreamingTopM {
 
  private:
   size_t capacity_;
-  std::unordered_map<graph::NodeId, uint64_t> counts_;
+  std::vector<uint64_t> counts_;  // counts_[key]
 };
 
 class TopMStore {

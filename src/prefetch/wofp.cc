@@ -45,14 +45,12 @@ std::unique_ptr<WofpPrefetcher> WofpPrefetcher::Build(
   if (prefetcher->type_ == PrefetcherType::kFrequencyBased) {
     // Dynamic column-frequency counting over the workload — the stream the
     // paper's back-end thread maintains with top-M eviction/insertion.
-    StreamingTopM tracker(target_m);
+    // A row range's entries are one contiguous span of the column list.
+    StreamingTopM tracker(target_m, a.num_cols());
     for (const sched::RowRange& range : w.ranges) {
       if (range.size() == 0) continue;
-      for (auto cur = a.Rows(range.begin); cur.row() < range.end; cur.Next()) {
-        for (uint32_t k = 0; k < cur.degree(); ++k) {
-          tracker.Observe(cols[cur.ptr() + k]);
-        }
-      }
+      tracker.Observe(cols.data() + a.Rows(range.begin).ptr(),
+                      cols.data() + a.Rows(range.end).ptr());
     }
     const TopMStore observed = tracker.Finalize(a.num_cols());
     candidates.assign(observed.entries().begin(), observed.entries().end());

@@ -2,57 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace omega::sparse {
-
-namespace {
-
-// Rebuilds a CSDB matrix from per-row (col, val) lists given in a shared row
-// id space, sorting rows into degree-descending order.
-Result<graph::CsdbMatrix> FromRowLists(
-    uint32_t num_rows, uint32_t num_cols,
-    std::vector<std::vector<std::pair<graph::NodeId, float>>> rows) {
-  std::vector<graph::NodeId> order(num_rows);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](graph::NodeId x, graph::NodeId y) {
-    return rows[x].size() > rows[y].size();
-  });
-
-  std::vector<uint32_t> degrees(num_rows);
-  std::vector<graph::NodeId> col_list;
-  std::vector<float> nnz_list;
-  for (uint32_t i = 0; i < num_rows; ++i) {
-    auto& row = rows[order[i]];
-    std::sort(row.begin(), row.end());
-    degrees[i] = static_cast<uint32_t>(row.size());
-    for (const auto& [c, v] : row) {
-      col_list.push_back(c);
-      nnz_list.push_back(v);
-    }
-  }
-  return graph::CsdbMatrix::FromParts(num_rows, num_cols, degrees,
-                                      std::move(col_list), std::move(nnz_list),
-                                      std::move(order));
-}
-
-// Expands a CSDB matrix into per-row lists in its own row id space.
-std::vector<std::vector<std::pair<graph::NodeId, float>>> ToRowLists(
-    const graph::CsdbMatrix& a) {
-  std::vector<std::vector<std::pair<graph::NodeId, float>>> rows(a.num_rows());
-  const auto& cols = a.col_list();
-  const auto& vals = a.nnz_list();
-  for (auto cur = a.Rows(0); !cur.AtEnd(); cur.Next()) {
-    auto& row = rows[cur.row()];
-    row.reserve(cur.degree());
-    for (uint32_t k = 0; k < cur.degree(); ++k) {
-      row.emplace_back(cols[cur.ptr() + k], vals[cur.ptr() + k]);
-    }
-  }
-  return rows;
-}
-
-}  // namespace
 
 Result<CsdbDeltaResult> ApplyDelta(const graph::CsdbMatrix& old_csdb,
                                    const graph::Graph& new_graph,
@@ -151,57 +102,6 @@ Result<CsdbDeltaResult> ApplyDelta(const graph::CsdbMatrix& old_csdb,
     result.sim_seconds = ctx->clock->seconds() - clock_before;
   }
   return result;
-}
-
-Result<graph::CsdbMatrix> Add(const graph::CsdbMatrix& a, const graph::CsdbMatrix& b,
-                              float alpha, float beta) {
-  if (a.num_rows() != b.num_rows() || a.num_cols() != b.num_cols()) {
-    return Status::InvalidArgument("Add: shape mismatch");
-  }
-  auto rows_a = ToRowLists(a);
-  auto rows_b = ToRowLists(b);
-  std::vector<std::vector<std::pair<graph::NodeId, float>>> merged(a.num_rows());
-  for (uint32_t r = 0; r < a.num_rows(); ++r) {
-    auto& ra = rows_a[r];
-    auto& rb = rows_b[r];
-    std::sort(ra.begin(), ra.end());
-    std::sort(rb.begin(), rb.end());
-    auto& out = merged[r];
-    size_t i = 0;
-    size_t j = 0;
-    while (i < ra.size() || j < rb.size()) {
-      if (j >= rb.size() || (i < ra.size() && ra[i].first < rb[j].first)) {
-        out.emplace_back(ra[i].first, alpha * ra[i].second);
-        ++i;
-      } else if (i >= ra.size() || rb[j].first < ra[i].first) {
-        out.emplace_back(rb[j].first, beta * rb[j].second);
-        ++j;
-      } else {
-        const float v = alpha * ra[i].second + beta * rb[j].second;
-        if (v != 0.0f) out.emplace_back(ra[i].first, v);
-        ++i;
-        ++j;
-      }
-    }
-  }
-  return FromRowLists(a.num_rows(), a.num_cols(), std::move(merged));
-}
-
-Result<graph::CsdbMatrix> Subtract(const graph::CsdbMatrix& a,
-                                   const graph::CsdbMatrix& b) {
-  return Add(a, b, 1.0f, -1.0f);
-}
-
-Result<graph::CsdbMatrix> Transpose(const graph::CsdbMatrix& a) {
-  std::vector<std::vector<std::pair<graph::NodeId, float>>> rows(a.num_cols());
-  const auto& cols = a.col_list();
-  const auto& vals = a.nnz_list();
-  for (auto cur = a.Rows(0); !cur.AtEnd(); cur.Next()) {
-    for (uint32_t k = 0; k < cur.degree(); ++k) {
-      rows[cols[cur.ptr() + k]].emplace_back(cur.row(), vals[cur.ptr() + k]);
-    }
-  }
-  return FromRowLists(a.num_cols(), a.num_rows(), std::move(rows));
 }
 
 void ScaleValues(graph::CsdbMatrix* a, float alpha) {

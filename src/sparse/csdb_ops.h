@@ -1,11 +1,8 @@
-// Matrix operators over the CSDB format (§III-A: "multiplication, addition,
-// subtraction, and transposition"), plus the value transforms the ProNE
-// pipeline needs. Multiplication with a dense operand is in sparse/spmm.h.
-//
-// Operators that change the sparsity pattern (Add/Subtract of different
-// patterns, Transpose of a non-symmetric matrix) re-sort the result's rows
-// into degree-descending order as CSDB requires; the result's perm() maps its
-// rows back to the operands' shared row-id space.
+// Operators over the CSDB format (§III-A) that the pipeline uses: the
+// incremental delta rebuild, the value transforms ProNE needs, and the
+// reference and conversion helpers. Multiplication with a dense operand is in
+// sparse/spmm.h. The paper's addition, subtraction and transposition are not
+// implemented: nothing in the pipeline calls them.
 
 #pragma once
 
@@ -42,19 +39,6 @@ Result<CsdbDeltaResult> ApplyDelta(const graph::CsdbMatrix& old_csdb,
                                    const std::vector<graph::NodeId>& touched_nodes,
                                    memsim::MemorySystem* ms = nullptr,
                                    memsim::WorkerCtx* ctx = nullptr);
-
-/// result = alpha * a + beta * b. Operands must share the same shape and be
-/// indexed in the same id space.
-Result<graph::CsdbMatrix> Add(const graph::CsdbMatrix& a, const graph::CsdbMatrix& b,
-                              float alpha = 1.0f, float beta = 1.0f);
-
-/// result = a - b.
-Result<graph::CsdbMatrix> Subtract(const graph::CsdbMatrix& a,
-                                   const graph::CsdbMatrix& b);
-
-/// Transpose. Columns stay in the input's id space; rows are re-sorted into
-/// degree-descending order (see file comment).
-Result<graph::CsdbMatrix> Transpose(const graph::CsdbMatrix& a);
 
 /// In-place value scaling: a *= alpha.
 void ScaleValues(graph::CsdbMatrix* a, float alpha);

@@ -206,6 +206,38 @@ TEST(GemmTest, PooledResultsBitIdenticalToSerial) {
   EXPECT_EQ(DenseMatrix::MaxAbsDiff(serial_b, pooled_b), 0.0);
 }
 
+// GemmTransA(a, a) computes each element on or above the diagonal once and
+// mirrors it. Its bytes must be those of the general kernel on a copy of `a`
+// (a different object, so the general path runs), serially and on pools
+// whose split of the triangle's tiles cuts through columns; aliasing the
+// output with `a` must not change them.
+TEST(GemmTest, GramProductMatchesGeneralTransA) {
+  for (const size_t m : {1, 3, 4, 5, 8, 40, 41}) {
+    SCOPED_TRACE(m);
+    const DenseMatrix a = GaussianMatrix(4000, m, 40 + m);
+    const DenseMatrix copy = a;
+    DenseMatrix general;
+    ASSERT_TRUE(GemmTransA(a, copy, &general).ok());
+    auto bytes = [](const DenseMatrix& c) {
+      return std::string(reinterpret_cast<const char*>(c.data()), c.bytes());
+    };
+    const std::string expected = bytes(general);
+    DenseMatrix gram;
+    ASSERT_TRUE(GemmTransA(a, a, &gram).ok());
+    EXPECT_EQ(bytes(gram), expected);
+    for (const size_t threads : {2, 3, 8}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      DenseMatrix pooled;
+      ASSERT_TRUE(GemmTransA(a, a, &pooled, &pool).ok());
+      EXPECT_EQ(bytes(pooled), expected);
+    }
+    DenseMatrix in_place = a;
+    ASSERT_TRUE(GemmTransA(in_place, in_place, &in_place).ok());
+    EXPECT_EQ(bytes(in_place), expected);
+  }
+}
+
 // Tall input for the pooled-QR checks, big enough (n * k >= 2^15 for k >= 3)
 // that the pool engages. For k >= 3 column k / 2 is zero, so its reflector
 // takes the betas[j] == 0 path.
@@ -297,28 +329,90 @@ void ColumnAtATimeQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r) {
   }
 }
 
+// QrDigest with every NaN replaced by one quiet NaN.
+std::string NanBlindQrDigest(DenseMatrix q, DenseMatrix r) {
+  for (DenseMatrix* m : {&q, &r}) {
+    for (size_t c = 0; c < m->cols(); ++c) {
+      float* col = m->ColData(c);
+      for (size_t i = 0; i < m->rows(); ++i) {
+        if (std::isnan(col[i])) col[i] = std::numeric_limits<float>::quiet_NaN();
+      }
+    }
+  }
+  return QrDigest(q, r);
+}
+
+// ReducedQr's Q and R bytes on `a`, serial and on pools of 1, 2, 3, 4 and 8
+// workers, against ColumnAtATimeQr's; with `nan_blind`, NaNs compare equal
+// whatever their sign and payload.
+void ExpectMatchesColumnAtATimeOracle(const DenseMatrix& a, bool nan_blind = false) {
+  auto digest = [&](const DenseMatrix& q, const DenseMatrix& r) {
+    return nan_blind ? NanBlindQrDigest(q, r) : QrDigest(q, r);
+  };
+  DenseMatrix qo, ro;
+  ColumnAtATimeQr(a, &qo, &ro);
+  const std::string oracle = digest(qo, ro);
+  DenseMatrix q, r;
+  ASSERT_TRUE(ReducedQr(a, &q, &r).ok());
+  EXPECT_EQ(digest(q, r), oracle);
+  for (const size_t threads : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    DenseMatrix qp, rp;
+    ASSERT_TRUE(ReducedQr(a, &qp, &rp, &pool).ok());
+    EXPECT_EQ(digest(qp, rp), oracle);
+  }
+}
+
 TEST(QrTest, GroupedEliminationMatchesColumnAtATimeOracle) {
-  // Whole and ragged elimination groups (k - j - 1 trailing columns take
-  // every remainder mod 4), serial and pooled; n is large enough that the
-  // pool engages from k = 2.
+  // Whole and ragged groups of 4 columns with a zero column, on n large
+  // enough that the pool engages from two groups on. k = 5..8 puts 8
+  // workers on 2 groups, so most of them find no group and the second
+  // group waits on the first one's reflectors.
   for (const size_t k : {1, 2, 3, 4, 5, 7, 8, 9, 32, 40}) {
     SCOPED_TRACE(k);
     DenseMatrix a = GaussianMatrix(20000, k, 90 + k);
     if (k >= 3) std::fill(a.ColData(k / 2), a.ColData(k / 2) + a.rows(), 0.0f);
-    DenseMatrix qo, ro;
-    ColumnAtATimeQr(a, &qo, &ro);
-    const std::string oracle = QrDigest(qo, ro);
-    DenseMatrix q, r;
-    ASSERT_TRUE(ReducedQr(a, &q, &r).ok());
-    EXPECT_EQ(QrDigest(q, r), oracle);
-    for (const size_t threads : {1, 2, 8}) {
-      SCOPED_TRACE(threads);
-      ThreadPool pool(threads);
-      DenseMatrix qp, rp;
-      ASSERT_TRUE(ReducedQr(a, &qp, &rp, &pool).ok());
-      EXPECT_EQ(QrDigest(qp, rp), oracle);
+    ExpectMatchesColumnAtATimeOracle(a);
+  }
+  // One column short of, exactly at, and one past 1, 2 and 10 whole groups,
+  // on square input, one spare row, and n = 4097 (pooled from k = 8 on).
+  for (const size_t groups : {1, 2, 10}) {
+    for (const size_t k : {4 * groups - 1, 4 * groups, 4 * groups + 1}) {
+      for (const size_t n : {k, k + 1, size_t{4097}}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+        ExpectMatchesColumnAtATimeOracle(GaussianMatrix(n, k, 300 + 7 * k + n));
+      }
     }
   }
+  // A NaN in the last group only: every earlier group has formed its Q panel
+  // by the time that group's reflectors exist, and none of those panels may
+  // pick the NaN up.
+  for (const size_t k : {9, 40}) {
+    SCOPED_TRACE(k);
+    DenseMatrix a = GaussianMatrix(20000, k, 500 + k);
+    a.At(777, k - 1) = std::numeric_limits<float>::quiet_NaN();
+    ExpectMatchesColumnAtATimeOracle(a);
+  }
+  // A NaN only gives a zero beta. An infinite one needs a subnormal vnorm2:
+  // column 0 is a Gaussian column at 5e-38 and the other eleven are three
+  // times it, so each reflector leaves the next column a residual about
+  // 1e-16 times smaller, until reflector 8, in the last group, overflows its
+  // beta. The first two groups formed their Q panels without reflector 8,
+  // and every panel must be formed again with it. Rows past the twelfth are
+  // zero and only make the pool engage. The NaNs' signs here follow the
+  // compiler's operand order (they differed between -O0 and -O2 builds of
+  // the earlier factorization too), so NaNs compare equal.
+  DenseMatrix spans(4096, 12);
+  const DenseMatrix base = GaussianMatrix(12, 1, 372);
+  for (size_t i = 0; i < 12; ++i) {
+    spans.At(i, 0) = base.At(i, 0) * 5e-38f;
+    for (size_t c = 1; c < 12; ++c) spans.At(i, c) = 3.0f * spans.At(i, 0);
+  }
+  DenseMatrix q, r;
+  ASSERT_TRUE(ReducedQr(spans, &q, &r).ok());
+  ASSERT_TRUE(std::isnan(q.At(0, 0)));  // reflector 8 reached column 0
+  ExpectMatchesColumnAtATimeOracle(spans, /*nan_blind=*/true);
 }
 
 TEST(QrTest, MatchesColumnAtATimeFormation) {

@@ -94,6 +94,45 @@ TEST(StreamingTopMTest, FinalizeMatchesBatchBuild) {
   }
 }
 
+TEST(StreamingTopMTest, DenseCountsMatchHashMapOracleOnShuffledSkewedStream) {
+  // Key c occurs 1 + 3000 / (c + 1) times, so the head is steep and the long
+  // tail ties at low counts; the stream is shuffled, half of it observed as
+  // one span, and keys run past the array's initial size. The store must
+  // equal one built from hash-map counts, entry for entry.
+  constexpr uint32_t kKeys = 4000;
+  std::vector<graph::NodeId> stream;
+  for (graph::NodeId c = 0; c < kKeys; ++c) {
+    stream.insert(stream.end(), 1 + 3000 / (c + 1), c);
+  }
+  Rng rng(17);
+  for (size_t i = stream.size(); i > 1; --i) {
+    std::swap(stream[i - 1], stream[rng.NextBounded(i)]);
+  }
+  std::unordered_map<graph::NodeId, uint64_t> oracle_counts;
+  for (const graph::NodeId key : stream) oracle_counts[key]++;
+  for (const size_t m : {size_t{1}, size_t{64}, size_t{700}, size_t{kKeys}}) {
+    SCOPED_TRACE(m);
+    StreamingTopM tracker(m, kKeys / 4);
+    const size_t half = stream.size() / 2;
+    tracker.Observe(stream.data(), stream.data() + half);
+    for (size_t i = half; i < stream.size(); ++i) tracker.Observe(stream[i]);
+    EXPECT_EQ(tracker.DistinctKeys(), oracle_counts.size());
+    EXPECT_EQ(tracker.TotalObservations(), stream.size());
+    std::vector<ScoredKey> candidates;
+    for (const auto& [key, count] : oracle_counts) candidates.push_back({key, count});
+    const TopMStore oracle = TopMStore::Build(std::move(candidates), m, kKeys);
+    const TopMStore store = tracker.Finalize(kKeys);
+    ASSERT_EQ(store.size(), oracle.size());
+    for (size_t i = 0; i < store.size(); ++i) {
+      EXPECT_EQ(store.entries()[i].key, oracle.entries()[i].key) << i;
+      EXPECT_EQ(store.entries()[i].score, oracle.entries()[i].score) << i;
+    }
+    for (graph::NodeId c = 0; c < kKeys; ++c) {
+      EXPECT_EQ(store.Contains(c), oracle.Contains(c)) << c;
+    }
+  }
+}
+
 TEST(SelectPrefetcherTypeTest, EtaRule) {
   sched::Workload dense_w;
   dense_w.nnz = 10000;

@@ -88,22 +88,6 @@ TEST_P(CsdbInvariants, SpmmMatchesReferenceUnderAllAllocators) {
   }
 }
 
-TEST_P(CsdbInvariants, TransposeIsInvolutionOnValues) {
-  const graph::Graph g = MakeGraph();
-  const graph::CsdbMatrix m = graph::CsdbMatrix::FromGraph(g);
-  auto t = sparse::Transpose(m);
-  ASSERT_TRUE(t.ok());
-  auto tt = sparse::Transpose(t.value());
-  ASSERT_TRUE(tt.ok());
-  ASSERT_EQ(tt.value().nnz(), m.nnz());
-  // Frobenius mass preserved through double transpose.
-  double mass_m = 0.0;
-  double mass_tt = 0.0;
-  for (float v : m.nnz_list()) mass_m += static_cast<double>(v) * v;
-  for (float v : tt.value().nnz_list()) mass_tt += static_cast<double>(v) * v;
-  ASSERT_NEAR(mass_m, mass_tt, 1e-3 * (1.0 + mass_m));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     GraphShapes, CsdbInvariants,
     ::testing::Values(GraphShape{6, 100, 0.25}, GraphShape{8, 1500, 0.45},

@@ -84,9 +84,9 @@ if [[ "$TSAN" == 1 ]]; then
   # pooled CSDB/ProNE matrix builds and QR, the chunked R-MAT generator, the
   # engines' SpMM executor and checkpointer, and memsim::WorkerFrame's pool run
   # that every parallel charge phase and the baseline executors go through,
-  # and the pooled producers that write into reused buffers: QR panel lanes,
-  # ToOriginalOrder's scatter) are what TSan is after; the full suite under
-  # TSan is prohibitively slow.
+  # the QR's cross-worker reflector hand-off, and the pooled producers that
+  # write into reused buffers: QR group lanes, ToOriginalOrder's scatter) are
+  # what TSan is after; the full suite under TSan is prohibitively slow.
   cmake -B build-tsan -S . -DOMEGA_TSAN=ON
   cmake --build build-tsan -j "$JOBS" --target common_test graph_test spmm_test plan_test buffer_test serve_test dynamic_test pim_test durable_test csdb_test embed_test engine_test linalg_test sparse_ops_test numa_test multisocket_test prefetch_test memsim_test systems_test output_reuse_test
   ctest --test-dir build-tsan --output-on-failure \
@@ -103,7 +103,7 @@ if [[ "$SMOKE" == 1 ]]; then
   ./build/bench/bench_update_throughput --smoke
   ./build/bench/bench_pim_offload --smoke
   ./build/bench/bench_recovery --smoke
-  ./build/bench/bench_micro_kernels --benchmark_filter='BM_Gemm|BM_CsdbFromGraph|BM_Build' \
+  ./build/bench/bench_micro_kernels --benchmark_filter='BM_Gemm|BM_CsdbFromGraph|BM_Build|BM_ReducedQr' \
     --benchmark_min_time=0.05 --smoke
 fi
 
