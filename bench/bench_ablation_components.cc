@@ -39,7 +39,7 @@ int main() {
     pl.sparse = {memsim::Tier::kPm, memsim::Placement::kInterleaved};
     pl.dense = {memsim::Tier::kPm, memsim::Placement::kInterleaved};
     pl.result = {memsim::Tier::kDram, memsim::Placement::kInterleaved};
-    const auto r = engine::StaticCsrSpmm(csr, b, &c, pl, env.Context());
+    const auto r = engine::StaticCsrSpmm(csr, {b, &c}, pl, env.Context());
     rows.emplace_back("CSR + static rows + Interleaved", r.phase_seconds);
   }
 

@@ -1,8 +1,9 @@
 // Micro benchmarks (google-benchmark) of the hot kernels and data
 // structures: CSDB construction, traversal and indexing, ProNE's derived
-// matrices, SpMM host kernels, the thread allocators, the top-M store, the
-// entropy accumulator, R-MAT generation and graph construction, plus one
-// whole warm FR embedding run.
+// matrices, SpMM host kernels (on FR's propagation matrix too, and its
+// Chebyshev stage), the thread allocators, the top-M store, the entropy
+// accumulator, R-MAT generation and graph construction, plus one whole warm
+// FR embedding run.
 // These measure real host time (not simulated time) — they are about the
 // library's own efficiency.
 
@@ -20,6 +21,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "embed/chebyshev.h"
 #include "embed/prone.h"
 #include "graph/datasets.h"
 #include "graph/rmat.h"
@@ -319,6 +321,86 @@ void BM_GaussianMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianMatrix)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+// perfbench embed-fr's graph and its ProNE propagation matrix, built once.
+const graph::Graph& FrGraph() {
+  static const graph::Graph kFr =
+      graph::GenerateRmat(graph::FindDataset("FR").value().rmat).value();
+  return kFr;
+}
+
+const graph::CsdbMatrix& FrPropagation() {
+  static const graph::CsdbMatrix kS =
+      embed::BuildPropagationMatrix(graph::CsdbMatrix::FromGraph(FrGraph()));
+  return kS;
+}
+
+// Gflop/s of the last BM_PackedSpmmFr run at each width, for the
+// --bench-json report.
+std::map<int, double> g_packed_spmm_fr_gflops;
+
+// The packed SpMM kernel alone over FR's propagation matrix at width
+// range(0) (ASL's 20-column factorize partitions, the propagate width 32,
+// the factorize width 40) on a pool of 4: rows split as every CSDB driver
+// splits them, the operand packed once outside the loop, C column-major.
+void BM_PackedSpmmFr(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const graph::CsdbMatrix& s = FrPropagation();
+  ThreadPool pool(4);
+  const linalg::DenseMatrix b = linalg::GaussianMatrix(s.num_cols(), d, 5);
+  sparse::kernels::PackedOperand packed;
+  sparse::PackDense(b, &pool, &packed);
+  linalg::DenseMatrix c = linalg::DenseMatrix::Uninitialized(s.num_rows(), d);
+  double wall_s = 0.0;
+  for (auto _ : state) {
+    bench::WallTimer timer;
+    graph::ForEachRowRange(s, &pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+      sparse::kernels::CsdbPackedSpmm(s, packed, &c, row_begin, row_end);
+    });
+    wall_s += timer.Seconds();
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  const double flops = 2.0 * static_cast<double>(s.nnz()) * static_cast<double>(d) *
+                       static_cast<double>(state.iterations());
+  state.counters["gflops"] = flops / wall_s / 1e9;
+  g_packed_spmm_fr_gflops[static_cast<int>(d)] = flops / wall_s / 1e9;
+}
+BENCHMARK(BM_PackedSpmmFr)->Arg(20)->Arg(32)->Arg(40)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Wall milliseconds per call of the last BM_ChebyshevFilterFr run.
+double g_chebyshev_filter_fr_ms = 0.0;
+
+// ProNE's stage 2 on FR as embed-fr runs it (d = 32, Chebyshev order 8) on
+// a pool of range(0) threads, through an uncharged executor over the packed
+// kernel: the seven term SpMMs with their epilogues, the packing of R and
+// the unpacking of the result.
+void BM_ChebyshevFilterFr(benchmark::State& state) {
+  const graph::CsdbMatrix& s = FrPropagation();
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
+  const linalg::DenseMatrix r = linalg::GaussianMatrix(s.num_rows(), 32, 7);
+  const std::vector<double> coeffs =
+      embed::ChebyshevCoefficients(embed::ProneBandPass(0.2, 0.5), 8);
+  const embed::SpmmExecutor spmm = [&](const graph::CsdbMatrix& m,
+                                       const sparse::SpmmOperands& dense) {
+    dense.SizeOutput(m.num_rows());
+    sparse::ComputeAllRowsCsdb(m, dense, &pool);
+    return Result<double>(0.0);
+  };
+  linalg::DenseMatrix out;
+  double wall_s = 0.0;
+  for (auto _ : state) {
+    bench::WallTimer timer;
+    if (!embed::ChebyshevFilterApply(s, coeffs, r, &out, spmm, &pool).ok()) {
+      state.SkipWithError("ChebyshevFilterApply failed");
+      return;
+    }
+    wall_s += timer.Seconds();
+    benchmark::DoNotOptimize(out.data());
+  }
+  g_chebyshev_filter_fr_ms = 1e3 * wall_s / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ChebyshevFilterFr)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // What the last BM_RunEmbeddingFr measured, for the --bench-json report
 // (threads stays 0 when the filter skipped it).
 struct EmbedFrSample {
@@ -342,8 +424,7 @@ uint64_t MinorFaults() {
 // adaptive threshold, the order of earlier frees decides which buffers are
 // mmapped.
 void BM_RunEmbeddingFr(benchmark::State& state) {
-  static const graph::Graph kFr =
-      graph::GenerateRmat(graph::FindDataset("FR").value().rmat).value();
+  const graph::Graph& fr = FrGraph();
   const int threads = static_cast<int>(state.range(0));
   engine::EngineOptions options;
   options.system = engine::SystemKind::kOmega;
@@ -354,7 +435,7 @@ void BM_RunEmbeddingFr(benchmark::State& state) {
   const auto ms = memsim::MemorySystem::CreateDefault();
   ThreadPool pool(threads);
   const exec::Context ctx(ms.get(), &pool, threads);
-  if (!engine::RunEmbedding(kFr, "FR", options, ctx).ok()) {  // warm-up
+  if (!engine::RunEmbedding(fr, "FR", options, ctx).ok()) {  // warm-up
     state.SkipWithError("RunEmbedding failed");
     return;
   }
@@ -363,7 +444,7 @@ void BM_RunEmbeddingFr(benchmark::State& state) {
   for (auto _ : state) {
     const uint64_t before = MinorFaults();
     bench::WallTimer timer;
-    auto report = engine::RunEmbedding(kFr, "FR", options, ctx);
+    auto report = engine::RunEmbedding(fr, "FR", options, ctx);
     wall_s += timer.Seconds();
     faults += MinorFaults() - before;
     if (!report.ok()) {
@@ -381,9 +462,9 @@ BENCHMARK(BM_RunEmbeddingFr)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime
 
 // Timed GEMM section behind the custom main: GFLOP/s of the three variants
 // at a few square sizes, printed as a table and (optionally) written to the
-// --bench-json file for perf tracking, together with BM_ReducedQr's and
-// BM_RunEmbeddingFr's per-call wall time (and the latter's page faults) when
-// they ran.
+// --bench-json file for perf tracking, together with BM_ReducedQr's,
+// BM_ChebyshevFilterFr's and BM_RunEmbeddingFr's per-call wall time (and the
+// latter's page faults) and BM_PackedSpmmFr's Gflop/s when they ran.
 template <typename Fn>
 double BestSeconds(int reps, const Fn& fn) {
   double best = 1e30;
@@ -428,6 +509,12 @@ void RunGemmReport(const std::string& json_path) {
   for (const auto& [threads, ms] : g_reduced_qr_ms) {
     json.Add("reduced_qr_" + std::to_string(threads), "wall_ms", ms);
   }
+  for (const auto& [d, gflops] : g_packed_spmm_fr_gflops) {
+    json.Add("packed_spmm_fr_" + std::to_string(d), "gflops", gflops);
+  }
+  if (g_chebyshev_filter_fr_ms > 0.0) {
+    json.Add("chebyshev_filter_fr_4", "wall_ms", g_chebyshev_filter_fr_ms);
+  }
   if (g_embed_fr.threads > 0) {
     const std::string entry = "run_embedding_fr_" + std::to_string(g_embed_fr.threads);
     json.Add(entry, "wall_ms", g_embed_fr.wall_ms);
@@ -442,7 +529,7 @@ void RunGemmReport(const std::string& json_path) {
 // pool), so its time includes allocating and packing the dense slice.
 double PackedSeconds(int reps, const graph::CsdbMatrix& m,
                      const linalg::DenseMatrix& b, linalg::DenseMatrix* c) {
-  return BestSeconds(reps, [&] { sparse::ComputeAllRowsCsdb(m, b, c, nullptr); });
+  return BestSeconds(reps, [&] { sparse::ComputeAllRowsCsdb(m, {b, c}, nullptr); });
 }
 
 // The CSR flavour: a serial PackDense, then every CSR row through the packed

@@ -54,7 +54,7 @@ int Main(int argc, char** argv) {
   const numa::NadpPlan plan = numa::NadpPlan::Build(a, opts, env.Context());
   for (int i = 0; i < kIterations; ++i) {
     sim_plan =
-        numa::NadpExecute(plan, a, b, &c_plan, env.Context()).phase_seconds;
+        numa::NadpExecute(plan, a, {b, &c_plan}, env.Context()).phase_seconds;
   }
   const double plan_seconds = plan_timer.Seconds();
 

@@ -75,12 +75,14 @@ int main(int argc, char** argv) {
   // 3. GNN forward pass on the same charged kernels.
   {
     const graph::CsdbMatrix adjacency = graph::CsdbMatrix::FromGraph(g);
-    auto executor = [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-                        linalg::DenseMatrix* out) -> Result<double> {
-      *out = linalg::DenseMatrix(m.num_rows(), in.cols());
+    auto executor = [&](const graph::CsdbMatrix& m,
+                        const sparse::SpmmOperands& dense) -> Result<double> {
+      dense.SizeOutput(m.num_rows());
       numa::NadpOptions opts;
       opts.num_threads = 16;
-      return numa::NadpSpmm(m, in, out, opts, exec::Context(ms.get(), &pool)).phase_seconds;
+      const exec::Context ctx(ms.get(), &pool);
+      return numa::NadpExecute(numa::NadpPlan::Build(m, opts, ctx), m, dense, ctx)
+          .phase_seconds;
     };
     embed::GnnOptions gnn;
     gnn.output_dim = dim;

@@ -53,15 +53,17 @@ int main(int argc, char** argv) {
               gnn.hidden_dim);
   double baseline = 0.0;
   for (const Config& config : configs) {
-    auto executor = [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-                        linalg::DenseMatrix* out) -> Result<double> {
-      *out = linalg::DenseMatrix(m.num_rows(), in.cols());
+    auto executor = [&](const graph::CsdbMatrix& m,
+                        const sparse::SpmmOperands& dense) -> Result<double> {
+      dense.SizeOutput(m.num_rows());
       numa::NadpOptions opts;
       opts.num_threads = 16;
       opts.allocator = config.allocator;
       opts.use_wofp = config.wofp;
       opts.enabled = config.nadp;
-      return numa::NadpSpmm(m, in, out, opts, exec::Context(ms.get(), &pool)).phase_seconds;
+      const exec::Context ctx(ms.get(), &pool);
+      return numa::NadpExecute(numa::NadpPlan::Build(m, opts, ctx), m, dense, ctx)
+          .phase_seconds;
     };
     auto result =
         embed::GnnForward(adjacency, linalg::DenseMatrix(), gnn, executor);

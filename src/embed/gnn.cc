@@ -58,7 +58,7 @@ Result<GnnResult> GnnForward(const graph::CsdbMatrix& adjacency,
 
     // Aggregation: one charged SpMM per layer.
     linalg::DenseMatrix aggregated;
-    OMEGA_ASSIGN_OR_RETURN(double secs, spmm(s, h, &aggregated));
+    OMEGA_ASSIGN_OR_RETURN(double secs, spmm(s, {h, &aggregated}));
     result.spmm_seconds += secs;
 
     // Weight multiplies: real GEMMs, charged at the simulated CPU rate.

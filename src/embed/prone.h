@@ -20,9 +20,11 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "graph/csdb.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
+#include "sparse/spmm.h"
 
 namespace omega::embed {
 
@@ -55,15 +57,43 @@ struct ChebyshevResume {
   bool valid() const { return next_term >= 2 && t_cur.rows() > 0; }
 };
 
+/// The stage-2 recurrence's state after a term, as after_term sees it: the
+/// two live terms and the partial filter sum. The recurrence keeps them
+/// packed row-major (sparse::kernels::PackedOperand); each accessor unpacks
+/// one into a fresh column-major n x d matrix, bitwise as computed, so a
+/// hook that keeps nothing pays nothing. Valid only during the call.
+class ChebyshevTermState {
+ public:
+  ChebyshevTermState(const sparse::kernels::PackedOperand& t_prev,
+                     const sparse::kernels::PackedOperand& t_cur,
+                     const sparse::kernels::PackedOperand& partial, ThreadPool* pool)
+      : t_prev_(t_prev), t_cur_(t_cur), partial_(partial), pool_(pool) {}
+
+  linalg::DenseMatrix t_prev() const { return Unpack(t_prev_); }   ///< T_{k-1}
+  linalg::DenseMatrix t_cur() const { return Unpack(t_cur_); }     ///< T_k
+  linalg::DenseMatrix partial() const { return Unpack(partial_); } ///< sum to T_k
+
+ private:
+  linalg::DenseMatrix Unpack(const sparse::kernels::PackedOperand& m) const {
+    linalg::DenseMatrix out;
+    sparse::UnpackDense(m, pool_, &out);
+    return out;
+  }
+
+  const sparse::kernels::PackedOperand& t_prev_;
+  const sparse::kernels::PackedOperand& t_cur_;
+  const sparse::kernels::PackedOperand& partial_;
+  ThreadPool* pool_;
+};
+
 /// Durability hooks of the stage-2 recurrence. `after_term` fires once term
 /// k's contribution has landed in the accumulator (so next_term == k + 1)
-/// with the exact state a ChebyshevResume needs; a non-OK return aborts the
-/// recurrence (the engine's simulated kill points and checkpoint IO errors
-/// propagate this way). `resume` restarts mid-recurrence instead of at T_1.
+/// with the exact state a ChebyshevResume needs, unpacked on demand; a
+/// non-OK return aborts the recurrence (the engine's simulated kill points
+/// and checkpoint IO errors propagate this way). `resume` restarts
+/// mid-recurrence instead of at T_1.
 struct ChebyshevHooks {
-  std::function<Status(size_t next_term, const linalg::DenseMatrix& t_prev,
-                       const linalg::DenseMatrix& t_cur,
-                       const linalg::DenseMatrix& partial)>
+  std::function<Status(size_t next_term, const ChebyshevTermState& state)>
       after_term;
   const ChebyshevResume* resume = nullptr;
 };
@@ -79,17 +109,22 @@ struct ProneDurability {
   ChebyshevHooks cheb;
 };
 
-/// Executes one full-width SpMM out = m * in on behalf of the embedder and
-/// returns its *simulated* seconds. Engines inject their charged kernels
-/// (EaTA/WoFP/NaDP/ASL or any baseline) through this hook. `out` arrives
-/// with any shape and contents: the executor makes it m.num_rows() x
-/// in.cols() and overwrites it entirely. The embedder hands the same few
-/// blocks back call after call, so an executor that keeps `out`'s storage
-/// when the shape already matches (DenseMatrix::ResizeForOverwrite)
-/// allocates nothing after the first call of each shape.
+/// Executes one full-width SpMM by m on behalf of the embedder and returns
+/// its *simulated* seconds. Engines inject their charged kernels
+/// (EaTA/WoFP/NaDP/ASL or any baseline) through this hook. `dense` comes in
+/// either form of sparse::SpmmOperands, and every executor takes both; its
+/// charges depend only on m and the operand's width, never on the form.
+/// - Column-major (the tSVD, GNN layers): out = m * in. `out` arrives with
+///   any shape and contents: the executor makes it m.num_rows() x in.cols()
+///   (SizeOutput) and overwrites it entirely. The embedder hands the same
+///   few blocks back call after call, so SizeOutput, which keeps `out`'s
+///   storage when the shape already matches, allocates nothing after the
+///   first call of each shape.
+/// - A packed Chebyshev term (ChebyshevFilterApply): the packed kernel with
+///   its epilogue over every row and column, split however the executor
+///   likes (ASL column partitions, PIM rows): the step is per element.
 using SpmmExecutor = std::function<Result<double>(
-    const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-    linalg::DenseMatrix* out)>;
+    const graph::CsdbMatrix& m, const sparse::SpmmOperands& dense)>;
 
 struct ProneOptions {
   size_t dim = 32;            ///< embedding dimension d

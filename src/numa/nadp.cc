@@ -26,7 +26,7 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   plan.caches_.resize(threads);
   std::vector<uint32_t> in_degrees;
   if (options.use_wofp) {
-    in_degrees = sparse::ComputeInDegrees(a);
+    in_degrees = sparse::ComputeInDegrees(a, pool);
     // One pool for all workers' stores; its mutex makes the concurrent
     // RunOnAll pins below safe.
     plan.frames_ = std::make_unique<buffer::BufferManager>(
@@ -141,7 +141,7 @@ bool NadpPlan::Matches(const graph::CsdbMatrix& a,
 }
 
 NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
-                       const linalg::DenseMatrix& b, linalg::DenseMatrix* c,
+                       const sparse::SpmmOperands& dense,
                        const exec::Context& exec_ctx, size_t col_begin,
                        size_t col_end, sparse::kernels::PackedOperand* packed) {
   OMEGA_CHECK(plan.valid());
@@ -150,8 +150,9 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   const NadpOptions& options = plan.options_;
   const int threads = plan.threads_;
   OMEGA_CHECK(pool != nullptr && pool->size() >= static_cast<size_t>(threads));
-  OMEGA_CHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
-  col_end = std::min(col_end, b.cols());
+  OMEGA_CHECK(dense.packed() || (dense.out->rows() == a.num_rows() &&
+                                  dense.out->cols() == dense.in->cols()));
+  col_end = std::min(col_end, dense.cols());
   OMEGA_CHECK(col_begin <= col_end);
 
   NadpResult result;
@@ -173,7 +174,7 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   // Compute: every row of C[:, col_begin:col_end) in one pooled pass — the
   // host workers' rows and the PIM-offloaded rows alike. Everything below
   // only charges.
-  sparse::ComputeAllRowsCsdb(a, b, c, pool, col_begin, col_end, packed);
+  sparse::ComputeAllRowsCsdb(a, dense, pool, col_begin, col_end, packed);
 
   // Each worker's WoFP build warm-up first, as per-call planning paid it, so
   // a reused plan is simulation-identical to rebuilding; the straggler of
@@ -311,7 +312,7 @@ NadpResult NadpSpmm(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                     const exec::Context& exec_ctx, size_t col_begin,
                     size_t col_end) {
   const NadpPlan plan = NadpPlan::Build(a, options, exec_ctx);
-  return NadpExecute(plan, a, b, c, exec_ctx, col_begin, col_end);
+  return NadpExecute(plan, a, {b, c}, exec_ctx, col_begin, col_end);
 }
 
 bool NadpPlanCache::Contains(const graph::CsdbMatrix& a,

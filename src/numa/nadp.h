@@ -138,9 +138,9 @@ class NadpPlan {
 
  private:
   friend NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
-                                const linalg::DenseMatrix& b,
-                                linalg::DenseMatrix* c, const exec::Context& ctx,
-                                size_t col_begin, size_t col_end,
+                                const sparse::SpmmOperands& dense,
+                                const exec::Context& ctx, size_t col_begin,
+                                size_t col_end,
                                 sparse::kernels::PackedOperand* packed);
 
   NadpOptions options_;
@@ -172,15 +172,18 @@ class NadpPlan {
 };
 
 /// Executor half: runs one SpMM through a prebuilt plan in two steps. The
-/// compute step writes every element of C[:, col_begin:col_end) in one
-/// pooled pass (sparse::ComputeAllRowsCsdb, packing B into `packed` when
-/// given, so an executor that passes the same operand every call maps it
-/// once); the charge step then issues every simulated charge — each worker's
-/// WoFP build warm-up, its pieces' charges from the plan's metadata, the
-/// merge and the PIM side — in the same order as NadpSpmm, so simulated
-/// seconds and traffic are byte-identical to per-call planning.
+/// compute step covers dense columns [col_begin, col_end) of every row in
+/// one pooled pass (sparse::ComputeAllRowsCsdb): for column-major operands
+/// it packs B into `packed` when given, so an executor that passes the same
+/// operand every call maps it once, and writes every element of those
+/// columns of C (sized a.num_rows() x b.cols() by the caller); a packed
+/// Chebyshev term runs its epilogue over them. The charge step then issues
+/// every simulated charge — each worker's WoFP build warm-up, its pieces'
+/// charges from the plan's metadata, the merge and the PIM side — in the
+/// same order as NadpSpmm, so simulated seconds and traffic are
+/// byte-identical to per-call planning, and the same for both forms.
 NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
-                       const linalg::DenseMatrix& b, linalg::DenseMatrix* c,
+                       const sparse::SpmmOperands& dense,
                        const exec::Context& ctx, size_t col_begin = 0,
                        size_t col_end = SIZE_MAX,
                        sparse::kernels::PackedOperand* packed = nullptr);

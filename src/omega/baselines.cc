@@ -44,16 +44,15 @@ CsrCache::Fingerprint CsrCache::FingerprintOf(const graph::CsdbMatrix& m) {
 }  // namespace internal
 
 sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
-                                         const linalg::DenseMatrix& b,
-                                         linalg::DenseMatrix* c,
+                                         const sparse::SpmmOperands& dense,
                                          const sparse::SpmmPlacements& placements,
                                          const exec::Context& ctx,
                                          const sparse::CsrSpmmPlan* plan,
                                          sparse::kernels::PackedOperand* packed) {
   return sparse::ParallelCsrSpmm(
-      a, b, c, ctx, sparse::CsrSpmmPlan::Split::kEqualRows, plan,
+      a, dense, ctx, sparse::CsrSpmmPlan::Split::kEqualRows, plan,
       [&](const sparse::CsrPlanPart& part, memsim::WorkerCtx* wctx) {
-        return sparse::ChargeWorkloadCsr(a, b.cols(), part.row_begin,
+        return sparse::ChargeWorkloadCsr(a, dense.cols(), part.row_begin,
                                          part.row_end, part.nnz, part.entropy,
                                          placements, ctx.ms(), wctx);
       },
@@ -63,18 +62,17 @@ sparse::ParallelSpmmResult StaticCsrSpmm(const graph::CsrMatrix& a,
 namespace {
 
 // One SpMM of a CSR family on `csr` with a `plan` that matches it, packing
-// `in` into `packed`; returns its simulated seconds.
+// a column-major operand into `packed`; returns its simulated seconds.
 using CsrFamilySpmm = std::function<Result<double>(
     const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
-    const linalg::DenseMatrix& in, linalg::DenseMatrix* out,
-    sparse::kernels::PackedOperand* packed)>;
+    const sparse::SpmmOperands& dense, sparse::kernels::PackedOperand* packed)>;
 
 // The SpMM executor of both CSR families: one span per SpMM, the matrix's
 // CSR form from a CsrCache, and its `split` plan rebuilt under an aux
 // "plan.build" span whenever the structure changes. The run's SpMMs share
-// one packed operand and keep `out`'s storage when its shape matches (the
-// compute writes every element). `spmm` is all that differs between the
-// families.
+// one packed operand and keep a column-major `out`'s storage when its shape
+// matches (the compute writes every element). `spmm` is all that differs
+// between the families.
 embed::SpmmExecutor CsrFamilyExecutor(internal::ProneRun* run,
                                       sparse::CsrSpmmPlan::Split split,
                                       CsrFamilySpmm spmm) {
@@ -85,18 +83,18 @@ embed::SpmmExecutor CsrFamilyExecutor(internal::ProneRun* run,
   };
   auto cached = std::make_shared<Cached>();
   return [run, split, spmm = std::move(spmm), cached](
-             const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-             linalg::DenseMatrix* out) -> Result<double> {
+             const graph::CsdbMatrix& m,
+             const sparse::SpmmOperands& dense) -> Result<double> {
     const exec::Context& ctx = run->ctx();
     exec::PhaseSpan span(ctx, run->NextSpmmName());
-    out->ResizeForOverwrite(m.num_rows(), in.cols());
+    dense.SizeOutput(m.num_rows());
     OMEGA_ASSIGN_OR_RETURN(const graph::CsrMatrix* csr, cached->csr.Get(m));
     if (!cached->plan.Matches(*csr, ctx.threads(), split)) {
       exec::PhaseSpan plan_span(ctx, "plan.build", /*aux=*/true);
       cached->plan = sparse::CsrSpmmPlan::Build(*csr, ctx.threads(), split);
     }
     OMEGA_ASSIGN_OR_RETURN(const double seconds,
-                           spmm(*csr, cached->plan, in, out, &cached->packed));
+                           spmm(*csr, cached->plan, dense, &cached->packed));
     span.AddSimSeconds(seconds);
     return seconds;
   };
@@ -135,14 +133,17 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
   const embed::SpmmExecutor executor = CsrFamilyExecutor(
       &run, sparse::CsrSpmmPlan::Split::kEqualRows,
       [&](const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
-          const linalg::DenseMatrix& in, linalg::DenseMatrix* out,
+          const sparse::SpmmOperands& dense,
           sparse::kernels::PackedOperand* packed) -> Result<double> {
         double seconds =
-            StaticCsrSpmm(csr, in, out, pl, ctx, &plan, packed).phase_seconds;
+            StaticCsrSpmm(csr, dense, pl, ctx, &plan, packed).phase_seconds;
         if (!hm) return seconds;
         // Synchronous dense staging PM -> DRAM before and DRAM -> PM after
-        // each SpMM, not overlapped with compute (no ASL).
-        const size_t stage_bytes = in.bytes() + out->bytes();
+        // each SpMM, not overlapped with compute (no ASL): the operand in,
+        // the result out.
+        const size_t out_bytes = size_t{csr.num_rows()} * dense.cols() * sizeof(float);
+        const size_t stage_bytes =
+            size_t{csr.num_cols()} * dense.cols() * sizeof(float) + out_bytes;
         if (!ms->faults_enabled()) {
           seconds += ms->AccessSeconds(interleave_pm, 0, memsim::MemOp::kRead,
                                        memsim::Pattern::kSequential, stage_bytes, 1, 1);
@@ -168,7 +169,7 @@ Result<RunReport> RunProneFamily(const graph::Graph& g, const std::string& datas
         }
         return seconds + ms->AccessSeconds(interleave_pm, 0, memsim::MemOp::kWrite,
                                            memsim::Pattern::kSequential,
-                                           out->bytes(), 1, 1);
+                                           out_bytes, 1, 1);
       });
 
   OMEGA_ASSIGN_OR_RETURN(embed::EmbeddingResult emb,
@@ -313,15 +314,15 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
   const embed::SpmmExecutor executor = CsrFamilyExecutor(
       &run, sparse::CsrSpmmPlan::Split::kEqualNnz,
       [&](const graph::CsrMatrix& csr, const sparse::CsrSpmmPlan& plan,
-          const linalg::DenseMatrix& in, linalg::DenseMatrix* out,
+          const sparse::SpmmOperands& dense,
           sparse::kernels::PackedOperand* packed) -> Result<double> {
         // A fresh fault epoch per execute, so the miss-read retry loop
         // doesn't replay one draw key.
         const uint64_t fault_site = ms->NextFaultEpoch();
         return sparse::ParallelCsrSpmm(
-                   csr, in, out, ctx, plan.split(), &plan,
+                   csr, dense, ctx, plan.split(), &plan,
                    [&](const sparse::CsrPlanPart& part, memsim::WorkerCtx* wctx) {
-                     return price(csr, in.cols(), part, wctx);
+                     return price(csr, dense.cols(), part, wctx);
                    },
                    fault_site, packed)
             .phase_seconds;

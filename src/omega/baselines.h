@@ -38,10 +38,10 @@ Result<RunReport> RunOutOfCoreFamily(const graph::Graph& g,
 /// over sparse::ParallelCsrSpmm, with ctx.threads() workers. Exposed for
 /// tests and benches. When `plan` is non-null it must match
 /// (a, ctx.threads(), kEqualRows); otherwise one is built for this call.
-/// `packed` is the caller's packed operand, as in ParallelCsrSpmm.
+/// `dense` and `packed` are as in ParallelCsrSpmm.
 sparse::ParallelSpmmResult StaticCsrSpmm(
-    const graph::CsrMatrix& a, const linalg::DenseMatrix& b,
-    linalg::DenseMatrix* c, const sparse::SpmmPlacements& placements,
+    const graph::CsrMatrix& a, const sparse::SpmmOperands& dense,
+    const sparse::SpmmPlacements& placements,
     const exec::Context& ctx, const sparse::CsrSpmmPlan* plan = nullptr,
     sparse::kernels::PackedOperand* packed = nullptr);
 

@@ -237,22 +237,23 @@ class OmegaSpmm {
                                               buffer::EvictionPolicy::kLru})
                           : nullptr) {}
 
-  /// out = m * in, traced as the phase `name`; returns its simulated seconds.
-  /// The partitions' compute passes write every element of `out`, so its
-  /// storage is kept when the shape matches and is never zero-filled.
+  /// One SpMM by m over `dense` (either form), traced as the phase `name`;
+  /// returns its simulated seconds. The partitions' compute passes write
+  /// every element of a column-major `out`, so its storage is kept when the
+  /// shape matches and is never zero-filled.
   Result<double> Run(const std::string& name, const graph::CsdbMatrix& m,
-                     const linalg::DenseMatrix& in, linalg::DenseMatrix* out) {
+                     const sparse::SpmmOperands& dense) {
     exec::PhaseSpan span(ctx_, name);
-    out->ResizeForOverwrite(m.num_rows(), in.cols());
+    dense.SizeOutput(m.num_rows());
     double seconds = ProbeWofp();
-    const numa::NadpPlan& plan = Plan(m, in.cols());
+    const numa::NadpPlan& plan = Plan(m, dense.cols());
     span.AddPlanCounters(1, 0, 0);
     if (placement_.staged()) {
-      OMEGA_ASSIGN_OR_RETURN(const double staged, Staged(plan, m, in, out, &span));
+      OMEGA_ASSIGN_OR_RETURN(const double staged, Staged(plan, m, dense, &span));
       seconds += staged;
     } else {
       seconds += Accumulate(
-          numa::NadpExecute(plan, m, in, out, ctx_, 0, SIZE_MAX, &packed_));
+          numa::NadpExecute(plan, m, dense, ctx_, 0, SIZE_MAX, &packed_));
     }
     span.AddSimSeconds(seconds);
     return seconds;
@@ -338,11 +339,10 @@ class OmegaSpmm {
   // ASL: streams the dense operand's column partitions PM -> DRAM and
   // overlaps each load with the previous partition's SpMM (§III-E).
   Result<double> Staged(const numa::NadpPlan& plan, const graph::CsdbMatrix& m,
-                        const linalg::DenseMatrix& in, linalg::DenseMatrix* out,
-                        exec::PhaseSpan* span) {
+                        const sparse::SpmmOperands& dense, exec::PhaseSpan* span) {
     stream::AslConfig cfg;
     cfg.dense_rows = m.num_rows();
-    cfg.dense_cols = in.cols();
+    cfg.dense_cols = dense.cols();
     cfg.element_bytes = sizeof(float);
     cfg.sparse_bytes = placement_.sparse_bytes;
     cfg.dram_budget = placement_.asl_budget + placement_.sparse_bytes +
@@ -358,7 +358,7 @@ class OmegaSpmm {
     OMEGA_ASSIGN_OR_RETURN(
         const stream::AslRunResult run,
         streamer.Run([&](size_t, size_t col_begin, size_t col_end) {
-          return Accumulate(numa::NadpExecute(plan, m, in, out, ctx_, col_begin,
+          return Accumulate(numa::NadpExecute(plan, m, dense, ctx_, col_begin,
                                               col_end, &packed_));
         }));
     if (run.rebuild_recommended) Degraded();
@@ -413,8 +413,9 @@ class OmegaSpmm {
   const exec::Context ctx_;
   numa::NadpOptions nadp_;  ///< use_wofp flips off when the cache is dropped
   numa::NadpPlanCache plan_cache_;
-  /// Every SpMM of the run packs its dense operand here: mapped once, at the
-  /// widest width, and unmapped with the executor.
+  /// Every column-major SpMM of the run (the tSVD's) packs its dense operand
+  /// here: mapped once, at the widest width, and unmapped with the executor.
+  /// The Chebyshev terms arrive packed and use none of it.
   sparse::kernels::PackedOperand packed_;
   std::unique_ptr<buffer::BufferManager> stage_frames_;
   numa::NadpResult totals_;  ///< wofp_build / pim.* accumulators
@@ -464,11 +465,11 @@ Result<RunReport> RunOmegaFamily(const graph::Graph& g, const std::string& datas
     emb = ckpt.TakeEmbedding();
   } else {
     const embed::SpmmExecutor executor =
-        [&](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-            linalg::DenseMatrix* out) -> Result<double> {
+        [&](const graph::CsdbMatrix& m,
+            const sparse::SpmmOperands& dense) -> Result<double> {
       const bool propagate = run.propagating();
       OMEGA_ASSIGN_OR_RETURN(const double seconds,
-                             spmm.Run(run.NextSpmmName(), m, in, out));
+                             spmm.Run(run.NextSpmmName(), m, dense));
       ckpt.AddSpmmSeconds(propagate, seconds);
       return seconds;
     };

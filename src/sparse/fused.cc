@@ -35,7 +35,7 @@ Result<ParallelSpmmResult> FusedMmSpmm(const graph::CsrMatrix& a,
   const memsim::Placement dram{memsim::Tier::kDram, 0};
   const uint64_t d = b.cols();
   return ParallelCsrSpmm(
-      a, b, c, ctx, CsrSpmmPlan::Split::kEqualRows, plan,
+      a, {b, c}, ctx, CsrSpmmPlan::Split::kEqualRows, plan,
       [&](const CsrPlanPart& part, memsim::WorkerCtx* wctx) {
         SpmmCostBreakdown bd;
         const uint64_t rows = part.row_end - part.row_begin;

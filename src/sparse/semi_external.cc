@@ -31,7 +31,7 @@ ParallelSpmmResult SemiExternalSpmm(const graph::CsrMatrix& a,
   const memsim::Placement dram{memsim::Tier::kDram, 0};
   const uint64_t d = b.cols();
   return ParallelCsrSpmm(
-      a, b, c, ctx, CsrSpmmPlan::Split::kEqualNnz, plan,
+      a, {b, c}, ctx, CsrSpmmPlan::Split::kEqualNnz, plan,
       [&](const CsrPlanPart& part, memsim::WorkerCtx* wctx) {
         SpmmCostBreakdown bd;
         const uint64_t rows = part.row_end - part.row_begin;

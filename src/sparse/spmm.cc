@@ -160,17 +160,45 @@ void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
   }
 }
 
-void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
-                        linalg::DenseMatrix* c, ThreadPool* pool,
-                        size_t col_begin, size_t col_end,
+void UnpackDense(const kernels::PackedOperand& packed, ThreadPool* pool,
+                 linalg::DenseMatrix* out) {
+  const size_t n = packed.rows();
+  out->ResizeForOverwrite(n, packed.width());
+  if (pool != nullptr && pool->size() > 1 &&
+      n * packed.width() >= kMinParallelPack) {
+    pool->ParallelFor(n, [&](size_t, size_t begin, size_t end) {
+      kernels::UnpackRows(packed, begin, end, out);
+    });
+  } else {
+    kernels::UnpackRows(packed, 0, n, out);
+  }
+}
+
+void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
+                        ThreadPool* pool, size_t col_begin, size_t col_end,
                         kernels::PackedOperand* packed) {
-  OMEGA_DCHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
+  col_end = std::min(col_end, dense.cols());
+  col_begin = std::min(col_begin, col_end);
+  if (dense.packed()) {
+    const kernels::PackedOperand& source = *dense.source;
+    OMEGA_DCHECK(source.rows() == a.num_cols() && source.rows() == a.num_rows() &&
+                 dense.step.t->width() == source.width() &&
+                 dense.step.sum->width() == source.width());
+    if (col_begin == col_end) return;
+    graph::ForEachRowRange(a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+      kernels::CsdbPackedSpmm(a, source, dense.step, row_begin, row_end, col_begin,
+                              col_end);
+    });
+    return;
+  }
+  OMEGA_DCHECK(dense.out->rows() == a.num_rows() &&
+               dense.out->cols() == dense.in->cols());
   kernels::PackedOperand local;
   if (packed == nullptr) packed = &local;
-  PackDense(b, pool, packed, col_begin, col_end);
+  PackDense(*dense.in, pool, packed, col_begin, col_end);
   if (packed->width() == 0) return;
   graph::ForEachRowRange(a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
-    kernels::CsdbPackedSpmm(a, *packed, c, row_begin, row_end);
+    kernels::CsdbPackedSpmm(a, *packed, dense.out, row_begin, row_end);
   });
 }
 
@@ -308,7 +336,7 @@ ParallelSpmmResult ParallelSpmm(const graph::CsdbMatrix& a,
                                 const exec::Context& ctx) {
   memsim::MemorySystem* ms = ctx.ms();
   // Compute: the workloads partition A, so one all-rows pass covers them.
-  ComputeAllRowsCsdb(a, b, c, ctx.pool());
+  ComputeAllRowsCsdb(a, {b, c}, ctx.pool());
 
   // Charge: one simulated worker per workload, on its own clock.
   memsim::WorkerFrame frame(ms->topology(), static_cast<int>(workloads.size()));

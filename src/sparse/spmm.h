@@ -85,6 +85,38 @@ class DenseCacheView {
   virtual uint64_t BytesPerHit() const { return 64; }
 };
 
+/// The dense side of one SpMM by A, in one of two forms:
+/// - column-major: *out = A * *in. The compute packs `in` (PackDense) and
+///   writes every element of `out`, which the caller sized
+///   A.num_rows() x in->cols() (SizeOutput).
+/// - a packed Chebyshev term: `source` is T_{k-1}, already packed row-major
+///   over all of its columns, and the kernel's epilogue (`step`,
+///   kernels::ChebyshevEpilogue) writes T_k and the filter sum into packed
+///   operands of the same shape. Nothing is packed or written column-major.
+/// Either way the SpMM is A.num_rows() x cols() wide and charges alike.
+struct SpmmOperands {
+  SpmmOperands(const linalg::DenseMatrix& in, linalg::DenseMatrix* out)
+      : in(&in), out(out) {}
+  SpmmOperands(const kernels::PackedOperand& source,
+               const kernels::ChebyshevEpilogue& step)
+      : source(&source), step(step) {}
+
+  bool packed() const { return source != nullptr; }
+  /// The dense operand's width.
+  size_t cols() const { return packed() ? source->width() : in->cols(); }
+  /// Makes a column-major `out` rows x cols(), keeping its storage when the
+  /// shape matches (the compute overwrites every element); nothing to do
+  /// for a packed term.
+  void SizeOutput(size_t rows) const {
+    if (!packed()) out->ResizeForOverwrite(rows, cols());
+  }
+
+  const linalg::DenseMatrix* in = nullptr;
+  linalg::DenseMatrix* out = nullptr;
+  const kernels::PackedOperand* source = nullptr;
+  kernels::ChebyshevEpilogue step;
+};
+
 /// Packs B[:, col_begin:min(col_end, b.cols())) row-major into `packed` for
 /// the packed kernel (col_begin is clamped to the clamped col_end, so any
 /// range is safe), its rows split across `pool` when the slice is large
@@ -96,6 +128,13 @@ void PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
                kernels::PackedOperand* packed, size_t col_begin = 0,
                size_t col_end = SIZE_MAX);
 
+/// The inverse of PackDense for a whole operand: `out` becomes
+/// packed.rows() x packed.width() (storage kept when the shape matches) and
+/// column j receives packed column j, rows split across `pool` as PackDense
+/// splits them. Must not run inside a job of `pool`.
+void UnpackDense(const kernels::PackedOperand& packed, ThreadPool* pool,
+                 linalg::DenseMatrix* out);
+
 /// Host-only compute of one workload: C rows for the workload's ranges and
 /// the packed columns, with no memsim charging. Runs the packed kernel
 /// (sparse/spmm_kernels.h); every output element is reduced in ascending-k
@@ -106,16 +145,18 @@ void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
                          const kernels::PackedOperand& b, linalg::DenseMatrix* c,
                          const sched::Workload& w);
 
-/// Computes every row of C = A * B for columns [col_begin, min(col_end,
-/// b.cols())): PackDense on `pool` into `packed` (an operand local to the
-/// call when null), then the packed kernel over row ranges from
-/// graph::ForEachRowRange (serial when `pool` is null). Writes every element
-/// of those columns, zero-degree rows included, so C needs no zero-fill. The
+/// Computes every row of the SpMM by A for dense columns [col_begin,
+/// min(col_end, dense.cols())), with the packed kernel over row ranges from
+/// graph::ForEachRowRange (serial when `pool` is null). Column-major: packs
+/// those columns of `in` on `pool` into `packed` (an operand local to the
+/// call when null) and writes every element of them in `out`, zero-degree
+/// rows included, so `out` needs no zero-fill. Packed Chebyshev term: runs
+/// the epilogue over those columns of every row; `packed` is not used. The
 /// compute step of every parallel CSDB SpMM driver; bit-identical to
 /// ComputeWorkloadCsdb and at any pool size.
-void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
-                        linalg::DenseMatrix* c, ThreadPool* pool,
-                        size_t col_begin = 0, size_t col_end = SIZE_MAX,
+void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
+                        ThreadPool* pool, size_t col_begin = 0,
+                        size_t col_end = SIZE_MAX,
                         kernels::PackedOperand* packed = nullptr);
 
 /// The original per-column kernel (Algorithm 1's loop nesting verbatim), kept

@@ -11,9 +11,31 @@
 
 namespace omega::sparse {
 
-std::vector<uint32_t> ComputeInDegrees(const graph::CsdbMatrix& a) {
-  std::vector<uint32_t> in_degrees(a.num_cols(), 0);
-  for (graph::NodeId c : a.col_list()) in_degrees[c]++;
+std::vector<uint32_t> ComputeInDegrees(const graph::CsdbMatrix& a, ThreadPool* pool) {
+  // Entries below which one thread counts them all: a dispatch and the
+  // per-worker arrays cost more.
+  constexpr size_t kMinParallelEntries = size_t{1} << 16;
+  const std::vector<graph::NodeId>& cols = a.col_list();
+  const size_t n = a.num_cols();
+  std::vector<uint32_t> in_degrees(n, 0);
+  if (pool == nullptr || pool->size() < 2 || cols.size() < kMinParallelEntries) {
+    for (graph::NodeId c : cols) in_degrees[c]++;
+    return in_degrees;
+  }
+  // One block for all workers' counts, allocated here rather than in each
+  // worker's malloc arena, which would keep the pages after the free.
+  const size_t workers = pool->size();
+  std::vector<uint32_t> counts(workers * n);
+  pool->ParallelFor(cols.size(), [&](size_t worker, size_t begin, size_t end) {
+    uint32_t* mine = counts.data() + worker * n;
+    for (size_t i = begin; i < end; ++i) mine[cols[i]]++;
+  });
+  pool->ParallelFor(n, [&](size_t, size_t begin, size_t end) {
+    for (size_t w = 0; w < workers; ++w) {
+      const uint32_t* mine = counts.data() + w * n;
+      for (size_t c = begin; c < end; ++c) in_degrees[c] += mine[c];
+    }
+  });
   return in_degrees;
 }
 
@@ -155,8 +177,8 @@ bool CsrSpmmPlan::Matches(const graph::CsrMatrix& a, int threads,
 }
 
 ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
-                                   const linalg::DenseMatrix& b,
-                                   linalg::DenseMatrix* c, const exec::Context& ctx,
+                                   const SpmmOperands& dense,
+                                   const exec::Context& ctx,
                                    CsrSpmmPlan::Split split, const CsrSpmmPlan* plan,
                                    const CsrPartPricing& price,
                                    uint64_t fault_site,
@@ -168,19 +190,30 @@ ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
     plan = &local_plan;
   }
   OMEGA_CHECK(plan->Matches(a, threads, split)) << "ParallelCsrSpmm: stale plan";
-  OMEGA_CHECK(c->rows() == a.num_rows() && c->cols() == b.cols());
 
-  // Compute: one pack of B, then dynamic row blocks (power-law rows make
-  // static chunks skewed); each element's ascending-k reduction is fixed
-  // inside the packed kernel, so C is bit-identical under any split. No
-  // memsim state is touched here.
+  // Compute: one pack of B (none for a packed term), then dynamic row blocks
+  // (power-law rows make static chunks skewed); each element's ascending-k
+  // reduction is fixed inside the packed kernel, so the result is
+  // bit-identical under any split. No memsim state is touched here.
   kernels::PackedOperand local;
   if (packed == nullptr) packed = &local;
-  PackDense(b, ctx.pool(), packed);
+  if (dense.packed()) {
+    OMEGA_CHECK(dense.source->rows() == a.num_cols() &&
+                dense.source->rows() == a.num_rows());
+  } else {
+    OMEGA_CHECK(dense.out->rows() == a.num_rows() &&
+                dense.out->cols() == dense.in->cols());
+    PackDense(*dense.in, ctx.pool(), packed);
+  }
   constexpr size_t kRowBlock = 1024;
   const auto compute_rows = [&](size_t, size_t row_begin, size_t row_end) {
-    kernels::CsrPackedSpmm(a, *packed, c, static_cast<uint32_t>(row_begin),
-                           static_cast<uint32_t>(row_end));
+    const auto rb = static_cast<uint32_t>(row_begin);
+    const auto re = static_cast<uint32_t>(row_end);
+    if (dense.packed()) {
+      kernels::CsrPackedSpmm(a, *dense.source, dense.step, rb, re, 0, dense.cols());
+    } else {
+      kernels::CsrPackedSpmm(a, *packed, dense.out, rb, re);
+    }
   };
   if (ctx.pool() == nullptr) {
     compute_rows(0, 0, a.num_rows());

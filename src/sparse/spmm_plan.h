@@ -27,8 +27,12 @@
 namespace omega::sparse {
 
 /// In-degree of every column of `a` (number of stored entries per column);
-/// WoFP's degree-based prefetchers rank columns by it.
-std::vector<uint32_t> ComputeInDegrees(const graph::CsdbMatrix& a);
+/// WoFP's degree-based prefetchers rank columns by it. With a pool, each
+/// worker counts its slice of the entries into its own array and the arrays
+/// are summed in worker order; integer counts, so the result is the same at
+/// any pool size.
+std::vector<uint32_t> ComputeInDegrees(const graph::CsdbMatrix& a,
+                                       ThreadPool* pool = nullptr);
 
 /// Structural identity of a sparse matrix — the invalidation key of every
 /// plan. Pointer identity alone is unsafe (allocations are reused across the
@@ -126,16 +130,18 @@ using CsrPartPricing =
 /// The parallel CSR SpMM driver. The CSR baselines (FusedMM, SEM-SpMM, the
 /// ProNE and out-of-core engines) all run Algorithm 1 through it and differ
 /// only in `price`. Uses `plan`, which must match (a, ctx.threads(), split),
-/// or builds one for this call. Packs B once (PackDense, into `packed` when
-/// given, into an operand local to the call otherwise) and computes every
-/// row of C = A * B on ctx.pool() with the packed kernel CSDB runs too
-/// (kernels::CsrPackedSpmm), writing every element of C, then prices each of
+/// or builds one for this call. For column-major operands, packs B once
+/// (PackDense, into `packed` when given, into an operand local to the call
+/// otherwise) and computes every row of C = A * B on ctx.pool() with the
+/// packed kernel CSDB runs too (kernels::CsrPackedSpmm), writing every
+/// element of C; a packed Chebyshev term runs the same kernel with its
+/// epilogue over every row and column (SpmmOperands). Then it prices each of
 /// the plan's parts on its own worker of a memsim::WorkerFrame (whole-pool
 /// contention, fault cursors starting at `fault_site`). nnz_processed is
 /// a.nnz(). C and every simulated second are the same at any pool size.
 ParallelSpmmResult ParallelCsrSpmm(const graph::CsrMatrix& a,
-                                   const linalg::DenseMatrix& b,
-                                   linalg::DenseMatrix* c, const exec::Context& ctx,
+                                   const SpmmOperands& dense,
+                                   const exec::Context& ctx,
                                    CsrSpmmPlan::Split split, const CsrSpmmPlan* plan,
                                    const CsrPartPricing& price,
                                    uint64_t fault_site = 0,

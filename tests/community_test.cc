@@ -15,6 +15,7 @@
 #include "graph/rmat.h"
 #include "linalg/random_matrix.h"
 #include "sparse/csdb_ops.h"
+#include "sparse/spmm.h"
 
 namespace omega {
 namespace {
@@ -111,9 +112,10 @@ TEST(ClassificationTest, ProneEmbeddingClassifiesSbmCommunities) {
   prone.oversample = 8;
   auto emb = embed::ProneEmbed(
       adjacency, prone,
-      [](const graph::CsdbMatrix& m, const linalg::DenseMatrix& in,
-         linalg::DenseMatrix* out) -> Result<double> {
-        OMEGA_RETURN_NOT_OK(sparse::ReferenceSpmm(m, in, out));
+      [](const graph::CsdbMatrix& m,
+         const sparse::SpmmOperands& dense) -> Result<double> {
+        dense.SizeOutput(m.num_rows());
+        sparse::ComputeAllRowsCsdb(m, dense, nullptr);
         return 0.0;
       });
   ASSERT_TRUE(emb.ok());

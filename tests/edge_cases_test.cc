@@ -14,6 +14,7 @@
 #include "prefetch/wofp.h"
 #include "sched/allocators.h"
 #include "sparse/csdb_ops.h"
+#include "sparse/spmm.h"
 #include "sparse/spmm_plan.h"
 #include "stream/asl.h"
 
@@ -107,9 +108,10 @@ TEST_P(ShapeTest, EmbeddingPipelineSurvives) {
   opts.chebyshev_order = 4;
   auto result = embed::ProneEmbed(
       m, opts,
-      [](const CsdbMatrix& a, const linalg::DenseMatrix& in,
-         linalg::DenseMatrix* out) -> Result<double> {
-        OMEGA_RETURN_NOT_OK(sparse::ReferenceSpmm(a, in, out));
+      [](const CsdbMatrix& a,
+         const sparse::SpmmOperands& dense) -> Result<double> {
+        dense.SizeOutput(a.num_rows());
+        sparse::ComputeAllRowsCsdb(a, dense, nullptr);
         return 0.0;
       });
   ASSERT_TRUE(result.ok()) << GetParam() << ": " << result.status().ToString();

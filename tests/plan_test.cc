@@ -99,14 +99,14 @@ TEST_F(PlanTest, NadpPlanReuseIsSimulationIdenticalAcrossModes) {
         const numa::NadpPlan plan = numa::NadpPlan::Build(a_, opts, Ctx());
         ASSERT_TRUE(plan.valid());
         DenseMatrix c_plan(a_.num_rows(), b_.cols());
-        const NadpResult r_plan = NadpExecute(plan, a_, b_, &c_plan, Ctx());
+        const NadpResult r_plan = NadpExecute(plan, a_, {b_, &c_plan}, Ctx());
         ExpectIdenticalResults(r_percall, r_plan);
         EXPECT_TRUE(BitIdentical(c_percall, c_plan));
 
         // Second execute through the same plan: still identical — the WoFP
         // warm-up charges are replayed on every call, not just the first.
         DenseMatrix c_again(a_.num_rows(), b_.cols());
-        const NadpResult r_again = NadpExecute(plan, a_, b_, &c_again, Ctx());
+        const NadpResult r_again = NadpExecute(plan, a_, {b_, &c_again}, Ctx());
         ExpectIdenticalResults(r_percall, r_again);
         EXPECT_TRUE(BitIdentical(c_percall, c_again));
       }
@@ -129,7 +129,7 @@ TEST_F(PlanTest, NadpPlanReuseIdenticalOnColumnRanges) {
         NadpSpmm(a_, b_, &c_percall, opts, Ctx(), begin, end);
     DenseMatrix c_plan(a_.num_rows(), b_.cols());
     const NadpResult r_plan =
-        NadpExecute(plan, a_, b_, &c_plan, Ctx(), begin, end);
+        NadpExecute(plan, a_, {b_, &c_plan}, Ctx(), begin, end);
     ExpectIdenticalResults(r_percall, r_plan);
     EXPECT_TRUE(BitIdentical(c_percall, c_plan));
   }
@@ -186,7 +186,7 @@ TEST_F(PlanTest, MoreThreadsThanRowsThroughPlanPath) {
       const NadpResult r_percall = NadpSpmm(tiny, b, &c_percall, opts, Ctx());
       const numa::NadpPlan plan = numa::NadpPlan::Build(tiny, opts, Ctx());
       DenseMatrix c_plan(tiny.num_rows(), b.cols());
-      const NadpResult r_plan = NadpExecute(plan, tiny, b, &c_plan, Ctx());
+      const NadpResult r_plan = NadpExecute(plan, tiny, {b, &c_plan}, Ctx());
       ExpectIdenticalResults(r_percall, r_plan);
       EXPECT_TRUE(BitIdentical(c_percall, c_plan));
       EXPECT_LT(DenseMatrix::MaxAbsDiff(c_plan, expected), 1e-4);
@@ -274,12 +274,12 @@ TEST_F(PlanTest, StaticCsrSpmmPlanPathIdentical) {
   const exec::Context ctx = Ctx().WithThreads(8);
 
   DenseMatrix c_percall(csr.num_rows(), b_.cols());
-  const auto r_percall = engine::StaticCsrSpmm(csr, b_, &c_percall, pl, ctx);
+  const auto r_percall = engine::StaticCsrSpmm(csr, {b_, &c_percall}, pl, ctx);
 
   const CsrSpmmPlan plan =
       CsrSpmmPlan::Build(csr, 8, CsrSpmmPlan::Split::kEqualRows);
   DenseMatrix c_plan(csr.num_rows(), b_.cols());
-  const auto r_plan = engine::StaticCsrSpmm(csr, b_, &c_plan, pl, ctx, &plan);
+  const auto r_plan = engine::StaticCsrSpmm(csr, {b_, &c_plan}, pl, ctx, &plan);
   EXPECT_EQ(r_percall.phase_seconds, r_plan.phase_seconds);
   for (int t = 0; t < 8; ++t) {
     EXPECT_EQ(r_percall.thread_seconds[t], r_plan.thread_seconds[t]);
@@ -551,7 +551,7 @@ TEST_F(PlanTest, ParallelAndCsrKernelChargesPinned) {
           << "actual semi_external pin:\n" << semi_external;
 
       const std::string static_csr =
-          Digest(engine::StaticCsrSpmm(csr, b_, &c[3], pl, ctx));
+          Digest(engine::StaticCsrSpmm(csr, {b_, &c[3]}, pl, ctx));
       EXPECT_EQ(p.static_csr, static_csr) << "actual static_csr pin:\n" << static_csr;
 
       if (first_c.empty()) {

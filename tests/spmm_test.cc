@@ -224,7 +224,7 @@ TEST_F(PackedSpmmPoolTest, AllRowsPooledEqualsSerialBitForBit) {
                                               {3, 65}, {0, 65}};
   for (const auto& [col_begin, col_end] : ranges) {
     DenseMatrix serial(a_.num_rows(), b_.cols());
-    ComputeAllRowsCsdb(a_, b_, &serial, nullptr, col_begin, col_end);
+    ComputeAllRowsCsdb(a_, {b_, &serial}, nullptr, col_begin, col_end);
     DenseMatrix oracle(a_.num_rows(), b_.cols());
     kernels::CsdbPanelSpmmScalar(a_, b_, &oracle, 0, a_.num_rows(), col_begin,
                                  col_end);
@@ -233,7 +233,7 @@ TEST_F(PackedSpmmPoolTest, AllRowsPooledEqualsSerialBitForBit) {
     for (size_t threads : {1, 2, 8}) {
       ThreadPool pool(threads);
       DenseMatrix pooled(a_.num_rows(), b_.cols());
-      ComputeAllRowsCsdb(a_, b_, &pooled, &pool, col_begin, col_end);
+      ComputeAllRowsCsdb(a_, {b_, &pooled}, &pool, col_begin, col_end);
       EXPECT_TRUE(BitsEqual(pooled, serial))
           << "threads=" << threads << " cols [" << col_begin << ", "
           << col_end << ")";
@@ -246,7 +246,7 @@ TEST_F(PackedSpmmPoolTest, AllRowsPooledEqualsSerialBitForBit) {
 // lands on the all-rows bits and no other row is written.
 TEST_F(PackedSpmmPoolTest, WorkloadRowSubsetsMatchAllRows) {
   DenseMatrix all(a_.num_rows(), b_.cols());
-  ComputeAllRowsCsdb(a_, b_, &all, nullptr);
+  ComputeAllRowsCsdb(a_, {b_, &all}, nullptr);
   const uint32_t n = a_.num_rows();
   for (size_t threads : {1, 2, 8}) {
     ThreadPool pool(threads);

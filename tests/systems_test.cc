@@ -181,7 +181,7 @@ TEST(StaticCsrSpmmTest, MatchesReference) {
   auto ms = memsim::MemorySystem::CreateDefault();
   ThreadPool pool(4);
   linalg::DenseMatrix c(a.num_rows(), 6);
-  const auto r = engine::StaticCsrSpmm(csr, b, &c, sparse::SpmmPlacements{},
+  const auto r = engine::StaticCsrSpmm(csr, {b, &c}, sparse::SpmmPlacements{},
                                        exec::Context(ms.get(), &pool, 4));
   EXPECT_LT(linalg::DenseMatrix::MaxAbsDiff(c, expected), 1e-4);
   EXPECT_EQ(r.nnz_processed, csr.nnz());
@@ -204,7 +204,7 @@ TEST(StaticCsrSpmmTest, SuffersStragglersOnSkew) {
   auto ms = memsim::MemorySystem::CreateDefault();
   ThreadPool pool(8);
   linalg::DenseMatrix c(a.num_rows(), 8);
-  const auto r = engine::StaticCsrSpmm(csr, b, &c, sparse::SpmmPlacements{},
+  const auto r = engine::StaticCsrSpmm(csr, {b, &c}, sparse::SpmmPlacements{},
                                        exec::Context(ms.get(), &pool, 8));
   double mx = 0.0;
   double sum = 0.0;

@@ -103,7 +103,7 @@ if [[ "$SMOKE" == 1 ]]; then
   ./build/bench/bench_update_throughput --smoke
   ./build/bench/bench_pim_offload --smoke
   ./build/bench/bench_recovery --smoke
-  ./build/bench/bench_micro_kernels --benchmark_filter='BM_Gemm|BM_CsdbFromGraph|BM_Build|BM_ReducedQr' \
+  ./build/bench/bench_micro_kernels --benchmark_filter='BM_Gemm|BM_CsdbFromGraph|BM_Build|BM_ReducedQr|BM_PackedSpmmFr|BM_ChebyshevFilterFr' \
     --benchmark_min_time=0.05 --smoke
 fi
 
