@@ -30,16 +30,19 @@ namespace omega::embed {
 
 /// Host-side snapshot of the stage-2 Chebyshev recurrence state, captured
 /// during a full run so a dynamic embedder can refresh only the rows a graph
-/// delta affects (omega/incremental.h). All matrices are in the CSDB row
-/// order of the adjacency the run used; `perm` records that order so a later
-/// epoch (whose degree-descending order may differ) can re-permute them.
+/// delta affects (omega/incremental.h). The terms are the recurrence's own
+/// packed operands, kept instead of recycled, so the refresh runs the same
+/// packed kernel and epilogue on them. All are in the CSDB row order of the
+/// adjacency the run used; `perm` records that order so a later epoch (whose
+/// degree-descending order may differ) can re-permute them.
 struct ChebyshevCapture {
-  linalg::DenseMatrix r0;                  ///< stage-1 basis R = T_0
-  std::vector<linalg::DenseMatrix> terms;  ///< T_1 .. T_{K-1}
-  std::vector<double> coefficients;        ///< c_0 .. c_{K-1}
-  std::vector<graph::NodeId> perm;         ///< CSDB row -> node id at capture
+  std::vector<sparse::kernels::PackedOperand> terms;  ///< T_0 = R .. T_{K-1}
+  std::vector<double> coefficients;                   ///< c_0 .. c_{K-1}
+  std::vector<graph::NodeId> perm;  ///< CSDB row -> node id at capture
 
-  bool valid() const { return r0.rows() > 0 && !coefficients.empty(); }
+  bool valid() const {
+    return !terms.empty() && terms[0].rows() > 0 && !coefficients.empty();
+  }
 };
 
 /// Restart point of the stage-2 Chebyshev recurrence, restored from a

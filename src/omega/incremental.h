@@ -10,11 +10,13 @@
 //      NadpPlanCache invalidated structure-aware (weight-only deltas rebind);
 //   5. a multi-source BFS from the delta's touched nodes bounds the k-hop
 //      affected set, and only those rows of the Chebyshev recurrence
-//      T_k = -2 S T_{k-1} - T_{k-2} are recomputed from the captured
-//      training-time terms (embed::ChebyshevCapture) by training's own
-//      recurrence functions (embed/chebyshev.h);
-//   6. the refreshed output rows are re-accumulated, re-normalized, and
-//      written back into the node-order embedding.
+//      T_k = -2 S T_{k-1} - T_{k-2} are recomputed, in place in the captured
+//      training-time terms (embed::ChebyshevCapture, kept packed), by
+//      training's own packed SpMM and Chebyshev epilogue
+//      (sparse/spmm_kernels.h) over the affected rows;
+//   6. the epilogue accumulates the refreshed rows' filter sum as it goes;
+//      the last level normalizes those rows and writes them back into the
+//      node-order embedding.
 //
 // Correctness contract: a mutation batch touching node set M changes S only
 // in rows/columns of M, so T_k changes only inside ball_k(M) (the <=k-hop

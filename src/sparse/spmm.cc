@@ -149,17 +149,6 @@ void PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
   }
 }
 
-void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
-                         const kernels::PackedOperand& b, linalg::DenseMatrix* c,
-                         const sched::Workload& w) {
-  OMEGA_DCHECK(c->rows() == a.num_rows() && b.rows() == a.num_cols() &&
-               b.col_end() <= c->cols());
-  for (const sched::RowRange& range : w.ranges) {
-    if (range.size() == 0) continue;
-    kernels::CsdbPackedSpmm(a, b, c, range.begin, range.end);
-  }
-}
-
 void UnpackDense(const kernels::PackedOperand& packed, ThreadPool* pool,
                  linalg::DenseMatrix* out) {
   const size_t n = packed.rows();
@@ -182,6 +171,8 @@ void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
   if (dense.packed()) {
     const kernels::PackedOperand& source = *dense.source;
     OMEGA_DCHECK(source.rows() == a.num_cols() && source.rows() == a.num_rows() &&
+                 (dense.step.term == 1 ||
+                  dense.step.t_km2->width() == source.width()) &&
                  dense.step.t->width() == source.width() &&
                  dense.step.sum->width() == source.width());
     if (col_begin == col_end) return;

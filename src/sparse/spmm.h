@@ -135,16 +135,6 @@ void PackDense(const linalg::DenseMatrix& b, ThreadPool* pool,
 void UnpackDense(const kernels::PackedOperand& packed, ThreadPool* pool,
                  linalg::DenseMatrix* out);
 
-/// Host-only compute of one workload: C rows for the workload's ranges and
-/// the packed columns, with no memsim charging. Runs the packed kernel
-/// (sparse/spmm_kernels.h); every output element is reduced in ascending-k
-/// order with one accumulator, so the result is bit-identical no matter how
-/// the rows or columns are split across workers. Callers that compute many
-/// workloads over one operand (RefreshTerms' workers) share one PackDense.
-void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
-                         const kernels::PackedOperand& b, linalg::DenseMatrix* c,
-                         const sched::Workload& w);
-
 /// Computes every row of the SpMM by A for dense columns [col_begin,
 /// min(col_end, dense.cols())), with the packed kernel over row ranges from
 /// graph::ForEachRowRange (serial when `pool` is null). Column-major: packs
@@ -152,8 +142,9 @@ void ComputeWorkloadCsdb(const graph::CsdbMatrix& a,
 /// call when null) and writes every element of them in `out`, zero-degree
 /// rows included, so `out` needs no zero-fill. Packed Chebyshev term: runs
 /// the epilogue over those columns of every row; `packed` is not used. The
-/// compute step of every parallel CSDB SpMM driver; bit-identical to
-/// ComputeWorkloadCsdb and at any pool size.
+/// compute step of every parallel CSDB SpMM driver; every element is reduced
+/// in ascending k with one accumulator, so the result is bit-identical at
+/// any pool size.
 void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
                         ThreadPool* pool, size_t col_begin = 0,
                         size_t col_end = SIZE_MAX,
@@ -161,7 +152,7 @@ void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
 
 /// The original per-column kernel (Algorithm 1's loop nesting verbatim), kept
 /// as the oracle the packed kernel is tested and benchmarked against. Same
-/// clamp as PackDense and the same reduction order as ComputeWorkloadCsdb.
+/// clamp as PackDense and the same reduction order as the packed kernel.
 void ComputeWorkloadCsdbPerColumn(const graph::CsdbMatrix& a,
                                   const linalg::DenseMatrix& b,
                                   linalg::DenseMatrix* c, const sched::Workload& w,

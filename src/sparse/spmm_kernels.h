@@ -62,8 +62,10 @@ inline constexpr size_t kMaxSlabCols = 64;
 /// shape needs more floats than the mapping holds, so an owner that packs
 /// every SpMM of a run into one operand maps it once, at the widest width it
 /// sees, and packing a narrower slice reuses it. The mapping is unmapped when
-/// the operand dies (OmegaSpmm and the CSR executors own one per run, the
-/// incremental refresh one per Refresh call), so none outlives its owner.
+/// the operand dies (OmegaSpmm and the CSR executors own one per run, a
+/// Chebyshev capture one per recurrence term for as long as it is kept, the
+/// incremental refresh its filter sum per Refresh call), so none outlives its
+/// owner.
 class PackedOperand {
  public:
   /// Becomes rows x (col_end - col_begin) for B[:, col_begin:col_end). The
@@ -103,13 +105,13 @@ void UnpackRows(const PackedOperand& packed, size_t row_begin, size_t row_end,
 //
 // ProNE's stage 2 (embed/chebyshev.h) computes T_k = -2 S T_{k-1} - T_{k-2}
 // and the filter sum sum_k c_k T_k. Its per-element arithmetic is defined
-// once, here, and run both by the packed kernel's epilogue (on whole AVX2
-// vectors, V = __m256, where the build has them) and by
-// embed::ChebyshevTermRows / ChebyshevAccumulateRows (V = float), which the
-// incremental refresh runs too, so all of them land on the same bits. Every
-// multiply and add rounds on its own: both translation units are built with
-// -ffp-contract=off. st is an element of S T_{k-1}; a vector is eight
-// independent elements.
+// once, here, and run by the packed kernel's epilogue, on whole AVX2 vectors
+// (V = __m256) where the build has them and on floats (V = float) in the
+// scalar body and masked tails. Training and the incremental refresh run
+// that same epilogue, over all rows or over a row subset, so a refreshed row
+// lands on a from-scratch recompute's bits. Every multiply and add rounds
+// on its own: the kernel's translation unit is built with -ffp-contract=off.
+// st is an element of S T_{k-1}; a vector is eight independent elements.
 
 /// T_1 = -1 * st.
 template <typename V>
@@ -137,22 +139,25 @@ inline V ChebyshevAddTerm(V sum, float ck, V tk) {
 }
 
 /// The epilogue that turns a packed SpMM into one Chebyshev term k >= 1.
-/// The SpMM's gather source is T_{k-1}; `t` and `sum` have its shape. For
+/// The SpMM's gather source is T_{k-1}; every operand has its shape. For
 /// each element of a finished row r, with st its SpMM value:
 ///   k == 1: T_1 = ChebyshevFirstTerm(st), sum = ChebyshevAddTerm(
 ///           ChebyshevFirstSum(coeff0, T_0), coeff, T_1), with T_0 read from
 ///           the gather source's row r (term 0 folds into term 1);
-///   k >= 2: T_k = ChebyshevNextTerm(st, T_{k-2}), read from `t`'s row r,
+///   k >= 2: T_k = ChebyshevNextTerm(st, T_{k-2}), read from `t_km2`'s row r,
 ///           and sum = ChebyshevAddTerm(sum, coeff, T_k).
-/// T_k is written over `t`'s row r, the next term's gather source. Rows are
-/// independent and no element reads another row of `t` or `sum`, so any row
-/// or column split computes the same bits.
+/// T_k is written to `t`'s row r, the next term's gather source. `t_km2` may
+/// be `t` itself (training keeps two live terms, so T_k overwrites T_{k-2})
+/// or apart from it (the refresh keeps every term). Rows are independent
+/// and no element reads another row of `t_km2`, `t` or `sum`, so any row or
+/// column split computes the same bits.
 struct ChebyshevEpilogue {
-  size_t term = 1;            ///< k
-  float coeff = 0.0f;         ///< c_k
-  float coeff0 = 0.0f;        ///< c_0, read for k == 1 only
-  PackedOperand* t = nullptr;    ///< T_{k-2} in (k >= 2), T_k out
-  PackedOperand* sum = nullptr;  ///< the filter sum through term k
+  size_t term = 1;                        ///< k
+  float coeff = 0.0f;                     ///< c_k
+  float coeff0 = 0.0f;                    ///< c_0, read for k == 1 only
+  const PackedOperand* t_km2 = nullptr;   ///< T_{k-2}, read for k >= 2 only
+  PackedOperand* t = nullptr;             ///< T_k out
+  PackedOperand* sum = nullptr;           ///< the filter sum through term k
 };
 
 /// C(r, packed.col_begin() + j) = sum_k A(r, :) * B(:, packed.col_begin() + j)

@@ -163,17 +163,12 @@ TEST(DegenerateAllocatorTest, RegularGraphSplitsEvenly) {
 
 TEST(EmptyWorkloadTest, SpmmOnEmptyWorkloadIsFree) {
   const CsdbMatrix m = CsdbMatrix::FromGraph(PathGraph(16));
-  const linalg::DenseMatrix b = linalg::GaussianMatrix(16, 2, 1);
-  linalg::DenseMatrix c(16, 2);
   auto ms = memsim::MemorySystem::CreateDefault();
   memsim::SimClock clock;
   memsim::WorkerCtx ctx{0, 0, 1, &clock};
   sched::Workload empty;
-  sparse::kernels::PackedOperand packed;
-  sparse::PackDense(b, nullptr, &packed);
-  sparse::ComputeWorkloadCsdb(m, packed, &c, empty);
   const auto bd = sparse::ChargeWorkloadCsdb(
-      m, b.cols(), sparse::ScanChargeMetaCsdb(m, empty),
+      m, 2, sparse::ScanChargeMetaCsdb(m, empty),
       sparse::SpmmPlacements{}, ms.get(), &ctx);
   EXPECT_DOUBLE_EQ(bd.Total(), 0.0);
   EXPECT_DOUBLE_EQ(clock.seconds(), 0.0);

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <string>
 
+#include "chebyshev_row_passes.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "csdb_test_inputs.h"
@@ -40,6 +41,13 @@ SpmmExecutor PlainExecutor(ThreadPool* pool = nullptr) {
     sparse::ComputeAllRowsCsdb(m, dense, pool);
     return 0.001;
   };
+}
+
+// A captured packed term, column-major.
+DenseMatrix Unpacked(const sparse::kernels::PackedOperand& packed) {
+  DenseMatrix out;
+  sparse::UnpackDense(packed, nullptr, &out);
+  return out;
 }
 
 // S * B with the packed kernel's bits, from its scalar oracle. (ReferenceSpmm
@@ -421,10 +429,11 @@ TEST(ChebyshevTest, FilterApplyMatchesThreePassRecurrenceBitForBit) {
                                      &capture, &hooks)
                     .ok());
     EXPECT_TRUE(SameBits(out, expect));
-    ASSERT_EQ(capture.terms.size(), terms.size());
+    ASSERT_EQ(capture.terms.size(), terms.size() + 1);
+    EXPECT_TRUE(SameBits(Unpacked(capture.terms[0]), r));
     ASSERT_EQ(got_partials.size(), partials.size());
     for (size_t k = 0; k < terms.size(); ++k) {
-      EXPECT_TRUE(SameBits(capture.terms[k], terms[k])) << "T_" << k + 1;
+      EXPECT_TRUE(SameBits(Unpacked(capture.terms[k + 1]), terms[k])) << "T_" << k + 1;
       EXPECT_TRUE(SameBits(got_partials[k], partials[k])) << "sum to T_" << k + 1;
     }
   }
@@ -496,10 +505,11 @@ TEST(ChebyshevTest, FusedRecurrenceMatchesRowPassOracle) {
                                          PlainExecutor(&pool), &pool, &capture)
                         .ok());
         EXPECT_TRUE(SameBits(out, expect));
-        EXPECT_TRUE(SameBits(capture.r0, in.r));
-        ASSERT_EQ(capture.terms.size(), terms.size());
+        ASSERT_EQ(capture.terms.size(), terms.size() + 1);
+        EXPECT_TRUE(SameBits(Unpacked(capture.terms[0]), in.r));
         for (size_t k = 0; k < terms.size(); ++k) {
-          EXPECT_TRUE(SameBits(capture.terms[k], terms[k])) << "T_" << k + 1;
+          EXPECT_TRUE(SameBits(Unpacked(capture.terms[k + 1]), terms[k]))
+              << "T_" << k + 1;
         }
       }
     }

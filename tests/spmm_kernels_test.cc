@@ -10,8 +10,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "chebyshev_row_passes.h"
 #include "common/thread_pool.h"
 #include "embed/chebyshev.h"
 #include "graph/rmat.h"
@@ -360,7 +362,9 @@ TEST_F(SpmmKernelsTest, SpansMatchScalarOracleOverEveryLengthAndRange) {
 // The packed Chebyshev term against the recurrence's separate passes: the
 // scalar-oracle SpMM, then embed::ChebyshevTermRows and
 // ChebyshevAccumulateRows. Terms 1 and 3, both formats, every width 1..72,
-// rows split mid-span and columns cut as ASL partitions cut them.
+// rows split mid-span and columns cut as ASL partitions cut them, with T_k
+// written over T_{k-2} (training) and apart from it (the refresh, which
+// must leave T_{k-2} as it was).
 TEST_F(SpmmKernelsTest, ChebyshevEpilogueMatchesRowPassesBitForBit) {
   const uint32_t n = a_.num_rows();
   const uint32_t row_cuts[] = {0, 3, n / 2 + 1, n};
@@ -382,30 +386,44 @@ TEST_F(SpmmKernelsTest, ChebyshevEpilogueMatchesRowPassesBitForBit) {
       if (k == 1) embed::ChebyshevAccumulateRows(0, c0, prev, &sum_expected, 0, n);
       embed::ChebyshevAccumulateRows(k, ck, t_expected, &sum_expected, 0, n);
       for (const bool csr : {false, true}) {
-        kernels::PackedOperand source;
-        kernels::PackedOperand t;
-        kernels::PackedOperand sum;
-        PackDense(prev, nullptr, &source);
-        PackDense(t_km2, nullptr, &t);
-        PackDense(sum_in, nullptr, &sum);
-        const kernels::ChebyshevEpilogue step{k, ck, c0, &t, &sum};
-        for (size_t i = 0; i + 1 < std::size(row_cuts); ++i) {
-          for (size_t j = 0; j + 1 < std::size(col_cuts); ++j) {
-            if (csr) {
-              kernels::CsrPackedSpmm(csr_, source, step, row_cuts[i], row_cuts[i + 1],
-                                     col_cuts[j], col_cuts[j + 1]);
-            } else {
-              kernels::CsdbPackedSpmm(a_, source, step, row_cuts[i], row_cuts[i + 1],
-                                      col_cuts[j], col_cuts[j + 1]);
+        for (const bool apart : {false, true}) {
+          SCOPED_TRACE(std::string(csr ? "csr" : "csdb") +
+                       (apart ? ", T_k apart from T_{k-2}" : ", T_k over T_{k-2}"));
+          kernels::PackedOperand source;
+          kernels::PackedOperand km2;
+          kernels::PackedOperand apart_t;
+          kernels::PackedOperand sum;
+          PackDense(prev, nullptr, &source);
+          PackDense(t_km2, nullptr, &km2);
+          PackDense(sum_in, nullptr, &sum);
+          DenseMatrix junk(n, d);
+          junk.Fill(std::nanf(""));
+          PackDense(junk, nullptr, &apart_t);
+          kernels::PackedOperand& t = apart ? apart_t : km2;
+          const kernels::ChebyshevEpilogue step{k, ck, c0, &km2, &t, &sum};
+          for (size_t i = 0; i + 1 < std::size(row_cuts); ++i) {
+            for (size_t j = 0; j + 1 < std::size(col_cuts); ++j) {
+              if (csr) {
+                kernels::CsrPackedSpmm(csr_, source, step, row_cuts[i],
+                                       row_cuts[i + 1], col_cuts[j], col_cuts[j + 1]);
+              } else {
+                kernels::CsdbPackedSpmm(a_, source, step, row_cuts[i],
+                                        row_cuts[i + 1], col_cuts[j], col_cuts[j + 1]);
+              }
             }
           }
+          DenseMatrix t_got;
+          DenseMatrix sum_got;
+          UnpackDense(t, nullptr, &t_got);
+          UnpackDense(sum, nullptr, &sum_got);
+          EXPECT_TRUE(BitsEqual(t_got, t_expected));
+          EXPECT_TRUE(BitsEqual(sum_got, sum_expected));
+          if (apart) {
+            DenseMatrix km2_after;
+            UnpackDense(km2, nullptr, &km2_after);
+            EXPECT_TRUE(BitsEqual(km2_after, t_km2));
+          }
         }
-        DenseMatrix t_got;
-        DenseMatrix sum_got;
-        UnpackDense(t, nullptr, &t_got);
-        UnpackDense(sum, nullptr, &sum_got);
-        EXPECT_TRUE(BitsEqual(t_got, t_expected)) << (csr ? "csr" : "csdb");
-        EXPECT_TRUE(BitsEqual(sum_got, sum_expected)) << (csr ? "csr" : "csdb");
       }
     }
   }
@@ -444,9 +462,7 @@ TEST_F(SpmmKernelsTest, EmptyAndClampedRangesAreSafe) {
   PackDense(b, nullptr, &clamped, 5, 1000);
   EXPECT_EQ(clamped.col_begin(), 5u);
   EXPECT_EQ(clamped.col_end(), d);
-  sched::Workload all;
-  all.ranges.push_back(sched::RowRange{0, a_.num_rows()});
-  ComputeWorkloadCsdb(a_, clamped, &c, all);
+  kernels::CsdbPackedSpmm(a_, clamped, &c, 0, a_.num_rows());
   DenseMatrix expected(a_.num_rows(), d);
   kernels::CsdbPanelSpmmScalar(a_, b, &expected, 0, a_.num_rows(), 5, d);
   EXPECT_TRUE(BitsEqual(c, expected));

@@ -53,7 +53,7 @@ class SpmmTest : public ::testing::Test {
     col_end = std::min(col_end, b_.cols());
     kernels::PackedOperand packed;
     PackDense(b_, nullptr, &packed, col_begin, col_end);
-    ComputeWorkloadCsdb(a_, packed, c, w);
+    kernels::CsdbPackedSpmm(a_, packed, c, 0, a_.num_rows());
     return ChargeWorkloadCsdb(a_, col_end - col_begin,
                               ScanChargeMetaCsdb(a_, w, cache), placements,
                               ms_.get(), ctx, cache);
@@ -241,9 +241,10 @@ TEST_F(PackedSpmmPoolTest, AllRowsPooledEqualsSerialBitForBit) {
   }
 }
 
-// RefreshTerms' shape: one pooled pack, then each worker computes its own
-// row subset (several ranges each) from it concurrently. Every subset row
-// lands on the all-rows bits and no other row is written.
+// One pooled pack, then each worker computes its own row subset (several
+// ranges each) from it concurrently, as the incremental refresh's workers
+// do. Every subset row lands on the all-rows bits and no other row is
+// written.
 TEST_F(PackedSpmmPoolTest, WorkloadRowSubsetsMatchAllRows) {
   DenseMatrix all(a_.num_rows(), b_.cols());
   ComputeAllRowsCsdb(a_, {b_, &all}, nullptr);
@@ -261,7 +262,11 @@ TEST_F(PackedSpmmPoolTest, WorkloadRowSubsetsMatchAllRows) {
     PackDense(b_, &pool, &packed);
     DenseMatrix c(a_.num_rows(), b_.cols());
     c.Fill(-7.0f);
-    pool.RunOnAll([&](size_t t) { ComputeWorkloadCsdb(a_, packed, &c, parts[t]); });
+    pool.RunOnAll([&](size_t t) {
+      for (const sched::RowRange& rr : parts[t].ranges) {
+        kernels::CsdbPackedSpmm(a_, packed, &c, rr.begin, rr.end);
+      }
+    });
     for (uint32_t r = 0; r < n; ++r) {
       const bool owned = r % 97 < 40;
       for (size_t t = 0; t < b_.cols(); ++t) {
