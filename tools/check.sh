@@ -10,7 +10,9 @@
 #                               # (fault/stream/memsim/buffer/serve/dynamic/
 #                               # pim/durable) under one Debug+ASan build
 #   tools/check.sh --smoke      # additionally run every bench --smoke from
-#                               # the tier-1 build
+#                               # the tier-1 build, and a full
+#                               # bench_update_throughput run that must
+#                               # match BENCH_update_throughput.json
 #   tools/check.sh --release    # additionally build a Release (-O3) tree in
 #                               # build-release with -Werror and run the
 #                               # full suite there
@@ -101,6 +103,11 @@ if [[ "$SMOKE" == 1 ]]; then
   ./build/bench/bench_ablation_tiers --smoke --async
   ./build/bench/bench_serving --smoke
   ./build/bench/bench_update_throughput --smoke
+  # Every field of the update-throughput report is simulated or derived from
+  # embedding bits, so a full run reproduces the committed file byte for byte.
+  ./build/bench/bench_update_throughput \
+    --bench-json=build/bench-update-throughput.json > /dev/null
+  cmp build/bench-update-throughput.json BENCH_update_throughput.json
   ./build/bench/bench_pim_offload --smoke
   ./build/bench/bench_recovery --smoke
   ./build/bench/bench_micro_kernels --benchmark_filter='BM_Gemm|BM_CsdbFromGraph|BM_Build|BM_ReducedQr|BM_PackedSpmmFr|BM_ChebyshevFilterFr' \
