@@ -26,9 +26,6 @@ void BuildBlocks(const std::vector<uint32_t>& row_degrees, std::vector<uint32_t>
   block_ptr->push_back(ptr);
 }
 
-// Row ranges carry at least this much work (nnz + rows) before a pool
-// dispatch pays off.
-constexpr uint64_t kMinRangeWork = 1 << 14;
 // Ranges per pool thread: slack for the dynamic hand-out to even out skew.
 constexpr uint64_t kRangesPerThread = 8;
 

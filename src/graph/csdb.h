@@ -188,6 +188,10 @@ class RowSorter {
   std::vector<float> vals_;
 };
 
+/// Row ranges carry at least this much work (nnz + rows) before a pool
+/// dispatch pays off.
+inline constexpr uint64_t kMinRangeWork = 1 << 14;
+
 /// Runs `fn(worker, row_begin, row_end)` over contiguous row ranges that
 /// cover [0, m.num_rows()) exactly once. On a pool of more than one thread
 /// the ranges are balanced by work (a row costs its degree plus one, so hub

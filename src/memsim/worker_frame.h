@@ -44,17 +44,6 @@ class WorkerFrame {
   SimClock& clock(size_t worker) { return clocks_[worker]; }
   double seconds(size_t worker) const { return clocks_[worker].seconds(); }
 
-  /// An SpMM placement set (index/sparse/dense/result streams, as in
-  /// sparse::SpmmPlacements) with every stream on `worker`'s socket.
-  template <typename Placements>
-  Placements PinToSocket(Placements placements, size_t worker) const {
-    for (Placement* p : {&placements.index, &placements.sparse,
-                         &placements.dense, &placements.result}) {
-      p->socket = ctxs_[worker].cpu_socket;
-    }
-    return placements;
-  }
-
   /// Runs fn(worker, ctx) once per worker, worker w on pool thread w modulo
   /// the pool's size, so a pool smaller than the frame runs workers in turn
   /// and a larger one leaves threads idle. A null pool runs the workers in

@@ -10,6 +10,49 @@
 
 namespace omega::numa {
 
+namespace {
+
+// Cuts a worker's rows at the socket row blocks (NaDP reads each block from
+// its owning socket) and scans each piece's charge metadata against the
+// worker's WoFP store.
+void ClipToBlocks(const graph::CsdbMatrix& a, const sched::Workload& w,
+                  const std::vector<sched::RowRange>& blocks,
+                  const sparse::DenseCacheView* cache,
+                  std::vector<sched::Workload>* pieces,
+                  std::vector<sparse::CsdbChargeMeta>* meta) {
+  for (const sched::RowRange& block : blocks) {
+    pieces->push_back(IntersectWorkload(w, block));
+    meta->push_back(sparse::ScanChargeMetaCsdb(a, pieces->back(), cache));
+  }
+}
+
+// Splits the row subset `all` (sorted ranges, nnz counted) into at most
+// `parts` groups of contiguous rows balanced by nnz: a group takes rows
+// until it holds its share, the last one takes the rest. A group always
+// takes a row (the share is at least 1), so an all-empty subset becomes one
+// group, as on one thread.
+std::vector<sched::Workload> SplitRanges(const graph::CsdbMatrix& a,
+                                         const sched::Workload& all, int parts) {
+  std::vector<sched::Workload> out;
+  const uint64_t share = std::max<uint64_t>(1, (all.nnz + parts - 1) / parts);
+  uint64_t nnz = 0;  // of the open group
+  for (const sched::RowRange& r : all.ranges) {
+    for (uint32_t row = r.begin; row < r.end; ++row) {
+      if (out.empty() || (nnz >= share && static_cast<int>(out.size()) < parts)) {
+        out.emplace_back();
+        nnz = 0;
+      }
+      std::vector<sched::RowRange>& ranges = out.back().ranges;
+      if (ranges.empty() || ranges.back().end != row) ranges.push_back({row, row});
+      ++ranges.back().end;
+      nnz += a.Rows(row).degree();
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
                          const exec::Context& exec_ctx) {
   memsim::MemorySystem* ms = exec_ctx.ms();
@@ -22,8 +65,9 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   plan.options_ = options;
   plan.structure_ = sparse::StructureOf(a);
   plan.threads_ = threads;
-  plan.sockets_ = ms->topology().num_sockets();
   plan.caches_.resize(threads);
+  plan.sub_workloads_.resize(threads);
+  plan.sub_meta_.resize(threads);
   std::vector<uint32_t> in_degrees;
   if (options.use_wofp) {
     in_degrees = sparse::ComputeInDegrees(a, pool);
@@ -37,48 +81,25 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   sched::AllocatorOptions alloc_opts;
   alloc_opts.beta = options.beta;
 
-  // Host-side store construction only (ctx = nullptr): the simulated warm-up
-  // is replayed on every NadpExecute so the clocks see the same charge
-  // sequence as per-call planning.
-  auto build_cache = [&](size_t worker, const sched::Workload& w, int socket) {
-    if (!options.use_wofp) return;
-    prefetch::WofpOptions wofp = options.wofp;
-    wofp.cache_placement.socket = socket;
-    plan.caches_[worker] = prefetch::WofpPrefetcher::Build(
-        a, w, in_degrees, wofp, ms, nullptr, plan.frames_.get());
-  };
-
-  if (!options.enabled) {
-    alloc_opts.num_threads = threads;
-    plan.flat_workloads_ = sched::Allocate(a, options.allocator, alloc_opts);
-    plan.flat_meta_.resize(threads);
-    pool->RunOnAll([&](size_t worker) {
-      if (worker >= static_cast<size_t>(threads)) return;
-      const sched::Workload& w = plan.flat_workloads_[worker];
-      build_cache(worker, w, memsim::Placement::kInterleaved);
-      plan.flat_meta_[worker] =
-          sparse::ScanChargeMetaCsdb(a, w, plan.caches_[worker].get());
-    });
-    return plan;
+  // Under NaDP only sockets that hold a worker form a group (5 threads on 4
+  // sockets fill 2/2/1/0), over the matrix's socket row blocks; the column
+  // blocks depend on the execute call's range. The interleaved baseline is
+  // one group of every worker over one block of every row.
+  const memsim::Topology& topology = ms->topology();
+  if (options.enabled) {
+    plan.groups_ = topology.SocketOfWorker(threads - 1, threads) + 1;
+    plan.row_blocks_ = SocketRowBlocks(a, topology.num_sockets());
+  } else {
+    plan.groups_ = 1;
+    plan.row_blocks_ = {{0, a.num_rows()}};
   }
 
-  // Only sockets that hold a worker take part: the block layout can leave the
-  // last sockets empty (5 threads on 4 sockets fill 2/2/1/0).
-  const memsim::Topology& topology = ms->topology();
-  const int active_sockets = topology.SocketOfWorker(threads - 1, threads) + 1;
-  plan.active_sockets_ = active_sockets;
-  // The sparse row partition depends only on the matrix and socket count; the
-  // dense column partition depends on the execute call's column range and is
-  // recomputed there.
-  plan.row_blocks_ =
-      std::move(MakeSocketPartition(a, /*dense_cols=*/0, plan.sockets_).row_blocks);
-
-  // Heterogeneous placement: price every degree block against the PIM gang
-  // and carve the offloaded rows out of the host allocations below. When the
-  // placement offloads nothing (host-only policy, or auto deciding against),
-  // the original full-matrix Allocate path runs so the charges are
-  // byte-identical to a PIM-less build.
-  if (options.pim.active()) {
+  // Heterogeneous placement (NaDP only): price every degree block against
+  // the PIM gang and carve the offloaded rows out of the host allocations
+  // below. When the placement offloads nothing (host-only policy, or auto
+  // deciding against), the original full-matrix Allocate path runs so the
+  // charges are byte-identical to a PIM-less build.
+  if (options.enabled && options.pim.active()) {
     plan.hetero_ = sched::PlaceDegreeBlocks(a, options.pim, *ms, threads,
                                             options.sparse_tier,
                                             options.dense_tier,
@@ -86,40 +107,37 @@ NadpPlan NadpPlan::Build(const graph::CsdbMatrix& a, const NadpOptions& options,
   }
   const bool offload = plan.hetero_.any_pim();
 
-  // Per-socket thread allocations (identical when threads % sockets == 0).
-  plan.per_socket_workloads_.resize(plan.sockets_);
-  for (int s = 0; s < active_sockets; ++s) {
-    const int ws = topology.ThreadsOnSocket(s, threads);
+  // Per-group thread allocations (identical when threads % sockets == 0).
+  std::vector<std::vector<sched::Workload>> per_group(plan.groups_);
+  for (int g = 0; g < plan.groups_; ++g) {
+    const int ws = plan.GroupSize(topology, g);
     if (ws <= 0) continue;
     alloc_opts.num_threads = ws;
-    plan.per_socket_workloads_[s] =
-        offload ? sched::AllocateSubset(a, options.allocator,
-                                        plan.hetero_.host_ranges, alloc_opts)
-                : sched::Allocate(a, options.allocator, alloc_opts);
+    per_group[g] = offload ? sched::AllocateSubset(a, options.allocator,
+                                                   plan.hetero_.host_ranges,
+                                                   alloc_opts)
+                           : sched::Allocate(a, options.allocator, alloc_opts);
   }
 
-  // Per worker: its WoFP store, then the per-socket-block intersections of
-  // its workload and each piece's charge metadata against that store.
-  plan.sub_workloads_.resize(threads);
-  plan.sub_meta_.resize(threads);
+  // Per worker: its WoFP store, then its pieces and their charge metadata.
   pool->RunOnAll([&](size_t worker) {
     if (worker >= static_cast<size_t>(threads)) return;
-    const int w = static_cast<int>(worker);
-    const int s = topology.SocketOfWorker(w, threads);
-    const int wi = topology.IndexOnSocket(w, threads);
-    // Workers without a workload never build a cache (NadpSpmm's early
-    // exit); their slots stay empty and NadpExecute skips them identically.
-    if (wi >= static_cast<int>(plan.per_socket_workloads_[s].size())) return;
-    const sched::Workload& workload = plan.per_socket_workloads_[s][wi];
-    build_cache(worker, workload, s);
-    plan.sub_workloads_[w].reserve(plan.sockets_);
-    plan.sub_meta_[w].reserve(plan.sockets_);
-    for (int block = 0; block < plan.sockets_; ++block) {
-      plan.sub_workloads_[w].push_back(
-          IntersectWorkload(workload, plan.row_blocks_[block]));
-      plan.sub_meta_[w].push_back(sparse::ScanChargeMetaCsdb(
-          a, plan.sub_workloads_[w].back(), plan.caches_[worker].get()));
+    const auto [g, wi] = plan.GroupOf(topology, static_cast<int>(worker));
+    // Workers without a workload build no cache and no pieces; NadpExecute
+    // skips them.
+    if (wi >= static_cast<int>(per_group[g].size())) return;
+    const sched::Workload& workload = per_group[g][wi];
+    // Host-side store construction only (ctx = nullptr): every all-row
+    // execute replays its simulated warm-up, so the clocks see the same
+    // charge sequence as per-call planning.
+    if (options.use_wofp) {
+      prefetch::WofpOptions wofp = options.wofp;
+      wofp.cache_placement.socket = options.enabled ? g : memsim::Placement::kInterleaved;
+      plan.caches_[worker] = prefetch::WofpPrefetcher::Build(
+          a, workload, in_degrees, wofp, ms, nullptr, plan.frames_.get());
     }
+    ClipToBlocks(a, workload, plan.row_blocks_, plan.caches_[worker].get(),
+                 &plan.sub_workloads_[worker], &plan.sub_meta_[worker]);
   });
   return plan;
 }
@@ -140,11 +158,27 @@ bool NadpPlan::Matches(const graph::CsdbMatrix& a,
          p.result_tier == options.result_tier && p.pim == options.pim;
 }
 
+double NadpPlan::ReplayWofpBuild(const exec::Context& ctx,
+                                 memsim::WorkerFrame* frame) const {
+  if (frame == nullptr) {
+    memsim::WorkerFrame own(ctx.ms()->topology(), threads_, contention());
+    return ReplayWofpBuild(ctx, &own);
+  }
+  return frame->Run(ctx.pool(), [&](size_t worker, memsim::WorkerCtx* wctx) {
+    if (const prefetch::WofpPrefetcher* cache = caches_[worker].get()) {
+      cache->ReplayBuildCharges(wctx);
+    }
+  });
+}
+
 NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
                        const sparse::SpmmOperands& dense,
                        const exec::Context& exec_ctx, size_t col_begin,
-                       size_t col_end, sparse::kernels::PackedOperand* packed) {
+                       size_t col_end, sparse::kernels::PackedOperand* packed,
+                       const std::vector<sched::RowRange>* rows) {
   OMEGA_CHECK(plan.valid());
+  OMEGA_CHECK(rows == nullptr || !plan.hetero_.any_pim())
+      << "PimSpmm prices whole degree blocks, not a row subset";
   memsim::MemorySystem* ms = exec_ctx.ms();
   ThreadPool* pool = exec_ctx.pool();
   const NadpOptions& options = plan.options_;
@@ -156,7 +190,6 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   OMEGA_CHECK(col_begin <= col_end);
 
   NadpResult result;
-  result.nnz_processed = a.nnz();
   std::vector<sparse::SpmmCostBreakdown> breakdowns(threads);
   // NaDP's point: each socket's thread group contends only for its own
   // socket's devices (local dense block, local intermediates), so the
@@ -166,112 +199,87 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   // fault sites across executes, or every execute would replay the first
   // one's tail-stall draws.
   const uint64_t fault_epoch = ms->NextFaultEpoch();
-  memsim::WorkerFrame frame(
-      ms->topology(), threads,
-      options.enabled ? memsim::Contention::kSocket : memsim::Contention::kPool,
-      fault_epoch);
+  const memsim::Topology& topology = ms->topology();
+  memsim::WorkerFrame frame(topology, threads, plan.contention(), fault_epoch);
 
-  // Compute: every row of C[:, col_begin:col_end) in one pooled pass — the
-  // host workers' rows and the PIM-offloaded rows alike. Everything below
-  // only charges.
-  sparse::ComputeAllRowsCsdb(a, dense, pool, col_begin, col_end, packed);
+  // Compute: every row (or every subset row) of C[:, col_begin:col_end) in
+  // one pooled pass — the host workers' rows and the PIM-offloaded rows
+  // alike. Everything below only charges.
+  sparse::ComputeRowsCsdb(a, dense, pool, rows, col_begin, col_end, packed);
+  sched::Workload subset;  // nnz counted
+  if (rows != nullptr) subset.ranges = *rows;
+  sched::RefreshCounts(a, &subset);
+  result.nnz_processed = rows == nullptr ? a.nnz() : subset.nnz;
 
   // Each worker's WoFP build warm-up first, as per-call planning paid it, so
   // a reused plan is simulation-identical to rebuilding; the straggler of
   // that lap is the phase's WoFP build time.
-  if (options.wofp.charge_build) {
-    result.wofp_build_seconds =
-        frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
-          if (const prefetch::WofpPrefetcher* cache = plan.caches_[worker].get()) {
-            cache->ReplayBuildCharges(ctx);
-          }
-        });
+  if (options.wofp.charge_build && rows == nullptr) {
+    result.wofp_build_seconds = plan.ReplayWofpBuild(exec_ctx, &frame);
   }
 
-  if (!options.enabled) {
-    // OS Interleaved baseline: one global allocation; every stream pays the
-    // interleaved local/remote mix.
-    sparse::SpmmPlacements pl;
-    pl.index = {memsim::Tier::kDram, memsim::Placement::kInterleaved};
-    pl.sparse = {options.sparse_tier, memsim::Placement::kInterleaved};
-    pl.dense = {options.dense_tier, memsim::Placement::kInterleaved};
-    pl.result = {options.result_tier, memsim::Placement::kInterleaved};
+  // A row subset's split, [group][rank]: each active socket's workers share
+  // it under NaDP, all workers in the interleaved baseline.
+  std::vector<std::vector<sched::Workload>> parts;
+  for (int g = 0; rows != nullptr && g < plan.groups_; ++g) {
+    parts.push_back(SplitRanges(a, subset, plan.GroupSize(topology, g)));
+  }
+  // NaDP (Fig. 10): socket s's threads compute C[:, cols_s] = A * B[:,
+  // cols_s], reading each sparse row block from its owning socket. The
+  // column blocks partition [col_begin, col_end) over the groups, so the
+  // interleaved baseline's one group covers it all.
+  const std::vector<std::pair<size_t, size_t>> col_blocks =
+      ColumnBlocks(col_begin, col_end, plan.groups_);
 
-    frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
-      breakdowns[worker] = sparse::ChargeWorkloadCsdb(
-          a, col_end - col_begin, plan.flat_meta_[worker], pl, ms, ctx,
-          plan.caches_[worker].get());
-      // Under fault injection, the dense tier can hit a tail stall that
-      // lengthens this worker's whole phase (no-op when faults are off).
-      ms->ChargeTailStall(ctx, options.dense_tier, ctx->clock->seconds());
-    });
-  } else {
-    // NaDP (Fig. 10): socket s's threads compute C[:, cols_s] = A * B[:,
-    // cols_s], reading each sparse row block from its owning socket. The
-    // column blocks partition [col_begin, col_end). Only the sockets that
-    // have a worker receive a column block (the data partition across
-    // sockets is unchanged).
-    const int active_sockets = plan.active_sockets_;
-    const int sockets = plan.sockets_;
-    std::vector<std::pair<size_t, size_t>> col_blocks(sockets);
-    {
-      // Same arithmetic as MakeSocketPartition's equal-count column split over
-      // active_sockets, shifted into [col_begin, col_end).
-      const size_t span = col_end - col_begin;
-      const size_t per = (span + active_sockets - 1) / active_sockets;
-      for (int s = 0; s < sockets; ++s) {
-        if (s < active_sockets) {
-          const size_t begin = std::min(span, static_cast<size_t>(s) * per);
-          const size_t end = std::min(span, begin + per);
-          col_blocks[s] = {col_begin + begin, col_begin + end};
-        } else {
-          col_blocks[s] = {col_begin, col_begin};
-        }
+  frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
+    const auto [g, wi] = plan.GroupOf(topology, static_cast<int>(worker));
+    const prefetch::WofpPrefetcher* cache = plan.caches_[worker].get();
+    // The plan's pieces of this worker's workload, or its part of the row
+    // subset cut the same way.
+    std::vector<sched::Workload> subset_pieces;
+    std::vector<sparse::CsdbChargeMeta> subset_meta;
+    if (rows != nullptr && wi < static_cast<int>(parts[g].size())) {
+      ClipToBlocks(a, parts[g][wi], plan.row_blocks_, cache, &subset_pieces,
+                   &subset_meta);
+    }
+    const std::vector<sched::Workload>& pieces =
+        rows != nullptr ? subset_pieces : plan.sub_workloads_[worker];
+    const std::vector<sparse::CsdbChargeMeta>& meta =
+        rows != nullptr ? subset_meta : plan.sub_meta_[worker];
+    if (pieces.empty()) return;  // no rows: no charge and no tail stall
+    const auto [begin, end] = col_blocks[g];
+    // NaDP: CSDB metadata (tiny), the dense block and the intermediate writes
+    // are socket-local; the sparse row blocks are read from their owning
+    // socket. The OS Interleaved baseline: every stream pays the interleaved
+    // local/remote mix.
+    sparse::SpmmPlacements pl = options.placements(
+        options.enabled ? ctx->cpu_socket : memsim::Placement::kInterleaved);
+    uint64_t rows_processed = 0;
+    for (size_t block = 0; block < pieces.size(); ++block) {
+      if (pieces[block].ranges.empty()) continue;
+      if (options.enabled) pl.sparse.socket = static_cast<int>(block);
+      breakdowns[worker] += sparse::ChargeWorkloadCsdb(a, end - begin, meta[block],
+                                                       pl, ms, ctx, cache);
+      for (const sched::RowRange& range : pieces[block].ranges) {
+        rows_processed += range.size();
       }
     }
-    // CSDB metadata (tiny), the dense block and the intermediate writes are
-    // socket-local; the sparse row blocks are read from their owning socket.
-    const sparse::SpmmPlacements home{{memsim::Tier::kDram, 0},
-                                      {options.sparse_tier, 0},
-                                      {options.dense_tier, 0},
-                                      {options.result_tier, 0}};
-
-    frame.Run(pool, [&](size_t worker, memsim::WorkerCtx* ctx) {
-      const int s = ctx->cpu_socket;
-      const int wi = ms->topology().IndexOnSocket(ctx->worker, threads);
-      if (wi >= static_cast<int>(plan.per_socket_workloads_[s].size())) return;
-      const auto [col_begin, col_end] = col_blocks[s];
-      const prefetch::WofpPrefetcher* cache = plan.caches_[worker].get();
-      sparse::SpmmPlacements pl = frame.PinToSocket(home, worker);
-
-      uint64_t rows_processed = 0;
-      for (int block = 0; block < sockets; ++block) {
-        const sched::Workload& sub = plan.sub_workloads_[worker][block];
-        if (sub.ranges.empty()) continue;
-        pl.sparse.socket = block;  // sequential, local or remote
-        breakdowns[worker] += sparse::ChargeWorkloadCsdb(
-            a, col_end - col_begin, plan.sub_meta_[worker][block], pl, ms, ctx,
-            cache);
-        for (const sched::RowRange& range : sub.ranges) rows_processed += range.size();
-      }
-
-      // Merge: copy the local intermediate into the assembled result. Reads
-      // are local; the destination is page-interleaved, so a fraction of the
-      // writes is remote — the "few remote accesses" of Fig. 10 step 4.
-      const uint64_t merge_bytes =
-          rows_processed * (col_end - col_begin) * sizeof(float);
-      if (merge_bytes > 0) {
-        ms->ChargeAccess(ctx, pl.result, memsim::MemOp::kRead,
-                         memsim::Pattern::kSequential, merge_bytes, 1);
-        ms->ChargeAccess(ctx,
-                         {options.result_tier, memsim::Placement::kInterleaved},
-                         memsim::MemOp::kWrite, memsim::Pattern::kSequential,
-                         merge_bytes, 1);
-      }
-      // See the interleaved branch: per-worker tail stall on the dense tier.
-      ms->ChargeTailStall(ctx, options.dense_tier, ctx->clock->seconds());
-    });
-  }
+    // NaDP's merge: copy the local intermediate into the assembled result.
+    // Reads are local; the destination is page-interleaved, so a fraction of
+    // the writes is remote — the "few remote accesses" of Fig. 10 step 4.
+    const uint64_t merge_bytes =
+        options.enabled ? rows_processed * (end - begin) * sizeof(float) : 0;
+    if (merge_bytes > 0) {
+      ms->ChargeAccess(ctx, pl.result, memsim::MemOp::kRead,
+                       memsim::Pattern::kSequential, merge_bytes, 1);
+      ms->ChargeAccess(ctx, {options.result_tier, memsim::Placement::kInterleaved},
+                       memsim::MemOp::kWrite, memsim::Pattern::kSequential,
+                       merge_bytes, 1);
+    }
+    // Under fault injection, the dense tier can hit a tail stall that
+    // lengthens this worker's whole phase (no-op when faults are off).
+    ms->ChargeTailStall(ctx, options.dense_tier, ctx->clock->seconds());
+  });
 
   result.thread_seconds.resize(threads);
   for (int t = 0; t < threads; ++t) {
@@ -284,15 +292,13 @@ NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
   // full column range while the host threads above covered only host_ranges.
   // The pipeline front (broadcast + ship + bank compute) overlaps the host
   // panels; the drain tail lands after the straggler of either side.
-  if (options.enabled && plan.hetero_.any_pim()) {
+  if (plan.hetero_.any_pim()) {
     sparse::PimSpmmOptions popts;
     popts.config = options.pim;
-    popts.host.index = {memsim::Tier::kDram, 0};
-    popts.host.sparse = {options.sparse_tier, 0};
-    popts.host.dense = {options.dense_tier, 0};
+    popts.host = options.placements();
     // Merged panels land in the assembled (page-interleaved) result, same as
     // the host merge step's destination.
-    popts.host.result = {options.result_tier, memsim::Placement::kInterleaved};
+    popts.host.result.socket = memsim::Placement::kInterleaved;
     popts.dense_cols = col_end - col_begin;
     const sparse::PimSpmmResult pr =
         sparse::PimSpmm(a, plan.hetero_, popts, ms, fault_epoch);

@@ -15,10 +15,12 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/csdb.h"
 #include "linalg/dense_matrix.h"
+#include "memsim/worker_frame.h"
 #include "omega/exec_context.h"
 #include "prefetch/wofp.h"
 #include "sched/allocators.h"
@@ -47,6 +49,14 @@ struct NadpOptions {
   /// cost does not scale with the operand width while every other cost does,
   /// so the optimal split depends on it.
   sched::PimConfig pim;
+
+  /// The tiers above as SpMM placements, every stream on `socket`
+  /// (memsim::Placement::kInterleaved for the OS baseline); the CSDB row
+  /// metadata always lives in DRAM.
+  sparse::SpmmPlacements placements(int socket = 0) const {
+    return {{memsim::Tier::kDram, socket}, {sparse_tier, socket},
+            {dense_tier, socket}, {result_tier, socket}};
+  }
 };
 
 struct NadpResult {
@@ -87,14 +97,14 @@ NadpResult NadpSpmm(const graph::CsdbMatrix& a, const linalg::DenseMatrix& b,
                     size_t col_end = SIZE_MAX);
 
 /// Inspector state of one NaDP SpMM, reusable across executes on the same
-/// sparse structure: the per-socket (or flat) EaTA workloads, the NaDP row
-/// partition, each worker's host-side WoFP store, and every workload piece's
-/// charge metadata (WoFP hits included — a worker's store and rows are fixed
-/// by the plan, so its hit counts are constants). Workers sit on Topology's
-/// worker->socket layout. Building charges nothing; NadpExecute replays the WoFP build
-/// charges per call, so executing through a reused plan produces
-/// byte-identical simulated output to per-call planning while skipping the
-/// host-side inspector work.
+/// sparse structure: the NaDP row partition, each worker's host-side WoFP
+/// store, and the pieces of each worker's EaTA workload (per socket, or
+/// flat) with their charge metadata (WoFP hits included — a worker's store
+/// and rows are fixed by the plan, so its hit counts are constants). Workers
+/// sit on Topology's worker->socket layout. Building charges nothing;
+/// NadpExecute replays the WoFP build charges per all-row call, so executing
+/// through a reused plan produces byte-identical simulated output to
+/// per-call planning while skipping the host-side inspector work.
 ///
 /// The column partition is NOT part of the plan: it depends on the execute
 /// call's [col_begin, col_end) range (ASL passes one partition at a time) and
@@ -129,36 +139,47 @@ class NadpPlan {
     structure_ = sparse::StructureOf(a);
   }
 
-  /// Worker w's WoFP dense-row cache view (nullptr when use_wofp is off or
-  /// the worker has no workload). Lets the incremental-refresh path price its
-  /// restricted SpMMs against the same resident stores NadpExecute uses.
-  const prefetch::WofpPrefetcher* cache(size_t worker) const {
-    return worker < caches_.size() ? caches_[worker].get() : nullptr;
-  }
+  /// Charges every worker's WoFP store warm-up (the charges Build skipped)
+  /// as one lap of `frame` (a frame of the plan's workers when null) and
+  /// returns the lap's straggler. Row-subset executes replay nothing; the
+  /// incremental refresh calls this once per plan rebuild instead.
+  double ReplayWofpBuild(const exec::Context& ctx,
+                         memsim::WorkerFrame* frame = nullptr) const;
 
  private:
   friend NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
                                 const sparse::SpmmOperands& dense,
                                 const exec::Context& ctx, size_t col_begin,
                                 size_t col_end,
-                                sparse::kernels::PackedOperand* packed);
+                                sparse::kernels::PackedOperand* packed,
+                                const std::vector<sched::RowRange>* rows);
+
+  memsim::Contention contention() const {
+    return options_.enabled ? memsim::Contention::kSocket
+                            : memsim::Contention::kPool;
+  }
+  /// A worker's group (its socket under NaDP; the interleaved baseline has
+  /// one group of every worker) and its rank in the group.
+  std::pair<int, int> GroupOf(const memsim::Topology& topology, int worker) const {
+    if (!options_.enabled) return {0, worker};
+    return {topology.SocketOfWorker(worker, threads_),
+            topology.IndexOnSocket(worker, threads_)};
+  }
+  int GroupSize(const memsim::Topology& topology, int group) const {
+    return options_.enabled ? topology.ThreadsOnSocket(group, threads_) : threads_;
+  }
 
   NadpOptions options_;
   sparse::SparseStructureKey structure_;
   sched::HeteroPlacement hetero_;
   int threads_ = 0;
-  int sockets_ = 0;
-  int active_sockets_ = 0;
-  std::vector<sched::Workload> flat_workloads_;  ///< !enabled (interleaved)
-  std::vector<std::vector<sched::Workload>> per_socket_workloads_;  ///< enabled
-  std::vector<sched::RowRange> row_blocks_;                         ///< enabled
-  /// Each worker's workload intersected with every socket's row block,
-  /// hoisted from the execute loop (enabled mode; [worker][block]).
+  int groups_ = 0;
+  std::vector<sched::RowRange> row_blocks_;  ///< per socket, or [0, rows)
+  /// [worker][block]: each worker's workload cut at every socket's row block
+  /// (the interleaved baseline: one piece, the whole workload; empty where a
+  /// worker has none), and each piece's charge metadata (ScanChargeMetaCsdb
+  /// against the worker's WoFP store, if any).
   std::vector<std::vector<sched::Workload>> sub_workloads_;
-  /// Pre-scanned charge metadata (ScanChargeMetaCsdb against the worker's
-  /// WoFP store, if any): flat_meta_[worker] for the interleaved baseline,
-  /// sub_meta_[worker][block] for NaDP.
-  std::vector<sparse::CsdbChargeMeta> flat_meta_;
   std::vector<std::vector<sparse::CsdbChargeMeta>> sub_meta_;
   /// Frame pool behind the workers' WoFP stores (hot-pinned: the η-rule
   /// resident sets are never evicted). Declared before caches_ so the
@@ -173,20 +194,25 @@ class NadpPlan {
 
 /// Executor half: runs one SpMM through a prebuilt plan in two steps. The
 /// compute step covers dense columns [col_begin, col_end) of every row in
-/// one pooled pass (sparse::ComputeAllRowsCsdb): for column-major operands
+/// one pooled pass, or of the `rows` subset only (sorted, disjoint ranges),
+/// so every other output row keeps its contents. For column-major operands
 /// it packs B into `packed` when given, so an executor that passes the same
-/// operand every call maps it once, and writes every element of those
-/// columns of C (sized a.num_rows() x b.cols() by the caller); a packed
+/// operand every call maps it once, and writes every element of those rows
+/// and columns of C (sized a.num_rows() x b.cols() by the caller); a packed
 /// Chebyshev term runs its epilogue over them. The charge step then issues
-/// every simulated charge — each worker's WoFP build warm-up, its pieces'
-/// charges from the plan's metadata, the merge and the PIM side — in the
-/// same order as NadpSpmm, so simulated seconds and traffic are
-/// byte-identical to per-call planning, and the same for both forms.
+/// every simulated charge — each worker's WoFP build warm-up (all-row calls
+/// only), its pieces' charges, the merge, the tail stall and the PIM side —
+/// in the same order as NadpSpmm, so simulated seconds and traffic are
+/// byte-identical to per-call planning, and the same for both forms. A row
+/// subset replaces the plan's workloads: each group's workers split it by
+/// nnz, and each part is cut and scanned as Build cuts and scans a workload.
+/// A plan that offloads to PIM takes no subset: PimSpmm prices whole blocks.
 NadpResult NadpExecute(const NadpPlan& plan, const graph::CsdbMatrix& a,
                        const sparse::SpmmOperands& dense,
                        const exec::Context& ctx, size_t col_begin = 0,
                        size_t col_end = SIZE_MAX,
-                       sparse::kernels::PackedOperand* packed = nullptr);
+                       sparse::kernels::PackedOperand* packed = nullptr,
+                       const std::vector<sched::RowRange>* rows = nullptr);
 
 /// Small LRU plan cache keyed by (structure, options) — the engines' SpMM
 /// executors hit it once per ProNE stage. Multiple slots let the stage-1 and

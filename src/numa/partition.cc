@@ -4,20 +4,9 @@
 
 namespace omega::numa {
 
-int SocketPartition::SocketOfRow(uint32_t r) const {
-  for (int s = 0; s < num_sockets(); ++s) {
-    if (r >= row_blocks[s].begin && r < row_blocks[s].end) return s;
-  }
-  return num_sockets() - 1;
-}
-
-SocketPartition MakeSocketPartition(const graph::CsdbMatrix& a, size_t dense_cols,
-                                    int num_sockets) {
-  SocketPartition part;
-  part.row_blocks.resize(num_sockets);
-  part.col_blocks.resize(num_sockets);
-
-  // nnz-balanced contiguous row blocks.
+std::vector<sched::RowRange> SocketRowBlocks(const graph::CsdbMatrix& a,
+                                             int num_sockets) {
+  std::vector<sched::RowRange> blocks(num_sockets);
   const uint64_t total = a.nnz();
   auto cursor = a.Rows(0);
   for (int s = 0; s < num_sockets; ++s) {
@@ -30,19 +19,23 @@ SocketPartition MakeSocketPartition(const graph::CsdbMatrix& a, size_t dense_col
       taken += cursor.degree();
       cursor.Next();
     }
-    part.row_blocks[s] = sched::RowRange{begin, cursor.row()};
+    blocks[s] = sched::RowRange{begin, cursor.row()};
   }
   // Last block absorbs any unconsumed tail rows.
-  part.row_blocks[num_sockets - 1].end = a.num_rows();
+  blocks[num_sockets - 1].end = a.num_rows();
+  return blocks;
+}
 
-  // Equal-count dense column blocks.
-  const size_t per = (dense_cols + num_sockets - 1) / num_sockets;
-  for (int s = 0; s < num_sockets; ++s) {
-    const size_t begin = std::min(dense_cols, static_cast<size_t>(s) * per);
-    const size_t end = std::min(dense_cols, begin + per);
-    part.col_blocks[s] = {begin, end};
+std::vector<std::pair<size_t, size_t>> ColumnBlocks(size_t col_begin, size_t col_end,
+                                                    int parts) {
+  std::vector<std::pair<size_t, size_t>> blocks(parts);
+  const size_t span = col_end - col_begin;
+  const size_t per = (span + parts - 1) / parts;
+  for (int s = 0; s < parts; ++s) {
+    const size_t begin = std::min(span, static_cast<size_t>(s) * per);
+    blocks[s] = {col_begin + begin, col_begin + std::min(span, begin + per)};
   }
-  return part;
+  return blocks;
 }
 
 sched::Workload IntersectWorkload(const sched::Workload& w,

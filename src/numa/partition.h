@@ -17,22 +17,15 @@
 
 namespace omega::numa {
 
-struct SocketPartition {
-  /// Per-socket sparse row block (contiguous, nnz-balanced).
-  std::vector<sched::RowRange> row_blocks;
-  /// Per-socket dense column block [begin, end).
-  std::vector<std::pair<size_t, size_t>> col_blocks;
+/// Per-socket sparse row blocks of `a`: contiguous, nnz-balanced, covering
+/// every row.
+std::vector<sched::RowRange> SocketRowBlocks(const graph::CsdbMatrix& a,
+                                             int num_sockets);
 
-  int num_sockets() const { return static_cast<int>(row_blocks.size()); }
-
-  /// Socket owning sparse row `r`.
-  int SocketOfRow(uint32_t r) const;
-};
-
-/// Builds the partition for `num_sockets` sockets over an a (CSDB) x B SpMM
-/// with `dense_cols` dense columns.
-SocketPartition MakeSocketPartition(const graph::CsdbMatrix& a, size_t dense_cols,
-                                    int num_sockets);
+/// [col_begin, col_end) split into `parts` equal-count dense column blocks
+/// [begin, end), in order; the last ones may be short or empty.
+std::vector<std::pair<size_t, size_t>> ColumnBlocks(size_t col_begin, size_t col_end,
+                                                    int parts);
 
 /// Clips a workload to one row block; ranges outside the block are dropped.
 sched::Workload IntersectWorkload(const sched::Workload& w,

@@ -159,17 +159,12 @@ Result<RunReport> RunDistributedFamily(const graph::Graph& g,
                                        const EngineOptions& options,
                                        const exec::Context& outer_ctx,
                                        const DistParams& params) {
-  memsim::MemorySystem* ms = outer_ctx.ms();
-  ms->ResetTraffic();
-  ms->ResetFaults();
-
-  exec::TraceRecorder recorder;
-  const exec::Context ctx = outer_ctx.WithTrace(&recorder);
+  // ProneRun's prologue and report tail; no ProNE stage or dense phase runs.
+  internal::ProneRun run(dataset, options, outer_ctx);
+  const exec::Context& ctx = run.ctx();
+  memsim::MemorySystem* ms = ctx.ms();
+  RunReport& report = run.report();
   uint64_t net_fault_site = 0;  // fault-site cursor across the NET phases
-
-  RunReport report;
-  report.system = SystemName(options.system);
-  report.dataset = dataset;
 
   const double n = g.num_nodes();
   const double arcs = g.num_arcs();
@@ -187,8 +182,6 @@ Result<RunReport> RunDistributedFamily(const graph::Graph& g,
   // recovery times land in sibling "ckpt.write"/"recovery" records (their
   // traffic stays inside the span's delta, their seconds partition the run's
   // total alongside it).
-  double ckpt_seconds = 0.0;
-  double recovery_seconds = 0.0;
   auto sync_phase = [&](double rounds_d, double sync_bytes) -> Result<double> {
     exec::PhaseSpan sync_span(ctx, "sync");
     double comm_seconds = 0.0;
@@ -202,8 +195,8 @@ Result<RunReport> RunDistributedFamily(const graph::Graph& g,
           const DurableSyncOutcome out,
           DurableRoundSync(ms, params, rounds, round_bytes, state_bytes));
       comm_seconds = out.sync_seconds;
-      ckpt_seconds += out.ckpt_seconds;
-      recovery_seconds += out.recovery_seconds;
+      report.ckpt_seconds += out.ckpt_seconds;
+      report.recovery_seconds += out.recovery_seconds;
       if (out.ckpt_writes > 0) {
         exec::PhaseRecord rec;
         rec.name = "ckpt.write";
@@ -211,13 +204,13 @@ Result<RunReport> RunDistributedFamily(const graph::Graph& g,
         rec.ckpt_entries = out.ckpt_writes;
         rec.ckpt_bytes = out.ckpt_bytes;
         rec.persist_barriers = 2 * out.ckpt_writes;
-        recorder.Record(std::move(rec));
+        ctx.trace()->Record(std::move(rec));
       }
       if (out.recoveries > 0) {
         exec::PhaseRecord rec;
         rec.name = "recovery";
         rec.sim_seconds = out.recovery_seconds;
-        recorder.Record(std::move(rec));
+        ctx.trace()->Record(std::move(rec));
       }
     } else {
       comm_seconds = NetPhaseSeconds(ms, net, dram, MemOp::kWrite,
@@ -313,15 +306,8 @@ Result<RunReport> RunDistributedFamily(const graph::Graph& g,
   }
 
   report.embed_seconds = report.factorize_seconds + report.propagate_seconds;
-  report.ckpt_seconds = ckpt_seconds;
-  report.recovery_seconds = recovery_seconds;
-  report.total_seconds = report.read_seconds + report.embed_seconds +
-                         ckpt_seconds + recovery_seconds;
-  report.remote_fraction = 0.0;
-  report.faults_enabled = ms->faults_enabled();
-  report.faults = ms->Faults();
-  report.phases = recorder.TakeRecords();
-  return report;
+  // remote_fraction stays 0: the machines' traffic is not NUMA traffic.
+  return run.TakeReport();
 }
 
 }  // namespace omega::engine

@@ -192,17 +192,22 @@ Result<RunReport> ProneRun::Finish(const graph::Graph& g,
   r.factorize_seconds = factorize_spmm + tsvd;
   r.propagate_seconds = propagate_spmm + cheb;
   r.embed_seconds = r.factorize_seconds + r.propagate_seconds;
-  r.total_seconds = r.read_seconds + r.embed_seconds + r.ckpt_seconds + r.recovery_seconds;
   r.remote_fraction = ctx_.ms()->Traffic().RemoteFraction();
-  r.faults_enabled = ctx_.ms()->faults_enabled();
-  r.faults = ctx_.ms()->Faults();
   r.embedding = emb.ToOriginalOrder(ctx_.pool());
-  r.phases = recorder_.TakeRecords();
   if (options_.evaluate_quality) {
     OMEGA_ASSIGN_OR_RETURN(r.link_auc,
                            embed::LinkPredictionAuc(g, r.embedding, options_.quality_samples,
                                                     options_.prone.seed));
   }
+  return TakeReport();
+}
+
+RunReport ProneRun::TakeReport() {
+  RunReport& r = report_;
+  r.total_seconds = r.read_seconds + r.embed_seconds + r.ckpt_seconds + r.recovery_seconds;
+  r.faults_enabled = ctx_.ms()->faults_enabled();
+  r.faults = ctx_.ms()->Faults();
+  r.phases = recorder_.TakeRecords();
   return std::move(r);
 }
 

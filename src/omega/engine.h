@@ -119,7 +119,8 @@ double DenseStageSeconds(const exec::Context& ctx, memsim::Placement p,
 namespace internal {
 
 /// Frame shared by the ProNE-based engines (the OMeGa family, ProNE and the
-/// out-of-core analogues): it resets the machine's counters, owns the run's
+/// out-of-core analogues; the distributed analogues use only its prologue and
+/// TakeReport): it resets the machine's counters, owns the run's
 /// trace recorder, capacity reservations and stage-labelled ProNE options,
 /// and finishes every report the same way. The ProNE stage notifier points
 /// back at the frame, so it stays where it was built.
@@ -152,6 +153,11 @@ class ProneRun {
   Result<RunReport> Finish(const graph::Graph& g, const embed::EmbeddingResult& emb,
                            double factorize_spmm, double propagate_spmm,
                            const DenseHome& home);
+  /// Hands the report over with its tail: the total of the read, embed,
+  /// checkpoint and recovery seconds, the fault counters and the phase
+  /// records. Engines with no ProNE stage (the distributed analogues) call
+  /// it instead of Finish.
+  RunReport TakeReport();
 
  private:
   double DensePhase(const char* name, const DenseHome& home, uint64_t bytes,

@@ -5,9 +5,8 @@
 
 #include "embed/chebyshev.h"
 #include "graph/traversal.h"
-#include "memsim/worker_frame.h"
+#include "numa/nadp.h"
 #include "omega/placement.h"
-#include "sched/entropy.h"
 #include "sparse/csdb_ops.h"
 #include "sparse/spmm.h"
 
@@ -17,58 +16,6 @@ namespace {
 
 using memsim::MemOp;
 using memsim::Pattern;
-using memsim::Tier;
-
-/// Splits `ranges` into at most `parts` contiguous groups balanced by nnz.
-/// Deterministic: depends only on the ranges, their nnz, and `parts`.
-std::vector<sched::Workload> SplitRanges(const graph::CsdbMatrix& a,
-                                         const std::vector<sched::RowRange>& ranges,
-                                         double beta, int parts) {
-  std::vector<sched::Workload> out;
-  if (ranges.empty() || parts <= 0) return out;
-  sched::Workload all;
-  all.ranges = ranges;
-  sched::RefreshCounts(a, &all);
-  // At least 1, so a group always takes a row: with a zero target on an
-  // all-empty level (no nnz to balance) no group would ever extend. Such a
-  // level becomes one group, as on one thread.
-  const uint64_t target = std::max<uint64_t>(1, (all.nnz + parts - 1) / parts);
-
-  sched::Workload cur;
-  uint64_t cur_nnz = 0;
-  auto flush = [&]() {
-    if (cur.ranges.empty()) return;
-    sched::RefreshCounts(a, &cur);
-    sched::AnnotateWorkload(a, beta, &cur);
-    out.push_back(std::move(cur));
-    cur = sched::Workload();
-    cur_nnz = 0;
-  };
-  for (const sched::RowRange& r : ranges) {
-    for (uint32_t row = r.begin; row < r.end;) {
-      // Extend the current group row-by-row until it reaches the nnz target;
-      // coalesce adjacent rows into one range.
-      uint32_t end = row;
-      while (end < r.end &&
-             (cur_nnz < target || static_cast<int>(out.size()) + 1 >= parts)) {
-        auto cursor = a.Rows(end);
-        cur_nnz += cursor.degree();
-        ++end;
-      }
-      if (end > row) {
-        if (!cur.ranges.empty() && cur.ranges.back().end == row) {
-          cur.ranges.back().end = end;
-        } else {
-          cur.ranges.push_back({row, end});
-        }
-        row = end;
-      }
-      if (cur_nnz >= target && static_cast<int>(out.size()) + 1 < parts) flush();
-    }
-  }
-  flush();
-  return out;
-}
 
 // Step 4: moves the captured recurrence state into the new epoch's CSDB row
 // order when the degree sort moved.
@@ -124,97 +71,77 @@ std::vector<uint32_t> AffectedRowLevels(const graph::Graph& g,
   return row_level;
 }
 
-// Steps 6-7: the per-level recurrence update restricted to ball_k, priced
-// like NaDP (Fig. 10): each worker charges its own socket's devices at
-// socket-group contention, not the whole pool against one socket. Each
-// worker runs training's packed SpMM with its Chebyshev epilogue over the
-// rows it owns, gathering from the captured T_{k-1}, writing T_k into the
-// capture apart from T_{k-2} and adding c_k T_k into a packed filter sum.
-// The last level's rows are exactly the output rows, so there each worker
-// also normalizes its rows of the sum and writes them into `embedding`.
-// (With a single term there is no level: T_0 = R never changes, and neither
-// do the output rows.) Returns the straggler SpMM seconds.
+// Steps 6-7: the per-level recurrence update restricted to ball_k, each
+// level one NadpExecute over its rows, computed and priced like a training
+// SpMM: the packed SpMM's Chebyshev epilogue gathers from the captured
+// T_{k-1}, writes T_k into the capture apart from T_{k-2} and adds c_k T_k
+// into a packed filter sum. Pooled passes around it build the partial sums
+// of rows entering at this level and, after the last level (whose rows are
+// the output rows), normalise and scatter them into `embedding`. (One term
+// means no level: T_0 = R never changes.) Returns the SpMM seconds.
 double RefreshTerms(const exec::Context& ctx, const graph::CsdbMatrix& propagation,
-                    const numa::NadpPlan& plan, bool replay_wofp_build,
-                    const std::vector<uint32_t>& row_level, double beta,
-                    bool l2_normalize, const sparse::SpmmPlacements& placements,
+                    const numa::NadpPlan& plan, const std::vector<uint32_t>& row_level,
+                    bool l2_normalize, memsim::Placement dense,
                     memsim::WorkerCtx* serial, embed::ChebyshevCapture* capture,
                     linalg::DenseMatrix* embedding) {
   memsim::MemorySystem* ms = ctx.ms();
-  const int threads = std::max(1, ctx.threads());
   const size_t n = row_level.size();
   std::vector<sparse::kernels::PackedOperand>& terms = capture->terms;
   const std::vector<double>& coeffs = capture->coefficients;
   const size_t d = terms[0].width();
   const size_t order = coeffs.size();  // T_0..T_{K-1}
-  memsim::WorkerFrame frame(ms->topology(), threads, memsim::Contention::kSocket);
   double spmm_seconds = 0.0;
-  // A structural delta rebuilt the plan, so its WoFP stores were re-staged:
-  // charge that warm-up once per refresh (the frames then stay resident for
-  // every level below — unlike NadpExecute, there is no per-call-planning
-  // parity to preserve here, so the build is not replayed per SpMM).
-  if (replay_wofp_build) {
-    spmm_seconds += frame.Run(ctx.pool(), [&](size_t t, memsim::WorkerCtx* wctx) {
-      if (const prefetch::WofpPrefetcher* cache = plan.cache(t)) {
-        cache->ReplayBuildCharges(wctx);
-      }
-    });
-  }
   // The filter sum, packed like the terms. Only refreshed rows are written
   // or read, so the rest of its mapping is never touched.
   sparse::kernels::PackedOperand sum;
   sum.Reshape(n, 0, d);
+  // Runs fn(range) over the level's ranges on the pool.
+  auto for_each_range = [&](const std::vector<sched::RowRange>& ranges, auto fn) {
+    ctx.pool()->ParallelFor(ranges.size(), [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) fn(ranges[i]);
+    });
+  };
   for (size_t k = 1; k < order; ++k) {
     std::vector<sched::RowRange> ranges;
     uint64_t num_rows = 0;
     for (uint32_t r = 0; r < n; ++r) {
       if (row_level[r] > k) continue;
       ++num_rows;
-      if (!ranges.empty() && ranges.back().end == r) {
-        ++ranges.back().end;
-      } else {
-        ranges.push_back({r, r + 1});
-      }
+      if (ranges.empty() || ranges.back().end != r) ranges.push_back({r, r});
+      ++ranges.back().end;
     }
     if (ranges.empty()) continue;
 
-    const std::vector<sched::Workload> parts =
-        SplitRanges(propagation, ranges, beta, threads);
+    // A row first recomputed at this level k >= 2 (BFS depth k) enters the
+    // epilogue with its sum through T_{k-1}.
+    if (k >= 2) {
+      for_each_range(ranges, [&](const sched::RowRange& rr) {
+        for (uint32_t r = rr.begin; r < rr.end; ++r) {
+          if (row_level[r] == k) embed::ChebyshevPartialSumRow(*capture, k, r, &sum);
+        }
+      });
+    }
     const sparse::kernels::ChebyshevEpilogue step{
         k, static_cast<float>(coeffs[k]), static_cast<float>(coeffs[0]),
         k >= 2 ? &terms[k - 2] : nullptr, &terms[k], &sum};
-    const bool output_level = k + 1 == order;
-    spmm_seconds += frame.Run(ctx.pool(), [&](size_t t, memsim::WorkerCtx* wctx) {
-      // A part of zero-degree rows (nodes a deletion isolated) has no nnz
-      // but still has rows to write.
-      if (t >= parts.size() || parts[t].ranges.empty()) return;
-      const prefetch::WofpPrefetcher* cache = plan.cache(t);
-      for (const sched::RowRange& rr : parts[t].ranges) {
-        // A row first recomputed at this level k >= 2 (BFS depth k) enters
-        // the epilogue with its sum through T_{k-1}.
-        for (uint32_t r = rr.begin; k >= 2 && r < rr.end; ++r) {
-          if (row_level[r] == k) embed::ChebyshevPartialSumRow(*capture, k, r, &sum);
-        }
-        sparse::kernels::CsdbPackedSpmm(propagation, terms[k - 1], step, rr.begin,
-                                        rr.end, 0, d);
-        if (!output_level) continue;
+    spmm_seconds += numa::NadpExecute(plan, propagation, {terms[k - 1], step}, ctx,
+                                      0, SIZE_MAX, nullptr, &ranges)
+                        .phase_seconds;
+    if (k + 1 == order) {
+      for_each_range(ranges, [&](const sched::RowRange& rr) {
         if (l2_normalize) embed::L2NormalizeRows(&sum, rr.begin, rr.end);
         for (size_t c = 0; c < d; ++c) {
           for (uint32_t r = rr.begin; r < rr.end; ++r) {
             embedding->At(capture->perm[r], c) = sum.Row(r)[c];
           }
         }
-      }
-      sparse::ChargeWorkloadCsdb(
-          propagation, d, sparse::ScanChargeMetaCsdb(propagation, parts[t], cache),
-          frame.PinToSocket(placements, t), ms, wctx, cache);
-    });
+      });
+    }
 
     const uint64_t pass_bytes = num_rows * d * 4;
-    ms->ChargeAccess(serial, placements.dense, MemOp::kRead, Pattern::kSequential,
+    ms->ChargeAccess(serial, dense, MemOp::kRead, Pattern::kSequential,
                      (k == 1 ? 1 : 2) * pass_bytes);
-    ms->ChargeAccess(serial, placements.dense, MemOp::kWrite, Pattern::kSequential,
-                     pass_bytes);
+    ms->ChargeAccess(serial, dense, MemOp::kWrite, Pattern::kSequential, pass_bytes);
     ms->ChargeCompute(serial, num_rows * d * 2);
   }
   return spmm_seconds;
@@ -233,8 +160,8 @@ numa::NadpOptions DynamicEmbedder::nadp_options(const exec::Context& ctx) const 
       DecidePlacement(options_, *ctx.ms(), mutable_.graph().num_nodes(),
                       mutable_.graph().num_arcs(), ctx.threads())
           .nadp;
-  // Refresh recomputes a row subset on host kernels (SplitRanges workloads
-  // through ChargeWorkloadCsdb), so it never offloads to PIM.
+  // Refresh prices row subsets through NadpExecute, and PimSpmm has no
+  // row-subset pricing, so refresh never offloads to PIM.
   nadp.pim = sched::PimConfig{};
   return nadp;
 }
@@ -271,8 +198,7 @@ Result<RefreshReport> DynamicEmbedder::Refresh(const exec::Context& ctx,
   memsim::MemorySystem* ms = ctx.ms();
   if (ms == nullptr) return Status::InvalidArgument("context has no MemorySystem");
   const numa::NadpOptions nadp = nadp_options(ctx);
-  const sparse::SpmmPlacements placements{
-      {Tier::kDram, 0}, {nadp.sparse_tier, 0}, {nadp.dense_tier, 0}, {nadp.result_tier, 0}};
+  const sparse::SpmmPlacements placements = nadp.placements();
 
   RefreshReport report;
   exec::PhaseSpan span(ctx, "dynamic.refresh");
@@ -344,10 +270,14 @@ Result<RefreshReport> DynamicEmbedder::Refresh(const exec::Context& ctx,
   const std::vector<uint32_t> row_level =
       AffectedRowLevels(mutable_.graph(), delta.touched_nodes, refresh_all_rows,
                         order, new_perm, placements.index, ms, &serial_ctx);
-  const double spmm_seconds = RefreshTerms(
-      ctx, new_propagation, plan, plan_rebuilt && nadp.use_wofp && nadp.wofp.charge_build,
-      row_level, options_.beta, options_.prone.l2_normalize_rows, placements,
-      &serial_ctx, &capture_, &embedding_);
+  // A structural delta rebuilt the plan, so its WoFP stores were re-staged:
+  // charge that warm-up once. The stores stay resident for every level (a
+  // replay per level would price a few hundred rows like a full scan).
+  double spmm_seconds =
+      plan_rebuilt && nadp.wofp.charge_build ? plan.ReplayWofpBuild(ctx) : 0.0;
+  spmm_seconds += RefreshTerms(ctx, new_propagation, plan, row_level,
+                               options_.prone.l2_normalize_rows, placements.dense,
+                               &serial_ctx, &capture_, &embedding_);
   for (uint32_t r = 0; r < row_level.size(); ++r) {
     if (row_level[r] <= order - 1) report.refreshed_nodes.push_back(new_perm[r]);
   }

@@ -27,9 +27,9 @@
 // from training ("stale basis" refresh, the standard dynamic-embedding
 // trade-off); a periodic full Train() re-anchors it.
 //
-// Two-clock contract: all host recomputation is charged analytically through
-// the same ChargeWorkloadCsdb cost model the training SpMMs use, against the
-// placements of the embedder's SystemKind.
+// Two-clock contract: every level's SpMM runs and is charged through
+// numa::NadpExecute, the executor of the training SpMMs, with the training
+// run's placements (PIM aside).
 
 #pragma once
 

@@ -163,9 +163,56 @@ void UnpackDense(const kernels::PackedOperand& packed, ThreadPool* pool,
   }
 }
 
+namespace {
+
+using RangeFn = std::function<void(size_t, uint32_t, uint32_t)>;
+
+// Runs fn over pieces of the row ranges `rows`, each inside one range and
+// of about graph::kMinRangeWork work (a row costs its degree plus one),
+// handed out dynamically on `pool`; a single piece runs inline.
+void ForEachSubsetRange(const graph::CsdbMatrix& a,
+                        const std::vector<sched::RowRange>& rows, ThreadPool* pool,
+                        const RangeFn& fn) {
+  std::vector<sched::RowRange> pieces;
+  uint64_t work = 0;  // of the last piece
+  for (const sched::RowRange& r : rows) {
+    for (auto cur = a.Rows(r.begin); cur.row() < r.end; cur.Next()) {
+      if (cur.row() == r.begin || work >= graph::kMinRangeWork) {
+        pieces.push_back({cur.row(), cur.row()});
+        work = 0;
+      }
+      ++pieces.back().end;
+      work += cur.degree() + 1;
+    }
+  }
+  if (pool == nullptr || pieces.size() <= 1) {
+    for (const sched::RowRange& p : pieces) fn(0, p.begin, p.end);
+    return;
+  }
+  pool->ParallelForDynamic(pieces.size(), /*chunk_size=*/1,
+                           [&](size_t worker, size_t begin, size_t end) {
+                             for (size_t p = begin; p < end; ++p) {
+                               fn(worker, pieces[p].begin, pieces[p].end);
+                             }
+                           });
+}
+
+}  // namespace
+
 void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
                         ThreadPool* pool, size_t col_begin, size_t col_end,
                         kernels::PackedOperand* packed) {
+  ComputeRowsCsdb(a, dense, pool, nullptr, col_begin, col_end, packed);
+}
+
+void ComputeRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
+                     ThreadPool* pool, const std::vector<sched::RowRange>* rows,
+                     size_t col_begin, size_t col_end,
+                     kernels::PackedOperand* packed) {
+  auto for_each_range = [&](const RangeFn& fn) {
+    if (rows == nullptr) return graph::ForEachRowRange(a, pool, fn);
+    ForEachSubsetRange(a, *rows, pool, fn);
+  };
   col_end = std::min(col_end, dense.cols());
   col_begin = std::min(col_begin, col_end);
   if (dense.packed()) {
@@ -176,7 +223,7 @@ void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
                  dense.step.t->width() == source.width() &&
                  dense.step.sum->width() == source.width());
     if (col_begin == col_end) return;
-    graph::ForEachRowRange(a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+    for_each_range([&](size_t, uint32_t row_begin, uint32_t row_end) {
       kernels::CsdbPackedSpmm(a, source, dense.step, row_begin, row_end, col_begin,
                               col_end);
     });
@@ -188,10 +235,11 @@ void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
   if (packed == nullptr) packed = &local;
   PackDense(*dense.in, pool, packed, col_begin, col_end);
   if (packed->width() == 0) return;
-  graph::ForEachRowRange(a, pool, [&](size_t, uint32_t row_begin, uint32_t row_end) {
+  for_each_range([&](size_t, uint32_t row_begin, uint32_t row_end) {
     kernels::CsdbPackedSpmm(a, *packed, dense.out, row_begin, row_end);
   });
 }
+
 
 void ComputeWorkloadCsdbPerColumn(const graph::CsdbMatrix& a,
                                   const linalg::DenseMatrix& b,

@@ -150,6 +150,14 @@ void ComputeAllRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
                         size_t col_end = SIZE_MAX,
                         kernels::PackedOperand* packed = nullptr);
 
+/// ComputeAllRowsCsdb over the rows in `rows` only (sorted, disjoint
+/// ranges; every row when null): the same bits in those rows, and every
+/// other row of `out` (or of the epilogue's T_k and sum) left as it was.
+void ComputeRowsCsdb(const graph::CsdbMatrix& a, const SpmmOperands& dense,
+                     ThreadPool* pool, const std::vector<sched::RowRange>* rows,
+                     size_t col_begin = 0, size_t col_end = SIZE_MAX,
+                     kernels::PackedOperand* packed = nullptr);
+
 /// The original per-column kernel (Algorithm 1's loop nesting verbatim), kept
 /// as the oracle the packed kernel is tested and benchmarked against. Same
 /// clamp as PackDense and the same reduction order as the packed kernel.

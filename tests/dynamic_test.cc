@@ -378,6 +378,45 @@ TEST_F(IncrementalRefreshTest, SelectiveMatchesFullRecomputeAcrossThreads) {
             selective_report.affected_rows);
 }
 
+// Each refresh level is a NadpExecute, so a dense-tier tail stall lengthens
+// its workers' phases as it does training's: the same refresh costs more
+// under the fault plan than without it, and every injected stall is
+// accounted for.
+TEST_F(IncrementalRefreshTest, DenseTierTailStallLengthensRefresh) {
+  const Graph base = RmatGraph();
+  const std::vector<Mutation> muts = graph::SyntheticMutations(base, 16, 9);
+  constexpr int kThreads = 2;
+  auto refresh = [&](bool faults, memsim::FaultCounters* counters) {
+    auto ms = memsim::MemorySystem::CreateDefault();
+    ThreadPool pool(kThreads);
+    const exec::Context ctx(ms.get(), &pool, kThreads);
+    engine::DynamicEmbedder dyn(base, Options(kThreads), "test", kThreads);
+    EXPECT_TRUE(dyn.Train(ctx).ok());
+    if (faults) {
+      memsim::FaultPlan plan;
+      plan.enabled = true;
+      plan.at(dyn.nadp_options(ctx).dense_tier, memsim::MemOp::kRead,
+              memsim::Pattern::kRandom)
+          .stall = 1.0;
+      ms->SetFaultPlan(plan);
+    }
+    ms->ResetFaults();
+    for (size_t i = 0; i < muts.size(); ++i) dyn.Log(static_cast<int>(i), muts[i]);
+    auto res = dyn.Refresh(ctx);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    *counters = ms->Faults();
+    return res.ok() ? res.value().refresh_seconds : 0.0;
+  };
+  memsim::FaultCounters clean;
+  memsim::FaultCounters stalled;
+  const double clean_seconds = refresh(false, &clean);
+  const double stalled_seconds = refresh(true, &stalled);
+  EXPECT_EQ(clean.InjectedTotal(), 0u);
+  EXPECT_GT(stalled.InjectedTotal(), 0u);
+  EXPECT_TRUE(stalled.Accounted()) << memsim::FaultCountersSummary(stalled);
+  EXPECT_GT(stalled_seconds, clean_seconds);
+}
+
 // Deleting the only edge of a node leaves a zero-degree row among the rows
 // a refresh recomputes, and that row must still be rewritten, on the full
 // recompute's bits. With both endpoints isolated every row of every level

@@ -324,24 +324,6 @@ TEST(WorkerFrameTest, RunReportsLapStragglerAndPhaseMax) {
   }
 }
 
-TEST(WorkerFrameTest, PinToSocketMovesEveryStream) {
-  struct Streams {
-    Placement index, sparse, dense, result;
-  };
-  TopologyConfig config;
-  config.num_sockets = 4;
-  const WorkerFrame frame(Topology(config), 5);
-  const Streams home{{Tier::kDram, 0},
-                     {Tier::kPm, Placement::kInterleaved},
-                     {Tier::kPm, 3},
-                     {Tier::kDram, 0}};
-  const Streams pinned = frame.PinToSocket(home, 4);
-  EXPECT_EQ(pinned.index, (Placement{Tier::kDram, 2}));
-  EXPECT_EQ(pinned.sparse, (Placement{Tier::kPm, 2}));
-  EXPECT_EQ(pinned.dense, (Placement{Tier::kPm, 2}));
-  EXPECT_EQ(pinned.result, (Placement{Tier::kDram, 2}));
-}
-
 // --- Fig. 9 probe: the simulated device reproduces the published curves. ---
 
 TEST_F(MemsimTest, ProbeBandwidthIncreasesThenSaturates) {

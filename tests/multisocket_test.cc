@@ -35,15 +35,18 @@ class SocketSweep : public ::testing::TestWithParam<int> {};
 TEST_P(SocketSweep, PartitionCoversRowsAndColumns) {
   const int sockets = GetParam();
   const graph::CsdbMatrix a = TestMatrix();
-  const numa::SocketPartition part = numa::MakeSocketPartition(a, 32, sockets);
-  ASSERT_EQ(part.num_sockets(), sockets);
+  const std::vector<sched::RowRange> row_blocks = numa::SocketRowBlocks(a, sockets);
+  const std::vector<std::pair<size_t, size_t>> col_blocks =
+      numa::ColumnBlocks(0, 32, sockets);
+  ASSERT_EQ(row_blocks.size(), static_cast<size_t>(sockets));
+  ASSERT_EQ(col_blocks.size(), static_cast<size_t>(sockets));
   uint32_t row = 0;
   size_t col = 0;
   for (int s = 0; s < sockets; ++s) {
-    EXPECT_EQ(part.row_blocks[s].begin, row);
-    row = part.row_blocks[s].end;
-    EXPECT_EQ(part.col_blocks[s].first, col);
-    col = part.col_blocks[s].second;
+    EXPECT_EQ(row_blocks[s].begin, row);
+    row = row_blocks[s].end;
+    EXPECT_EQ(col_blocks[s].first, col);
+    col = col_blocks[s].second;
   }
   EXPECT_EQ(row, a.num_rows());
   EXPECT_EQ(col, 32u);

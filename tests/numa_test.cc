@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "graph/rmat.h"
 #include "linalg/random_matrix.h"
 #include "numa/nadp.h"
@@ -24,32 +27,25 @@ CsdbMatrix TestMatrix(uint32_t scale = 10, uint64_t edges = 15000) {
 
 TEST(PartitionTest, RowBlocksCoverAndBalanceNnz) {
   const CsdbMatrix a = TestMatrix();
-  const SocketPartition part = MakeSocketPartition(a, 8, 2);
-  ASSERT_EQ(part.num_sockets(), 2);
-  EXPECT_EQ(part.row_blocks[0].begin, 0u);
-  EXPECT_EQ(part.row_blocks[0].end, part.row_blocks[1].begin);
-  EXPECT_EQ(part.row_blocks[1].end, a.num_rows());
+  const std::vector<sched::RowRange> blocks = SocketRowBlocks(a, 2);
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0].begin, 0u);
+  EXPECT_EQ(blocks[0].end, blocks[1].begin);
+  EXPECT_EQ(blocks[1].end, a.num_rows());
   // nnz balance within 2x.
   uint64_t nnz0 = 0;
   uint64_t nnz1 = 0;
   for (auto cur = a.Rows(0); !cur.AtEnd(); cur.Next()) {
-    (cur.row() < part.row_blocks[0].end ? nnz0 : nnz1) += cur.degree();
+    (cur.row() < blocks[0].end ? nnz0 : nnz1) += cur.degree();
   }
   EXPECT_LT(std::max(nnz0, nnz1), 2 * std::min(nnz0, nnz1) + 64);
 }
 
 TEST(PartitionTest, ColumnBlocksSplitEvenly) {
-  const CsdbMatrix a = TestMatrix(8, 1000);
-  const SocketPartition part = MakeSocketPartition(a, 7, 2);
-  EXPECT_EQ(part.col_blocks[0], (std::pair<size_t, size_t>{0, 4}));
-  EXPECT_EQ(part.col_blocks[1], (std::pair<size_t, size_t>{4, 7}));
-}
-
-TEST(PartitionTest, SocketOfRow) {
-  const CsdbMatrix a = TestMatrix();
-  const SocketPartition part = MakeSocketPartition(a, 8, 2);
-  EXPECT_EQ(part.SocketOfRow(0), 0);
-  EXPECT_EQ(part.SocketOfRow(a.num_rows() - 1), 1);
+  EXPECT_EQ(ColumnBlocks(0, 7, 2),
+            (std::vector<std::pair<size_t, size_t>>{{0, 4}, {4, 7}}));
+  EXPECT_EQ(ColumnBlocks(8, 13, 4),
+            (std::vector<std::pair<size_t, size_t>>{{8, 10}, {10, 12}, {12, 13}, {13, 13}}));
 }
 
 TEST(PartitionTest, IntersectWorkloadClips) {
@@ -63,6 +59,20 @@ TEST(PartitionTest, IntersectWorkloadClips) {
   EXPECT_EQ(clipped.ranges[1].begin, 20u);
   EXPECT_EQ(clipped.ranges[1].end, 25u);
   EXPECT_TRUE(IntersectWorkload(w, sched::RowRange{50, 60}).ranges.empty());
+}
+
+TEST(NadpOptionsTest, PlacementsPutEveryStreamOnOneSocket) {
+  NadpOptions opts;
+  opts.sparse_tier = memsim::Tier::kPm;
+  opts.dense_tier = memsim::Tier::kDram;
+  opts.result_tier = memsim::Tier::kPm;
+  for (const int socket : {0, 2, memsim::Placement::kInterleaved}) {
+    const sparse::SpmmPlacements pl = opts.placements(socket);
+    EXPECT_EQ(pl.index, (memsim::Placement{memsim::Tier::kDram, socket}));
+    EXPECT_EQ(pl.sparse, (memsim::Placement{memsim::Tier::kPm, socket}));
+    EXPECT_EQ(pl.dense, (memsim::Placement{memsim::Tier::kDram, socket}));
+    EXPECT_EQ(pl.result, (memsim::Placement{memsim::Tier::kPm, socket}));
+  }
 }
 
 class NadpTest : public ::testing::Test {
@@ -183,6 +193,104 @@ TEST_F(NadpTest, OddThreadCountWorks) {
   const NadpResult r = NadpSpmm(a_, b_, &c, opts, exec::Context(ms_.get(), pool_.get()));
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected_), 1e-4);
   EXPECT_EQ(r.thread_seconds.size(), 7u);
+}
+
+// A row-subset execute writes exactly the subset's rows, on the bits an
+// all-rows execute gives them, and leaves every other row as it found it:
+// both operand forms, NaDP and the interleaved baseline, 1/2/4 sockets,
+// pools of 1/2/8.
+TEST(NadpSubsetTest, WritesExactlySubsetRowsOnFullExecuteBits) {
+  const CsdbMatrix a = TestMatrix();
+  const uint32_t n = a.num_rows();
+  const DenseMatrix b = linalg::GaussianMatrix(a.num_cols(), 8, 5);
+  const std::vector<sched::RowRange> rows = {
+      {0, 3}, {17, 18}, {40, 300}, {301, 302}, {n / 2, n / 2 + 97}, {n - 5, n}};
+  std::vector<bool> in_subset(n, false);
+  for (const sched::RowRange& r : rows) {
+    for (uint32_t i = r.begin; i < r.end; ++i) in_subset[i] = true;
+  }
+  const float sentinel = std::nanf("0x5e7");
+  sparse::kernels::PackedOperand source;
+  sparse::PackDense(b, nullptr, &source);
+  // Row r of a packed operand, or of a column-major matrix, as raw bytes.
+  auto packed_row = [](const sparse::kernels::PackedOperand& m, uint32_t r) {
+    return std::string(reinterpret_cast<const char*>(m.Row(r)), m.width() * 4);
+  };
+  auto matrix_row = [](const DenseMatrix& m, uint32_t r) {
+    std::string bytes;
+    for (size_t c = 0; c < m.cols(); ++c) {
+      const float v = m.At(r, c);
+      bytes.append(reinterpret_cast<const char*>(&v), 4);
+    }
+    return bytes;
+  };
+  auto filled = [&](uint32_t width) {
+    sparse::kernels::PackedOperand m;
+    m.Reshape(n, 0, width);
+    for (uint32_t r = 0; r < n; ++r) std::fill_n(m.Row(r), width, sentinel);
+    return m;
+  };
+
+  for (const int sockets : {1, 2, 4}) {
+    memsim::TopologyConfig topo;
+    topo.num_sockets = sockets;
+    memsim::MemorySystem ms(topo, memsim::DefaultProfiles());
+    for (const bool enabled : {true, false}) {
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(std::to_string(sockets) + " sockets, " +
+                     (enabled ? "NaDP" : "interleaved") + ", " +
+                     std::to_string(threads) + " threads");
+        ThreadPool pool(threads);
+        const exec::Context ctx(&ms, &pool, threads);
+        NadpOptions opts;
+        opts.num_threads = threads;
+        opts.enabled = enabled;
+        opts.wofp.sigma = 0.15;
+        const NadpPlan plan = NadpPlan::Build(a, opts, ctx);
+
+        // Column-major.
+        DenseMatrix full(n, b.cols());
+        const NadpResult all = NadpExecute(plan, a, {b, &full}, ctx);
+        DenseMatrix part(n, b.cols());
+        part.Fill(sentinel);
+        const DenseMatrix untouched = part;
+        const NadpResult sub =
+            NadpExecute(plan, a, {b, &part}, ctx, 0, SIZE_MAX, nullptr, &rows);
+        for (uint32_t r = 0; r < n; ++r) {
+          ASSERT_EQ(matrix_row(part, r),
+                    matrix_row(in_subset[r] ? full : untouched, r))
+              << "row " << r;
+        }
+        uint64_t nnz = 0;
+        for (const sched::RowRange& r : rows) {
+          for (auto cur = a.Rows(r.begin); cur.row() < r.end; cur.Next()) {
+            nnz += cur.degree();
+          }
+        }
+        EXPECT_EQ(sub.nnz_processed, nnz);
+        EXPECT_GT(sub.phase_seconds, 0.0);
+        EXPECT_LT(sub.phase_seconds, all.phase_seconds);
+
+        // A packed Chebyshev term: the epilogue writes T_1 and the sum.
+        sparse::kernels::PackedOperand t_full = filled(8);
+        sparse::kernels::PackedOperand sum_full = filled(8);
+        NadpExecute(plan, a, {source, {1, 0.5f, 0.25f, nullptr, &t_full, &sum_full}},
+                    ctx);
+        sparse::kernels::PackedOperand t_part = filled(8);
+        sparse::kernels::PackedOperand sum_part = filled(8);
+        const sparse::kernels::PackedOperand blank = filled(8);
+        NadpExecute(plan, a, {source, {1, 0.5f, 0.25f, nullptr, &t_part, &sum_part}},
+                    ctx, 0, SIZE_MAX, nullptr, &rows);
+        for (uint32_t r = 0; r < n; ++r) {
+          ASSERT_EQ(packed_row(t_part, r), packed_row(in_subset[r] ? t_full : blank, r))
+              << "T_1 row " << r;
+          ASSERT_EQ(packed_row(sum_part, r),
+                    packed_row(in_subset[r] ? sum_full : blank, r))
+              << "sum row " << r;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

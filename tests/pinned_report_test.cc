@@ -647,35 +647,35 @@ const Pin kRefreshPins[] = {
     {"OMeGa",
      "sync 0x1.85659af718fep-17\n"
      "delta 0x1.1bb630082a2e8p-13\n"
-     "refresh 0x1.7e64b25a209d4p-10\n"
+     "refresh 0x1.7fcdf1cd45586p-10\n"
      "affected_rows 438\n"
      "refreshed_nodes 6a677177003361d2db0d8ee13e679843\n"
      "embedding b95e77ad338a2a628bb602baf9d1c247\n"},
     {"OMeGa-DRAM",
      "sync 0x1.85659af718fep-17\n"
      "delta 0x1.13a8e2c96f29bp-13\n"
-     "refresh 0x1.544ccfe0bac13p-10\n"
+     "refresh 0x1.572ba9bc6eab6p-10\n"
      "affected_rows 438\n"
      "refreshed_nodes 6a677177003361d2db0d8ee13e679843\n"
      "embedding b95e77ad338a2a628bb602baf9d1c247\n"},
     {"OMeGa-PM",
      "sync 0x1.85659af718fep-17\n"
      "delta 0x1.1bb630082a2e8p-13\n"
-     "refresh 0x1.29f49e3aabbb3p-8\n"
+     "refresh 0x1.2a10757fed03ap-8\n"
      "affected_rows 438\n"
      "refreshed_nodes 6a677177003361d2db0d8ee13e679843\n"
      "embedding b95e77ad338a2a628bb602baf9d1c247\n"},
     {"OMeGa@3t2s",
      "sync 0x1.85659af718fep-17\n"
      "delta 0x1.1bb630082a2e8p-13\n"
-     "refresh 0x1.2889c98d7946ep-10\n"
+     "refresh 0x1.7fcdf1cd45586p-10\n"
      "affected_rows 438\n"
      "refreshed_nodes 6a677177003361d2db0d8ee13e679843\n"
      "embedding b95e77ad338a2a628bb602baf9d1c247\n"},
     {"OMeGa@5t4s",
      "sync 0x1.af902f7bb1fecp-17\n"
      "delta 0x1.579b388b0595ap-13\n"
-     "refresh 0x1.b933c3b15df79p-11\n"
+     "refresh 0x1.e559bf820888cp-11\n"
      "affected_rows 438\n"
      "refreshed_nodes 6a677177003361d2db0d8ee13e679843\n"
      "embedding b95e77ad338a2a628bb602baf9d1c247\n"},

@@ -8,7 +8,8 @@
 #   tools/check.sh --tsan       # additionally build/test with -DOMEGA_TSAN=ON
 #   tools/check.sh --debug-asan # additionally run the branch-heavy suites
 #                               # (fault/stream/memsim/buffer/serve/dynamic/
-#                               # pim/durable) under one Debug+ASan build
+#                               # pim/durable/numa/plan) under one Debug+ASan
+#                               # build
 #   tools/check.sh --smoke      # additionally run every bench --smoke from
 #                               # the tier-1 build, and a full
 #                               # bench_update_throughput run that must
@@ -62,20 +63,22 @@ if [[ "$SANITIZE" == 1 ]]; then
 fi
 
 if [[ "$DEBUG_ASAN" == 1 ]]; then
-  echo "== Debug + ASan: fault, staging, serving, dynamic, PIM and durability suites =="
+  echo "== Debug + ASan: fault, staging, serving, dynamic, PIM, durability, NaDP and plan suites =="
   # Retry/degrade/surface paths (memsim's one bounded-retry loop and every
   # site that calls it: ASL's StageFetch, HotCache's cold read, the PIM
   # bank-link transfers, checkpoint and shared-log writes), op-log merges and
   # delta overlays, the PIM subset allocators, and the torn-write scan and
-  # shared-log replay are branch-heavy and mostly dormant in healthy runs;
+  # shared-log replay are branch-heavy and mostly dormant in healthy runs,
+  # and NadpExecute branches between all-row and row-subset charging;
   # exercise them with asserts and ASan on. The golden test is excluded (it
   # pins release-build report bytes and runs the full fig12 sweep); it runs
   # in the tier-1 suite above.
   cmake -B build-debug-asan -S . -DCMAKE_BUILD_TYPE=Debug -DOMEGA_SANITIZE=ON
   cmake --build build-debug-asan -j "$JOBS" --target fault_test stream_test \
-    memsim_test buffer_test serve_test dynamic_test pim_test durable_test
+    memsim_test buffer_test serve_test dynamic_test pim_test durable_test \
+    numa_test plan_test
   ctest --test-dir build-debug-asan --output-on-failure -j "$JOBS" \
-    -R '^(fault_test|stream_test|memsim_test|buffer_test|serve_test|dynamic_test|pim_test|durable_test)$'
+    -R '^(fault_test|stream_test|memsim_test|buffer_test|serve_test|dynamic_test|pim_test|durable_test|numa_test|plan_test)$'
 fi
 
 if [[ "$TSAN" == 1 ]]; then
